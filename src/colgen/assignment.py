@@ -28,7 +28,6 @@ E_SET_SHAPES = {
     "E4": (1000, 10), "E5": (1000, 50), "E6": (1000, 100),
     "E7": (5000, 10), "E8": (5000, 50), "E9": (5000, 100),
 }
-DESK_INSTANCES_PER_SET = 10
 
 
 class GaParseError(ValueError):
@@ -179,44 +178,59 @@ def knapsack_min(values, weights, capacity: int) -> tuple[float, tuple[int, ...]
     Ties on value prefer fewer items, then the lexicographically smallest
     index tuple, so the result is a pure function of the inputs.  Items with
     nonnegative value are never selected (they cannot improve on skipping).
-    O(len(values) * capacity) time and memory.
+    O(len(values) * capacity) time and memory.  This is the one-bin case of
+    `knapsack_min_batch`.
+    """
+    values = np.asarray(values, dtype=float)
+    best, take = knapsack_min_batch(values[None, :], np.asarray(weights)[None, :],
+                                    np.array([capacity]))
+    return float(best[0]), tuple(int(i) for i in np.flatnonzero(take[0]))
+
+
+def knapsack_min_batch(values, weights, capacities) -> tuple[np.ndarray, np.ndarray]:
+    """`knapsack_min` over many bins at once: one suffix DP on a (bins, cap+1) grid.
+
+    `values` and `weights` have shape (bins, items) and `capacities` shape
+    (bins,).  Capacities are padded to the largest; a bin's DP row at
+    capacity c does not depend on its own capacity, so every bin gets the
+    values, items and tie-break it would get alone.  Returns each bin's
+    minimum value and a boolean (bins, items) mask of the picked items.
+    O(items * bins * max capacity) time and memory.
     """
     values = np.asarray(values, dtype=float)
     w = np.asarray(weights, dtype=np.int64)
-    m = len(values)
-    cap = int(capacity)
-    if cap < 0:
+    caps = np.asarray(capacities, dtype=np.int64)
+    if np.any(caps < 0):
         raise ValueError("capacity must be nonnegative")
-    # suffix DP over items i..m-1: best value and item count per capacity
-    val = np.zeros((m + 1, cap + 1))
-    cnt = np.zeros((m + 1, cap + 1), dtype=np.int64)
+    if np.any(w < 0):
+        raise ValueError("weights must be nonnegative")
+    bins, m = values.shape
+    grid = np.arange(int(caps.max(initial=0)) + 1)
+    row_start = np.arange(bins)[:, None] * len(grid)
+    # suffix DP over items i..m-1: best value and item count per capacity,
+    # two rolling layers plus the take/skip choice of every item
+    val = np.zeros((bins, len(grid)))
+    cnt = np.zeros((bins, len(grid)), dtype=np.int64)
+    choose = np.zeros((m, bins, len(grid)), dtype=bool)
     for i in range(m - 1, -1, -1):
-        skip_v = val[i + 1]
-        skip_c = cnt[i + 1]
-        wi = int(w[i])
-        if wi > cap:
-            val[i] = skip_v
-            cnt[i] = skip_c
-            continue
-        take_v = np.full(cap + 1, np.inf)
-        take_c = np.zeros(cap + 1, dtype=np.int64)
-        take_v[wi:] = values[i] + skip_v[: cap + 1 - wi]
-        take_c[wi:] = 1 + skip_c[: cap + 1 - wi]
-        choose = (take_v < skip_v) | ((take_v == skip_v) & (take_c <= skip_c))
-        val[i] = np.where(choose, take_v, skip_v)
-        cnt[i] = np.where(choose, take_c, skip_c)
-    picked = []
-    c = cap
+        rest = grid - w[:, i, None]
+        fits = rest >= 0
+        # flat index of each cell's capacity-minus-weight cell in its own row
+        src = row_start + np.maximum(rest, 0)
+        take_v = np.where(fits, values[:, i, None] + val.take(src), np.inf)
+        take_c = 1 + cnt.take(src)
+        ch = choose[i]
+        np.logical_or(take_v < val, (take_v == val) & (take_c <= cnt), out=ch)
+        val = np.where(ch, take_v, val)
+        cnt = np.where(ch, take_c, cnt)
+    rows = np.arange(bins)
+    best = val[rows, caps]
+    take = np.zeros((bins, m), dtype=bool)
+    c = caps.copy()
     for i in range(m):
-        wi = int(w[i])
-        if wi > c:
-            continue
-        take_v = values[i] + val[i + 1][c - wi]
-        take_c = 1 + cnt[i + 1][c - wi]
-        if take_v < val[i + 1][c] or (take_v == val[i + 1][c] and take_c <= cnt[i + 1][c]):
-            picked.append(i)
-            c -= wi
-    return float(val[0][cap]), tuple(picked)
+        take[:, i] = choose[i, rows, c]
+        c -= np.where(take[:, i], w[:, i], 0)
+    return best, take
 
 
 # ----------------------------------------------------------------------
@@ -239,10 +253,6 @@ class GaBlockProblem(BlockProblem):
     def num_blocks(self) -> int:
         return self.inst.num_bins
 
-    @property
-    def shape_label(self) -> str:
-        return f"({self.inst.num_bins}, {self.inst.num_items})"
-
     def linking_rows(self):
         return [(RowSense.GE, 1.0) for _ in range(self.inst.num_items)]
 
@@ -260,11 +270,18 @@ class GaBlockProblem(BlockProblem):
         # high-cost fallback columns until pricing fills it in
         return [self.assignment_column(k, ()) for k in range(self.inst.num_bins)]
 
+    def price_blocks(self, blocks, pi, mu):
+        """All bins in one `knapsack_min_batch` call."""
+        blocks = np.asarray(blocks, dtype=np.intp)
+        values = self.inst.costs[blocks] - pi
+        best, take = knapsack_min_batch(values, self.inst.weights[blocks],
+                                        self.inst.capacities[blocks])
+        return [(v + float(mu[k]), self.assignment_column(k, [i for i, x in enumerate(t) if x]))
+                for k, v, t in zip(blocks.tolist(), best.tolist(), take.tolist())]
+
     def solve_pricing(self, block, pi, mu_k):
-        values = self.inst.costs[block].astype(float) - pi
-        best, items = knapsack_min(values, self.inst.weights[block],
-                                   int(self.inst.capacities[block]))
-        return best + mu_k, self.assignment_column(block, items)
+        # called on the class, so a subclass may route price_blocks back here
+        return GaBlockProblem.price_blocks(self, [block], pi, {block: mu_k})[0]
 
     def hypercube_bound_term(self, block, pi_prev, pi_now):
         return negative_part_sum(pi_prev - pi_now)

@@ -1,11 +1,12 @@
 """Delayed column generation over block-structured LPs with pricing screening.
 
 Each iteration solves the restricted master, stores the fresh linking duals,
-then visits every block: screening bounds built from earlier pricing results
-may prove a block cannot price an improving column, in which case its solve
-is skipped; otherwise the block is priced exactly, the outcome is recorded,
-and improving columns (reduced cost < -epsilon) enter the master.  The run
-stops when an iteration adds nothing or the iteration cap is hit.
+then, at those fixed duals, screens every block (bounds built from earlier
+pricing results may prove a block cannot price an improving column), prices
+the unfiltered blocks exactly in one `price_blocks` call, and last, in block
+order, records each outcome and lets improving columns (reduced cost <
+-epsilon) enter the master.  The run stops when an iteration adds nothing or
+the iteration cap is hit.
 
 Baseline mode never skips.  Exact screening preserves the baseline optimum;
 heuristic screening (support-restricted bounds) keeps primal feasibility but
@@ -36,7 +37,6 @@ class DwdConfig:
     epsilon: float = 1e-4
     retain_duals: int | None = None  # None keeps every dual vector
     max_iterations: int = 10_000
-    seed: int = 0  # reserved for stochastic tie-breaking; current rules are fixed
     audit: bool = False
     trace: bool = False
 
@@ -246,6 +246,9 @@ def run_dwd(problem: BlockProblem, config: DwdConfig | None = None) -> DwdResult
         store.push(t, pi)
         added = 0
         block_traces: list[BlockTrace] = []
+        # the duals stay fixed for the rest of the iteration, so screening
+        # every block first and pricing afterwards changes no result
+        decisions = []
         for k in range(num_blocks):
             support = problem.support_set(k) if config.mode is FilterMode.HEURISTIC else None
             fd = should_filter(k, t, pi, store, history[k], float(mu[k]), float(sigma[k]),
@@ -254,12 +257,19 @@ def run_dwd(problem: BlockProblem, config: DwdConfig | None = None) -> DwdResult
             stats.records_skipped_evicted += fd.records_evicted
             if fd.bounds_evaluated > 0:
                 stats.filters_attempted += 1
+            decisions.append(fd)
+        # one pricing call for the unfiltered blocks; the audit re-prices the
+        # filtered ones in the same call
+        todo = [k for k, fd in enumerate(decisions) if audit is not None or not fd.skip]
+        priced = dict(zip(todo, problem.price_blocks(todo, pi, mu), strict=True))
+        # record, audit and install in block order
+        for k, fd in enumerate(decisions):
             cbar_seen: float | None = None
             col_added = False
             if fd.skip:
                 stats.filters_succeeded += 1
                 if audit is not None:
-                    cbar_a, col_a = problem.solve_pricing(k, pi, float(mu[k]))
+                    cbar_a, col_a = priced[k]
                     audit.filter_checks += 1
                     if col_a is not None:
                         check_reduced_cost(col_a, cbar_a, k, t, "filtered-block audit")
@@ -271,7 +281,7 @@ def run_dwd(problem: BlockProblem, config: DwdConfig | None = None) -> DwdResult
                         else:
                             audit.heuristic_unsound_skips += 1
             else:
-                cbar, col = problem.solve_pricing(k, pi, float(mu[k]))
+                cbar, col = priced[k]
                 stats.pricing_calls += 1
                 history[k].append(PricingRecord(t, cbar, float(mu[k])))
                 cbar_seen = cbar
@@ -294,8 +304,8 @@ def run_dwd(problem: BlockProblem, config: DwdConfig | None = None) -> DwdResult
 
     if (audit is not None and termination == "optimal"
             and config.mode in (FilterMode.BASELINE, FilterMode.EXACT)):
-        for k in range(num_blocks):
-            cbar_f, col_f = problem.solve_pricing(k, pi, float(mu[k]))
+        final = problem.price_blocks(list(range(num_blocks)), pi, mu)
+        for k, (cbar_f, col_f) in zip(range(num_blocks), final, strict=True):
             audit.final_checks += 1
             if col_f is not None:
                 check_reduced_cost(col_f, cbar_f, k, iterations, "final sweep")

@@ -175,6 +175,14 @@ def _min_to_target(num_nodes, arcs, values, target) -> np.ndarray:
     return dist
 
 
+def _out_adjacency(num_nodes, arcs) -> list[list[int]]:
+    """Indices of each node's outgoing arcs, in increasing order."""
+    out: list[list[int]] = [[] for _ in range(num_nodes)]
+    for idx, (tail, _) in enumerate(arcs):
+        out[tail].append(idx)
+    return out
+
+
 def rcsp(num_nodes: int, arcs, weights, delays, max_delay: float,
          source: int, target: int) -> tuple[float, tuple[int, ...]] | None:
     """Cheapest simple source-target path with total delay within budget.
@@ -186,30 +194,31 @@ def rcsp(num_nodes: int, arcs, weights, delays, max_delay: float,
     independent of arc ordering quirks.  Returns (weight, arc tuple) or None.
     """
     arcs = _as_pairs(arcs)
-    weights = np.asarray(weights, dtype=float)
-    delays = np.asarray(delays, dtype=float)
     if source == target:
         return (0.0, ())
+    delays = np.asarray(delays, dtype=float)
     dmin = _min_to_target(num_nodes, arcs, delays, target)
+    return _label_setting(_out_adjacency(num_nodes, arcs), [head for _, head in arcs],
+                          np.asarray(weights, dtype=float).tolist(), delays.tolist(),
+                          dmin.tolist(), max_delay, source, target)
+
+
+def _label_setting(out, heads, weights, delays, dmin, max_delay, source, target):
+    """`rcsp` after its dual-free set-up: out-adjacency, arc heads and the
+    least delay from each node to `target` (`dmin`), all as lists."""
     if dmin[source] > max_delay + DELAY_TOL:
         return None
-    out: list[list[int]] = [[] for _ in range(num_nodes)]
-    for idx, (tail, head) in enumerate(arcs):
-        out[tail].append(idx)
-    for adj in out:
-        adj.sort()
     # retained labels per node: (weight, delay, arcseq); a new label is kept
     # unless some retained one is no worse in weight, delay and lex order
-    retained: list[list[tuple[float, float, tuple[int, ...]]]] = [[] for _ in range(num_nodes)]
-    start = (0.0, 0.0, ())
-    retained[source].append(start)
+    retained: list[list[tuple[float, float, tuple[int, ...]]]] = [[] for _ in out]
+    retained[source].append((0.0, 0.0, ()))
     heap: list[tuple[float, tuple[int, ...], float, int]] = [(0.0, (), 0.0, source)]
     while heap:
         w, seq, dl, v = heapq.heappop(heap)
         if v == target:
             return (w, seq)
         for idx in out[v]:
-            head = arcs[idx][1]
+            head = heads[idx]
             nw = w + weights[idx]
             ndl = dl + delays[idx]
             if ndl + dmin[head] > max_delay + DELAY_TOL:
@@ -256,6 +265,10 @@ class McBlockProblem(BlockProblem):
         self._delays = np.array([a.delay for a in inst.arcs])
         self._support = [np.zeros(len(inst.arcs), dtype=bool) for _ in inst.commodities]
         self._initial: list[Column] = []
+        # dual-free pricing data, filled by the first solve_pricing: (out-adjacency,
+        # arc heads) and delay potentials per target
+        self._graph: tuple[list, list] | None = None
+        self._dmin: dict[int, np.ndarray] = {}
         for k, com in enumerate(inst.commodities):
             found = rcsp(inst.num_nodes, self._arc_pairs, self._delays, self._delays,
                          com.max_delay, com.source, com.target)
@@ -268,11 +281,6 @@ class McBlockProblem(BlockProblem):
     @property
     def num_blocks(self) -> int:
         return len(self.inst.commodities)
-
-    @property
-    def shape_label(self) -> str:
-        v, a, k = self.inst.shape
-        return f"({v}, {a}, {k})"
 
     def linking_rows(self):
         return [(RowSense.GE, -a.capacity) for a in self.inst.arcs]
@@ -296,8 +304,16 @@ class McBlockProblem(BlockProblem):
         # capacity duals are >=0 up to LP tolerance; clamp the dust so the
         # path weights stay nonnegative for the label-setting solver
         w = b * (self._costs + np.maximum(pi, 0.0))
-        found = rcsp(self.inst.num_nodes, self._arc_pairs, w, self._delays,
-                     com.max_delay, com.source, com.target)
+        if self._graph is None:
+            self._graph = (_out_adjacency(self.inst.num_nodes, self._arc_pairs),
+                           [head for _, head in self._arc_pairs])
+        dmin = self._dmin.get(com.target)
+        if dmin is None:
+            dmin = self._dmin[com.target] = _min_to_target(
+                self.inst.num_nodes, self._arc_pairs, self._delays, com.target)
+        # lists, not arrays: the label loop indexes them one element at a time
+        found = _label_setting(*self._graph, w.tolist(), self._delays.tolist(), dmin.tolist(),
+                               com.max_delay, com.source, com.target)
         if found is None:
             raise UnroutableCommodityError(f"commodity {block} lost all feasible paths")
         _, path = found

@@ -101,6 +101,15 @@ class BlockProblem(abc.ABC):
         Must not mutate the dual arrays.
         """
 
+    def price_blocks(self, blocks, pi: np.ndarray, mu) -> list[tuple[float, Column | None]]:
+        """`solve_pricing`'s (reduced cost, column) for each listed block, in order.
+
+        `mu[k]` is block k's normalized convexity dual.  Must be exact and
+        must not mutate the dual arrays.  The default prices one block at a
+        time; families override it to share work across blocks.
+        """
+        return [self.solve_pricing(k, pi, float(mu[k])) for k in blocks]
+
     @abc.abstractmethod
     def hypercube_bound_term(self, block: int, pi_prev: np.ndarray, pi_now: np.ndarray) -> float:
         """Minimum of the dual-shift form over the block's 0/1 box; <= 0."""

@@ -164,6 +164,21 @@ def knapsack_brute(values, weights, capacity):
     return best
 
 
+def knapsack_brute_items(values, weights, capacity):
+    """Subset minimizing (value, item count, index tuple) under the weight cap.
+
+    This is `knapsack_min`'s tie-break; use values whose sums are exact
+    (integers, say) so that equal values compare equal.
+    """
+    m = len(values)
+    best = (0.0, 0, ())
+    for mask in range(1 << m):
+        items = tuple(i for i in range(m) if mask >> i & 1)
+        if sum(int(weights[i]) for i in items) <= capacity:
+            best = min(best, (sum(float(values[i]) for i in items), len(items), items))
+    return best[0], best[2]
+
+
 def hypercube_brute(d):
     """min over x in {0,1}^n of d @ x, checked exhaustively."""
     d = np.asarray(d, dtype=float)
