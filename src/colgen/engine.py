@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .filtering import FilterMode, Strategy, should_filter
-from .lp import LpModel, LpStatus, RowSense
+from .lp import LpModel, LpNumericalError, LpStatus, RowSense
 from .model import BlockProblem, Column, DualSolution, PricingRecord
 
 
@@ -236,9 +236,13 @@ def run_dwd(problem: BlockProblem, config: DwdConfig | None = None) -> DwdResult
 
     iterations = 0
     for t in range(1, config.max_iterations + 1):
-        sol = lp.solve()
+        try:
+            sol = lp.solve()
+        except LpNumericalError as exc:
+            raise LpNumericalError(f"master LP at iteration {t}: {exc}") from exc
         if sol.status is not LpStatus.OPTIMAL:
-            raise EngineError(f"master LP came back {sol.status.value} at iteration {t}")
+            raise EngineError(f"master LP came back {sol.status.value} at iteration {t} "
+                              f"({lp.num_rows} rows x {lp.num_cols} columns)")
         last_sol = sol
         iterations = t
         pi = sol.duals[:num_linking]

@@ -1,11 +1,14 @@
-"""Dense two-phase primal simplex for small and mid-size LPs.
+"""Sparse-column two-phase revised primal simplex for small and mid-size LPs.
 
 Minimization only, variables bounded below by zero.  Rows may be >=, <= or =.
 Internally every row is converted to an equality with a nonnegative right-hand
 side; reported duals are mapped back to the caller's row senses, so duals of
 >= rows come out nonnegative and duals of <= rows nonpositive (up to
-tolerance).  Columns can be appended after a solve and the previous basis is
-reused, which keeps re-solves cheap in column-generation loops.
+tolerance).  Columns are stored by their nonzeros and priced from them; the
+explicit basis inverse is kept with rank-1 updates and refactored from the
+basis columns every few pivots.  Columns can be appended after a solve: that
+leaves the basis and its inverse valid, so a re-solve resumes from both, which
+keeps re-solves cheap in column-generation loops.
 
 Models are independent: two LpModel instances share no state and may be
 solved concurrently from different threads.
@@ -66,6 +69,13 @@ class LpSolution:
     iterations: int
 
 
+def _grown(arr: np.ndarray, need: int) -> np.ndarray:
+    """`arr` copied into a zero-padded array of at least `need` entries."""
+    out = np.zeros(max(16, 2 * need), dtype=arr.dtype)
+    out[: len(arr)] = arr
+    return out
+
+
 class LpModel:
     """A minimization LP over nonnegative variables with fixed rows.
 
@@ -87,14 +97,23 @@ class LpModel:
         self._costs: list[float] = []
         self._coeffs: list[dict[int, float]] = []
         self._built = False
+        # last optimal basis and its inverse; dropped while a solve runs, so a
+        # solve that ends in anything but an optimum leaves neither behind
         self._basis: np.ndarray | None = None
-        # filled by _build()
+        self._b_inv: np.ndarray | None = None
+        self._since_inv = 0  # pivots since b_inv was last computed afresh
+        # filled by _build(): internal columns (structural, surplus and
+        # artificial) in compressed sparse form; column j's nonzeros sit at
+        # [_ptr[j], _ptr[j + 1]) of _row (row index), _val and _col (== j)
         self._row_mult: np.ndarray | None = None
         self._beq: np.ndarray | None = None
-        self._A: np.ndarray | None = None
+        self._ptr: list[int] = [0]
+        self._row = np.zeros(0, dtype=np.int64)
+        self._val = np.zeros(0)
+        self._col = np.zeros(0, dtype=np.int64)
         self._n_int = 0
-        self._kind: np.ndarray | None = None
-        self._c2: np.ndarray | None = None
+        self._kind = np.zeros(0, dtype=np.int8)
+        self._c2 = np.zeros(0)
         self._struct_int: list[int] = []
         self._art_int: np.ndarray | None = None
 
@@ -142,29 +161,30 @@ class LpModel:
         self._costs.append(cost)
         self._coeffs.append(acc)
         if self._built:
-            col = np.zeros(self.num_rows)
-            for row, val in acc.items():
-                col[row] = val * self._row_mult[row]
-            self._append_internal(col, cost, _STRUCT, j)
-            self._struct_int.append(self._n_int - 1)
+            self._append_struct(acc, cost)
         return j
 
     # ------------------------------------------------------------------
-    def _append_internal(self, col: np.ndarray, cost: float, kind: int, ref: int):
-        m = self.num_rows
-        if self._n_int == self._A.shape[1]:
-            grown = np.zeros((m, max(16, 2 * self._A.shape[1])))
-            grown[:, : self._n_int] = self._A[:, : self._n_int]
-            self._A = grown
-            for arr_name in ("_kind", "_c2", "_ref"):
-                old = getattr(self, arr_name)
-                new = np.zeros(max(16, 2 * old.shape[0]), dtype=old.dtype)
-                new[: self._n_int] = old[: self._n_int]
-                setattr(self, arr_name, new)
-        self._A[:, self._n_int] = col
-        self._kind[self._n_int] = kind
-        self._c2[self._n_int] = cost
-        self._ref[self._n_int] = ref
+    def _append_struct(self, acc: dict[int, float], cost: float):
+        rows = np.fromiter(acc, dtype=np.int64, count=len(acc))
+        vals = np.fromiter(acc.values(), dtype=float, count=len(acc))
+        self._append_internal(rows, vals * self._row_mult[rows], cost, _STRUCT)
+        self._struct_int.append(self._n_int - 1)
+
+    def _append_internal(self, rows, vals, cost: float, kind: int):
+        j, start = self._n_int, self._ptr[-1]
+        end = start + len(rows)
+        if j == len(self._kind):
+            self._kind, self._c2 = _grown(self._kind, j + 1), _grown(self._c2, j + 1)
+        if end > len(self._row):
+            self._row, self._val, self._col = (
+                _grown(a, end) for a in (self._row, self._val, self._col))
+        self._row[start:end] = rows
+        self._val[start:end] = vals
+        self._col[start:end] = j
+        self._ptr.append(end)
+        self._kind[j] = kind
+        self._c2[j] = cost
         self._n_int += 1
 
     def _build(self):
@@ -175,35 +195,25 @@ class LpModel:
         s = np.where(b1 < 0, -1.0, 1.0)
         self._row_mult = u * s
         self._beq = b1 * s
-        n = self.num_cols
-        n_ineq = sum(1 for sense in senses if sense is not RowSense.EQ)
-        cap = n + n_ineq + m + 16
-        self._A = np.zeros((m, cap))
-        self._kind = np.zeros(cap, dtype=np.int8)
-        self._c2 = np.zeros(cap)
-        self._ref = np.zeros(cap, dtype=np.int64)
-        self._n_int = 0
-        self._struct_int = []
         self._built = True
-        for j in range(n):
-            col = np.zeros(m)
-            for row, val in self._coeffs[j].items():
-                col[row] = val * self._row_mult[row]
-            self._append_internal(col, self._costs[j], _STRUCT, j)
-            self._struct_int.append(self._n_int - 1)
+        for acc, cost in zip(self._coeffs, self._costs):
+            self._append_struct(acc, cost)
         for i, sense in enumerate(senses):
-            if sense is RowSense.EQ:
-                continue
-            col = np.zeros(m)
-            col[i] = -s[i]  # surplus of the >= form, scaled
-            self._append_internal(col, 0.0, _SURPLUS, i)
-        art = []
+            if sense is not RowSense.EQ:
+                # surplus of the >= form, scaled
+                self._append_internal([i], [-s[i]], 0.0, _SURPLUS)
+        first_art = self._n_int
         for i in range(m):
-            col = np.zeros(m)
-            col[i] = 1.0
-            self._append_internal(col, 0.0, _ARTIFICIAL, i)
-            art.append(self._n_int - 1)
-        self._art_int = np.asarray(art, dtype=np.int64)
+            self._append_internal([i], [1.0], 0.0, _ARTIFICIAL)
+        self._art_int = np.arange(first_art, first_art + m)
+
+    def _basis_matrix(self, basis: np.ndarray) -> np.ndarray:
+        """The basis columns as a dense (rows x rows) matrix."""
+        out = np.zeros((self.num_rows, len(basis)))
+        for k, j in enumerate(basis):
+            lo, hi = self._ptr[j], self._ptr[j + 1]
+            out[self._row[lo:hi], k] = self._val[lo:hi]
+        return out
 
     # ------------------------------------------------------------------
     def solve(self) -> LpSolution:
@@ -212,64 +222,47 @@ class LpModel:
             self._build()
         try:
             return self._solve_attempt(bland_from_start=False, refactor_every=128)
-        except _Breakdown:
-            self._basis = None
+        except _Breakdown as first:
             try:
                 return self._solve_attempt(bland_from_start=True, refactor_every=32)
             except _Breakdown as exc:
-                raise LpNumericalError(f"simplex failed to converge: {exc}") from exc
+                raise LpNumericalError(
+                    f"simplex failed to converge on {self.num_rows} rows x {self.num_cols} "
+                    f"columns: {first}; Bland retry: {exc}") from exc
 
     def _solve_attempt(self, bland_from_start: bool, refactor_every: int) -> LpSolution:
         m = self.num_rows
-        A = self._A[:, : self._n_int]
         beq = self._beq
         kind = self._kind[: self._n_int]
         allow = kind != _ARTIFICIAL
         iters = 0
 
-        basis = None
-        b_inv = None
-        if self._basis is not None and len(self._basis) == m:
-            cand = self._basis.copy()
-            try:
-                b_inv = np.linalg.inv(A[:, cand])
-            except np.linalg.LinAlgError:
-                b_inv = None
-            if b_inv is not None:
-                xb = b_inv @ beq
-                if xb.min(initial=0.0) >= -1e-6:
-                    basis = cand
-                else:
-                    b_inv = None
+        basis, b_inv = self._basis, self._b_inv
+        self._basis = self._b_inv = None
+        if basis is not None and (b_inv @ beq).min(initial=0.0) < -1e-6:
+            basis = None
 
         if basis is None:
             # phase 1 from the all-artificial basis
             basis = self._art_int.copy()
             b_inv = np.eye(m)
+            self._since_inv = 0
             c1 = np.where(kind == _ARTIFICIAL, 1.0, 0.0)
-            status, n1 = self._simplex(
-                A, beq, c1, basis, b_inv, allow, bland_from_start, refactor_every,
-                pin_artificials=False,
-            )
+            status, n1 = self._simplex(c1, basis, b_inv, allow, bland_from_start,
+                                       refactor_every, pin_artificials=False)
             iters += n1
             if status != "optimal":
-                raise _Breakdown("phase 1 did not reach an optimum")
+                raise _Breakdown(f"phase 1, pivot {n1}: came back {status}")
             xb = np.maximum(b_inv @ beq, 0.0)
             if float(c1[basis] @ xb) > FEAS_TOL:
-                self._basis = None
                 return LpSolution(LpStatus.INFEASIBLE, None, None, None, iters)
 
         c2 = self._c2[: self._n_int]
-        status, n2 = self._simplex(
-            A, beq, c2, basis, b_inv, allow, bland_from_start, refactor_every,
-            pin_artificials=True,
-        )
+        status, n2 = self._simplex(c2, basis, b_inv, allow, bland_from_start,
+                                   refactor_every, pin_artificials=True)
         iters += n2
         if status == "unbounded":
-            self._basis = None
             return LpSolution(LpStatus.UNBOUNDED, None, None, None, iters)
-        if status != "optimal":
-            raise _Breakdown("phase 2 did not reach an optimum")
 
         xb = np.maximum(b_inv @ beq, 0.0)
         x_int = np.zeros(self._n_int)
@@ -278,11 +271,10 @@ class LpModel:
         objective = float(np.asarray(self._costs) @ x) if len(x) else 0.0
         y = c2[basis] @ b_inv
         duals = y * self._row_mult
-        self._basis = basis.copy()
+        self._basis, self._b_inv = basis, b_inv
         return LpSolution(LpStatus.OPTIMAL, x, objective, duals, iters)
 
-    def _simplex(self, A, beq, costs, basis, b_inv, allow, bland, refactor_every,
-                 pin_artificials):
+    def _simplex(self, costs, basis, b_inv, allow, bland, refactor_every, pin_artificials):
         """Primal simplex iterations on the current basis, in place.
 
         Dantzig entering rule, switching to Bland's rule once the run of
@@ -291,19 +283,22 @@ class LpModel:
         ratio 0), which keeps phase-2 iterates feasible for the real rows.
         Returns (status, pivots).
         """
-        m = len(beq)
-        n = A.shape[1]
+        beq = self._beq
+        m, n = len(beq), len(costs)
         if m == 0:
             if np.any(costs[allow] < -RC_TOL):
                 return "unbounded", 0
             return "optimal", 0
+        ptr, nnz = self._ptr, self._ptr[n]
+        rows, vals, cols = self._row[:nnz], self._val[:nnz], self._col[:nnz]
+        phase = 2 if pin_artificials else 1
         max_pivots = max(2000, 60 * (m + n))
         degen_limit = 3 * (m + n)
         degen_run = 0
         pivots = 0
         while True:
             y = costs[basis] @ b_inv
-            rc = costs - y @ A
+            rc = costs - np.bincount(cols, weights=y[rows] * vals, minlength=n)
             rc_view = np.where(allow, rc, np.inf)
             if bland:
                 neg = np.flatnonzero(rc_view < -RC_TOL)
@@ -314,7 +309,8 @@ class LpModel:
                 enter = int(np.argmin(rc_view))
                 if rc_view[enter] >= -RC_TOL:
                     return "optimal", pivots
-            d = b_inv @ A[:, enter]
+            lo, hi = ptr[enter], ptr[enter + 1]
+            d = b_inv[:, rows[lo:hi]] @ vals[lo:hi]
             xb = np.maximum(b_inv @ beq, 0.0)
             theta = np.full(m, np.inf)
             pos = d > PIVOT_TOL
@@ -336,11 +332,12 @@ class LpModel:
                 leave = int(best)
             piv = d[leave]
             if abs(piv) <= PIVOT_TOL:
-                raise _Breakdown("vanishing pivot element")
+                raise _Breakdown(f"phase {phase}, pivot {pivots}: vanishing pivot element")
             row = b_inv[leave] / piv
-            rest = d.copy()
-            rest[leave] = 0.0
-            b_inv -= np.outer(rest, row)
+            # rank-1 update, only on the rows the entering direction touches
+            touched = np.flatnonzero(d)
+            touched = touched[touched != leave]
+            b_inv[touched] -= np.outer(d[touched], row)
             b_inv[leave] = row
             basis[leave] = enter
             pivots += 1
@@ -350,13 +347,16 @@ class LpModel:
                     bland = True
             else:
                 degen_run = 0
-            if pivots % refactor_every == 0:
+            self._since_inv += 1
+            if self._since_inv >= refactor_every:
                 try:
-                    b_inv[:, :] = np.linalg.inv(A[:, basis])
+                    b_inv[:, :] = np.linalg.inv(self._basis_matrix(basis))
                 except np.linalg.LinAlgError as exc:
-                    raise _Breakdown("singular basis during refactorization") from exc
+                    raise _Breakdown(f"phase {phase}, pivot {pivots}: singular basis "
+                                     "during refactorization") from exc
+                self._since_inv = 0
             if pivots > max_pivots:
-                raise _Breakdown("pivot limit exceeded")
+                raise _Breakdown(f"phase {phase}, pivot {pivots}: pivot limit exceeded")
 
 
 def optimality_report(model: LpModel, sol: LpSolution) -> dict:

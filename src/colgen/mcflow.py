@@ -175,12 +175,17 @@ def _min_to_target(num_nodes, arcs, values, target) -> np.ndarray:
     return dist
 
 
-def _out_adjacency(num_nodes, arcs) -> list[list[int]]:
-    """Indices of each node's outgoing arcs, in increasing order."""
+def _graph_lists(num_nodes, arcs) -> tuple[list[list[int]], list[int]]:
+    """(indices of each node's outgoing arcs in increasing order, arc heads)."""
     out: list[list[int]] = [[] for _ in range(num_nodes)]
     for idx, (tail, _) in enumerate(arcs):
         out[tail].append(idx)
-    return out
+    return out, [head for _, head in arcs]
+
+
+def _delay_potentials(num_nodes, arcs, delays, targets) -> dict[int, np.ndarray]:
+    """`_min_to_target` delays, once per distinct target."""
+    return {t: _min_to_target(num_nodes, arcs, delays, t) for t in dict.fromkeys(targets)}
 
 
 def rcsp(num_nodes: int, arcs, weights, delays, max_delay: float,
@@ -198,7 +203,7 @@ def rcsp(num_nodes: int, arcs, weights, delays, max_delay: float,
         return (0.0, ())
     delays = np.asarray(delays, dtype=float)
     dmin = _min_to_target(num_nodes, arcs, delays, target)
-    return _label_setting(_out_adjacency(num_nodes, arcs), [head for _, head in arcs],
+    return _label_setting(*_graph_lists(num_nodes, arcs),
                           np.asarray(weights, dtype=float).tolist(), delays.tolist(),
                           dmin.tolist(), max_delay, source, target)
 
@@ -260,18 +265,22 @@ class McBlockProblem(BlockProblem):
 
     def __init__(self, inst: McInstance):
         self.inst = inst
-        self._arc_pairs = [(a.tail, a.head) for a in inst.arcs]
+        pairs = [(a.tail, a.head) for a in inst.arcs]
         self._costs = np.array([a.cost for a in inst.arcs])
         self._delays = np.array([a.delay for a in inst.arcs])
-        self._support = [np.zeros(len(inst.arcs), dtype=bool) for _ in inst.commodities]
+        # arcs each commodity's columns use, one row per commodity: a single
+        # array is far smaller than one array per commodity
+        self._support = np.zeros((len(inst.commodities), len(inst.arcs)), dtype=bool)
+        # dual-free pricing data: (out-adjacency, arc heads) and delay
+        # potentials per target, kept as arrays, which take less memory than lists
+        self._graph = _graph_lists(inst.num_nodes, pairs)
+        self._dmin = _delay_potentials(inst.num_nodes, pairs, self._delays,
+                                       [com.target for com in inst.commodities])
         self._initial: list[Column] = []
-        # dual-free pricing data, filled by the first solve_pricing: (out-adjacency,
-        # arc heads) and delay potentials per target
-        self._graph: tuple[list, list] | None = None
-        self._dmin: dict[int, np.ndarray] = {}
+        delays = self._delays.tolist()
         for k, com in enumerate(inst.commodities):
-            found = rcsp(inst.num_nodes, self._arc_pairs, self._delays, self._delays,
-                         com.max_delay, com.source, com.target)
+            found = _label_setting(*self._graph, delays, delays, self._dmin[com.target].tolist(),
+                                   com.max_delay, com.source, com.target)
             if found is None:
                 raise UnroutableCommodityError(
                     f"commodity {k} has no path within delay budget {com.max_delay}")
@@ -304,16 +313,10 @@ class McBlockProblem(BlockProblem):
         # capacity duals are >=0 up to LP tolerance; clamp the dust so the
         # path weights stay nonnegative for the label-setting solver
         w = b * (self._costs + np.maximum(pi, 0.0))
-        if self._graph is None:
-            self._graph = (_out_adjacency(self.inst.num_nodes, self._arc_pairs),
-                           [head for _, head in self._arc_pairs])
-        dmin = self._dmin.get(com.target)
-        if dmin is None:
-            dmin = self._dmin[com.target] = _min_to_target(
-                self.inst.num_nodes, self._arc_pairs, self._delays, com.target)
         # lists, not arrays: the label loop indexes them one element at a time
-        found = _label_setting(*self._graph, w.tolist(), self._delays.tolist(), dmin.tolist(),
-                               com.max_delay, com.source, com.target)
+        found = _label_setting(*self._graph, w.tolist(), self._delays.tolist(),
+                               self._dmin[com.target].tolist(), com.max_delay, com.source,
+                               com.target)
         if found is None:
             raise UnroutableCommodityError(f"commodity {block} lost all feasible paths")
         _, path = found
@@ -371,13 +374,14 @@ def generate_mc_instance(num_nodes: int, num_arcs: int, num_commodities: int,
             target = int(rng.integers(num_nodes))
         bandwidth = float(rng.integers(1, 6))
         commodities.append((source, target, bandwidth))
-    budgets = []
-    for source, target, _ in commodities:
-        dmin = _min_to_target(num_nodes, pairs, delays, target)[source]
-        budgets.append(round(float(dmin) * float(rng.uniform(1.3, 2.2)) + 0.5, 3))
+    dmin = _delay_potentials(num_nodes, pairs, delays, [t for _, t, _ in commodities])
+    budgets = [round(float(dmin[target][source]) * float(rng.uniform(1.3, 2.2)) + 0.5, 3)
+               for source, target, _ in commodities]
+    out, heads = _graph_lists(num_nodes, pairs)
+    dl = delays.tolist()
     load = np.zeros(num_arcs)
     for (source, target, bandwidth), budget in zip(commodities, budgets):
-        found = rcsp(num_nodes, pairs, delays, delays, budget, source, target)
+        found = _label_setting(out, heads, dl, dl, dmin[target].tolist(), budget, source, target)
         for a in found[1]:
             load[a] += bandwidth
     total_b = sum(b for _, _, b in commodities)

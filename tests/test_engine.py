@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from colgen import (DualStore, DwdConfig, FilterMode, GaBlockProblem,
-                    McBlockProblem, Strategy, generate_ga_instance,
-                    generate_mc_instance, parse_mc_instance, reduced_cost,
-                    run_dwd)
+from colgen import (DualStore, DwdConfig, EngineError, FilterMode, GaBlockProblem,
+                    LpModel, LpNumericalError, LpSolution, LpStatus, McBlockProblem,
+                    Strategy, generate_ga_instance, generate_mc_instance,
+                    parse_mc_instance, reduced_cost, run_dwd)
 from colgen.model import Column
 
 import oracles
@@ -207,6 +207,27 @@ def test_iteration_limit_reported():
     result = run_dwd(ga_problem(bins=8, items=6, seed=1), config(max_iterations=1))
     assert result.termination == "iteration_limit"
     assert result.stats.iterations == 1
+
+
+def test_master_failures_name_iteration_and_lp_size(monkeypatch):
+    real_solve = LpModel.solve
+    calls = []
+
+    def fail_second(model):
+        calls.append(model)
+        if len(calls) > 1:
+            raise LpNumericalError("simplex failed to converge")
+        return real_solve(model)
+
+    monkeypatch.setattr(LpModel, "solve", fail_second)
+    with pytest.raises(LpNumericalError, match="^master LP at iteration 2: simplex failed"):
+        run_dwd(ga_problem(bins=8, items=6, seed=1))
+
+    # 6 item rows + 5 bin rows; 5 empty-pattern columns + 11 fallback columns
+    monkeypatch.setattr(LpModel, "solve",
+                        lambda model: LpSolution(LpStatus.INFEASIBLE, None, None, None, 0))
+    with pytest.raises(EngineError, match=r"infeasible at iteration 1 \(11 rows x 16 columns\)"):
+        run_dwd(ga_problem(bins=5, items=6))
 
 
 def test_full_eviction_degrades_to_baseline_trajectory():

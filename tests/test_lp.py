@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from colgen import LpModel, LpStatus, RowSense
-from colgen.lp import LpStructureError, optimality_report
+from colgen.lp import LpNumericalError, LpStructureError, optimality_report
 
 import oracles
 
@@ -180,3 +180,83 @@ def test_warm_start_stays_correct_under_column_stream():
             np.array(cost_log), rows, np.array(coeff_log).T)
         assert status == "optimal"
         assert sol.objective == pytest.approx(reference, abs=1e-6, rel=1e-6)
+
+
+def cold_copy(model):
+    """A fresh model with the same rows and columns, so its solve starts cold."""
+    fresh = LpModel([(model.row_sense(i), model.row_rhs(i)) for i in range(model.num_rows)])
+    for j in range(model.num_cols):
+        fresh.add_column(model.column_cost(j), model.column_coeffs(j))
+    return fresh
+
+
+def assert_matches_cold_solve(model, sol):
+    cold = cold_copy(model).solve()
+    assert sol.status is LpStatus.OPTIMAL and cold.status is LpStatus.OPTIMAL
+    scale = 1.0 + abs(cold.objective)
+    assert sol.objective == pytest.approx(cold.objective, abs=1e-7 * scale)
+    report = optimality_report(model, sol)
+    assert report["duality_gap"] <= 1e-7 * scale
+    assert report["row_violation"] <= 1e-7
+    assert report["dual_sign_violation"] <= 1e-9
+    assert report["complementary_slackness"] <= 1e-7 * scale
+
+
+def sparse_column(rng, num_rows, density):
+    vals = np.round(rng.uniform(-3.0, 3.0, size=num_rows), 3)
+    return [(i, float(v)) for i, v in enumerate(vals) if v != 0.0 and rng.random() < density]
+
+
+def test_warm_resolves_match_cold_solves_under_random_column_stream():
+    # nonnegative costs over a feasible start keep every re-solve optimal
+    rng = np.random.default_rng(11)
+    for _ in range(30):
+        costs, rows, coeffs = oracles.random_small_lp(rng, max_vars=4, max_rows=8)
+        model = build(costs, rows, coeffs)
+        for _ in range(12):
+            assert_matches_cold_solve(model, model.solve())
+            model.add_column(float(np.round(rng.uniform(0.0, 5.0), 3)),
+                             sparse_column(rng, len(rows), 0.5))
+
+
+def test_refactorization_counts_pivots_across_warm_solves(monkeypatch):
+    # every re-solve pivots far fewer than 128 times, so the basis inverse is
+    # rebuilt only because the pivot count carries over from solve to solve
+    rng = np.random.default_rng(3)
+    rows = [(RowSense.GE, float(v)) for v in np.round(rng.uniform(1.0, 5.0, size=40), 3)]
+    model = LpModel(rows)
+    for i in range(len(rows)):
+        model.add_column(50.0, [(i, 1.0)])
+    real_inv = np.linalg.inv
+    inv_calls = []
+    monkeypatch.setattr(np.linalg, "inv", lambda a: inv_calls.append(1) or real_inv(a))
+    pivots, warm_invs = [], 0
+    for _ in range(60):
+        before = len(inv_calls)
+        sol = model.solve()
+        warm_invs += len(inv_calls) - before
+        pivots.append(sol.iterations)
+        assert_matches_cold_solve(model, sol)
+        for _ in range(3):
+            model.add_column(float(np.round(rng.uniform(1.0, 10.0), 3)),
+                             [(i, abs(v)) for i, v in sparse_column(rng, len(rows), 0.1)])
+    assert max(pivots) < 128 <= sum(pivots) - 128
+    assert warm_invs == sum(pivots) // 128
+
+
+def test_numerical_error_names_phase_size_and_pivot(monkeypatch):
+    # phase 1 needs one pivot per row, so both attempts reach a refactorization
+    model = LpModel([(RowSense.GE, 1.0 + i % 3) for i in range(150)])
+    for i in range(150):
+        model.add_column(1.0, [(i, 1.0)])
+
+    def singular(a):
+        raise np.linalg.LinAlgError("singular matrix")
+
+    monkeypatch.setattr(np.linalg, "inv", singular)
+    with pytest.raises(LpNumericalError) as info:
+        model.solve()
+    msg = str(info.value)
+    assert "150 rows x 150 columns" in msg
+    assert "phase 1, pivot 128: singular basis" in msg
+    assert "Bland retry: phase 1, pivot 32: singular basis" in msg

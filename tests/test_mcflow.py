@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -59,6 +61,19 @@ def test_generator_is_deterministic():
     assert a == b
     c = generate_mc_instance(10, 25, 6, 124)
     assert a != c
+
+
+def test_generator_output_is_pinned():
+    # SHA-256 of the written instance text; caching the delay potentials per
+    # target must not change a single generated instance
+    want = {
+        0: "2c872f7be1f4f1ba14e0186a8e57b51d1cf3fc3020d82b25d27c4cdc6ee376e3",
+        1: "10b63d8b1068d65d45c0b172362e433e792754bff39b7affa15d3b41ca3ed992",
+        2: "63e5c8ff7f0c299ad9e982e02427da098a89bb2014eafd5ce05569321159246f",
+    }
+    for seed, digest in want.items():
+        text = write_mc_instance(generate_mc_instance(25, 80, 50, seed))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_generator_needs_ring():
@@ -174,6 +189,18 @@ def test_initial_columns_are_min_delay_paths():
         assert col.block == k
         assert path_delay(inst, col.native) <= com.max_delay + 1e-9
         assert col.cost == pytest.approx(com.bandwidth * path_cost(inst, col.native))
+
+
+def test_initial_columns_match_public_rcsp():
+    for seed in range(3):
+        inst = generate_mc_instance(25, 80, 50, seed)
+        pairs = [(a.tail, a.head) for a in inst.arcs]
+        delays = [a.delay for a in inst.arcs]
+        for k, col in enumerate(McBlockProblem(inst).initial_columns()):
+            com = inst.commodities[k]
+            _, path = rcsp(inst.num_nodes, pairs, delays, delays, com.max_delay,
+                           com.source, com.target)
+            assert col.native == path
 
 
 def test_unroutable_commodity_rejected_before_solving():
