@@ -1,6 +1,6 @@
 """Column generation for block-structured LPs with pricing-subproblem filtering.
 
-Ships a dense two-phase simplex core, a generic decomposition engine with
+Ships a sparse-column two-phase simplex core, a generic decomposition engine with
 exact and heuristic pricing filters, two ready-made problems (delay-bounded
 multicommodity flow, generalized assignment), and a batch experiment runner.
 """

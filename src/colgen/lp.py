@@ -4,11 +4,17 @@ Minimization only, variables bounded below by zero.  Rows may be >=, <= or =.
 Internally every row is converted to an equality with a nonnegative right-hand
 side; reported duals are mapped back to the caller's row senses, so duals of
 >= rows come out nonnegative and duals of <= rows nonpositive (up to
-tolerance).  Columns are stored by their nonzeros and priced from them; the
-explicit basis inverse is kept with rank-1 updates and refactored from the
-basis columns every few pivots.  Columns can be appended after a solve: that
-leaves the basis and its inverse valid, so a re-solve resumes from both, which
-keeps re-solves cheap in column-generation loops.
+tolerance).  Columns are stored by their nonzeros and priced from them.  The
+explicit basis inverse is kept with rank-1 updates on the rows the entering
+direction touches; the basic values and the duals are carried across pivots
+by the same step and recomputed exactly at each refactorization, and the ratio
+test runs over the direction's nonzeros only.  Every few pivots the inverse is
+rebuilt from the basis columns: columns with a single nonzero (surplus,
+artificial, convexity-only patterns) are eliminated on their rows and only the
+square core of the rest is inverted.  Columns can be appended after a solve:
+that leaves the basis and its inverse valid, so a re-solve resumes from both,
+which keeps re-solves cheap in column-generation loops.  A solve's returned
+values and duals are computed afresh from the inverse, not carried.
 
 Models are independent: two LpModel instances share no state and may be
 solved concurrently from different threads.
@@ -207,12 +213,37 @@ class LpModel:
             self._append_internal([i], [1.0], 0.0, _ARTIFICIAL)
         self._art_int = np.arange(first_art, first_art + m)
 
-    def _basis_matrix(self, basis: np.ndarray) -> np.ndarray:
-        """The basis columns as a dense (rows x rows) matrix."""
-        out = np.zeros((self.num_rows, len(basis)))
-        for k, j in enumerate(basis):
-            lo, hi = self._ptr[j], self._ptr[j + 1]
-            out[self._row[lo:hi], k] = self._val[lo:hi]
+    def _basis_inverse(self, basis: np.ndarray) -> np.ndarray:
+        """B^-1 of the basis columns, inverting only their multi-entry core.
+
+        A basis column with one nonzero (surplus, artificial, a pattern that
+        only touches its convexity row) is eliminated on its own row; in a
+        nonsingular basis those rows are distinct.  The other columns form a
+        square core on the remaining rows, and B^-1 is assembled in block form
+        from the core's inverse.  Raises LinAlgError for a singular basis.
+        """
+        m = len(basis)
+        ptr = np.asarray(self._ptr)
+        lo = ptr[basis]
+        unit = ptr[basis + 1] - lo == 1
+        u_pos, c_pos = np.flatnonzero(unit), np.flatnonzero(~unit)
+        u_row, u_val = self._row[lo[u_pos]], self._val[lo[u_pos]]
+        if not u_val.all():
+            raise np.linalg.LinAlgError("a unit basis column has a zero entry")
+        # unit columns that share a row leave more core rows than core
+        # columns, and inv rejects the non-square core
+        is_core_row = np.ones(m, dtype=bool)
+        is_core_row[u_row] = False
+        c_rows = np.flatnonzero(is_core_row)
+        core = np.zeros((m, len(c_pos)))
+        for k, j in enumerate(basis[c_pos]):
+            core[self._row[ptr[j]:ptr[j + 1]], k] = self._val[ptr[j]:ptr[j + 1]]
+        core_inv = np.linalg.inv(core[c_rows])
+        inv_u = 1.0 / u_val
+        out = np.zeros((m, m))
+        out[np.ix_(c_pos, c_rows)] = core_inv
+        out[u_pos, u_row] = inv_u
+        out[np.ix_(u_pos, c_rows)] = -inv_u[:, None] * (core[u_row] @ core_inv)
         return out
 
     # ------------------------------------------------------------------
@@ -296,8 +327,12 @@ class LpModel:
         degen_limit = 3 * (m + n)
         degen_run = 0
         pivots = 0
+        is_art = self._kind[basis] == _ARTIFICIAL  # kept in step with basis
+        # duals and basic values are carried across pivots and recomputed
+        # exactly only after a refactorization
+        y = costs[basis] @ b_inv
+        xb = np.maximum(b_inv @ beq, 0.0)
         while True:
-            y = costs[basis] @ b_inv
             rc = costs - np.bincount(cols, weights=y[rows] * vals, minlength=n)
             rc_view = np.where(allow, rc, np.inf)
             if bland:
@@ -311,35 +346,38 @@ class LpModel:
                     return "optimal", pivots
             lo, hi = ptr[enter], ptr[enter + 1]
             d = b_inv[:, rows[lo:hi]] @ vals[lo:hi]
-            xb = np.maximum(b_inv @ beq, 0.0)
-            theta = np.full(m, np.inf)
-            pos = d > PIVOT_TOL
-            theta[pos] = xb[pos] / d[pos]
+            # ratio test over the positions the entering direction touches
+            nz = np.flatnonzero(d)
+            d_nz = d[nz]
+            theta = np.full(nz.size, np.inf)
+            pos = d_nz > PIVOT_TOL
+            theta[pos] = xb[nz[pos]] / d_nz[pos]
             if pin_artificials:
                 # basic artificials must never grow back above zero
-                art_grow = (self._kind[basis] == _ARTIFICIAL) & (d < -PIVOT_TOL)
-                theta[art_grow] = 0.0
+                theta[is_art[nz] & (d_nz < -PIVOT_TOL)] = 0.0
             if not np.isfinite(theta).any():
                 return "unbounded", pivots
             t_min = theta.min()
-            ties = np.flatnonzero(theta == t_min)
+            ties = nz[theta == t_min]
             if bland:
                 leave = int(ties[np.argmin(basis[ties])])
             else:
-                art_tie = ties[self._kind[basis[ties]] == _ARTIFICIAL]
+                art_tie = ties[is_art[ties]]
                 pool = art_tie if art_tie.size else ties
-                best = pool[np.abs(d[pool]).argmax()]
-                leave = int(best)
+                leave = int(pool[np.abs(d[pool]).argmax()])
             piv = d[leave]
             if abs(piv) <= PIVOT_TOL:
                 raise _Breakdown(f"phase {phase}, pivot {pivots}: vanishing pivot element")
             row = b_inv[leave] / piv
             # rank-1 update, only on the rows the entering direction touches
-            touched = np.flatnonzero(d)
-            touched = touched[touched != leave]
+            touched = nz[nz != leave]
             b_inv[touched] -= np.outer(d[touched], row)
             b_inv[leave] = row
+            xb[nz] = np.maximum(xb[nz] - t_min * d_nz, 0.0)
+            xb[leave] = t_min
+            y += rc[enter] * row
             basis[leave] = enter
+            is_art[leave] = False  # artificials never enter
             pivots += 1
             if t_min <= 1e-12:
                 degen_run += 1
@@ -350,11 +388,13 @@ class LpModel:
             self._since_inv += 1
             if self._since_inv >= refactor_every:
                 try:
-                    b_inv[:, :] = np.linalg.inv(self._basis_matrix(basis))
+                    b_inv[:, :] = self._basis_inverse(basis)
                 except np.linalg.LinAlgError as exc:
                     raise _Breakdown(f"phase {phase}, pivot {pivots}: singular basis "
                                      "during refactorization") from exc
                 self._since_inv = 0
+                y = costs[basis] @ b_inv
+                xb = np.maximum(b_inv @ beq, 0.0)
             if pivots > max_pivots:
                 raise _Breakdown(f"phase {phase}, pivot {pivots}: pivot limit exceeded")
 

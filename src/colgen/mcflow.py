@@ -311,7 +311,10 @@ class McBlockProblem(BlockProblem):
         com = self.inst.commodities[block]
         b = com.bandwidth
         # capacity duals are >=0 up to LP tolerance; clamp the dust so the
-        # path weights stay nonnegative for the label-setting solver
+        # path weights stay nonnegative for the label-setting solver.  cbar
+        # below uses the raw duals; test_mcflow.py's
+        # test_dual_clamp_shifts_no_reduced_cost_past_the_audit_tolerance
+        # checks that the clamp moves it by less than the audit tolerance
         w = b * (self._costs + np.maximum(pi, 0.0))
         # lists, not arrays: the label loop indexes them one element at a time
         found = _label_setting(*self._graph, w.tolist(), self._delays.tolist(),

@@ -257,6 +257,28 @@ def ga_full_master_objective(inst):
     return float(res.fun)
 
 
+def restricted_master_objective(problem, columns):
+    """LP value of the master over `columns` only, with no fallback columns."""
+    linking = problem.linking_rows()
+    n_link, n_blocks = len(linking), problem.num_blocks
+    a = np.zeros((n_link + n_blocks, len(columns)))
+    for j, col in enumerate(columns):
+        for row, val in col.coeffs:
+            a[row, j] += val
+        a[n_link + col.block, j] = 1.0
+    senses = [s for s, _ in linking] + [problem.convexity_sense(k) for k in range(n_blocks)]
+    if RowSense.EQ in senses:
+        raise ValueError("restricted_master_objective handles >= and <= rows only")
+    sign = np.array([-1.0 if s is RowSense.GE else 1.0 for s in senses])
+    rhs = np.array([r for _, r in linking] + [1.0] * n_blocks)
+    res = scipy.optimize.linprog(
+        np.array([col.cost for col in columns]), A_ub=sign[:, None] * a, b_ub=sign * rhs,
+        bounds=[(0, None)] * len(columns), method="highs")
+    if res.status != 0:
+        raise RuntimeError(f"restricted master not optimal: {res.message}")
+    return float(res.fun)
+
+
 # ----------------------------------------------------------------------
 # random LP instances, feasible and bounded by construction
 

@@ -193,6 +193,19 @@ def test_audit_baseline_final_sweep_only():
     assert result.audit.final_checks == 5
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_e3_shape_solves_to_the_restricted_master_optimum(seed):
+    # ga 100 bins x 100 items is the paper's E3 shape; its degenerate masters
+    # once drove the simplex into its pivot limit
+    problem = ga_problem(bins=100, items=100, seed=seed)
+    result = run_dwd(problem, config(audit=True))
+    assert result.termination == "optimal"
+    assert result.artificial_value <= 1e-6
+    assert result.audit.ok and not result.audit.final_violations
+    reference = oracles.restricted_master_objective(problem, result.columns)
+    assert result.objective == pytest.approx(reference, abs=1e-6)
+
+
 def test_basic_columns_price_to_zero():
     result = run_dwd(ga_problem(bins=6, items=6, seed=7), config(audit=True))
     pi = result.duals.linking

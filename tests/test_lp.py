@@ -260,3 +260,98 @@ def test_numerical_error_names_phase_size_and_pivot(monkeypatch):
     assert "150 rows x 150 columns" in msg
     assert "phase 1, pivot 128: singular basis" in msg
     assert "Bland retry: phase 1, pivot 32: singular basis" in msg
+
+
+def test_long_warm_solve_refactors_twice_and_matches_cold_solve():
+    # one re-solve runs past two refactorizations, each of which recomputes
+    # the basic values and duals that the pivots carry in between
+    rng = np.random.default_rng(0)
+    rows = [(RowSense.GE, float(v)) for v in np.round(rng.uniform(1.0, 5.0, size=60), 3)]
+    model = LpModel(rows)
+    for i in range(len(rows)):
+        model.add_column(50.0, [(i, 1.0)])
+    model.solve()
+    for _ in range(250):
+        support = rng.choice(len(rows), size=int(rng.integers(2, 6)), replace=False)
+        model.add_column(float(np.round(rng.uniform(1.0, 10.0), 3)),
+                         [(int(i), float(np.round(rng.uniform(0.5, 2.0), 3))) for i in support])
+    sol = model.solve()
+    assert sol.iterations > 2 * 128
+    assert_matches_cold_solve(model, sol)
+
+
+def internal_basis_matrix(model, basis):
+    """The internal basis columns as a dense (rows x rows) matrix."""
+    out = np.zeros((model.num_rows, len(basis)))
+    for k, j in enumerate(basis):
+        lo, hi = model._ptr[j], model._ptr[j + 1]
+        out[model._row[lo:hi], k] = model._val[lo:hi]
+    return out
+
+
+def test_core_inverse_equals_dense_inverse():
+    rng = np.random.default_rng(8)
+    m = 12
+    # >= rows with a positive rhs carry a -1 surplus, <= rows a +1 surplus
+    rows = [(RowSense.GE, 2.0)] * 5 + [(RowSense.LE, 3.0)] * 4 + [(RowSense.EQ, 1.0)] * 3
+    model = LpModel(rows)
+    for i in range(m):  # one scaled unit column per row
+        model.add_column(1.0, [(i, float(rng.choice([-2.5, -1.0, 0.5, 3.0])))])
+    for _ in range(40):  # multi-entry columns
+        support = rng.choice(m, size=int(rng.integers(2, 6)), replace=False)
+        model.add_column(1.0, [(int(i), float(rng.uniform(-3.0, 3.0))) for i in support])
+    model._build()
+    struct = np.asarray(model._struct_int)
+    kind = model._kind[: model._n_int]
+    surplus = {int(model._row[model._ptr[j]]): j for j in np.flatnonzero(kind == 1)}
+    assert sorted(model._val[model._ptr[j]] for j in surplus.values()) == [-1.0] * 5 + [1.0] * 4
+
+    def unit_on(i):
+        options = [int(model._art_int[i]), int(struct[i])] + (
+            [surplus[i]] if i in surplus else [])
+        return options[rng.integers(len(options))]
+
+    checked = {"all-unit": 0, "no-unit": 0, "mixed": 0}
+    while min(checked.values()) < 10:
+        n_unit = int(rng.integers(0, m + 1))
+        unit_rows = rng.choice(m, size=n_unit, replace=False)
+        core = rng.choice(struct[m:], size=m - n_unit, replace=False)
+        basis = rng.permutation(np.concatenate(
+            [[unit_on(int(i)) for i in unit_rows], core]).astype(np.int64))
+        dense = internal_basis_matrix(model, basis)
+        if np.linalg.cond(dense) > 1e8:
+            continue
+        label = "all-unit" if n_unit == m else "no-unit" if n_unit == 0 else "mixed"
+        checked[label] += 1
+        np.testing.assert_allclose(model._basis_inverse(basis), np.linalg.inv(dense),
+                                   rtol=1e-9, atol=1e-9)
+
+
+def test_core_inverse_rejects_singular_unit_columns():
+    model = LpModel([(RowSense.GE, 1.0), (RowSense.GE, 2.0)])
+    model.add_column(1.0, [(0, 1.0)])
+    model.add_column(1.0, [(0, 2.0)])
+    model.add_column(1.0, [(1, 1.0), (1, -1.0)])  # a unit column whose entry is 0
+    model._build()
+    s0, s1, zero = model._struct_int
+    good = np.array([s1, model._art_int[1]])
+    assert model._basis_inverse(good) == pytest.approx(np.diag([0.5, 1.0]))
+    with pytest.raises(np.linalg.LinAlgError):
+        model._basis_inverse(np.array([s0, s1]))  # two unit columns on row 0
+    with pytest.raises(np.linalg.LinAlgError):
+        model._basis_inverse(np.array([s0, zero]))
+
+
+def test_unit_columns_sharing_a_row_name_phase_and_pivot():
+    # the phase-1 start basis holds row 0's artificial and row 0's surplus;
+    # row 1 is never priced in, so both reach the first refactorization
+    model = LpModel([(RowSense.GE, 1.0 + i % 3) for i in range(150)])
+    for i in range(150):
+        model.add_column(1.0, [(i, 1.0)])
+    model._build()
+    model._art_int[1] = len(model._struct_int)  # surplus columns follow, row 0 first
+    with pytest.raises(LpNumericalError) as info:
+        model.solve()
+    msg = str(info.value)
+    assert "phase 1, pivot 128: singular basis during refactorization" in msg
+    assert "Bland retry: phase 1, pivot 32: singular basis" in msg

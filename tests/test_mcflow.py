@@ -3,8 +3,10 @@ import hashlib
 import numpy as np
 import pytest
 
-from colgen import (McBlockProblem, McParseError, UnroutableCommodityError,
-                    generate_mc_instance, parse_mc_instance, write_mc_instance, rcsp)
+from colgen import (DwdConfig, FilterMode, McBlockProblem, McParseError,
+                    UnroutableCommodityError, generate_mc_instance, parse_mc_instance,
+                    rcsp, run_dwd, write_mc_instance)
+from colgen.engine import _RC_CHECK_TOL
 from colgen.mcflow import Arc, Commodity, McInstance, path_cost, path_delay
 
 import oracles
@@ -201,6 +203,31 @@ def test_initial_columns_match_public_rcsp():
             _, path = rcsp(inst.num_nodes, pairs, delays, delays, com.max_delay,
                            com.source, com.target)
             assert col.native == path
+
+
+class ClampShiftRecorder(McBlockProblem):
+    """Records, per pricing call, the most that clamping the capacity duals
+    at zero can shift the reduced cost of any path: b * sum |min(pi, 0)|."""
+
+    def __init__(self, inst):
+        super().__init__(inst)
+        self.shifts = []
+
+    def solve_pricing(self, block, pi, mu_k):
+        b = self.inst.commodities[block].bandwidth
+        self.shifts.append(b * float(np.abs(np.minimum(pi, 0.0)).sum()))
+        return super().solve_pricing(block, pi, mu_k)
+
+
+def test_dual_clamp_shifts_no_reduced_cost_past_the_audit_tolerance():
+    # pricing searches paths on max(pi, 0) but reports cbar at the raw duals;
+    # the two agree up to the shift recorded here
+    for seed in range(5):
+        for mode in FilterMode:
+            problem = ClampShiftRecorder(generate_mc_instance(25, 80, 50, seed))
+            result = run_dwd(problem, DwdConfig(mode=mode))
+            assert result.termination == "optimal"
+            assert problem.shifts and max(problem.shifts) < _RC_CHECK_TOL
 
 
 def test_unroutable_commodity_rejected_before_solving():
