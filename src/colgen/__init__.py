@@ -20,7 +20,7 @@ from .lp import (LpError, LpModel, LpNumericalError, LpSolution, LpStatus,
 from .mcflow import (McBlockProblem, McInstance, McParseError,
                      UnroutableCommodityError, generate_mc_instance,
                      parse_mc_instance, rcsp, write_mc_instance)
-from .model import (BlockProblem, Column, DualSolution, PricingRecord, SupportSet)
+from .model import BlockProblem, Column, DualSolution, PricingRecord
 
 __version__ = "0.1.0"
 
@@ -31,7 +31,7 @@ __all__ = [
     "GaInstance", "GaParseError", "LpError", "LpModel", "LpNumericalError",
     "LpSolution", "LpStatus", "LpStructureError", "McBlockProblem", "McInstance",
     "McParseError", "PricingRecord", "RowSense", "RunStats", "STRATEGIES",
-    "Strategy", "SupportSet", "UnroutableCommodityError", "emit_report",
+    "Strategy", "UnroutableCommodityError", "emit_report",
     "exact_bound", "format_pct", "gap_pct", "generate_ga_instance",
     "generate_mc_instance", "knapsack_min", "parse_ga_instance",
     "parse_mc_instance", "pct_reduction", "rcsp", "reduced_cost", "run_dwd",

@@ -18,9 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .filtering import negative_part_sum, restricted_negative_part_sum
+from .filtering import negative_part_sum
 from .lp import RowSense
-from .model import BlockProblem, Column, SupportSet
+from .model import BlockProblem, Column
 
 # shapes of the synthetic evaluation families: (bins, items)
 E_SET_SHAPES = {
@@ -239,10 +239,10 @@ def knapsack_min_batch(values, weights, capacities) -> tuple[np.ndarray, np.ndar
 class GaBlockProblem(BlockProblem):
     """One block per bin; linking rows are item-coverage rows.
 
-    Bin convexity rows are <= 1, so their normalized duals enter the reduced
-    cost with a plus sign:
+    Bin convexity rows are <= 1, so their duals mu_k are nonpositive, and
+    the reduced cost of a pattern is
 
-        sum over picked items of (cost - pi_item) + mu_k
+        sum over picked items of (cost - pi_item) - mu_k
     """
 
     def __init__(self, inst: GaInstance):
@@ -276,7 +276,7 @@ class GaBlockProblem(BlockProblem):
         values = self.inst.costs[blocks] - pi
         best, take = knapsack_min_batch(values, self.inst.weights[blocks],
                                         self.inst.capacities[blocks])
-        return [(v + float(mu[k]), self.assignment_column(k, [i for i, x in enumerate(t) if x]))
+        return [(v - float(mu[k]), self.assignment_column(k, [i for i, x in enumerate(t) if x]))
                 for k, v, t in zip(blocks.tolist(), best.tolist(), take.tolist())]
 
     def solve_pricing(self, block, pi, mu_k):
@@ -286,11 +286,11 @@ class GaBlockProblem(BlockProblem):
     def hypercube_bound_term(self, block, pi_prev, pi_now):
         return negative_part_sum(pi_prev - pi_now)
 
-    def heuristic_bound_term(self, block, pi_prev, pi_now, support: SupportSet):
-        return restricted_negative_part_sum(pi_prev - pi_now, sorted(support.rows))
+    def heuristic_bound_term(self, block, pi_prev, pi_now, support):
+        return negative_part_sum((pi_prev - pi_now)[support])
 
-    def support_set(self, block) -> SupportSet:
-        return SupportSet(block, frozenset(int(i) for i in np.flatnonzero(self._support[block])))
+    def support_set(self, block):
+        return self._support[block]
 
     def register_column(self, block, column):
         for row, _ in column.coeffs:

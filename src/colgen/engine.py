@@ -136,7 +136,7 @@ class AuditReport:
 @dataclass
 class DwdResult:
     objective: float
-    termination: str  # "optimal" | "iteration_limit"
+    termination: str  # "optimal" | "converged" (heuristic mode) | "iteration_limit"
     stats: RunStats
     per_block_added: tuple[int, ...]
     columns: tuple[Column, ...]
@@ -148,12 +148,12 @@ class DwdResult:
     audit: AuditReport | None
 
 
-def reduced_cost(column: Column, pi: np.ndarray, mu_k: float, sigma_k: float) -> float:
-    """Master reduced cost of a column at the given normalized duals."""
+def reduced_cost(column: Column, pi: np.ndarray, mu_k: float) -> float:
+    """Master reduced cost of a column at the given master duals."""
     acc = column.cost
     for row, val in column.coeffs:
         acc -= pi[row] * val
-    return acc - sigma_k * mu_k
+    return acc - mu_k
 
 
 _RC_CHECK_TOL = 1e-7
@@ -175,34 +175,14 @@ def run_dwd(problem: BlockProblem, config: DwdConfig | None = None) -> DwdResult
     linking = problem.linking_rows()
     num_linking = len(linking)
 
-    flip = np.ones(num_linking)
-    rows: list[tuple[RowSense, float]] = []
-    for r, (sense, rhs) in enumerate(linking):
-        if sense is RowSense.LE:
-            flip[r] = -1.0
-            rows.append((RowSense.GE, -float(rhs)))
-        else:
-            rows.append((sense, float(rhs)))
-    sigma = np.ones(num_blocks)
-    for k in range(num_blocks):
-        sense = problem.convexity_sense(k)
-        if sense is RowSense.LE:
-            sigma[k] = -1.0
-            rows.append((RowSense.GE, -1.0))
-        elif sense is RowSense.GE:
-            rows.append((RowSense.GE, 1.0))
-        else:
-            rows.append((RowSense.EQ, 1.0))
-
+    rows = list(linking) + [(problem.convexity_sense(k), 1.0) for k in range(num_blocks)]
     lp = LpModel(rows)
     columns: list[Column] = []
     col_lp_idx: list[int] = []
     per_block_added = [0] * num_blocks
 
     def install(col: Column) -> None:
-        coeffs = [(r, v * flip[r]) for r, v in col.coeffs]
-        coeffs.append((num_linking + col.block, float(sigma[col.block])))
-        col_lp_idx.append(lp.add_column(col.cost, coeffs))
+        col_lp_idx.append(lp.add_column(col.cost, [*col.coeffs, (num_linking + col.block, 1.0)]))
         columns.append(col)
         problem.register_column(col.block, col)
 
@@ -214,7 +194,8 @@ def run_dwd(problem: BlockProblem, config: DwdConfig | None = None) -> DwdResult
     big_m = 1e4 * (max((abs(c.cost) for c in initial), default=0.0) + 1.0)
     artificial_idx = []
     for i, (sense, rhs) in enumerate(rows):
-        coef = -1.0 if (sense is RowSense.EQ and rhs < 0) else 1.0
+        # signed so that the fallback column alone can satisfy its row
+        coef = -1.0 if (sense is RowSense.LE or (sense is RowSense.EQ and rhs < 0)) else 1.0
         artificial_idx.append(lp.add_column(big_m, [(i, coef)]))
 
     store = DualStore(config.retain_duals)
@@ -227,7 +208,7 @@ def run_dwd(problem: BlockProblem, config: DwdConfig | None = None) -> DwdResult
     pi = mu = None
 
     def check_reduced_cost(col, cbar, k, t, context):
-        rc = reduced_cost(col, pi, float(mu[k]), float(sigma[k]))
+        rc = reduced_cost(col, pi, float(mu[k]))
         audit.reduced_cost_checks += 1
         if abs(rc - cbar) > _RC_CHECK_TOL:
             audit.reduced_cost_mismatches.append(
@@ -255,8 +236,8 @@ def run_dwd(problem: BlockProblem, config: DwdConfig | None = None) -> DwdResult
         decisions = []
         for k in range(num_blocks):
             support = problem.support_set(k) if config.mode is FilterMode.HEURISTIC else None
-            fd = should_filter(k, t, pi, store, history[k], float(mu[k]), float(sigma[k]),
-                               problem, support, config.mode, config.strategy, config.epsilon)
+            fd = should_filter(k, t, pi, store, history[k], float(mu[k]), problem, support,
+                               config.mode, config.strategy, config.epsilon)
             stats.bounds_evaluated += fd.bounds_evaluated
             stats.records_skipped_evicted += fd.records_evicted
             if fd.bounds_evaluated > 0:
@@ -303,11 +284,11 @@ def run_dwd(problem: BlockProblem, config: DwdConfig | None = None) -> DwdResult
         if trace is not None:
             trace.append(IterationTrace(t, sol.objective, tuple(block_traces), added))
         if added == 0:
-            termination = "optimal"
+            # heuristic skips may have hidden improving columns
+            termination = "converged" if config.mode is FilterMode.HEURISTIC else "optimal"
             break
 
-    if (audit is not None and termination == "optimal"
-            and config.mode in (FilterMode.BASELINE, FilterMode.EXACT)):
+    if audit is not None and termination == "optimal":
         final = problem.price_blocks(list(range(num_blocks)), pi, mu)
         for k, (cbar_f, col_f) in zip(range(num_blocks), final, strict=True):
             audit.final_checks += 1

@@ -3,10 +3,11 @@
 The bound for block k at iteration t, built from a record taken at an earlier
 iteration l, is
 
-    reduced_cost(l) + sigma_k * (mu_k(l) - mu_k(t)) + term(l, t)
+    reduced_cost(l) + (mu_k(l) - mu_k(t)) + term(l, t)
 
 where `term` is a lower bound on the minimum, over the block's 0/1 box, of
-the dual-shift linear form ((pi(l) - pi(t)) A_k) x.  When `term` is the true
+the dual-shift linear form ((pi(l) - pi(t)) A_k) x.  The duals are the
+master's own, in the rows' declared senses.  When `term` is the true
 box minimum the bound is a valid lower bound on the reduced cost at t, so a
 nonnegative bound proves the block has no improving column and pricing can be
 skipped without losing exactness.  Restricting the term to a support set
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import BlockProblem, PricingRecord, SupportSet
+from .model import BlockProblem, PricingRecord
 
 
 class FilterMode(enum.Enum):
@@ -62,15 +63,7 @@ def negative_part_sum(diff: np.ndarray) -> float:
     return float(np.minimum(diff, 0.0).sum())
 
 
-def restricted_negative_part_sum(diff: np.ndarray, rows) -> float:
-    """Negative-part sum over a subset of coordinates only."""
-    if len(rows) == 0:
-        return 0.0
-    idx = np.fromiter(rows, dtype=np.int64)
-    return float(np.minimum(diff[idx], 0.0).sum())
-
-
-def exact_bound(record: PricingRecord, mu_now: float, sigma: float, term: float) -> float:
+def exact_bound(record: PricingRecord, mu_now: float, term: float) -> float:
     """Lower bound on the current reduced cost from an earlier record.
 
     Valid whenever `term` is at most the true box minimum of the dual-shift
@@ -78,7 +71,7 @@ def exact_bound(record: PricingRecord, mu_now: float, sigma: float, term: float)
     value.  With a record taken at the current duals the term is zero and
     the record's reduced cost comes back unchanged.
     """
-    return record.reduced_cost + sigma * (record.convexity_dual - mu_now) + term
+    return record.reduced_cost + (record.convexity_dual - mu_now) + term
 
 
 def select_records(strategy: Strategy, history, epsilon: float) -> list[PricingRecord]:
@@ -98,9 +91,8 @@ def select_records(strategy: Strategy, history, epsilon: float) -> list[PricingR
 
 
 def should_filter(block: int, iteration: int, pi_now: np.ndarray, dual_store,
-                  history, mu_now: float, sigma: float, problem: BlockProblem,
-                  support: SupportSet | None, mode: FilterMode, strategy: Strategy,
-                  epsilon: float) -> FilterDecision:
+                  history, mu_now: float, problem: BlockProblem, support: np.ndarray | None,
+                  mode: FilterMode, strategy: Strategy, epsilon: float) -> FilterDecision:
     """Evaluate screening bounds for one block at the current duals.
 
     Stops at the first bound >= -epsilon.  Records whose dual vector was
@@ -125,7 +117,7 @@ def should_filter(block: int, iteration: int, pi_now: np.ndarray, dual_store,
             term = problem.hypercube_bound_term(block, pi_prev, pi_now)
         else:
             term = problem.heuristic_bound_term(block, pi_prev, pi_now, support)
-        lb = exact_bound(rec, mu_now, sigma, term)
+        lb = exact_bound(rec, mu_now, term)
         bounds.append((rec.iteration, lb))
         if best is None or lb > best:
             best = lb

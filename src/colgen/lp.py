@@ -31,11 +31,6 @@ FEAS_TOL = 1e-7
 PIVOT_TOL = 1e-9
 RC_TOL = 1e-9
 
-# internal column kinds
-_STRUCT = 0
-_SURPLUS = 1
-_ARTIFICIAL = 2
-
 
 class RowSense(enum.Enum):
     GE = ">="
@@ -100,28 +95,36 @@ class LpModel:
                 raise LpStructureError("row rhs must be finite")
             self._senses.append(sense)
             self._rhs.append(rhs)
-        self._costs: list[float] = []
-        self._coeffs: list[dict[int, float]] = []
-        self._built = False
         # last optimal basis and its inverse; dropped while a solve runs, so a
         # solve that ends in anything but an optimum leaves neither behind
         self._basis: np.ndarray | None = None
         self._b_inv: np.ndarray | None = None
         self._since_inv = 0  # pivots since b_inv was last computed afresh
-        # filled by _build(): internal columns (structural, surplus and
-        # artificial) in compressed sparse form; column j's nonzeros sit at
-        # [_ptr[j], _ptr[j + 1]) of _row (row index), _val and _col (== j)
-        self._row_mult: np.ndarray | None = None
-        self._beq: np.ndarray | None = None
+        # internal columns in compressed sparse form: column j's nonzeros sit
+        # at [_ptr[j], _ptr[j + 1]) of _row (row index), _val and _col (== j),
+        # and _c2[j] is its cost.  Every row is scaled by _row_mult (+-1) into
+        # an equality with the nonnegative rhs _beq; the surplus columns of
+        # the non-equality rows come first, then one artificial per row, then
+        # the structural columns, so structural column j is internal column
+        # _first_struct + j.
+        u = np.array([-1.0 if s is RowSense.LE else 1.0 for s in self._senses])
+        b1 = np.asarray(self._rhs, dtype=float) * u
+        s = np.where(b1 < 0, -1.0, 1.0)
+        self._row_mult = u * s
+        self._beq = b1 * s
         self._ptr: list[int] = [0]
         self._row = np.zeros(0, dtype=np.int64)
         self._val = np.zeros(0)
         self._col = np.zeros(0, dtype=np.int64)
-        self._n_int = 0
-        self._kind = np.zeros(0, dtype=np.int8)
         self._c2 = np.zeros(0)
-        self._struct_int: list[int] = []
-        self._art_int: np.ndarray | None = None
+        self._n_int = 0
+        for i, sense in enumerate(self._senses):
+            if sense is not RowSense.EQ:
+                # surplus of the >= form, scaled
+                self._append_internal([i], [-s[i]], 0.0)
+        for i in range(self.num_rows):
+            self._append_internal([i], [1.0], 0.0)
+        self._first_struct = self._n_int
 
     # ------------------------------------------------------------------
     @property
@@ -130,7 +133,7 @@ class LpModel:
 
     @property
     def num_cols(self) -> int:
-        return len(self._costs)
+        return self._n_int - self._first_struct
 
     def row_sense(self, i: int) -> RowSense:
         return self._senses[i]
@@ -139,10 +142,13 @@ class LpModel:
         return self._rhs[i]
 
     def column_cost(self, j: int) -> float:
-        return self._costs[j]
+        return float(self._c2[self._first_struct + j])
 
     def column_coeffs(self, j: int) -> dict[int, float]:
-        return dict(self._coeffs[j])
+        lo, hi = self._ptr[self._first_struct + j], self._ptr[self._first_struct + j + 1]
+        rows = self._row[lo:hi]
+        # the row multipliers are +-1, so this undoes the scaling exactly
+        return dict(zip(rows.tolist(), (self._val[lo:hi] / self._row_mult[rows]).tolist()))
 
     def add_column(self, cost, coeffs) -> int:
         """Append a variable; `coeffs` maps row index to coefficient.
@@ -163,25 +169,17 @@ class LpModel:
             if not np.isfinite(val):
                 raise LpStructureError("column coefficient must be finite")
             acc[row] = acc.get(row, 0.0) + val
-        j = len(self._costs)
-        self._costs.append(cost)
-        self._coeffs.append(acc)
-        if self._built:
-            self._append_struct(acc, cost)
-        return j
-
-    # ------------------------------------------------------------------
-    def _append_struct(self, acc: dict[int, float], cost: float):
         rows = np.fromiter(acc, dtype=np.int64, count=len(acc))
         vals = np.fromiter(acc.values(), dtype=float, count=len(acc))
-        self._append_internal(rows, vals * self._row_mult[rows], cost, _STRUCT)
-        self._struct_int.append(self._n_int - 1)
+        self._append_internal(rows, vals * self._row_mult[rows], cost)
+        return self.num_cols - 1
 
-    def _append_internal(self, rows, vals, cost: float, kind: int):
+    # ------------------------------------------------------------------
+    def _append_internal(self, rows, vals, cost: float):
         j, start = self._n_int, self._ptr[-1]
         end = start + len(rows)
-        if j == len(self._kind):
-            self._kind, self._c2 = _grown(self._kind, j + 1), _grown(self._c2, j + 1)
+        if j == len(self._c2):
+            self._c2 = _grown(self._c2, j + 1)
         if end > len(self._row):
             self._row, self._val, self._col = (
                 _grown(a, end) for a in (self._row, self._val, self._col))
@@ -189,29 +187,11 @@ class LpModel:
         self._val[start:end] = vals
         self._col[start:end] = j
         self._ptr.append(end)
-        self._kind[j] = kind
         self._c2[j] = cost
         self._n_int += 1
 
-    def _build(self):
-        m = self.num_rows
-        senses = self._senses
-        u = np.array([-1.0 if s is RowSense.LE else 1.0 for s in senses])
-        b1 = np.asarray(self._rhs, dtype=float) * u
-        s = np.where(b1 < 0, -1.0, 1.0)
-        self._row_mult = u * s
-        self._beq = b1 * s
-        self._built = True
-        for acc, cost in zip(self._coeffs, self._costs):
-            self._append_struct(acc, cost)
-        for i, sense in enumerate(senses):
-            if sense is not RowSense.EQ:
-                # surplus of the >= form, scaled
-                self._append_internal([i], [-s[i]], 0.0, _SURPLUS)
-        first_art = self._n_int
-        for i in range(m):
-            self._append_internal([i], [1.0], 0.0, _ARTIFICIAL)
-        self._art_int = np.arange(first_art, first_art + m)
+    def _is_artificial(self, cols: np.ndarray) -> np.ndarray:
+        return (cols >= self._first_struct - self.num_rows) & (cols < self._first_struct)
 
     def _basis_inverse(self, basis: np.ndarray) -> np.ndarray:
         """B^-1 of the basis columns, inverting only their multi-entry core.
@@ -249,8 +229,6 @@ class LpModel:
     # ------------------------------------------------------------------
     def solve(self) -> LpSolution:
         """Run the simplex; warm-starts from the last optimal basis."""
-        if not self._built:
-            self._build()
         try:
             return self._solve_attempt(bland_from_start=False, refactor_every=128)
         except _Breakdown as first:
@@ -264,8 +242,8 @@ class LpModel:
     def _solve_attempt(self, bland_from_start: bool, refactor_every: int) -> LpSolution:
         m = self.num_rows
         beq = self._beq
-        kind = self._kind[: self._n_int]
-        allow = kind != _ARTIFICIAL
+        artificial = self._is_artificial(np.arange(self._n_int))
+        allow = ~artificial
         iters = 0
 
         basis, b_inv = self._basis, self._b_inv
@@ -275,10 +253,10 @@ class LpModel:
 
         if basis is None:
             # phase 1 from the all-artificial basis
-            basis = self._art_int.copy()
+            basis = np.arange(self._first_struct - m, self._first_struct)
             b_inv = np.eye(m)
             self._since_inv = 0
-            c1 = np.where(kind == _ARTIFICIAL, 1.0, 0.0)
+            c1 = artificial.astype(float)
             status, n1 = self._simplex(c1, basis, b_inv, allow, bland_from_start,
                                        refactor_every, pin_artificials=False)
             iters += n1
@@ -298,8 +276,8 @@ class LpModel:
         xb = np.maximum(b_inv @ beq, 0.0)
         x_int = np.zeros(self._n_int)
         x_int[basis] = xb
-        x = x_int[self._struct_int] if self._struct_int else np.zeros(0)
-        objective = float(np.asarray(self._costs) @ x) if len(x) else 0.0
+        x = x_int[self._first_struct:]
+        objective = float(c2[self._first_struct:] @ x)
         y = c2[basis] @ b_inv
         duals = y * self._row_mult
         self._basis, self._b_inv = basis, b_inv
@@ -327,7 +305,7 @@ class LpModel:
         degen_limit = 3 * (m + n)
         degen_run = 0
         pivots = 0
-        is_art = self._kind[basis] == _ARTIFICIAL  # kept in step with basis
+        is_art = self._is_artificial(basis)  # kept in step with basis
         # duals and basic values are carried across pivots and recomputed
         # exactly only after a refactorization
         y = costs[basis] @ b_inv

@@ -20,11 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .filtering import negative_part_sum, restricted_negative_part_sum
+from .filtering import negative_part_sum
 from .lp import RowSense
-from .model import BlockProblem, Column, SupportSet
+from .model import BlockProblem, Column
 
 DELAY_TOL = 1e-9
+# generated arc capacities add a uniform share in this range of the total
+# bandwidth on top of the minimum-delay routing load
+CAPACITY_SLACK = (0.0, 0.1)
 
 
 class McParseError(ValueError):
@@ -142,18 +145,6 @@ def write_mc_instance(inst: McInstance) -> str:
 # ----------------------------------------------------------------------
 # shortest paths
 
-def _as_pairs(arcs) -> list[tuple[int, int]]:
-    """(tail, head) pairs from Arc objects or bare pairs."""
-    out = []
-    for a in arcs:
-        if isinstance(a, Arc):
-            out.append((a.tail, a.head))
-        else:
-            tail, head = a[0], a[1]
-            out.append((int(tail), int(head)))
-    return out
-
-
 def _min_to_target(num_nodes, arcs, values, target) -> np.ndarray:
     """Dijkstra on reversed arcs: least total `values` from each node to target."""
     into: list[list[int]] = [[] for _ in range(num_nodes)]
@@ -192,13 +183,12 @@ def rcsp(num_nodes: int, arcs, weights, delays, max_delay: float,
          source: int, target: int) -> tuple[float, tuple[int, ...]] | None:
     """Cheapest simple source-target path with total delay within budget.
 
-    `arcs` holds Arc objects or bare (tail, head) pairs; `weights` (nonnegative) are
-    minimized, `delays` (nonnegative) are capped by `max_delay`.  Label
-    setting with (weight, delay) dominance; among equal-weight optima the
-    lexicographically smallest arc-index sequence wins, which pins the result
-    independent of arc ordering quirks.  Returns (weight, arc tuple) or None.
+    `arcs` holds (tail, head) pairs; `weights` (nonnegative) are minimized,
+    `delays` (nonnegative) are capped by `max_delay`.  Label setting with
+    (weight, delay) dominance; among equal-weight optima the lexicographically
+    smallest arc-index sequence wins, which pins the result independent of arc
+    ordering quirks.  Returns (weight, arc tuple) or None.
     """
-    arcs = _as_pairs(arcs)
     if source == target:
         return (0.0, ())
     delays = np.asarray(delays, dtype=float)
@@ -330,12 +320,12 @@ class McBlockProblem(BlockProblem):
         b = self.inst.commodities[block].bandwidth
         return negative_part_sum(b * (pi_now - pi_prev))
 
-    def heuristic_bound_term(self, block, pi_prev, pi_now, support: SupportSet):
+    def heuristic_bound_term(self, block, pi_prev, pi_now, support):
         b = self.inst.commodities[block].bandwidth
-        return restricted_negative_part_sum(b * (pi_now - pi_prev), sorted(support.rows))
+        return negative_part_sum((b * (pi_now - pi_prev))[support])
 
-    def support_set(self, block) -> SupportSet:
-        return SupportSet(block, frozenset(int(i) for i in np.flatnonzero(self._support[block])))
+    def support_set(self, block):
+        return self._support[block]
 
     def register_column(self, block, column):
         for row, _ in column.coeffs:
@@ -346,8 +336,7 @@ class McBlockProblem(BlockProblem):
 # random instances
 
 def generate_mc_instance(num_nodes: int, num_arcs: int, num_commodities: int,
-                         seed: int, capacity_slack: tuple[float, float] = (0.0, 0.1),
-                         ) -> McInstance:
+                         seed: int) -> McInstance:
     """Seeded random instance: a directed ring plus random chord arcs.
 
     Synthetic data, not drawn from any benchmark set.  The ring keeps the
@@ -388,8 +377,8 @@ def generate_mc_instance(num_nodes: int, num_arcs: int, num_commodities: int,
         for a in found[1]:
             load[a] += bandwidth
     total_b = sum(b for _, _, b in commodities)
-    lo, hi = capacity_slack
-    caps = np.round(load + rng.uniform(lo, hi, size=num_arcs) * max(total_b, 1.0) + 1.0, 3)
+    slack = rng.uniform(*CAPACITY_SLACK, size=num_arcs)
+    caps = np.round(load + slack * max(total_b, 1.0) + 1.0, 3)
     arcs = tuple(Arc(t, h, float(caps[i]), float(delays[i]), float(costs[i]))
                  for i, (t, h) in enumerate(pairs))
     comms = tuple(Commodity(s, t, b, d) for (s, t, b), d in zip(commodities, budgets))

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,18 +15,15 @@ class Column:
     """One master variable proposed by a block.
 
     `coeffs` holds (linking row, coefficient) pairs sorted by row; the
-    convexity-row coefficient is not stored here, the engine derives it from
-    the block's convexity sense.  `native` is the block-level description of
-    the column (arc indices of a path, item indices of an assignment).
+    column's coefficient on its block's convexity row is always 1 and is not
+    stored here.  `native` is the block-level description of the column (arc
+    indices of a path, item indices of an assignment).
     """
 
     block: int
     cost: float
     coeffs: tuple[tuple[int, float], ...]
     native: tuple = ()
-
-    def coeff_rows(self) -> tuple[int, ...]:
-        return tuple(row for row, _ in self.coeffs)
 
 
 @dataclass(frozen=True)
@@ -55,14 +52,6 @@ class PricingRecord:
     iteration: int
     reduced_cost: float
     convexity_dual: float
-
-
-@dataclass(frozen=True)
-class SupportSet:
-    """Linking rows touched by a block's columns generated so far."""
-
-    block: int
-    rows: frozenset[int] = field(default_factory=frozenset)
 
 
 class BlockProblem(abc.ABC):
@@ -95,16 +84,18 @@ class BlockProblem(abc.ABC):
     def solve_pricing(self, block: int, pi: np.ndarray, mu_k: float) -> tuple[float, Column | None]:
         """Exact pricing at the given duals.
 
-        `pi` spans the linking rows in normalized >= form and `mu_k` is the
-        block's normalized convexity dual.  Returns the minimum reduced cost
-        and the achieving column (None when the block has no column at all).
-        Must not mutate the dual arrays.
+        `pi` holds the master's linking-row duals and `mu_k` the block's
+        convexity-row dual, both in the rows' declared senses: a >= row's
+        dual is nonnegative, a <= row's nonpositive, an = row's free.  The
+        reduced cost of a column is `cost - sum(pi[row] * coeff) - mu_k`.
+        Returns the minimum reduced cost and the achieving column (None when
+        the block has no column at all).  Must not mutate the dual arrays.
         """
 
     def price_blocks(self, blocks, pi: np.ndarray, mu) -> list[tuple[float, Column | None]]:
         """`solve_pricing`'s (reduced cost, column) for each listed block, in order.
 
-        `mu[k]` is block k's normalized convexity dual.  Must be exact and
+        `mu[k]` is block k's convexity-row dual.  Must be exact and
         must not mutate the dual arrays.  The default prices one block at a
         time; families override it to share work across blocks.
         """
@@ -116,15 +107,16 @@ class BlockProblem(abc.ABC):
 
     @abc.abstractmethod
     def heuristic_bound_term(self, block: int, pi_prev: np.ndarray, pi_now: np.ndarray,
-                             support: SupportSet) -> float:
-        """Like hypercube_bound_term but summed over `support` rows only.
+                             support: np.ndarray) -> float:
+        """Like hypercube_bound_term but summed over the `support` rows only.
 
         Always >= the exact term, so bounds built from it may overshoot and
         skip blocks that still had improving columns.
         """
 
     @abc.abstractmethod
-    def support_set(self, block: int) -> SupportSet: ...
+    def support_set(self, block: int) -> np.ndarray:
+        """Boolean mask over the linking rows that the block's installed columns touch."""
 
     def register_column(self, block: int, column: Column) -> None:
         """Engine callback after a column enters the master."""

@@ -140,10 +140,11 @@ def test_criterion_04_pricing_oracles():
         inst = generate_mc_instance(int(rng.integers(4, 9)),
                                     int(rng.integers(8, 15)), 2, seed=seed)
         delays = [a.delay for a in inst.arcs]
+        pairs = [(a.tail, a.head) for a in inst.arcs]
         for draw in range(10):
             w = rng.uniform(0.0, 10.0, size=len(inst.arcs))
             com = inst.commodities[draw % 2]
-            got = rcsp(inst.num_nodes, inst.arcs, w, delays, com.max_delay,
+            got = rcsp(inst.num_nodes, pairs, w, delays, com.max_delay,
                        com.source, com.target)
             want = oracles.best_path_by_enumeration(inst.num_nodes, inst.arcs, w,
                                                     com.source, com.target,
@@ -157,8 +158,9 @@ def test_criterion_04_pricing_oracles():
         inst = generate_mc_instance(7, 14, 2, seed=100 + seed)
         w = rng.uniform(0.0, 10.0, size=len(inst.arcs))
         delays = [a.delay for a in inst.arcs]
+        pairs = [(a.tail, a.head) for a in inst.arcs]
         com = inst.commodities[0]
-        got = rcsp(inst.num_nodes, inst.arcs, w, delays, np.inf,
+        got = rcsp(inst.num_nodes, pairs, w, delays, np.inf,
                    com.source, com.target)
         want = oracles.networkx_shortest(inst.num_nodes, inst.arcs, w,
                                          com.source, com.target)

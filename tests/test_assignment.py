@@ -104,7 +104,7 @@ def test_knapsack_matches_brute_force():
 def test_pricing_zero_duals_returns_empty_pattern():
     inst = generate_ga_instance(3, 4, 0)
     problem = GaBlockProblem(inst)
-    cbar, col = problem.solve_pricing(1, np.zeros(4), 2.5)
+    cbar, col = problem.solve_pricing(1, np.zeros(4), -2.5)
     assert cbar == pytest.approx(2.5)
     assert col.native == () and col.cost == 0.0
 
@@ -120,7 +120,7 @@ def test_pricing_matches_subset_enumeration():
         cbar, col = problem.solve_pricing(k, pi, mu)
         values = inst.costs[k].astype(float) - pi
         want = oracles.knapsack_brute(values, inst.weights[k], int(inst.capacities[k]))
-        assert cbar == pytest.approx(want + mu, abs=1e-9)
+        assert cbar == pytest.approx(want - mu, abs=1e-9)
         assert sum(int(inst.weights[k, i]) for i in col.native) <= int(inst.capacities[k])
 
 
@@ -136,12 +136,12 @@ def test_initial_columns_one_empty_per_bin():
 def test_support_set_union():
     inst = generate_ga_instance(2, 5, 3)
     problem = GaBlockProblem(inst)
-    assert problem.support_set(0).rows == frozenset()
+    assert problem.support_set(0).tolist() == [False] * 5
     problem.register_column(0, problem.assignment_column(0, (1, 3)))
-    assert problem.support_set(0).rows == {1, 3}
+    assert np.flatnonzero(problem.support_set(0)).tolist() == [1, 3]
     problem.register_column(0, problem.assignment_column(0, (3, 4)))
-    assert problem.support_set(0).rows == {1, 3, 4}
-    assert problem.support_set(1).rows == frozenset()
+    assert np.flatnonzero(problem.support_set(0)).tolist() == [1, 3, 4]
+    assert problem.support_set(1).tolist() == [False] * 5
 
 
 def test_hypercube_term_matches_brute_force():
@@ -158,19 +158,20 @@ def test_hypercube_term_matches_brute_force():
 
 
 def test_bound_matches_hand_coded_bin_formula():
-    # hand form: cbar(l) - mu(l) + mu(t) + sum_i min(0, pi_l[i] - pi_t[i]);
-    # the generic bound with sigma = -1 must agree bit for bit
+    # hand form in the bin row's >= form, whose dual is nu = -mu:
+    # cbar(l) - nu(l) + nu(t) + sum_i min(0, pi_l[i] - pi_t[i]); the generic
+    # bound on the <= row's own duals must agree bit for bit
     rng = np.random.default_rng(18)
     for _ in range(200):
         n = int(rng.integers(1, 10))
         pi_prev = rng.uniform(-20.0, 80.0, size=n)
         pi_now = rng.uniform(-20.0, 80.0, size=n)
         cbar = float(rng.uniform(-30.0, 30.0))
-        mu_prev = float(rng.uniform(-10.0, 10.0))
-        mu_now = float(rng.uniform(-10.0, 10.0))
+        nu_prev = float(rng.uniform(-10.0, 10.0))
+        nu_now = float(rng.uniform(-10.0, 10.0))
         term = negative_part_sum(pi_prev - pi_now)
-        hand = cbar + -1.0 * (mu_prev - mu_now) + term
-        generic = exact_bound(PricingRecord(1, cbar, mu_prev), mu_now, -1.0, term)
+        hand = cbar + -1.0 * (nu_prev - nu_now) + term
+        generic = exact_bound(PricingRecord(1, cbar, -nu_prev), -nu_now, term)
         assert generic == hand
 
 

@@ -24,10 +24,10 @@ def check_against_oracles(inst, blocks, pi, mu):
         values = inst.costs[k] - pi
         cap = int(inst.capacities[k])
         assert cbar == pytest.approx(oracles.knapsack_brute(values, inst.weights[k], cap)
-                                     + mu[k], abs=1e-9)
+                                     - mu[k], abs=1e-9)
         want_v, want_items = oracles.knapsack_brute_items(values, inst.weights[k], cap)
         assert col.block == k and col.native == want_items
-        assert cbar == want_v + mu[k]
+        assert cbar == want_v - mu[k]
         assert (cbar, col) == problem.solve_pricing(k, pi, float(mu[k]))
     return got
 
@@ -64,7 +64,7 @@ def test_ties_heavy_items_and_zero_capacity():
 
 def test_zero_items_and_empty_block_list():
     inst = generate_ga_instance(3, 0, 4)
-    got = check_against_oracles(inst, [2, 1], np.zeros(0), np.array([1.0, 2.0, 3.0]))
+    got = check_against_oracles(inst, [2, 1], np.zeros(0), np.array([-1.0, -2.0, -3.0]))
     assert [(cbar, col.native) for cbar, col in got] == [(3.0, ()), (2.0, ())]
     assert GaBlockProblem(generate_ga_instance(3, 5, 0)).price_blocks([], np.zeros(5),
                                                                       np.zeros(3)) == []
@@ -100,6 +100,7 @@ def test_cached_mc_pricing_matches_plain_rcsp():
     problem = McBlockProblem(inst)
     costs = np.array([a.cost for a in inst.arcs])
     delays = [a.delay for a in inst.arcs]
+    pairs = [(a.tail, a.head) for a in inst.arcs]
     for _ in range(4):
         pi = np.round(rng.uniform(-0.01, 3.0, size=len(inst.arcs)), 3)
         mu = rng.uniform(0.0, 50.0, size=len(inst.commodities))
@@ -107,7 +108,7 @@ def test_cached_mc_pricing_matches_plain_rcsp():
         for k, (cbar, col) in enumerate(got):
             com = inst.commodities[k]
             w = com.bandwidth * (costs + np.maximum(pi, 0.0))
-            _, path = rcsp(inst.num_nodes, inst.arcs, w, delays, com.max_delay,
+            _, path = rcsp(inst.num_nodes, pairs, w, delays, com.max_delay,
                            com.source, com.target)
             assert col.native == path
             assert cbar == com.bandwidth * float(sum(costs[a] + pi[a] for a in path)) - mu[k]

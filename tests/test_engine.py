@@ -3,9 +3,9 @@ import pytest
 
 from colgen import (DualStore, DwdConfig, EngineError, FilterMode, GaBlockProblem,
                     LpModel, LpNumericalError, LpSolution, LpStatus, McBlockProblem,
-                    Strategy, generate_ga_instance, generate_mc_instance,
+                    RowSense, Strategy, generate_ga_instance, generate_mc_instance,
                     parse_mc_instance, reduced_cost, run_dwd)
-from colgen.model import Column
+from colgen.model import BlockProblem, Column
 
 import oracles
 
@@ -59,15 +59,15 @@ def test_dual_store_copies_and_orders():
 
 def test_reduced_cost_zero_duals_is_cost():
     col = Column(0, 7.5, ((0, 2.0), (3, -1.0)))
-    assert reduced_cost(col, np.zeros(4), 0.0, 1.0) == 7.5
+    assert reduced_cost(col, np.zeros(4), 0.0) == 7.5
 
 
 def test_reduced_cost_arithmetic():
     col = Column(0, 10.0, ((0, 2.0),))
     # 10 - 3*2 - 1*4 = 0
-    assert reduced_cost(col, np.array([3.0]), 4.0, 1.0) == pytest.approx(0.0)
-    # sigma -1 flips the convexity part: 10 - 6 + 4 = 8
-    assert reduced_cost(col, np.array([3.0]), 4.0, -1.0) == pytest.approx(8.0)
+    assert reduced_cost(col, np.array([3.0]), 4.0) == pytest.approx(0.0)
+    # a <= convexity row's dual is nonpositive: 10 - 6 - (-4) = 8
+    assert reduced_cost(col, np.array([3.0]), -4.0) == pytest.approx(8.0)
 
 
 # ----------------------------------------------------------------------
@@ -106,6 +106,82 @@ def test_initial_columns_already_optimal():
     assert result.objective == pytest.approx(8.0)
 
 
+class BudgetedCover(BlockProblem):
+    """Two items to cover (>= 1 rows) under a <= weight budget, two blocks.
+
+    Each block's columns are all subsets of the items, enumerated up front;
+    block 0 covers cheaply but heavily, block 1 dearly but lightly, so the
+    budget row binds and carries a nonzero dual.
+    """
+
+    COSTS = ((1.0, 1.0), (4.0, 5.0))
+    WEIGHTS = ((3.0, 3.0), (1.0, 1.0))
+    BUDGET = 3.0
+
+    def __init__(self, convexity):
+        self.convexity = convexity
+        self.columns = [[self.column(k, items) for items in ((), (0,), (1,), (0, 1))]
+                        for k in range(2)]
+
+    def column(self, k, items):
+        weight = sum(self.WEIGHTS[k][i] for i in items)
+        coeffs = tuple((i, 1.0) for i in items) + (((2, weight),) if weight else ())
+        return Column(k, sum(self.COSTS[k][i] for i in items), coeffs, items)
+
+    @property
+    def num_blocks(self):
+        return 2
+
+    def linking_rows(self):
+        return [(RowSense.GE, 1.0), (RowSense.GE, 1.0), (RowSense.LE, self.BUDGET)]
+
+    def convexity_sense(self, block):
+        return self.convexity
+
+    def initial_columns(self):
+        return [cols[0] for cols in self.columns]
+
+    def solve_pricing(self, block, pi, mu_k):
+        priced = [(c.cost - sum(pi[r] * v for r, v in c.coeffs) - mu_k, c)
+                  for c in self.columns[block]]
+        return min(priced, key=lambda p: p[0])
+
+    def hypercube_bound_term(self, block, pi_prev, pi_now):
+        # the exact minimum over the block's columns (the empty one gives 0)
+        return min(sum((pi_prev[r] - pi_now[r]) * v for r, v in c.coeffs)
+                   for c in self.columns[block])
+
+    def heuristic_bound_term(self, block, pi_prev, pi_now, support):
+        return self.hypercube_bound_term(block, pi_prev, pi_now)
+
+    def support_set(self, block):
+        return np.ones(3, dtype=bool)
+
+    def full_master_objective(self):
+        cols = [c for block in self.columns for c in block]
+        coeffs = np.zeros((5, len(cols)))
+        for j, c in enumerate(cols):
+            for r, v in c.coeffs:
+                coeffs[r, j] = v
+            coeffs[3 + c.block, j] = 1.0
+        rows = self.linking_rows() + [(self.convexity, 1.0)] * 2
+        status, objective = oracles.linprog_min([c.cost for c in cols], rows, coeffs)
+        assert status == "optimal"
+        return objective
+
+
+@pytest.mark.parametrize("convexity", [RowSense.LE, RowSense.EQ])
+@pytest.mark.parametrize("mode", [FilterMode.BASELINE, FilterMode.EXACT])
+def test_le_linking_row_and_convexity_senses_reach_the_full_master(convexity, mode):
+    problem = BudgetedCover(convexity)
+    result = run_dwd(problem, config(mode, Strategy.ALL, audit=True, max_iterations=200))
+    assert result.termination == "optimal"
+    assert result.objective == pytest.approx(problem.full_master_objective(), abs=1e-6)
+    assert result.audit.ok
+    assert result.audit.final_checks == problem.num_blocks
+    assert result.duals.linking[2] < -1e-6  # the budget binds; its dual is <= 0
+
+
 def test_exact_strategies_match_baseline():
     for make in (lambda s: ga_problem(seed=s), lambda s: mc_problem(seed=s)):
         for seed in range(4):
@@ -115,6 +191,17 @@ def test_exact_strategies_match_baseline():
                 rel = abs(again.objective - base.objective) / max(1.0, abs(base.objective))
                 assert rel <= 1e-6, f"seed {seed} {strategy} diverged by {rel}"
                 assert again.termination == "optimal"
+
+
+def test_heuristic_stop_is_labelled_converged_not_optimal():
+    # on this instance the heuristic skips hide improving columns and the run
+    # stops above the optimum that baseline reaches
+    inst = generate_ga_instance(100, 10, 12)
+    base = run_dwd(GaBlockProblem(inst), config(audit=True))
+    heur = run_dwd(GaBlockProblem(inst), config(FilterMode.HEURISTIC, Strategy.ALL, audit=True))
+    assert (base.termination, base.objective) == ("optimal", pytest.approx(20.0))
+    assert (heur.termination, heur.objective) == ("converged", pytest.approx(22.0))
+    assert heur.audit.final_checks == 0 and heur.audit.heuristic_unsound_skips > 0
 
 
 def test_heuristic_runs_stay_feasible_and_above_optimum():
@@ -212,7 +299,7 @@ def test_basic_columns_price_to_zero():
     mu = result.duals.convexity
     for col, value in zip(result.columns, result.column_values):
         if value > 1e-9:
-            rc = reduced_cost(col, pi, float(mu[col.block]), -1.0)
+            rc = reduced_cost(col, pi, float(mu[col.block]))
             assert abs(rc) <= 1e-7, f"basic column with reduced cost {rc}"
 
 

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from colgen import (DualStore, FilterDecision, FilterMode, PricingRecord, RowSense,
-                    Strategy, SupportSet, exact_bound, select_records, should_filter)
-from colgen.filtering import negative_part_sum, restricted_negative_part_sum
+                    Strategy, exact_bound, select_records, should_filter)
+from colgen.filtering import negative_part_sum
 from colgen.model import BlockProblem, Column
 
 
@@ -12,7 +12,8 @@ class BoxProblem(BlockProblem):
 
     def __init__(self, rows, support_rows=()):
         self.rows = rows
-        self._support = frozenset(support_rows)
+        self._support = np.zeros(rows, dtype=bool)
+        self._support[list(support_rows)] = True
 
     @property
     def num_blocks(self):
@@ -34,10 +35,10 @@ class BoxProblem(BlockProblem):
         return negative_part_sum(pi_prev - pi_now)
 
     def heuristic_bound_term(self, block, pi_prev, pi_now, support):
-        return restricted_negative_part_sum(pi_prev - pi_now, sorted(support.rows))
+        return negative_part_sum((pi_prev - pi_now)[support])
 
     def support_set(self, block):
-        return SupportSet(block, self._support)
+        return self._support
 
 
 def test_negative_part_sum_examples():
@@ -48,23 +49,25 @@ def test_negative_part_sum_examples():
 
 def test_restricted_sum_examples():
     d = np.array([-1.0, -4.0])
-    assert restricted_negative_part_sum(d, [0]) == pytest.approx(-1.0)
-    assert restricted_negative_part_sum(d, []) == 0.0
-    assert restricted_negative_part_sum(d, [0, 1]) == negative_part_sum(d)
+    assert negative_part_sum(d[np.array([True, False])]) == pytest.approx(-1.0)
+    assert negative_part_sum(d[np.zeros(2, dtype=bool)]) == 0.0
+    assert negative_part_sum(d[np.ones(2, dtype=bool)]) == negative_part_sum(d)
 
 
 def test_exact_bound_is_record_cost_at_zero_drift():
     rec = PricingRecord(3, -7.25, 1.5)
     # same iteration: no mu drift, no term -> exactly the stored value
-    assert exact_bound(rec, 1.5, 1.0, 0.0) == rec.reduced_cost
+    assert exact_bound(rec, 1.5, 0.0) == rec.reduced_cost
 
 
 def test_exact_bound_arithmetic():
     rec = PricingRecord(1, 5.0, 2.0)
-    assert exact_bound(rec, 2.0, 1.0, -2.0) == pytest.approx(3.0)
-    # sigma flips how convexity drift enters
-    assert exact_bound(rec, 0.0, -1.0, 0.0) == pytest.approx(3.0)
-    assert exact_bound(rec, 0.0, 1.0, 0.0) == pytest.approx(7.0)
+    assert exact_bound(rec, 2.0, -2.0) == pytest.approx(3.0)
+    # convexity drift enters as mu(l) - mu(t), whatever the row's sense: a
+    # >= row's dual falling from 2 to 0 raises the bound, and a <= row's
+    # (nonpositive) dual rising from -2 to 0 lowers it
+    assert exact_bound(rec, 0.0, 0.0) == pytest.approx(7.0)
+    assert exact_bound(PricingRecord(1, 5.0, -2.0), 0.0, 0.0) == pytest.approx(3.0)
 
 
 def history(*pairs):
@@ -96,12 +99,10 @@ def test_select_records_empty_history():
         assert select_records(strategy, [], 1e-4) == []
 
 
-def run_filter(problem, store, hist, pi_now, mode, strategy, mu_now=0.0,
-               sigma=1.0, epsilon=1e-4):
+def run_filter(problem, store, hist, pi_now, mode, strategy, mu_now=0.0, epsilon=1e-4):
     support = problem.support_set(0) if mode is FilterMode.HEURISTIC else None
     return should_filter(0, max(store.retained_iterations, default=0) + 1, pi_now,
-                         store, hist, mu_now, sigma, problem, support, mode,
-                         strategy, epsilon)
+                         store, hist, mu_now, problem, support, mode, strategy, epsilon)
 
 
 def test_baseline_never_skips():
@@ -230,7 +231,7 @@ def test_strategy_nesting_on_random_states():
         results = {}
         for strategy in Strategy:
             results[strategy] = should_filter(
-                0, t_max, pi_now, store, hist, mu_now, 1.0, problem, None,
+                0, t_max, pi_now, store, hist, mu_now, problem, None,
                 FilterMode.EXACT, strategy, 1e-4)
         if results[Strategy.COMPUTED].skip:
             assert results[Strategy.ALL].skip

@@ -182,6 +182,21 @@ def test_warm_start_stays_correct_under_column_stream():
         assert sol.objective == pytest.approx(reference, abs=1e-6, rel=1e-6)
 
 
+def test_column_accessors_read_back_through_the_row_scaling():
+    # internally every row is scaled by +-1 according to its sense and the
+    # sign of its rhs; the accessors give back what was added
+    rows = [(RowSense.GE, 2.0), (RowSense.GE, -2.0), (RowSense.LE, 3.0),
+            (RowSense.LE, -3.0), (RowSense.EQ, 1.0), (RowSense.EQ, -1.0)]
+    model = LpModel(rows)
+    assert model.add_column(1.25, [(5, 0.3), (0, -1.7), (3, 2.0), (5, 0.4), (1, 0.1)]) == 0
+    assert model.add_column(-4.0, {}) == 1
+    assert model.num_cols == 2
+    assert (model.column_cost(0), model.column_cost(1)) == (1.25, -4.0)
+    assert list(model.column_coeffs(0).items()) == [(5, 0.3 + 0.4), (0, -1.7), (3, 2.0),
+                                                    (1, 0.1)]
+    assert model.column_coeffs(1) == {}
+
+
 def cold_copy(model):
     """A fresh model with the same rows and columns, so its solve starts cold."""
     fresh = LpModel([(model.row_sense(i), model.row_rhs(i)) for i in range(model.num_rows)])
@@ -280,6 +295,12 @@ def test_long_warm_solve_refactors_twice_and_matches_cold_solve():
     assert_matches_cold_solve(model, sol)
 
 
+def internal_columns(model):
+    """Internal indices of the structural columns and of the row artificials."""
+    first = model._first_struct
+    return first + np.arange(model.num_cols), first - model.num_rows + np.arange(model.num_rows)
+
+
 def internal_basis_matrix(model, basis):
     """The internal basis columns as a dense (rows x rows) matrix."""
     out = np.zeros((model.num_rows, len(basis)))
@@ -300,14 +321,13 @@ def test_core_inverse_equals_dense_inverse():
     for _ in range(40):  # multi-entry columns
         support = rng.choice(m, size=int(rng.integers(2, 6)), replace=False)
         model.add_column(1.0, [(int(i), float(rng.uniform(-3.0, 3.0))) for i in support])
-    model._build()
-    struct = np.asarray(model._struct_int)
-    kind = model._kind[: model._n_int]
-    surplus = {int(model._row[model._ptr[j]]): j for j in np.flatnonzero(kind == 1)}
+    struct, art = internal_columns(model)
+    # the surplus columns are the internal columns before the artificials
+    surplus = {int(model._row[model._ptr[j]]): j for j in range(art[0])}
     assert sorted(model._val[model._ptr[j]] for j in surplus.values()) == [-1.0] * 5 + [1.0] * 4
 
     def unit_on(i):
-        options = [int(model._art_int[i]), int(struct[i])] + (
+        options = [int(art[i]), int(struct[i])] + (
             [surplus[i]] if i in surplus else [])
         return options[rng.integers(len(options))]
 
@@ -332,9 +352,8 @@ def test_core_inverse_rejects_singular_unit_columns():
     model.add_column(1.0, [(0, 1.0)])
     model.add_column(1.0, [(0, 2.0)])
     model.add_column(1.0, [(1, 1.0), (1, -1.0)])  # a unit column whose entry is 0
-    model._build()
-    s0, s1, zero = model._struct_int
-    good = np.array([s1, model._art_int[1]])
+    (s0, s1, zero), art = internal_columns(model)
+    good = np.array([s1, art[1]])
     assert model._basis_inverse(good) == pytest.approx(np.diag([0.5, 1.0]))
     with pytest.raises(np.linalg.LinAlgError):
         model._basis_inverse(np.array([s0, s1]))  # two unit columns on row 0
@@ -343,13 +362,15 @@ def test_core_inverse_rejects_singular_unit_columns():
 
 
 def test_unit_columns_sharing_a_row_name_phase_and_pivot():
-    # the phase-1 start basis holds row 0's artificial and row 0's surplus;
-    # row 1 is never priced in, so both reach the first refactorization
+    # row 1's artificial is moved onto row 0, so the phase-1 start basis holds
+    # two unit columns on row 0; no column covers row 1, so that artificial
+    # never leaves and both attempts reach their first refactorization
     model = LpModel([(RowSense.GE, 1.0 + i % 3) for i in range(150)])
     for i in range(150):
-        model.add_column(1.0, [(i, 1.0)])
-    model._build()
-    model._art_int[1] = len(model._struct_int)  # surplus columns follow, row 0 first
+        if i != 1:
+            model.add_column(1.0, [(i, 1.0)])
+    _, art = internal_columns(model)
+    model._row[model._ptr[art[1]]] = 0
     with pytest.raises(LpNumericalError) as info:
         model.solve()
     msg = str(info.value)
