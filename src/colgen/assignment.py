@@ -83,8 +83,10 @@ class GaInstance:
 
 def parse_ga_instance(text: str) -> GaInstance:
     header = None
-    caps: dict[int, int] = {}
-    entries: dict[tuple[int, int], tuple[int, int]] = {}
+    # index -> (values, line number); an index is checked against the header
+    # once the header is known, wherever it sits in the file
+    caps: dict[int, tuple[int, int]] = {}
+    entries: dict[tuple[int, int], tuple[int, int, int]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -97,14 +99,18 @@ def parse_ga_instance(text: str) -> GaInstance:
                 if len(parts) != 3:
                     raise ValueError("ga header takes 2 values")
                 header = (int(parts[1]), int(parts[2]))
+                if header[0] < 0 or header[1] < 1:
+                    raise ValueError("ga header needs a nonnegative item count and at "
+                                     "least one bin")
             elif parts[0] == "bin":
                 if len(parts) != 3:
                     raise ValueError("bin takes 2 values")
-                caps[int(parts[1])] = int(parts[2])
+                caps[int(parts[1])] = (int(parts[2]), lineno)
             elif parts[0] == "item":
                 if len(parts) != 5:
                     raise ValueError("item takes 4 values")
-                entries[(int(parts[1]), int(parts[2]))] = (int(parts[3]), int(parts[4]))
+                entries[(int(parts[1]), int(parts[2]))] = (int(parts[3]), int(parts[4]),
+                                                           lineno)
             else:
                 raise ValueError(f"unknown directive {parts[0]!r}")
         except ValueError as exc:
@@ -112,18 +118,25 @@ def parse_ga_instance(text: str) -> GaInstance:
     if header is None:
         raise GaParseError("missing ga header")
     m, bins = header
+    for k, (_, lineno) in caps.items():
+        if not 0 <= k < bins:
+            raise GaParseError(f"line {lineno}: bin {k} outside the header's {bins} bins")
+    for (i, k), (_, _, lineno) in entries.items():
+        if not (0 <= i < m and 0 <= k < bins):
+            raise GaParseError(f"line {lineno}: item {i}, bin {k} outside the header's "
+                               f"{m} items x {bins} bins")
     costs = np.zeros((bins, m), dtype=np.int64)
     weights = np.zeros((bins, m), dtype=np.int64)
     capacities = np.zeros(bins, dtype=np.int64)
     for k in range(bins):
         if k not in caps:
             raise GaParseError(f"missing bin line for bin {k}")
-        capacities[k] = caps[k]
+        capacities[k] = caps[k][0]
     for i in range(m):
         for k in range(bins):
             if (i, k) not in entries:
                 raise GaParseError(f"missing item line for item {i}, bin {k}")
-            costs[k, i], weights[k, i] = entries[(i, k)]
+            costs[k, i], weights[k, i], _ = entries[(i, k)]
     try:
         return GaInstance(m, bins, costs, weights, capacities)
     except ValueError as exc:
@@ -266,9 +279,10 @@ class GaBlockProblem(BlockProblem):
         return Column(block=block, cost=cost, coeffs=coeffs, native=items)
 
     def initial_columns(self):
-        # one empty pattern per bin; item coverage starts on the engine's
-        # high-cost fallback columns until pricing fills it in
-        return [self.assignment_column(k, ()) for k in range(self.inst.num_bins)]
+        # none: an empty pattern would duplicate its bin row's slack, so item
+        # coverage starts on the engine's fallback columns until pricing
+        # fills it in
+        return []
 
     def price_blocks(self, blocks, pi, mu):
         """All bins in one `knapsack_min_batch` call."""

@@ -136,7 +136,8 @@ class AuditReport:
 @dataclass
 class DwdResult:
     objective: float
-    termination: str  # "optimal" | "converged" (heuristic mode) | "iteration_limit"
+    # "optimal" | "converged" (heuristic mode) | "artificial" | "iteration_limit"
+    termination: str
     stats: RunStats
     per_block_added: tuple[int, ...]
     columns: tuple[Column, ...]
@@ -157,6 +158,7 @@ def reduced_cost(column: Column, pi: np.ndarray, mu_k: float) -> float:
 
 
 _RC_CHECK_TOL = 1e-7
+_ARTIFICIAL_TOL = 1e-7
 
 
 def run_dwd(problem: BlockProblem, config: DwdConfig | None = None) -> DwdResult:
@@ -164,9 +166,10 @@ def run_dwd(problem: BlockProblem, config: DwdConfig | None = None) -> DwdResult
 
     The master always stays feasible: one high-cost fallback column is
     attached to every row, priced far above any real column, so it only
-    carries weight while real coverage is missing (or the instance itself is
-    infeasible, which then shows up as a large objective and a positive
-    `artificial_value`).
+    carries weight while real coverage is missing.  A run whose last master
+    still puts weight on them (`artificial_value` above 1e-7) when pricing
+    adds nothing ends `artificial`: its objective carries the fallback price,
+    and the instance may be infeasible or need columns pricing never found.
     """
     t_start = time.perf_counter()
     if config is None:
@@ -236,7 +239,7 @@ def run_dwd(problem: BlockProblem, config: DwdConfig | None = None) -> DwdResult
         decisions = []
         for k in range(num_blocks):
             support = problem.support_set(k) if config.mode is FilterMode.HEURISTIC else None
-            fd = should_filter(k, t, pi, store, history[k], float(mu[k]), problem, support,
+            fd = should_filter(k, pi, store, history[k], float(mu[k]), problem, support,
                                config.mode, config.strategy, config.epsilon)
             stats.bounds_evaluated += fd.bounds_evaluated
             stats.records_skipped_evicted += fd.records_evicted
@@ -288,6 +291,11 @@ def run_dwd(problem: BlockProblem, config: DwdConfig | None = None) -> DwdResult
             termination = "converged" if config.mode is FilterMode.HEURISTIC else "optimal"
             break
 
+    x = last_sol.x
+    artificial_value = float(sum(x[j] for j in artificial_idx))
+    if termination != "iteration_limit" and artificial_value > _ARTIFICIAL_TOL:
+        termination = "artificial"
+
     if audit is not None and termination == "optimal":
         final = problem.price_blocks(list(range(num_blocks)), pi, mu)
         for k, (cbar_f, col_f) in zip(range(num_blocks), final, strict=True):
@@ -300,12 +308,10 @@ def run_dwd(problem: BlockProblem, config: DwdConfig | None = None) -> DwdResult
 
     stats.iterations = iterations
     stats.wall_time_s = time.perf_counter() - t_start
-    x = last_sol.x
     values = np.zeros(len(columns))
     for idx, j in enumerate(col_lp_idx):
         if j < len(x):
             values[idx] = x[j]
-    artificial_value = float(sum(x[j] for j in artificial_idx if j < len(x)))
     duals = DualSolution(iterations, pi.copy(), mu.copy())
     return DwdResult(
         objective=last_sol.objective,

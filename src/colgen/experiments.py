@@ -132,27 +132,26 @@ def _shape_label(instance) -> str:
     return "(" + ", ".join(str(int(v)) for v in instance.shape) + ")"
 
 
-def run_single(problem: str, instance, strategy: str, epsilon: float,
-               retain_duals: int | None, audit: bool, max_iterations: int):
+def run_single(config: ExperimentConfig, instance, strategy: str):
+    """One `run_dwd` of `instance` under `strategy` and the config's settings."""
     mode, selection = STRATEGIES[strategy]
-    config = DwdConfig(mode=mode, strategy=selection, epsilon=epsilon,
-                       retain_duals=retain_duals, max_iterations=max_iterations,
-                       audit=audit)
-    return run_dwd(make_problem(problem, instance), config)
+    dwd = DwdConfig(mode=mode, strategy=selection, epsilon=config.epsilon,
+                    retain_duals=config.retain_duals, max_iterations=config.max_iterations,
+                    audit=config.audit)
+    return run_dwd(make_problem(config.problem, instance), dwd)
 
 
-def _run_instance(problem: str, name: str, instance, strategies, epsilon,
-                  retain_duals, audit, max_iterations, time_metrics: bool):
+def _run_instance(config: ExperimentConfig, name: str, instance):
     """All strategies for one instance; returns (row, failures, violations)."""
-    order = ["baseline"] + [s for s in strategies if s != "baseline"]
-    row = ReportRow(problem, name, _shape_label(instance), {})
+    order = ["baseline"] + [s for s in config.strategies if s != "baseline"]
+    time_metrics = config.jobs == 1
+    row = ReportRow(config.problem, name, _shape_label(instance), {})
     failures: list[RunFailure] = []
     violations: list[str] = []
     base: StrategyResult | None = None
     for strat in order:
         try:
-            result = run_single(problem, instance, strat, epsilon, retain_duals,
-                                audit, max_iterations)
+            result = run_single(config, instance, strat)
         except Exception as exc:
             failures.append(RunFailure(name, strat, f"{type(exc).__name__}: {exc}"))
             continue
@@ -192,10 +191,7 @@ def run_experiment(config: ExperimentConfig, instances) -> ExperimentReport:
     wall times from a loaded machine are not comparable.
     """
     report = ExperimentReport()
-    time_metrics = config.jobs == 1
-    args = [(config.problem, name, inst, tuple(config.strategies), config.epsilon,
-             config.retain_duals, config.audit, config.max_iterations, time_metrics)
-            for name, inst in instances]
+    args = [(config, name, inst) for name, inst in instances]
     if config.jobs == 1:
         outcomes = [_run_instance(*a) for a in args]
     else:

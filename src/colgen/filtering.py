@@ -90,8 +90,8 @@ def select_records(strategy: Strategy, history, epsilon: float) -> list[PricingR
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
-def should_filter(block: int, iteration: int, pi_now: np.ndarray, dual_store,
-                  history, mu_now: float, problem: BlockProblem, support: np.ndarray | None,
+def should_filter(block: int, pi_now: np.ndarray, dual_store, history, mu_now: float,
+                  problem: BlockProblem, support: np.ndarray | None,
                   mode: FilterMode, strategy: Strategy, epsilon: float) -> FilterDecision:
     """Evaluate screening bounds for one block at the current duals.
 

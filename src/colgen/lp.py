@@ -10,7 +10,7 @@ direction touches; the basic values and the duals are carried across pivots
 by the same step and recomputed exactly at each refactorization, and the ratio
 test runs over the direction's nonzeros only.  Every few pivots the inverse is
 rebuilt from the basis columns: columns with a single nonzero (surplus,
-artificial, convexity-only patterns) are eliminated on their rows and only the
+artificial, single-row structural) are eliminated on their rows and only the
 square core of the rest is inverted.  Columns can be appended after a solve:
 that leaves the basis and its inverse valid, so a re-solve resumes from both,
 which keeps re-solves cheap in column-generation loops.  A solve's returned
@@ -85,16 +85,15 @@ class LpModel:
     """
 
     def __init__(self, rows):
-        self._senses: list[RowSense] = []
-        self._rhs: list[float] = []
-        for sense, rhs in rows:
+        senses, rhs = [], []
+        for sense, b in rows:
             if not isinstance(sense, RowSense):
                 raise LpStructureError(f"row sense must be RowSense, got {sense!r}")
-            rhs = float(rhs)
-            if not np.isfinite(rhs):
+            b = float(b)
+            if not np.isfinite(b):
                 raise LpStructureError("row rhs must be finite")
-            self._senses.append(sense)
-            self._rhs.append(rhs)
+            senses.append(sense)
+            rhs.append(b)
         # last optimal basis and its inverse; dropped while a solve runs, so a
         # solve that ends in anything but an optimum leaves neither behind
         self._basis: np.ndarray | None = None
@@ -107,61 +106,40 @@ class LpModel:
         # the non-equality rows come first, then one artificial per row, then
         # the structural columns, so structural column j is internal column
         # _first_struct + j.
-        u = np.array([-1.0 if s is RowSense.LE else 1.0 for s in self._senses])
-        b1 = np.asarray(self._rhs, dtype=float) * u
+        u = np.array([-1.0 if s is RowSense.LE else 1.0 for s in senses])
+        b1 = np.asarray(rhs, dtype=float) * u
         s = np.where(b1 < 0, -1.0, 1.0)
         self._row_mult = u * s
         self._beq = b1 * s
-        self._ptr: list[int] = [0]
-        self._row = np.zeros(0, dtype=np.int64)
-        self._val = np.zeros(0)
-        self._col = np.zeros(0, dtype=np.int64)
-        self._c2 = np.zeros(0)
-        self._n_int = 0
-        for i, sense in enumerate(self._senses):
-            if sense is not RowSense.EQ:
-                # surplus of the >= form, scaled
-                self._append_internal([i], [-s[i]], 0.0)
-        for i in range(self.num_rows):
-            self._append_internal([i], [1.0], 0.0)
-        self._first_struct = self._n_int
+        # the surplus of each non-equality row's >= form, scaled, sits on that
+        # row alone, and so does each row's artificial
+        surplus = np.flatnonzero([sense is not RowSense.EQ for sense in senses])
+        self._row = np.concatenate([surplus, np.arange(len(senses))])
+        self._val = np.concatenate([-s[surplus], np.ones(len(senses))])
+        self._n_int = self._first_struct = len(self._row)
+        self._col = np.arange(self._n_int)
+        self._c2 = np.zeros(self._n_int)
+        self._ptr: list[int] = list(range(self._n_int + 1))
 
     # ------------------------------------------------------------------
     @property
     def num_rows(self) -> int:
-        return len(self._senses)
+        return len(self._beq)
 
     @property
     def num_cols(self) -> int:
         return self._n_int - self._first_struct
 
-    def row_sense(self, i: int) -> RowSense:
-        return self._senses[i]
-
-    def row_rhs(self, i: int) -> float:
-        return self._rhs[i]
-
-    def column_cost(self, j: int) -> float:
-        return float(self._c2[self._first_struct + j])
-
-    def column_coeffs(self, j: int) -> dict[int, float]:
-        lo, hi = self._ptr[self._first_struct + j], self._ptr[self._first_struct + j + 1]
-        rows = self._row[lo:hi]
-        # the row multipliers are +-1, so this undoes the scaling exactly
-        return dict(zip(rows.tolist(), (self._val[lo:hi] / self._row_mult[rows]).tolist()))
-
     def add_column(self, cost, coeffs) -> int:
-        """Append a variable; `coeffs` maps row index to coefficient.
+        """Append a variable; `coeffs` is an iterable of (row, value) pairs.
 
-        Accepts a dict or an iterable of (row, value) pairs; repeated rows
-        accumulate.  Returns the new column's index.
+        Repeated rows accumulate.  Returns the new column's index.
         """
         cost = float(cost)
         if not np.isfinite(cost):
             raise LpStructureError("column cost must be finite")
         acc: dict[int, float] = {}
-        items = coeffs.items() if isinstance(coeffs, dict) else coeffs
-        for row, val in items:
+        for row, val in coeffs:
             row = int(row)
             if row < 0 or row >= self.num_rows:
                 raise LpStructureError(f"column references unknown row {row}")
@@ -171,11 +149,6 @@ class LpModel:
             acc[row] = acc.get(row, 0.0) + val
         rows = np.fromiter(acc, dtype=np.int64, count=len(acc))
         vals = np.fromiter(acc.values(), dtype=float, count=len(acc))
-        self._append_internal(rows, vals * self._row_mult[rows], cost)
-        return self.num_cols - 1
-
-    # ------------------------------------------------------------------
-    def _append_internal(self, rows, vals, cost: float):
         j, start = self._n_int, self._ptr[-1]
         end = start + len(rows)
         if j == len(self._c2):
@@ -184,20 +157,22 @@ class LpModel:
             self._row, self._val, self._col = (
                 _grown(a, end) for a in (self._row, self._val, self._col))
         self._row[start:end] = rows
-        self._val[start:end] = vals
+        self._val[start:end] = vals * self._row_mult[rows]
         self._col[start:end] = j
         self._ptr.append(end)
         self._c2[j] = cost
         self._n_int += 1
+        return self.num_cols - 1
 
+    # ------------------------------------------------------------------
     def _is_artificial(self, cols: np.ndarray) -> np.ndarray:
         return (cols >= self._first_struct - self.num_rows) & (cols < self._first_struct)
 
     def _basis_inverse(self, basis: np.ndarray) -> np.ndarray:
         """B^-1 of the basis columns, inverting only their multi-entry core.
 
-        A basis column with one nonzero (surplus, artificial, a pattern that
-        only touches its convexity row) is eliminated on its own row; in a
+        A basis column with one nonzero (surplus, artificial, a structural
+        column on a single row) is eliminated on its own row; in a
         nonsingular basis those rows are distinct.  The other columns form a
         square core on the remaining rows, and B^-1 is assembled in block form
         from the core's inverse.  Raises LinAlgError for a singular basis.
@@ -375,47 +350,3 @@ class LpModel:
                 xb = np.maximum(b_inv @ beq, 0.0)
             if pivots > max_pivots:
                 raise _Breakdown(f"phase {phase}, pivot {pivots}: pivot limit exceeded")
-
-
-def optimality_report(model: LpModel, sol: LpSolution) -> dict:
-    """Certificate residuals for an OPTIMAL solution, for checks and tests.
-
-    Returns primal/dual objectives, worst row violation, worst dual-sign
-    violation, and the complementary-slackness residual.
-    """
-    if sol.status is not LpStatus.OPTIMAL:
-        raise ValueError("optimality_report needs an optimal solution")
-    m, n = model.num_rows, model.num_cols
-    activity = np.zeros(m)
-    for j in range(n):
-        xj = sol.x[j]
-        if xj == 0.0:
-            continue
-        for row, val in model.column_coeffs(j).items():
-            activity[row] += val * xj
-    row_violation = 0.0
-    dual_sign_violation = 0.0
-    comp_slack = 0.0
-    dual_obj = 0.0
-    for i in range(m):
-        rhs = model.row_rhs(i)
-        sense = model.row_sense(i)
-        slack = activity[i] - rhs
-        if sense is RowSense.GE:
-            row_violation = max(row_violation, -slack)
-            dual_sign_violation = max(dual_sign_violation, -sol.duals[i])
-        elif sense is RowSense.LE:
-            row_violation = max(row_violation, slack)
-            dual_sign_violation = max(dual_sign_violation, sol.duals[i])
-        else:
-            row_violation = max(row_violation, abs(slack))
-        comp_slack = max(comp_slack, abs(sol.duals[i] * slack))
-        dual_obj += sol.duals[i] * rhs
-    return {
-        "primal_objective": sol.objective,
-        "dual_objective": dual_obj,
-        "duality_gap": abs(sol.objective - dual_obj),
-        "row_violation": row_violation,
-        "dual_sign_violation": dual_sign_violation,
-        "complementary_slackness": comp_slack,
-    }

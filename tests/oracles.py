@@ -13,7 +13,7 @@ import networkx as nx
 import numpy as np
 import scipy.optimize
 
-from colgen import RowSense
+from colgen import LpStatus, RowSense
 
 
 # ----------------------------------------------------------------------
@@ -88,6 +88,37 @@ def linprog_min(costs, rows, coeffs):
     if res.status == 3:
         return "unbounded", None
     raise RuntimeError(f"linprog gave status {res.status}: {res.message}")
+
+
+def optimality_report(costs, rows, coeffs, sol):
+    """Certificate residuals of an OPTIMAL LpSolution of min costs@x s.t. rows.
+
+    `rows` is [(sense, rhs)] and `coeffs` the dense row-major matrix, the
+    LP's own inputs.  Returns the primal and dual objectives and the worst
+    row violation, dual-sign violation, reduced-cost violation (a negative
+    `c - A'y`) and complementary-slackness residual; all residuals are
+    nonnegative and vanish at an exact optimum.
+    """
+    if sol.status is not LpStatus.OPTIMAL:
+        raise ValueError("optimality_report needs an optimal solution")
+    coeffs = np.asarray(coeffs, dtype=float).reshape(len(rows), len(costs))
+    rhs = np.array([r for _, r in rows], dtype=float)
+    ge = np.array([s is RowSense.GE for s, _ in rows], dtype=bool)
+    le = np.array([s is RowSense.LE for s, _ in rows], dtype=bool)
+    slack = coeffs @ sol.x - rhs
+    y = sol.duals
+    dual_obj = float(y @ rhs)
+    row_violation = np.concatenate([-slack[ge], slack[le], np.abs(slack[~(ge | le)])])
+    return {
+        "primal_objective": sol.objective,
+        "dual_objective": dual_obj,
+        "duality_gap": abs(sol.objective - dual_obj),
+        "row_violation": float(row_violation.max(initial=0.0)),
+        "dual_sign_violation": float(np.concatenate([-y[ge], y[le]]).max(initial=0.0)),
+        "reduced_cost_violation": float((coeffs.T @ y - np.asarray(costs, dtype=float))
+                                        .max(initial=0.0)),
+        "complementary_slackness": float(np.abs(y * slack).max(initial=0.0)),
+    }
 
 
 # ----------------------------------------------------------------------

@@ -17,9 +17,8 @@ import pytest
 from colgen import (GaBlockProblem, LpModel, LpStatus, McBlockProblem,
                     generate_ga_instance, generate_mc_instance, knapsack_min,
                     rcsp)
-from colgen.lp import optimality_report
-from colgen.experiments import (format_pct, gap_pct, pct_reduction,
-                                run_single)
+from colgen.experiments import (ExperimentConfig, format_pct, gap_pct,
+                                pct_reduction, run_single)
 
 import oracles
 
@@ -40,7 +39,7 @@ def rel_diff(a: float, b: float) -> float:
 
 
 def solve(problem: str, inst, strategy: str, audit=False):
-    return run_single(problem, inst, strategy, 1e-4, None, audit, 10_000)
+    return run_single(ExperimentConfig(problem, audit=audit), inst, strategy)
 
 
 @pytest.fixture(scope="session")
@@ -340,9 +339,9 @@ def test_criterion_10_lp_core_strong_duality():
         if sol.status is not LpStatus.OPTIMAL:
             bad += 1
             continue
-        report = optimality_report(model, sol)
+        report = oracles.optimality_report(costs, rows, coeffs, sol)
         worst_gap = max(worst_gap, report["duality_gap"], report["row_violation"],
-                        report["dual_sign_violation"],
+                        report["dual_sign_violation"], report["reduced_cost_violation"],
                         report["complementary_slackness"])
         want = oracles.vertex_enumeration_min(costs, rows, coeffs)
         if want is None:

@@ -26,6 +26,17 @@ def test_parse_errors_name_lines():
         parse_ga_instance("ga 1 2\nbin 0 5\nitem 0 0 1 1\nitem 0 1 1 1\n")
     with pytest.raises(GaParseError, match="missing item line"):
         parse_ga_instance("ga 1 1\nbin 0 5\n")
+    # indices outside the header's counts, and a negative bin count
+    with pytest.raises(GaParseError, match="line 3: bin 5 outside"):
+        parse_ga_instance("ga 1 1\nbin 0 10\nbin 5 3\nitem 0 0 4 2\n")
+    with pytest.raises(GaParseError, match="line 3: item 3, bin 0 outside"):
+        parse_ga_instance("ga 1 1\nbin 0 10\nitem 3 0 1 1\nitem 0 0 4 2\n")
+    with pytest.raises(GaParseError, match="line 4: item 0, bin 9 outside"):
+        parse_ga_instance("ga 1 1\nbin 0 10\nitem 0 0 4 2\nitem 0 9 1 1\n")
+    with pytest.raises(GaParseError, match="line 2: item -1, bin 0 outside"):
+        parse_ga_instance("ga 1 1\nitem -1 0 1 1\nbin 0 10\nitem 0 0 4 2\n")
+    with pytest.raises(GaParseError, match="line 1: ga header needs"):
+        parse_ga_instance("ga 2 -1\n")
 
 
 def test_round_trip_on_generated_instances():
@@ -122,15 +133,6 @@ def test_pricing_matches_subset_enumeration():
         want = oracles.knapsack_brute(values, inst.weights[k], int(inst.capacities[k]))
         assert cbar == pytest.approx(want - mu, abs=1e-9)
         assert sum(int(inst.weights[k, i]) for i in col.native) <= int(inst.capacities[k])
-
-
-def test_initial_columns_one_empty_per_bin():
-    inst = generate_ga_instance(6, 4, 2)
-    problem = GaBlockProblem(inst)
-    cols = problem.initial_columns()
-    assert len(cols) == 6
-    assert all(c.cost == 0.0 and c.coeffs == () for c in cols)
-    assert [c.block for c in cols] == list(range(6))
 
 
 def test_support_set_union():

@@ -4,7 +4,7 @@ import pytest
 from colgen import (DualStore, DwdConfig, EngineError, FilterMode, GaBlockProblem,
                     LpModel, LpNumericalError, LpSolution, LpStatus, McBlockProblem,
                     RowSense, Strategy, generate_ga_instance, generate_mc_instance,
-                    parse_mc_instance, reduced_cost, run_dwd)
+                    parse_ga_instance, parse_mc_instance, reduced_cost, run_dwd)
 from colgen.model import BlockProblem, Column
 
 import oracles
@@ -229,8 +229,8 @@ def test_stats_invariants_and_counts():
     assert stats.pricing_calls <= stats.iterations * k
     assert stats.columns_added <= stats.pricing_calls
     assert sum(result.per_block_added) == stats.columns_added
-    assert result.initial_column_count == k
-    assert len(result.columns) == k + stats.columns_added
+    assert result.initial_column_count == 0  # ga seeds no columns
+    assert len(result.columns) == stats.columns_added
     assert stats.filters_succeeded <= stats.filters_attempted
     assert stats.wall_time_s > 0
     priced = sum(1 for it in result.trace for b in it.blocks if b.decision == "priced")
@@ -309,6 +309,25 @@ def test_iteration_limit_reported():
     assert result.stats.iterations == 1
 
 
+@pytest.mark.parametrize("item_line, optimum", [("item 0 0 50000 1", 50000.0),
+                                                ("item 0 0 5 11", None)])
+def test_weight_left_on_fallback_columns_is_not_optimal(item_line, optimum):
+    # the first instance is feasible with an optimum above the fallback
+    # price; the second is infeasible (weight 11 > capacity 10).  Both stop
+    # at the fallback price with no improving column in sight.
+    inst = parse_ga_instance(f"ga 1 1\nbin 0 10\n{item_line}\n")
+    if optimum is None:
+        with pytest.raises(RuntimeError, match="not optimal"):
+            oracles.ga_full_master_objective(inst)
+    else:
+        assert oracles.ga_full_master_objective(inst) == pytest.approx(optimum)
+    for mode in FilterMode:
+        result = run_dwd(GaBlockProblem(inst), config(mode, audit=True))
+        assert (result.termination, result.objective) == ("artificial", pytest.approx(1e4))
+        assert result.artificial_value == pytest.approx(1.0)
+        assert result.audit.final_checks == 0  # the final sweep certifies optima only
+
+
 def test_master_failures_name_iteration_and_lp_size(monkeypatch):
     real_solve = LpModel.solve
     calls = []
@@ -323,10 +342,10 @@ def test_master_failures_name_iteration_and_lp_size(monkeypatch):
     with pytest.raises(LpNumericalError, match="^master LP at iteration 2: simplex failed"):
         run_dwd(ga_problem(bins=8, items=6, seed=1))
 
-    # 6 item rows + 5 bin rows; 5 empty-pattern columns + 11 fallback columns
+    # 6 item rows + 5 bin rows, and one fallback column per row
     monkeypatch.setattr(LpModel, "solve",
                         lambda model: LpSolution(LpStatus.INFEASIBLE, None, None, None, 0))
-    with pytest.raises(EngineError, match=r"infeasible at iteration 1 \(11 rows x 16 columns\)"):
+    with pytest.raises(EngineError, match=r"infeasible at iteration 1 \(11 rows x 11 columns\)"):
         run_dwd(ga_problem(bins=5, items=6))
 
 

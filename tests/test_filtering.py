@@ -101,8 +101,8 @@ def test_select_records_empty_history():
 
 def run_filter(problem, store, hist, pi_now, mode, strategy, mu_now=0.0, epsilon=1e-4):
     support = problem.support_set(0) if mode is FilterMode.HEURISTIC else None
-    return should_filter(0, max(store.retained_iterations, default=0) + 1, pi_now,
-                         store, hist, mu_now, problem, support, mode, strategy, epsilon)
+    return should_filter(0, pi_now, store, hist, mu_now, problem, support, mode, strategy,
+                         epsilon)
 
 
 def test_baseline_never_skips():
@@ -231,7 +231,7 @@ def test_strategy_nesting_on_random_states():
         results = {}
         for strategy in Strategy:
             results[strategy] = should_filter(
-                0, t_max, pi_now, store, hist, mu_now, problem, None,
+                0, pi_now, store, hist, mu_now, problem, None,
                 FilterMode.EXACT, strategy, 1e-4)
         if results[Strategy.COMPUTED].skip:
             assert results[Strategy.ALL].skip
