@@ -105,12 +105,21 @@ def parse_ga_instance(text: str) -> GaInstance:
             elif parts[0] == "bin":
                 if len(parts) != 3:
                     raise ValueError("bin takes 2 values")
-                caps[int(parts[1])] = (int(parts[2]), lineno)
+                k, cap = int(parts[1]), int(parts[2])
+                if k in caps:
+                    raise ValueError(f"bin {k} repeats line {caps[k][1]}")
+                if cap < 0:
+                    raise ValueError(f"bin {k} has negative capacity {cap}")
+                caps[k] = (cap, lineno)
             elif parts[0] == "item":
                 if len(parts) != 5:
                     raise ValueError("item takes 4 values")
-                entries[(int(parts[1]), int(parts[2]))] = (int(parts[3]), int(parts[4]),
-                                                           lineno)
+                i, k, cost, weight = map(int, parts[1:])
+                if (i, k) in entries:
+                    raise ValueError(f"item {i}, bin {k} repeats line {entries[i, k][2]}")
+                if weight < 0:
+                    raise ValueError(f"item {i}, bin {k} has negative weight {weight}")
+                entries[(i, k)] = (cost, weight, lineno)
             else:
                 raise ValueError(f"unknown directive {parts[0]!r}")
         except ValueError as exc:
@@ -137,10 +146,7 @@ def parse_ga_instance(text: str) -> GaInstance:
             if (i, k) not in entries:
                 raise GaParseError(f"missing item line for item {i}, bin {k}")
             costs[k, i], weights[k, i], _ = entries[(i, k)]
-    try:
-        return GaInstance(m, bins, costs, weights, capacities)
-    except ValueError as exc:
-        raise GaParseError(str(exc)) from exc
+    return GaInstance(m, bins, costs, weights, capacities)
 
 
 def write_ga_instance(inst: GaInstance) -> str:

@@ -108,6 +108,8 @@ class RunStats:
     filters_succeeded: int = 0
     bounds_evaluated: int = 0
     records_skipped_evicted: int = 0
+    master_solves: int = 0
+    master_pivots: int = 0  # sum of the master solves' simplex pivots
 
 
 @dataclass
@@ -224,6 +226,8 @@ def run_dwd(problem: BlockProblem, config: DwdConfig | None = None) -> DwdResult
             sol = lp.solve()
         except LpNumericalError as exc:
             raise LpNumericalError(f"master LP at iteration {t}: {exc}") from exc
+        stats.master_solves += 1
+        stats.master_pivots += sol.iterations
         if sol.status is not LpStatus.OPTIMAL:
             raise EngineError(f"master LP came back {sol.status.value} at iteration {t} "
                               f"({lp.num_rows} rows x {lp.num_cols} columns)")

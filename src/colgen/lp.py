@@ -16,6 +16,21 @@ that leaves the basis and its inverse valid, so a re-solve resumes from both,
 which keeps re-solves cheap in column-generation loops.  A solve's returned
 values and duals are computed afresh from the inverse, not carried.
 
+A cold solve crash-starts phase 1: every row whose scaled surplus column has
+coefficient +1 (a <= row with a positive rhs, a >= row with a negative one)
+starts with that surplus basic instead of its artificial, so the start basis
+is still the identity and phase 1 pivots only on the other rows.  Phase 2
+runs on a right-hand side raised by a small, bounded random amount per row
+(Koberstein, "The dual simplex method, techniques for a fast and stable
+implementation", PhD thesis, Paderborn 2005, section 6), which breaks the
+ties that make degenerate masters stall.  The perturbation is removed at the
+end: the final basis is accepted only if its basic values under the true
+right-hand side are feasible, which makes it optimal, since reduced costs do
+not depend on the right-hand side.  Otherwise the solve starts again from a
+cold phase 1 and runs phase 2 on the true right-hand side.  The perturbation
+is drawn from a generator seeded by the LP's size, so solves are
+deterministic.
+
 Models are independent: two LpModel instances share no state and may be
 solved concurrently from different threads.
 """
@@ -30,6 +45,9 @@ import numpy as np
 FEAS_TOL = 1e-7
 PIVOT_TOL = 1e-9
 RC_TOL = 1e-9
+# phase 2 raises row i's (nonnegative, scaled) rhs b_i by
+# PERTURB_SCALE * (1 + b_i) * r_i, with r_i drawn uniformly from [0.5, 1)
+PERTURB_SCALE = 1e-6
 
 
 class RowSense(enum.Enum):
@@ -117,6 +135,11 @@ class LpModel:
         self._row = np.concatenate([surplus, np.arange(len(senses))])
         self._val = np.concatenate([-s[surplus], np.ones(len(senses))])
         self._n_int = self._first_struct = len(self._row)
+        # the cold start basis: each row's artificial, or its surplus where
+        # that has coefficient +1; either way B is the identity
+        self._crash_basis = np.arange(len(surplus), self._first_struct)
+        crash = np.flatnonzero(s[surplus] < 0)
+        self._crash_basis[surplus[crash]] = crash
         self._col = np.arange(self._n_int)
         self._c2 = np.zeros(self._n_int)
         self._ptr: list[int] = list(range(self._n_int + 1))
@@ -215,10 +238,10 @@ class LpModel:
                     f"columns: {first}; Bland retry: {exc}") from exc
 
     def _solve_attempt(self, bland_from_start: bool, refactor_every: int) -> LpSolution:
-        m = self.num_rows
         beq = self._beq
         artificial = self._is_artificial(np.arange(self._n_int))
         allow = ~artificial
+        c2 = self._c2[: self._n_int]
         iters = 0
 
         basis, b_inv = self._basis, self._b_inv
@@ -226,31 +249,40 @@ class LpModel:
         if basis is not None and (b_inv @ beq).min(initial=0.0) < -1e-6:
             basis = None
 
-        if basis is None:
-            # phase 1 from the all-artificial basis
-            basis = np.arange(self._first_struct - m, self._first_struct)
-            b_inv = np.eye(m)
-            self._since_inv = 0
-            c1 = artificial.astype(float)
-            status, n1 = self._simplex(c1, basis, b_inv, allow, bland_from_start,
-                                       refactor_every, pin_artificials=False)
-            iters += n1
-            if status != "optimal":
-                raise _Breakdown(f"phase 1, pivot {n1}: came back {status}")
-            xb = np.maximum(b_inv @ beq, 0.0)
-            if float(c1[basis] @ xb) > FEAS_TOL:
-                return LpSolution(LpStatus.INFEASIBLE, None, None, None, iters)
+        # phase 2's perturbed rhs, drawn the same way on every solve of this size
+        rng = np.random.default_rng([self.num_rows, self._n_int])
+        rhs = beq + PERTURB_SCALE * (1.0 + beq) * rng.uniform(0.5, 1.0, self.num_rows)
+        while True:
+            if basis is None:
+                # phase 1 from the crash basis
+                basis, b_inv = self._crash_basis.copy(), np.eye(self.num_rows)
+                self._since_inv = 0
+                c1 = artificial.astype(float)
+                status, n1 = self._simplex(c1, beq, basis, b_inv, allow, bland_from_start,
+                                           refactor_every, pin_artificials=False)
+                iters += n1
+                if status != "optimal":
+                    raise _Breakdown(f"phase 1, pivot {n1}: came back {status}")
+                xb = np.maximum(b_inv @ beq, 0.0)
+                if float(c1[basis] @ xb) > FEAS_TOL:
+                    return LpSolution(LpStatus.INFEASIBLE, None, None, None, iters)
 
-        c2 = self._c2[: self._n_int]
-        status, n2 = self._simplex(c2, basis, b_inv, allow, bland_from_start,
-                                   refactor_every, pin_artificials=True)
-        iters += n2
-        if status == "unbounded":
-            return LpSolution(LpStatus.UNBOUNDED, None, None, None, iters)
+            status, n2 = self._simplex(c2, rhs, basis, b_inv, allow, bland_from_start,
+                                       refactor_every, pin_artificials=True)
+            iters += n2
+            if status == "unbounded":
+                return LpSolution(LpStatus.UNBOUNDED, None, None, None, iters)
+            xb = b_inv @ beq
+            if rhs is beq or (xb.min(initial=0.0) >= -FEAS_TOL and
+                              xb[self._is_artificial(basis)].max(initial=0.0) <= FEAS_TOL):
+                break
+            # the perturbed optimum is infeasible under the true rhs, so no
+            # basis at hand is known to be feasible: solve again cold, without
+            # the perturbation
+            basis, rhs = None, beq
 
-        xb = np.maximum(b_inv @ beq, 0.0)
         x_int = np.zeros(self._n_int)
-        x_int[basis] = xb
+        x_int[basis] = np.maximum(xb, 0.0)
         x = x_int[self._first_struct:]
         objective = float(c2[self._first_struct:] @ x)
         y = c2[basis] @ b_inv
@@ -258,17 +290,18 @@ class LpModel:
         self._basis, self._b_inv = basis, b_inv
         return LpSolution(LpStatus.OPTIMAL, x, objective, duals, iters)
 
-    def _simplex(self, costs, basis, b_inv, allow, bland, refactor_every, pin_artificials):
+    def _simplex(self, costs, rhs, basis, b_inv, allow, bland, refactor_every, pin_artificials):
         """Primal simplex iterations on the current basis, in place.
 
-        Dantzig entering rule, switching to Bland's rule once the run of
-        degenerate pivots exceeds 3*(rows+cols).  With `pin_artificials`,
-        zero-level basic artificials are never allowed to grow back (forced
-        ratio 0), which keeps phase-2 iterates feasible for the real rows.
-        Returns (status, pivots).
+        The basic values are those of B x_B = `rhs`: the true rhs in phase 1,
+        a perturbed copy in phase 2 (see the module docstring), where the
+        ratio test then rarely ties at zero.  Dantzig entering rule,
+        switching to Bland's rule once the run of degenerate pivots exceeds
+        3*(rows+cols).  With `pin_artificials`, basic artificials are never
+        allowed to grow (forced ratio 0), which keeps phase-2 iterates
+        feasible for the real rows.  Returns (status, pivots).
         """
-        beq = self._beq
-        m, n = len(beq), len(costs)
+        m, n = len(rhs), len(costs)
         if m == 0:
             if np.any(costs[allow] < -RC_TOL):
                 return "unbounded", 0
@@ -284,7 +317,7 @@ class LpModel:
         # duals and basic values are carried across pivots and recomputed
         # exactly only after a refactorization
         y = costs[basis] @ b_inv
-        xb = np.maximum(b_inv @ beq, 0.0)
+        xb = np.maximum(b_inv @ rhs, 0.0)
         while True:
             rc = costs - np.bincount(cols, weights=y[rows] * vals, minlength=n)
             rc_view = np.where(allow, rc, np.inf)
@@ -347,6 +380,6 @@ class LpModel:
                                      "during refactorization") from exc
                 self._since_inv = 0
                 y = costs[basis] @ b_inv
-                xb = np.maximum(b_inv @ beq, 0.0)
+                xb = np.maximum(b_inv @ rhs, 0.0)
             if pivots > max_pivots:
                 raise _Breakdown(f"phase {phase}, pivot {pivots}: pivot limit exceeded")

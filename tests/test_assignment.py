@@ -37,6 +37,15 @@ def test_parse_errors_name_lines():
         parse_ga_instance("ga 1 1\nitem -1 0 1 1\nbin 0 10\nitem 0 0 4 2\n")
     with pytest.raises(GaParseError, match="line 1: ga header needs"):
         parse_ga_instance("ga 2 -1\n")
+    # a repeated line names both lines; a negative value names its line
+    with pytest.raises(GaParseError, match="line 3: bin 0 repeats line 2"):
+        parse_ga_instance("ga 1 1\nbin 0 10\nbin 0 20\nitem 0 0 1 1\n")
+    with pytest.raises(GaParseError, match="line 5: item 0, bin 0 repeats line 4"):
+        parse_ga_instance("ga 1 1\nbin 0 10\n\nitem 0 0 1 1\nitem 0 0 7 3\n")
+    with pytest.raises(GaParseError, match="line 2: bin 0 has negative capacity -4"):
+        parse_ga_instance("ga 1 1\nbin 0 -4\nitem 0 0 1 1\n")
+    with pytest.raises(GaParseError, match="line 3: item 0, bin 0 has negative weight -1"):
+        parse_ga_instance("ga 1 1\nbin 0 10\nitem 0 0 1 -1\n")
 
 
 def test_round_trip_on_generated_instances():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import colgen.lp as lp_module
 from colgen import LpModel, LpStatus, RowSense
 from colgen.lp import LpNumericalError, LpStructureError
 
@@ -200,6 +201,85 @@ def test_warm_start_stays_correct_under_column_stream():
             np.array(cost_log), rows, np.array(coeff_log).T)
         assert status == "optimal"
         assert sol.objective == pytest.approx(reference, abs=1e-6, rel=1e-6)
+
+
+def record_phases(monkeypatch):
+    """Log (phase, rhs is the true rhs, pivots) for every `_simplex` run."""
+    runs = []
+    real = LpModel._simplex
+
+    def spy(model, costs, rhs, *args, pin_artificials):
+        status, pivots = real(model, costs, rhs, *args, pin_artificials=pin_artificials)
+        runs.append((2 if pin_artificials else 1, rhs is model._beq, pivots))
+        return status, pivots
+
+    monkeypatch.setattr(LpModel, "_simplex", spy)
+    return runs
+
+
+def test_crashable_rows_need_no_phase_1_pivots(monkeypatch):
+    # <= rows with a positive rhs and >= rows with a negative one all start
+    # on their surplus, so phase 1 has nothing to do; phase 2 still pivots
+    rng = np.random.default_rng(4)
+    rows = [(RowSense.LE, float(v)) for v in rng.uniform(1.0, 5.0, size=6)]
+    rows += [(RowSense.GE, float(-v)) for v in rng.uniform(1.0, 5.0, size=4)]
+    coeffs = np.round(rng.uniform(0.0, 2.0, size=(10, 12)), 3)
+    coeffs[6:] *= -1.0  # so the >= rows cap the columns too
+    costs = np.round(rng.uniform(-3.0, -0.5, size=12), 3)
+    runs = record_phases(monkeypatch)
+    sol = build(costs, rows, coeffs).solve()
+    assert sol.status is LpStatus.OPTIMAL
+    (phase_a, _, pivots_a), (phase_b, _, pivots_b) = runs
+    assert (phase_a, pivots_a) == (1, 0)
+    assert phase_b == 2 and pivots_b == sol.iterations > 0
+    status, reference = oracles.linprog_min(costs, rows, coeffs)
+    assert status == "optimal"
+    assert sol.objective == pytest.approx(reference, abs=1e-6, rel=1e-6)
+    assert_certified(oracles.optimality_report(costs, rows, coeffs, sol), sol)
+
+
+def test_perturbed_optimum_infeasible_under_true_rhs_is_solved_again(monkeypatch):
+    # a perturbation this large often moves phase 2 to a basis that the true
+    # rhs makes infeasible; the solve must then redo both phases unperturbed
+    monkeypatch.setattr(lp_module, "PERTURB_SCALE", 10.0)
+    runs = record_phases(monkeypatch)
+    rng = np.random.default_rng(2024)
+    fallbacks = 0
+    for _ in range(120):
+        costs, rows, coeffs = oracles.random_small_lp(rng)
+        runs.clear()
+        sol = build(costs, rows, coeffs).solve()
+        if len(runs) > 2:
+            assert [(phase, true_rhs) for phase, true_rhs, _ in runs] == [
+                (1, True), (2, False), (1, True), (2, True)]
+            fallbacks += 1
+        status, reference = oracles.linprog_min(costs, rows, coeffs)
+        assert sol.status is LpStatus.OPTIMAL and status == "optimal"
+        assert sol.objective == pytest.approx(reference, abs=1e-6, rel=1e-6)
+        assert_certified(oracles.optimality_report(costs, rows, coeffs, sol), sol)
+    assert fallbacks > 0
+
+
+def test_solves_are_bit_identical():
+    rng = np.random.default_rng(12)
+    rows = [(RowSense.GE, 1.0)] * 30 + [(RowSense.LE, 1.0)] * 10
+    columns = []
+    for _ in range(120):
+        support = rng.choice(len(rows), size=int(rng.integers(1, 6)), replace=False)
+        columns.append((float(rng.integers(1, 20)), [(int(i), 1.0) for i in support]))
+
+    def solve_twice():
+        model = LpModel(rows)
+        for cost, column in columns:
+            model.add_column(cost, column)
+        return model.solve(), model.solve()
+
+    (a, a_again), (b, _) = solve_twice(), solve_twice()
+    for sol in (a_again, b):
+        assert sol.status is a.status is LpStatus.OPTIMAL
+        assert (sol.objective, sol.x.tobytes(), sol.duals.tobytes()) == (
+            a.objective, a.x.tobytes(), a.duals.tobytes())
+    assert b.iterations == a.iterations > 0 and a_again.iterations == 0
 
 
 def assert_certified(report, sol):
