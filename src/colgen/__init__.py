@@ -13,14 +13,14 @@ from .engine import (AuditReport, DualStore, DwdConfig, DwdResult, EngineError,
 from .experiments import (STRATEGIES, ExperimentConfig, ExperimentReport,
                           emit_report, format_pct, gap_pct, pct_reduction,
                           run_experiment)
-from .filtering import (FilterDecision, FilterMode, Strategy, exact_bound,
-                        select_records, should_filter)
+from .filtering import (FilterDecision, FilterMode, Strategy, bound_term_lookup,
+                        exact_bound, select_records, should_filter)
 from .lp import (LpError, LpModel, LpNumericalError, LpSolution, LpStatus,
                  LpStructureError, RowSense)
 from .mcflow import (McBlockProblem, McInstance, McParseError,
                      UnroutableCommodityError, generate_mc_instance,
                      parse_mc_instance, rcsp, write_mc_instance)
-from .model import BlockProblem, Column, DualSolution, PricingRecord
+from .model import BlockProblem, Column, DualSolution, PricedBlocks, PricingRecord
 
 __version__ = "0.1.0"
 
@@ -30,8 +30,8 @@ __all__ = [
     "ExperimentReport", "FilterDecision", "FilterMode", "GaBlockProblem",
     "GaInstance", "GaParseError", "LpError", "LpModel", "LpNumericalError",
     "LpSolution", "LpStatus", "LpStructureError", "McBlockProblem", "McInstance",
-    "McParseError", "PricingRecord", "RowSense", "RunStats", "STRATEGIES",
-    "Strategy", "UnroutableCommodityError", "emit_report",
+    "McParseError", "PricedBlocks", "PricingRecord", "RowSense", "RunStats", "STRATEGIES",
+    "Strategy", "UnroutableCommodityError", "bound_term_lookup", "emit_report",
     "exact_bound", "format_pct", "gap_pct", "generate_ga_instance",
     "generate_mc_instance", "knapsack_min", "parse_ga_instance",
     "parse_mc_instance", "pct_reduction", "rcsp", "reduced_cost", "run_dwd",

@@ -20,7 +20,7 @@ import numpy as np
 
 from .filtering import negative_part_sum
 from .lp import RowSense
-from .model import BlockProblem, Column
+from .model import BlockProblem, Column, PricedBlocks
 
 # shapes of the synthetic evaluation families: (bins, items)
 E_SET_SHAPES = {
@@ -291,20 +291,37 @@ class GaBlockProblem(BlockProblem):
         return []
 
     def price_blocks(self, blocks, pi, mu):
-        """All bins in one `knapsack_min_batch` call."""
-        blocks = np.asarray(blocks, dtype=np.intp)
-        values = self.inst.costs[blocks] - pi
-        best, take = knapsack_min_batch(values, self.inst.weights[blocks],
+        """All bins in one `knapsack_min_batch` call, read straight from its item mask."""
+        blocks = np.asarray(blocks, dtype=np.intp).reshape(-1)
+        return self._price(blocks, pi, np.asarray(mu, dtype=float)[blocks])
+
+    def _price(self, blocks, pi, mu_b) -> PricedBlocks:
+        costs = self.inst.costs[blocks]
+        best, take = knapsack_min_batch(costs - pi, self.inst.weights[blocks],
                                         self.inst.capacities[blocks])
-        return [(v - float(mu[k]), self.assignment_column(k, [i for i, x in enumerate(t) if x]))
-                for k, v, t in zip(blocks.tolist(), best.tolist(), take.tolist())]
+        ptr = np.zeros(len(blocks) + 1, dtype=np.int64)
+        np.cumsum(take.sum(axis=1), out=ptr[1:])
+        rows = np.nonzero(take)[1]
+        col_costs = np.where(take, costs, 0).sum(axis=1).astype(float)
+
+        def column(i):
+            items = rows[ptr[i]:ptr[i + 1]].tolist()
+            return Column(block=int(blocks[i]), cost=float(col_costs[i]),
+                          coeffs=tuple((item, 1.0) for item in items), native=tuple(items))
+
+        return PricedBlocks(blocks, best - mu_b, np.ones(len(blocks), dtype=bool), col_costs,
+                            ptr, rows, np.ones(len(rows)), column)
 
     def solve_pricing(self, block, pi, mu_k):
-        # called on the class, so a subclass may route price_blocks back here
-        return GaBlockProblem.price_blocks(self, [block], pi, {block: mu_k})[0]
+        priced = self._price(np.array([block], dtype=np.intp), pi, np.array([float(mu_k)]))
+        return float(priced.reduced_costs[0]), priced.column(0)
 
     def hypercube_bound_term(self, block, pi_prev, pi_now):
         return negative_part_sum(pi_prev - pi_now)
+
+    def bound_terms(self, pi_prev, pi_now):
+        # the same term for every bin
+        return np.full(self.num_blocks, negative_part_sum(pi_prev - pi_now))
 
     def heuristic_bound_term(self, block, pi_prev, pi_now, support):
         return negative_part_sum((pi_prev - pi_now)[support])

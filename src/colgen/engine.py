@@ -4,9 +4,14 @@ Each iteration solves the restricted master, stores the fresh linking duals,
 then, at those fixed duals, screens every block (bounds built from earlier
 pricing results may prove a block cannot price an improving column), prices
 the unfiltered blocks exactly in one `price_blocks` call, and last, in block
-order, records each outcome and lets improving columns (reduced cost <
--epsilon) enter the master.  The run stops when an iteration adds nothing or
-the iteration cap is hit.
+order, records each outcome and collects the improving columns (reduced cost
+< -epsilon), which enter the master in one `LpModel.add_columns` batch.  The
+run stops when an iteration adds nothing or the iteration cap is hit.
+
+Pricing results stay in arrays (`PricedBlocks`); `Column` objects are built
+only for the columns installed and for the audit's checks.  Exact screening
+reads each earlier iteration's bound terms for all blocks from one
+`bound_terms` call, made lazily (see `bound_term_lookup`).
 
 Baseline mode never skips.  Exact screening preserves the baseline optimum;
 heuristic screening (support-restricted bounds) keeps primal feasibility but
@@ -21,9 +26,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .filtering import FilterMode, Strategy, should_filter
+from .filtering import FilterMode, Strategy, bound_term_lookup, should_filter
 from .lp import LpModel, LpNumericalError, LpStatus, RowSense
-from .model import BlockProblem, Column, DualSolution, PricingRecord
+from .model import BlockProblem, Column, DualSolution, PricedBlocks, PricingRecord
 
 
 class EngineError(RuntimeError):
@@ -110,6 +115,13 @@ class RunStats:
     records_skipped_evicted: int = 0
     master_solves: int = 0
     master_pivots: int = 0  # sum of the master solves' simplex pivots
+    # wall time by phase: master solves, screening, pricing, and recording
+    # plus column install (set-up's initial and fallback columns included);
+    # the audit's final sweep counts in none of them
+    master_time_s: float = 0.0
+    screening_time_s: float = 0.0
+    pricing_time_s: float = 0.0
+    install_time_s: float = 0.0
 
 
 @dataclass
@@ -163,6 +175,24 @@ _RC_CHECK_TOL = 1e-7
 _ARTIFICIAL_TOL = 1e-7
 
 
+def _lp_batch(priced: PricedBlocks, idx: np.ndarray, num_linking: int):
+    """Entries `idx` of `priced` as an `LpModel.add_columns` batch: each
+    column's linking entries, then 1 on its block's convexity row."""
+    lo = priced.ptr[idx]
+    lens = priced.ptr[idx + 1] - lo
+    ptr = np.zeros(len(idx) + 1, dtype=np.int64)
+    np.cumsum(lens + 1, out=ptr[1:])
+    convexity = ptr[1:] - 1
+    linking = np.ones(ptr[-1], dtype=bool)
+    linking[convexity] = False
+    src = (np.arange(ptr[-1]) + np.repeat(lo - ptr[:-1], lens + 1))[linking]
+    rows = np.empty(ptr[-1], dtype=np.int64)
+    vals = np.empty(ptr[-1])
+    rows[linking], vals[linking] = priced.rows[src], priced.vals[src]
+    rows[convexity], vals[convexity] = num_linking + priced.blocks[idx], 1.0
+    return priced.costs[idx], ptr, rows, vals
+
+
 def run_dwd(problem: BlockProblem, config: DwdConfig | None = None) -> DwdResult:
     """Run column generation on `problem` and return the terminal state.
 
@@ -185,27 +215,36 @@ def run_dwd(problem: BlockProblem, config: DwdConfig | None = None) -> DwdResult
     columns: list[Column] = []
     col_lp_idx: list[int] = []
     per_block_added = [0] * num_blocks
+    stats = RunStats()
 
-    def install(col: Column) -> None:
-        col_lp_idx.append(lp.add_column(col.cost, [*col.coeffs, (num_linking + col.block, 1.0)]))
-        columns.append(col)
-        problem.register_column(col.block, col)
+    def install(priced: PricedBlocks, entries: list[int]) -> None:
+        """Add `priced`'s listed entries to the master in one batch, in order."""
+        if not entries:
+            return
+        col_lp_idx.extend(lp.add_columns(*_lp_batch(priced, np.array(entries), num_linking)))
+        for i in entries:
+            col = priced.column(i)
+            columns.append(col)
+            problem.register_column(col.block, col)
 
+    t_install = time.perf_counter()
+    # the initial columns take the pricing result's form; their reduced
+    # costs are never read
     initial = problem.initial_columns()
-    for col in initial:
-        install(col)
+    install(PricedBlocks.from_columns([c.block for c in initial], [(0.0, c) for c in initial]),
+            list(range(len(initial))))
     n_initial = len(initial)
 
     big_m = 1e4 * (max((abs(c.cost) for c in initial), default=0.0) + 1.0)
-    artificial_idx = []
-    for i, (sense, rhs) in enumerate(rows):
-        # signed so that the fallback column alone can satisfy its row
-        coef = -1.0 if (sense is RowSense.LE or (sense is RowSense.EQ and rhs < 0)) else 1.0
-        artificial_idx.append(lp.add_column(big_m, [(i, coef)]))
+    # signed so that the fallback column alone can satisfy its row
+    signs = [-1.0 if (sense is RowSense.LE or (sense is RowSense.EQ and rhs < 0)) else 1.0
+             for sense, rhs in rows]
+    artificials = lp.add_columns(np.full(len(rows), big_m), np.arange(len(rows) + 1),
+                                 np.arange(len(rows)), signs)
+    stats.install_time_s += time.perf_counter() - t_install
 
     store = DualStore(config.retain_duals)
     history: list[list[PricingRecord]] = [[] for _ in range(num_blocks)]
-    stats = RunStats()
     audit = AuditReport() if config.audit else None
     trace: list[IterationTrace] | None = [] if config.trace else None
     termination = "iteration_limit"
@@ -222,6 +261,7 @@ def run_dwd(problem: BlockProblem, config: DwdConfig | None = None) -> DwdResult
 
     iterations = 0
     for t in range(1, config.max_iterations + 1):
+        t_master = time.perf_counter()
         try:
             sol = lp.solve()
         except LpNumericalError as exc:
@@ -238,33 +278,45 @@ def run_dwd(problem: BlockProblem, config: DwdConfig | None = None) -> DwdResult
         store.push(t, pi)
         added = 0
         block_traces: list[BlockTrace] = []
+        t_screen = time.perf_counter()
         # the duals stay fixed for the rest of the iteration, so screening
         # every block first and pricing afterwards changes no result
+        term = bound_term_lookup(problem, config.mode, pi)
         decisions = []
         for k in range(num_blocks):
-            support = problem.support_set(k) if config.mode is FilterMode.HEURISTIC else None
-            fd = should_filter(k, pi, store, history[k], float(mu[k]), problem, support,
+            fd = should_filter(k, store, history[k], float(mu[k]), term,
                                config.mode, config.strategy, config.epsilon)
             stats.bounds_evaluated += fd.bounds_evaluated
             stats.records_skipped_evicted += fd.records_evicted
             if fd.bounds_evaluated > 0:
                 stats.filters_attempted += 1
             decisions.append(fd)
+        t_price = time.perf_counter()
         # one pricing call for the unfiltered blocks; the audit re-prices the
         # filtered ones in the same call
         todo = [k for k, fd in enumerate(decisions) if audit is not None or not fd.skip]
-        priced = dict(zip(todo, problem.price_blocks(todo, pi, mu), strict=True))
-        # record, audit and install in block order
+        priced = problem.price_blocks(todo, pi, mu)
+        t_record = time.perf_counter()
+        if len(priced.reduced_costs) != len(todo):
+            raise EngineError(f"price_blocks returned {len(priced.reduced_costs)} results "
+                              f"for {len(todo)} blocks at iteration {t}")
+        entry = dict(zip(todo, range(len(todo))))
+        cbars = priced.reduced_costs.tolist()
+        has_column = priced.has_column.tolist()
+        improving: list[int] = []
+        # record and audit in block order; improving columns enter in that
+        # order too, in one batch
         for k, fd in enumerate(decisions):
             cbar_seen: float | None = None
             col_added = False
             if fd.skip:
                 stats.filters_succeeded += 1
                 if audit is not None:
-                    cbar_a, col_a = priced[k]
+                    i = entry[k]
+                    cbar_a = cbars[i]
                     audit.filter_checks += 1
-                    if col_a is not None:
-                        check_reduced_cost(col_a, cbar_a, k, t, "filtered-block audit")
+                    if has_column[i]:
+                        check_reduced_cost(priced.column(i), cbar_a, k, t, "filtered-block audit")
                     if cbar_a < -config.epsilon:
                         if config.mode is FilterMode.EXACT:
                             audit.soundness_violations.append(
@@ -273,14 +325,15 @@ def run_dwd(problem: BlockProblem, config: DwdConfig | None = None) -> DwdResult
                         else:
                             audit.heuristic_unsound_skips += 1
             else:
-                cbar, col = priced[k]
+                i = entry[k]
+                cbar = cbars[i]
                 stats.pricing_calls += 1
                 history[k].append(PricingRecord(t, cbar, float(mu[k])))
                 cbar_seen = cbar
-                if audit is not None and col is not None:
-                    check_reduced_cost(col, cbar, k, t, "pricing")
-                if cbar < -config.epsilon and col is not None:
-                    install(col)
+                if audit is not None and has_column[i]:
+                    check_reduced_cost(priced.column(i), cbar, k, t, "pricing")
+                if cbar < -config.epsilon and has_column[i]:
+                    improving.append(i)
                     per_block_added[k] += 1
                     stats.columns_added += 1
                     added += 1
@@ -288,6 +341,12 @@ def run_dwd(problem: BlockProblem, config: DwdConfig | None = None) -> DwdResult
             if trace is not None:
                 block_traces.append(BlockTrace(k, fd.decision, fd.bounds,
                                                fd.records_evicted, cbar_seen, col_added))
+        install(priced, improving)
+        t_end = time.perf_counter()
+        stats.master_time_s += t_screen - t_master
+        stats.screening_time_s += t_price - t_screen
+        stats.pricing_time_s += t_record - t_price
+        stats.install_time_s += t_end - t_record
         if trace is not None:
             trace.append(IterationTrace(t, sol.objective, tuple(block_traces), added))
         if added == 0:
@@ -296,26 +355,27 @@ def run_dwd(problem: BlockProblem, config: DwdConfig | None = None) -> DwdResult
             break
 
     x = last_sol.x
-    artificial_value = float(sum(x[j] for j in artificial_idx))
+    artificial_value = float(sum(x[artificials.start:artificials.stop].tolist()))
     if termination != "iteration_limit" and artificial_value > _ARTIFICIAL_TOL:
         termination = "artificial"
 
     if audit is not None and termination == "optimal":
         final = problem.price_blocks(list(range(num_blocks)), pi, mu)
-        for k, (cbar_f, col_f) in zip(range(num_blocks), final, strict=True):
+        for k, cbar_f in enumerate(final.reduced_costs.tolist()):
             audit.final_checks += 1
-            if col_f is not None:
-                check_reduced_cost(col_f, cbar_f, k, iterations, "final sweep")
+            if final.has_column[k]:
+                check_reduced_cost(final.column(k), cbar_f, k, iterations, "final sweep")
             if cbar_f < -config.epsilon:
                 audit.final_violations.append(
                     f"final sweep block {k}: reduced cost {cbar_f!r} still improving")
 
     stats.iterations = iterations
     stats.wall_time_s = time.perf_counter() - t_start
+    # columns added after the last solve (at the iteration limit) have no value
+    lp_idx = np.array(col_lp_idx, dtype=np.intp)
+    solved = lp_idx < len(x)
     values = np.zeros(len(columns))
-    for idx, j in enumerate(col_lp_idx):
-        if j < len(x):
-            values[idx] = x[j]
+    values[solved] = x[lp_idx[solved]]
     duals = DualSolution(iterations, pi.copy(), mu.copy())
     return DwdResult(
         objective=last_sol.objective,

@@ -36,7 +36,8 @@ STRATEGIES = {
 }
 
 CSV_COLUMNS = ["problem", "instance", "shape", "strategy", "iterations", "calls",
-               "vars", "time_s", "objective", "r_calls_pct", "r_time_pct", "gap_pct"]
+               "vars", "time_s", "objective", "termination", "r_calls_pct", "r_time_pct",
+               "gap_pct"]
 
 
 def pct_reduction(base: float, value: float) -> float:
@@ -224,7 +225,7 @@ def emit_csv(rows: list[ReportRow]) -> str:
             writer.writerow([
                 row.problem, row.instance, row.shape, sr.strategy,
                 sr.iterations, sr.calls, sr.vars_added,
-                f"{sr.time_s:.3f}", format_objective(sr.objective),
+                f"{sr.time_s:.3f}", format_objective(sr.objective), sr.termination,
                 "" if sr.r_calls is None else f"{sr.r_calls:.2f}",
                 "" if sr.r_time is None else f"{sr.r_time:.2f}",
                 "" if sr.gap is None else f"{sr.gap:.2f}",
@@ -241,7 +242,11 @@ def _markdown_table(header: list[str], body: list[list[str]]) -> list[str]:
 
 
 def emit_markdown(rows: list[ReportRow]) -> str:
-    """Two tables: exact strategies (no GAP column) and heuristic ones (with)."""
+    """Two tables: exact strategies (no GAP column) and heuristic ones (with).
+
+    Each row shows the baseline's counts, time, cost and termination, then
+    every strategy's relative metrics and termination.
+    """
     if not rows:
         return "_no instances_\n"
     present: list[str] = []
@@ -256,26 +261,28 @@ def emit_markdown(rows: list[ReportRow]) -> str:
     def block(title, strategies, with_gap):
         lines.append(f"### {title}")
         lines.append("")
-        header = ["instance", "shape", "#Calls", "#Added", "time (s)", "cost"]
+        header = ["instance", "shape", "#Calls", "#Added", "time (s)", "cost", "termination"]
         for s in strategies:
             header += [f"{s} %rCalls", f"{s} %rTime"]
             if with_gap:
                 header.append(f"{s} GAP")
+            header.append(f"{s} termination")
         body = []
         for row in rows:
             base = row.results.get("baseline")
             if base is None:
                 continue
             cells = [row.instance, row.shape, str(base.calls), str(base.vars_added),
-                     f"{base.time_s:.3f}", format_objective(base.objective)]
+                     f"{base.time_s:.3f}", format_objective(base.objective), base.termination]
             for s in strategies:
                 sr = row.results.get(s)
                 if sr is None:
-                    cells += ["", ""] + ([""] if with_gap else [])
+                    cells += ["", "", ""] + ([""] if with_gap else [])
                     continue
                 cells += [_fmt_opt_pct(sr.r_calls), _fmt_opt_pct(sr.r_time)]
                 if with_gap:
                     cells.append(_fmt_opt_pct(sr.gap))
+                cells.append(sr.termination)
             body.append(cells)
         lines.extend(_markdown_table(header, body))
         lines.append("")

@@ -90,15 +90,44 @@ def select_records(strategy: Strategy, history, epsilon: float) -> list[PricingR
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
-def should_filter(block: int, pi_now: np.ndarray, dual_store, history, mu_now: float,
-                  problem: BlockProblem, support: np.ndarray | None,
+def bound_term_lookup(problem: BlockProblem, mode: FilterMode, pi_now: np.ndarray):
+    """The bound terms `should_filter` reads at the duals `pi_now`, or None in baseline mode.
+
+    Returns `term(block, iteration, pi_prev)`: the block's term for a record
+    taken at `iteration`, whose linking duals were `pi_prev`.  Exact mode
+    computes every block's term for one record iteration in one
+    `problem.bound_terms` call, on first use, and keeps the row while the
+    lookup lives (one iteration).  Heuristic mode calls
+    `heuristic_bound_term` per (block, record), on support sets fetched once
+    per block here.
+    """
+    if mode is FilterMode.EXACT:
+        rows: dict[int, list[float]] = {}
+
+        def term(block, iteration, pi_prev):
+            row = rows.get(iteration)
+            if row is None:
+                row = rows[iteration] = problem.bound_terms(pi_prev, pi_now).tolist()
+            return row[block]
+        return term
+    if mode is FilterMode.HEURISTIC:
+        supports = [problem.support_set(k) for k in range(problem.num_blocks)]
+
+        def term(block, iteration, pi_prev):
+            return problem.heuristic_bound_term(block, pi_prev, pi_now, supports[block])
+        return term
+    return None
+
+
+def should_filter(block: int, dual_store, history, mu_now: float, term,
                   mode: FilterMode, strategy: Strategy, epsilon: float) -> FilterDecision:
     """Evaluate screening bounds for one block at the current duals.
 
+    `term` is the `bound_term_lookup` for the current duals and `mode`.
     Stops at the first bound >= -epsilon.  Records whose dual vector was
     evicted from `dual_store` are counted and passed over; they are kept in
     the history because a later retention change may not apply retroactively.
-    Pure: depends only on the arguments, mutates nothing.
+    Depends only on the arguments and mutates nothing but `term`'s cache.
     """
     if mode is FilterMode.BASELINE:
         return FilterDecision(block, False, None, None, 0, 0, ())
@@ -113,11 +142,7 @@ def should_filter(block: int, pi_now: np.ndarray, dual_store, history, mu_now: f
         if pi_prev is None:
             evicted += 1
             continue
-        if mode is FilterMode.EXACT:
-            term = problem.hypercube_bound_term(block, pi_prev, pi_now)
-        else:
-            term = problem.heuristic_bound_term(block, pi_prev, pi_now, support)
-        lb = exact_bound(rec, mu_now, term)
+        lb = exact_bound(rec, mu_now, term(block, rec.iteration, pi_prev))
         bounds.append((rec.iteration, lb))
         if best is None or lb > best:
             best = lb

@@ -95,11 +95,27 @@ def _grown(arr: np.ndarray, need: int) -> np.ndarray:
     return out
 
 
+def _accumulated(ptr, rows, vals):
+    """A compressed sparse batch with each column's repeated rows summed,
+    rows kept in order of first appearance."""
+    out_ptr, out_rows, out_vals = [0], [], []
+    for lo, hi in zip(ptr[:-1].tolist(), ptr[1:].tolist()):
+        acc: dict[int, float] = {}
+        for row, val in zip(rows[lo:hi].tolist(), vals[lo:hi].tolist()):
+            acc[row] = acc.get(row, 0.0) + val
+        out_rows.extend(acc)
+        out_vals.extend(acc.values())
+        out_ptr.append(len(out_rows))
+    return (np.array(out_ptr, dtype=np.int64), np.array(out_rows, dtype=np.int64),
+            np.array(out_vals, dtype=float))
+
+
 class LpModel:
     """A minimization LP over nonnegative variables with fixed rows.
 
     Rows are given at construction as (sense, rhs) pairs; columns are added
-    with `add_column` and may keep arriving after solves.
+    in batches with `add_columns` (or one at a time with `add_column`) and
+    may keep arriving after solves.
     """
 
     def __init__(self, rows):
@@ -142,7 +158,7 @@ class LpModel:
         self._crash_basis[surplus[crash]] = crash
         self._col = np.arange(self._n_int)
         self._c2 = np.zeros(self._n_int)
-        self._ptr: list[int] = list(range(self._n_int + 1))
+        self._ptr = np.arange(self._n_int + 1)
 
     # ------------------------------------------------------------------
     @property
@@ -158,34 +174,59 @@ class LpModel:
 
         Repeated rows accumulate.  Returns the new column's index.
         """
-        cost = float(cost)
-        if not np.isfinite(cost):
+        pairs = list(coeffs)
+        rows = np.array([row for row, _ in pairs], dtype=np.int64)
+        vals = np.array([val for _, val in pairs], dtype=float)
+        return self.add_columns([cost], [0, len(pairs)], rows, vals)[0]
+
+    def add_columns(self, costs, ptr, rows, vals) -> range:
+        """Append a batch of variables given in compressed sparse form.
+
+        Column i costs `costs[i]` and has the (row, value) pairs
+        `rows[ptr[i]:ptr[i + 1]]`, `vals[ptr[i]:ptr[i + 1]]`; repeated rows
+        within a column accumulate.  The whole batch is checked before any
+        of it is stored, so a rejected batch leaves the model unchanged.
+        Returns the new columns' indices.
+        """
+        costs = np.asarray(costs, dtype=float).reshape(-1)
+        ptr = np.asarray(ptr, dtype=np.int64).reshape(-1)
+        rows = np.asarray(rows, dtype=np.int64).reshape(-1)
+        vals = np.asarray(vals, dtype=float).reshape(-1)
+        n = len(costs)
+        if (len(ptr) != n + 1 or ptr[0] != 0 or ptr[-1] != len(rows)
+                or len(vals) != len(rows) or np.any(ptr[1:] < ptr[:-1])):
+            raise LpStructureError("column batch needs len(ptr) == len(costs) + 1, ptr "
+                                   "nondecreasing from 0 to len(rows), and len(vals) == "
+                                   "len(rows)")
+        if not np.isfinite(costs).all():
             raise LpStructureError("column cost must be finite")
-        acc: dict[int, float] = {}
-        for row, val in coeffs:
-            row = int(row)
-            if row < 0 or row >= self.num_rows:
-                raise LpStructureError(f"column references unknown row {row}")
-            val = float(val)
-            if not np.isfinite(val):
-                raise LpStructureError("column coefficient must be finite")
-            acc[row] = acc.get(row, 0.0) + val
-        rows = np.fromiter(acc, dtype=np.int64, count=len(acc))
-        vals = np.fromiter(acc.values(), dtype=float, count=len(acc))
-        j, start = self._n_int, self._ptr[-1]
+        if not np.isfinite(vals).all():
+            raise LpStructureError("column coefficient must be finite")
+        bad = (rows < 0) | (rows >= self.num_rows)
+        if bad.any():
+            raise LpStructureError(f"column references unknown row {rows[bad][0]}")
+        # a column whose rows do not strictly increase may repeat one: sum
+        # its repeats in order of first appearance
+        follows = np.ones(len(rows), dtype=bool)  # entry i and i - 1 share a column
+        follows[ptr[:-1][ptr[:-1] < len(rows)]] = False
+        if np.any((rows[1:] <= rows[:-1]) & follows[1:]):
+            ptr, rows, vals = _accumulated(ptr, rows, vals)
+        j, start = self._n_int, int(self._ptr[self._n_int])
         end = start + len(rows)
-        if j == len(self._c2):
-            self._c2 = _grown(self._c2, j + 1)
+        if j + n + 1 > len(self._ptr):
+            self._ptr = _grown(self._ptr, j + n + 1)
+        if j + n > len(self._c2):
+            self._c2 = _grown(self._c2, j + n)
         if end > len(self._row):
             self._row, self._val, self._col = (
                 _grown(a, end) for a in (self._row, self._val, self._col))
         self._row[start:end] = rows
         self._val[start:end] = vals * self._row_mult[rows]
-        self._col[start:end] = j
-        self._ptr.append(end)
-        self._c2[j] = cost
-        self._n_int += 1
-        return self.num_cols - 1
+        self._col[start:end] = np.repeat(np.arange(j, j + n), np.diff(ptr))
+        self._ptr[j + 1:j + n + 1] = start + ptr[1:]
+        self._c2[j:j + n] = costs
+        self._n_int += n
+        return range(self.num_cols - n, self.num_cols)
 
     # ------------------------------------------------------------------
     def _is_artificial(self, cols: np.ndarray) -> np.ndarray:

@@ -266,6 +266,11 @@ class McBlockProblem(BlockProblem):
         self._graph = _graph_lists(inst.num_nodes, pairs)
         self._dmin = _delay_potentials(inst.num_nodes, pairs, self._delays,
                                        [com.target for com in inst.commodities])
+        # commodities by bandwidth, for `bound_terms`; a dict, not np.unique,
+        # which would import numpy.ma and its memory
+        self._by_bandwidth: dict[float, list[int]] = {}
+        for k, com in enumerate(inst.commodities):
+            self._by_bandwidth.setdefault(com.bandwidth, []).append(k)
         self._initial: list[Column] = []
         delays = self._delays.tolist()
         for k, com in enumerate(inst.commodities):
@@ -319,6 +324,14 @@ class McBlockProblem(BlockProblem):
     def hypercube_bound_term(self, block, pi_prev, pi_now):
         b = self.inst.commodities[block].bandwidth
         return negative_part_sum(b * (pi_now - pi_prev))
+
+    def bound_terms(self, pi_prev, pi_now):
+        # the term depends on the commodity through its bandwidth only
+        shift = pi_now - pi_prev
+        out = np.empty(self.num_blocks)
+        for b, blocks in self._by_bandwidth.items():
+            out[blocks] = negative_part_sum(b * shift)
+        return out
 
     def heuristic_bound_term(self, block, pi_prev, pi_now, support):
         b = self.inst.commodities[block].bandwidth

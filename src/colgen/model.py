@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import abc
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +55,50 @@ class PricingRecord:
     convexity_dual: float
 
 
+@dataclass(frozen=True)
+class PricedBlocks:
+    """`price_blocks`' result: entry i prices block `blocks[i]`.
+
+    `reduced_costs[i]` is the block's minimum reduced cost.  Where
+    `has_column[i]`, the column achieving it is also given in compressed
+    sparse form: it costs `costs[i]`, and its (linking row, coefficient)
+    pairs, the same pairs as its `Column.coeffs`, are
+    `rows[ptr[i]:ptr[i + 1]]`, `vals[ptr[i]:ptr[i + 1]]`.  Where a block has
+    no column, its cost is 0 and its entry range is empty.  `column(i)`
+    builds entry i's `Column` (None where there is none); callers build only
+    the ones they keep.
+    """
+
+    blocks: np.ndarray
+    reduced_costs: np.ndarray
+    has_column: np.ndarray
+    costs: np.ndarray
+    ptr: np.ndarray
+    rows: np.ndarray
+    vals: np.ndarray
+    column: Callable[[int], Column | None]
+
+    @classmethod
+    def from_columns(cls, blocks, results) -> PricedBlocks:
+        """From `solve_pricing`'s (reduced cost, column) pair for each of `blocks`."""
+        cols = [col for _, col in results]
+        coeffs = [col.coeffs if col is not None else () for col in cols]
+        ptr = np.zeros(len(cols) + 1, dtype=np.int64)
+        ptr[1:] = np.cumsum([len(c) for c in coeffs], dtype=np.int64)
+        pairs = [pair for c in coeffs for pair in c]
+        return cls(
+            blocks=np.asarray(blocks, dtype=np.intp).reshape(-1),
+            reduced_costs=np.array([cbar for cbar, _ in results], dtype=float),
+            has_column=np.array([col is not None for col in cols], dtype=bool),
+            costs=np.array([col.cost if col is not None else 0.0 for col in cols],
+                           dtype=float),
+            ptr=ptr,
+            rows=np.array([row for row, _ in pairs], dtype=np.int64),
+            vals=np.array([val for _, val in pairs], dtype=float),
+            column=cols.__getitem__,
+        )
+
+
 class BlockProblem(abc.ABC):
     """Contract a problem must satisfy to run under the engine.
 
@@ -61,7 +106,9 @@ class BlockProblem(abc.ABC):
     for every column actually installed in the master (initial ones
     included), which is what keeps `support_set` current.  Pricing must be
     exact -- it returns the true minimum reduced cost over the block's
-    column set, not an approximation.
+    column set, not an approximation.  The engine calls the batch methods
+    `price_blocks` and `bound_terms`; their defaults loop over
+    `solve_pricing` and `hypercube_bound_term`.
     """
 
     @property
@@ -92,18 +139,33 @@ class BlockProblem(abc.ABC):
         the block has no column at all).  Must not mutate the dual arrays.
         """
 
-    def price_blocks(self, blocks, pi: np.ndarray, mu) -> list[tuple[float, Column | None]]:
-        """`solve_pricing`'s (reduced cost, column) for each listed block, in order.
+    def price_blocks(self, blocks, pi: np.ndarray, mu) -> PricedBlocks:
+        """`solve_pricing` for each listed block, in order, as arrays.
 
-        `mu[k]` is block k's convexity-row dual.  Must be exact and
-        must not mutate the dual arrays.  The default prices one block at a
-        time; families override it to share work across blocks.
+        `mu[k]` is block k's convexity-row dual.  Entry i of the result
+        holds what `solve_pricing(blocks[i], pi, mu[blocks[i]])` returns:
+        the same reduced cost, and the same column, in compressed sparse form
+        and through `column(i)`.  Must be exact and must not mutate the dual
+        arrays.  The default prices one block at a time; families override
+        it to share work across blocks and to skip building `Column` objects.
         """
-        return [self.solve_pricing(k, pi, float(mu[k])) for k in blocks]
+        blocks = list(blocks)
+        return PricedBlocks.from_columns(
+            blocks, [self.solve_pricing(k, pi, float(mu[k])) for k in blocks])
 
     @abc.abstractmethod
     def hypercube_bound_term(self, block: int, pi_prev: np.ndarray, pi_now: np.ndarray) -> float:
         """Minimum of the dual-shift form over the block's 0/1 box; <= 0."""
+
+    def bound_terms(self, pi_prev: np.ndarray, pi_now: np.ndarray) -> np.ndarray:
+        """`hypercube_bound_term` of every block, as one array in block order.
+
+        Families whose term depends on the block through a few numbers
+        override this to compute each distinct term once; the values must
+        equal the per-block ones bit for bit.
+        """
+        return np.array([self.hypercube_bound_term(k, pi_prev, pi_now)
+                         for k in range(self.num_blocks)], dtype=float)
 
     @abc.abstractmethod
     def heuristic_bound_term(self, block: int, pi_prev: np.ndarray, pi_now: np.ndarray,

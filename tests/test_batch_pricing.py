@@ -1,24 +1,47 @@
-"""Batched pricing: `price_blocks` against per-block pricing and brute force."""
+"""Batched contract methods: `price_blocks` and `bound_terms` against the
+per-block methods, brute force and the default loops."""
 
 import numpy as np
 import pytest
 
 from colgen import (DwdConfig, FilterMode, GaBlockProblem, GaInstance, McBlockProblem,
-                    Strategy, generate_ga_instance, generate_mc_instance, rcsp, run_dwd)
-from colgen.model import BlockProblem
+                    Strategy, generate_ga_instance, generate_mc_instance, parse_mc_instance,
+                    rcsp, run_dwd)
+from colgen.model import BlockProblem, PricedBlocks
 
 import oracles
 
 
 class LoopedGa(GaBlockProblem):
-    """`GaBlockProblem` priced one block at a time by the default loop."""
+    """`GaBlockProblem` priced and screened one block at a time by the default loops."""
 
     price_blocks = BlockProblem.price_blocks
+    bound_terms = BlockProblem.bound_terms
+
+
+def priced_pairs(priced: PricedBlocks) -> list:
+    """`priced` as (reduced cost, column) pairs, after checking that each
+    entry's arrays describe the column that `priced.column` builds."""
+    assert len(priced.blocks) == len(priced.reduced_costs) == len(priced.has_column)
+    assert len(priced.ptr) == len(priced.blocks) + 1 and priced.ptr[0] == 0
+    pairs = []
+    for i, k in enumerate(priced.blocks.tolist()):
+        col = priced.column(i)
+        lo, hi = priced.ptr[i], priced.ptr[i + 1]
+        assert priced.has_column[i] == (col is not None)
+        if col is None:
+            assert lo == hi and priced.costs[i] == 0.0
+        else:
+            assert col.block == k and priced.costs[i] == col.cost
+            assert list(zip(priced.rows[lo:hi].tolist(), priced.vals[lo:hi].tolist())) == \
+                list(col.coeffs)
+        pairs.append((float(priced.reduced_costs[i]), col))
+    return pairs
 
 
 def check_against_oracles(inst, blocks, pi, mu):
     problem = GaBlockProblem(inst)
-    got = problem.price_blocks(blocks, pi, mu)
+    got = priced_pairs(problem.price_blocks(blocks, pi, mu))
     assert len(got) == len(blocks)
     for k, (cbar, col) in zip(blocks, got):
         values = inst.costs[k] - pi
@@ -66,8 +89,25 @@ def test_zero_items_and_empty_block_list():
     inst = generate_ga_instance(3, 0, 4)
     got = check_against_oracles(inst, [2, 1], np.zeros(0), np.array([-1.0, -2.0, -3.0]))
     assert [(cbar, col.native) for cbar, col in got] == [(3.0, ()), (2.0, ())]
-    assert GaBlockProblem(generate_ga_instance(3, 5, 0)).price_blocks([], np.zeros(5),
-                                                                      np.zeros(3)) == []
+    empty = GaBlockProblem(generate_ga_instance(3, 5, 0)).price_blocks([], np.zeros(5),
+                                                                       np.zeros(3))
+    assert priced_pairs(empty) == [] and empty.ptr.tolist() == [0]
+
+
+def test_arrays_equal_the_default_loop():
+    # the default `price_blocks` packs `solve_pricing`'s columns into the
+    # same arrays that ga fills from the knapsack's item mask
+    rng = np.random.default_rng(3)
+    for seed in range(10):
+        inst = generate_ga_instance(8, 9, seed)
+        pi = np.round(rng.uniform(0.0, 110.0, size=9), 2)
+        mu = np.round(rng.uniform(-30.0, 0.0, size=8), 2)
+        blocks = [int(k) for k in rng.permutation(8)[:5]]
+        batched = GaBlockProblem(inst).price_blocks(blocks, pi, mu)
+        looped = LoopedGa(inst).price_blocks(blocks, pi, mu)
+        for name in ("blocks", "reduced_costs", "has_column", "costs", "ptr", "rows", "vals"):
+            assert getattr(batched, name).tobytes() == getattr(looped, name).tobytes(), name
+        assert priced_pairs(batched) == priced_pairs(looped)
 
 
 def test_duals_are_not_mutated():
@@ -104,11 +144,70 @@ def test_cached_mc_pricing_matches_plain_rcsp():
     for _ in range(4):
         pi = np.round(rng.uniform(-0.01, 3.0, size=len(inst.arcs)), 3)
         mu = rng.uniform(0.0, 50.0, size=len(inst.commodities))
-        got = problem.price_blocks(range(len(inst.commodities)), pi, mu)
+        got = priced_pairs(problem.price_blocks(range(len(inst.commodities)), pi, mu))
         for k, (cbar, col) in enumerate(got):
+            assert (cbar, col) == problem.solve_pricing(k, pi, float(mu[k]))
             com = inst.commodities[k]
             w = com.bandwidth * (costs + np.maximum(pi, 0.0))
             _, path = rcsp(inst.num_nodes, pairs, w, delays, com.max_delay,
                            com.source, com.target)
             assert col.native == path
             assert cbar == com.bandwidth * float(sum(costs[a] + pi[a] for a in path)) - mu[k]
+
+
+def test_from_columns_marks_blocks_without_a_column():
+    priced = PricedBlocks.from_columns(
+        [4, 1], [(2.5, None), (-1.0, GaBlockProblem(generate_ga_instance(5, 3, 0))
+                               .assignment_column(1, (2, 0)))])
+    assert priced.has_column.tolist() == [False, True]
+    assert priced.ptr.tolist() == [0, 0, 2] and priced.rows.tolist() == [0, 2]
+    assert priced.column(0) is None and priced.column(1).native == (0, 2)
+    assert priced_pairs(priced)[0] == (2.5, None)
+
+
+# ----------------------------------------------------------------------
+# bound_terms
+
+def check_bound_terms(problem, rng, draws=20):
+    rows = len(problem.linking_rows())
+    for _ in range(draws):
+        pi_prev = rng.normal(0.0, 3.0, size=rows)
+        pi_now = rng.normal(0.0, 3.0, size=rows)
+        for a, b in ((pi_prev, pi_now), (pi_now, pi_now)):
+            got = problem.bound_terms(a, b)
+            want = [problem.hypercube_bound_term(k, a, b) for k in range(problem.num_blocks)]
+            assert got.shape == (problem.num_blocks,)
+            # bit for bit, not approximately: screening must not move
+            assert got.tolist() == want
+            assert np.array_equal(got, BlockProblem.bound_terms(problem, a, b))
+
+
+def test_ga_bound_terms_equal_the_per_block_terms():
+    rng = np.random.default_rng(17)
+    for seed in range(5):
+        check_bound_terms(GaBlockProblem(generate_ga_instance(7, 6, seed)), rng)
+
+
+def test_mc_bound_terms_equal_the_per_block_terms_with_mixed_bandwidths():
+    rng = np.random.default_rng(19)
+    for seed in range(5):
+        inst = generate_mc_instance(9, 24, 12, seed)
+        assert len({c.bandwidth for c in inst.commodities}) > 1
+        check_bound_terms(McBlockProblem(inst), rng)
+    # one bandwidth that is not an integer, shared by two of three commodities
+    text = ("nodes 3\narc 0 1 10 1 2\narc 1 2 10 1 2\narc 0 2 10 5 1\n"
+            "commodity 0 2 0.3 9\ncommodity 0 1 2 9\ncommodity 1 2 0.3 9\n")
+    check_bound_terms(McBlockProblem(parse_mc_instance(text)), rng)
+
+
+def test_default_bound_terms_loop_over_blocks():
+    calls = []
+
+    class Recording(LoopedGa):
+        def hypercube_bound_term(self, block, pi_prev, pi_now):
+            calls.append(block)
+            return -float(block)
+
+    problem = Recording(generate_ga_instance(4, 3, 0))
+    assert problem.bound_terms(np.zeros(3), np.ones(3)).tolist() == [0.0, -1.0, -2.0, -3.0]
+    assert calls == [0, 1, 2, 3]

@@ -250,6 +250,17 @@ def test_stats_invariants_and_counts(monkeypatch):
     assert stats.master_pivots == sum(sol.iterations for sol in solves) > 0
 
 
+@pytest.mark.parametrize("mode", list(FilterMode))
+def test_phase_timers_split_the_wall_time(mode):
+    for problem in (ga_problem(bins=12, items=6, seed=2), mc_problem(seed=3)):
+        stats = run_dwd(problem, config(mode, Strategy.ALL, audit=True)).stats
+        phases = (stats.master_time_s, stats.screening_time_s, stats.pricing_time_s,
+                  stats.install_time_s)
+        assert all(p >= 0.0 for p in phases)
+        assert stats.master_time_s > 0.0 and stats.pricing_time_s > 0.0
+        assert sum(phases) <= stats.wall_time_s
+
+
 def test_trace_objectives_non_increasing():
     result = run_dwd(mc_problem(seed=5), config(trace=True))
     objectives = [it.objective for it in result.trace]
@@ -394,7 +405,13 @@ def test_short_retention_still_exact():
 
 
 class LyingBoundProblem(GaBlockProblem):
-    """Claims a huge lower bound for every block: every skip is unsound."""
+    """Claims a huge lower bound for every block: every skip is unsound.
+
+    Exact screening reads `bound_terms`, so the double routes it back
+    through the default loop over its lying per-block term.
+    """
+
+    bound_terms = BlockProblem.bound_terms
 
     def hypercube_bound_term(self, block, pi_prev, pi_now):
         return 1e6

@@ -7,6 +7,7 @@ from colgen import (ExperimentConfig, GaBlockProblem, generate_ga_instance,
                     generate_mc_instance, parse_ga_instance, parse_mc_instance)
 from colgen import experiments
 from colgen.cli import main
+from colgen.model import BlockProblem
 from colgen.experiments import (CSV_COLUMNS, STRATEGIES, emit_csv,
                                 emit_markdown, emit_report, format_objective,
                                 format_pct, gap_pct, pct_reduction,
@@ -88,6 +89,9 @@ def test_failures_are_isolated():
 
 
 class OverclaimingBounds(GaBlockProblem):
+    # exact screening reads bound_terms: the default loop reaches the lie below
+    bound_terms = BlockProblem.bound_terms
+
     def hypercube_bound_term(self, block, pi_prev, pi_now):
         return 1e6
 
@@ -213,6 +217,49 @@ def test_cli_generated_batch_to_stdout(capsys):
     assert code == 0
     assert "### Exact filtering" in captured.out
     assert "ga-s7" in captured.out and "ga-s8" in captured.out
+
+
+def test_cli_reports_show_termination(tmp_path, capsys):
+    # feasible, but its optimum (50000) lies above the fallback price, so
+    # both runs stop with weight on the fallback columns at 1e4
+    path = tmp_path / "art.ga"
+    path.write_text("ga 1 1\nbin 0 10\nitem 0 0 50000 1\n")
+    out = tmp_path / "r.csv"
+    assert main(["run", "--problem", "ga", "--instances", str(path),
+                 "--strategies", "baseline,exact-all", "--out", str(out)]) == 0
+    header, *rows = csv_rows(out.read_text())
+    assert header == CSV_COLUMNS
+    col = CSV_COLUMNS.index("termination")
+    assert [(r[3], r[CSV_COLUMNS.index("objective")], r[col]) for r in rows] == [
+        ("baseline", "1.00E+04", "artificial"), ("exact-all", "1.00E+04", "artificial")]
+    assert main(["run", "--problem", "ga", "--instances", str(path),
+                 "--strategies", "exact-all,heur-all", "--format", "md"]) == 0
+    tables = markdown_tables(capsys.readouterr().out)
+    assert len(tables) == 2
+    for table in tables:
+        terms = {name: cell for name, cell in table[0].items() if name.endswith("termination")}
+        assert len(terms) == 2 and set(terms.values()) == {"artificial"}
+
+
+def markdown_tables(text: str) -> list[list[dict[str, str]]]:
+    """Each markdown table's body rows as {header: cell} dicts."""
+    tables = []
+    for section in text.split("### ")[1:]:
+        header, _, *body = [ln.strip("|").split("|") for ln in section.splitlines()
+                            if ln.startswith("|")]
+        names = [c.strip() for c in header]
+        tables.append([dict(zip(names, (c.strip() for c in cells))) for cells in body])
+    return tables
+
+
+def test_markdown_shows_each_runs_termination():
+    config = ExperimentConfig(problem="ga", strategies=("exact-all", "heur-all"))
+    # seed 78: heur-all stops above the optimum that baseline reaches
+    report = run_experiment(config, [("ga-s78", generate_ga_instance(100, 10, 78))])
+    exact, heur = markdown_tables(emit_markdown(report.rows))
+    assert exact[0]["termination"] == heur[0]["termination"] == "optimal"
+    assert exact[0]["exact-all termination"] == "optimal"
+    assert heur[0]["heur-all termination"] == "converged"
 
 
 def test_cli_bad_inputs(tmp_path, capsys):

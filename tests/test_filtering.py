@@ -3,7 +3,7 @@ import pytest
 
 from colgen import (DualStore, FilterDecision, FilterMode, PricingRecord, RowSense,
                     Strategy, exact_bound, select_records, should_filter)
-from colgen.filtering import negative_part_sum
+from colgen.filtering import bound_term_lookup, negative_part_sum
 from colgen.model import BlockProblem, Column
 
 
@@ -100,9 +100,8 @@ def test_select_records_empty_history():
 
 
 def run_filter(problem, store, hist, pi_now, mode, strategy, mu_now=0.0, epsilon=1e-4):
-    support = problem.support_set(0) if mode is FilterMode.HEURISTIC else None
-    return should_filter(0, pi_now, store, hist, mu_now, problem, support, mode, strategy,
-                         epsilon)
+    return should_filter(0, store, hist, mu_now, bound_term_lookup(problem, mode, pi_now),
+                         mode, strategy, epsilon)
 
 
 def test_baseline_never_skips():
@@ -231,7 +230,7 @@ def test_strategy_nesting_on_random_states():
         results = {}
         for strategy in Strategy:
             results[strategy] = should_filter(
-                0, pi_now, store, hist, mu_now, problem, None,
+                0, store, hist, mu_now, bound_term_lookup(problem, FilterMode.EXACT, pi_now),
                 FilterMode.EXACT, strategy, 1e-4)
         if results[Strategy.COMPUTED].skip:
             assert results[Strategy.ALL].skip
@@ -250,3 +249,54 @@ def test_filter_is_pure():
     assert first == second
     assert [r.iteration for r in hist] == [1]
     assert store.retained_iterations == (1,)
+
+
+class CountingBoxProblem(BoxProblem):
+    """`BoxProblem` with two blocks that counts the calls behind each term."""
+
+    def __init__(self, rows, support_rows=()):
+        super().__init__(rows, support_rows)
+        self.calls = {"bound_terms": 0, "heuristic_bound_term": 0, "support_set": 0}
+
+    @property
+    def num_blocks(self):
+        return 2
+
+    def bound_terms(self, pi_prev, pi_now):
+        self.calls["bound_terms"] += 1
+        return super().bound_terms(pi_prev, pi_now)
+
+    def heuristic_bound_term(self, block, pi_prev, pi_now, support):
+        self.calls["heuristic_bound_term"] += 1
+        return super().heuristic_bound_term(block, pi_prev, pi_now, support)
+
+    def support_set(self, block):
+        self.calls["support_set"] += 1
+        return super().support_set(block)
+
+
+def test_exact_lookup_computes_one_row_per_record_iteration():
+    problem = CountingBoxProblem(3)
+    store = DualStore()
+    store.push(1, np.array([1.0, 0.0, 2.0]))
+    store.push(2, np.array([0.0, 3.0, 1.0]))
+    pi_now = np.array([2.0, 1.0, 1.0])
+    term = bound_term_lookup(problem, FilterMode.EXACT, pi_now)
+    for _ in range(3):
+        for block in (0, 1):
+            for it in (1, 2):
+                got = term(block, it, store.get(it))
+                assert got == problem.hypercube_bound_term(block, store.get(it), pi_now)
+                assert type(got) is float
+    assert problem.calls["bound_terms"] == 2
+    assert bound_term_lookup(problem, FilterMode.BASELINE, pi_now) is None
+
+
+def test_heuristic_lookup_fetches_each_support_once():
+    problem = CountingBoxProblem(3, support_rows=[1])
+    pi_prev, pi_now = np.array([1.0, 0.0, 2.0]), np.array([2.0, 1.0, 1.0])
+    term = bound_term_lookup(problem, FilterMode.HEURISTIC, pi_now)
+    assert problem.calls["support_set"] == 2
+    for block in (0, 1, 0):
+        assert term(block, 1, pi_prev) == -1.0  # row 1 alone: 0 - 1
+    assert problem.calls == {"bound_terms": 0, "heuristic_bound_term": 3, "support_set": 2}

@@ -140,6 +140,102 @@ def test_repeated_row_coefficients_accumulate():
     assert sol.x == pytest.approx([2.0, 0.0])
 
 
+def random_batch(rng, num_rows, count):
+    """`count` random columns as (cost, [(row, value), ...]) pairs, rows sorted."""
+    columns = []
+    for _ in range(count):
+        support = np.sort(rng.choice(num_rows, size=int(rng.integers(0, 5)), replace=False))
+        columns.append((float(rng.integers(1, 20)),
+                        [(int(i), float(np.round(rng.uniform(0.2, 2.0), 3))) for i in support]))
+    return columns
+
+
+def as_batch(columns):
+    """(costs, ptr, rows, vals) of (cost, pairs) columns."""
+    ptr = np.cumsum([0] + [len(pairs) for _, pairs in columns])
+    pairs = [pair for _, col in columns for pair in col]
+    return ([cost for cost, _ in columns], ptr, [r for r, _ in pairs], [v for _, v in pairs])
+
+
+def assert_same_solution(a, b):
+    assert a.status is b.status is LpStatus.OPTIMAL
+    assert (a.objective, a.x.tobytes(), a.duals.tobytes(), a.iterations) == (
+        b.objective, b.x.tobytes(), b.duals.tobytes(), b.iterations)
+
+
+def test_add_columns_solves_like_one_column_at_a_time():
+    rng = np.random.default_rng(21)
+    rows = [(RowSense.GE, 1.0)] * 12 + [(RowSense.LE, 2.0)] * 4 + [(RowSense.EQ, 0.0)]
+    # dear unit columns keep the >= rows coverable
+    first = [(50.0, [(i, 1.0)]) for i in range(12)] + random_batch(rng, len(rows), 28)
+    second = random_batch(rng, len(rows), 25)
+    one_by_one, batched = LpModel(rows), LpModel(rows)
+    for cost, pairs in first:
+        one_by_one.add_column(cost, pairs)
+    assert batched.add_columns(*as_batch(first)) == range(0, 40)
+    assert_same_solution(one_by_one.solve(), batched.solve())
+    # and again after a warm start
+    for cost, pairs in second:
+        one_by_one.add_column(cost, pairs)
+    assert batched.add_columns(*as_batch(second)) == range(40, 65)
+    assert batched.num_cols == one_by_one.num_cols == 65
+    assert_same_solution(one_by_one.solve(), batched.solve())
+
+
+def test_add_columns_accumulates_repeated_rows_within_a_column():
+    batched, single = LpModel([(RowSense.GE, 6.0)] * 2), LpModel([(RowSense.GE, 6.0)] * 2)
+    # column 0 is 3x on row 0 and 1x on row 1; column 1 repeats nothing
+    # although its first row equals column 0's last
+    batched.add_columns([1.0, 5.0], [0, 3, 4], [0, 1, 0, 0], [1.0, 1.0, 2.0, 1.0])
+    single.add_column(1.0, [(0, 3.0), (1, 1.0)])
+    single.add_column(5.0, [(0, 1.0)])
+    # stored alike, since the basis inverse reads each column's entries once
+    nnz = single._ptr[single._n_int]
+    assert batched._ptr[:batched._n_int + 1].tolist() == single._ptr[:single._n_int + 1].tolist()
+    for name in ("_row", "_val", "_col"):
+        assert getattr(batched, name)[:nnz].tolist() == getattr(single, name)[:nnz].tolist()
+    assert_same_solution(batched.solve(), single.solve())
+    assert batched.solve().x == pytest.approx([6.0, 0.0])
+
+
+def solved_twins():
+    """Two equal models, each solved once, so their next solves start warm."""
+    twins = []
+    for _ in range(2):
+        model = LpModel([(RowSense.GE, 1.0), (RowSense.LE, 4.0)])
+        model.add_column(2.0, [(0, 1.0), (1, 1.0)])
+        model.add_column(3.0, [(0, 2.0)])
+        assert model.solve().status is LpStatus.OPTIMAL
+        twins.append(model)
+    return twins
+
+
+def test_add_columns_empty_batch_is_a_no_op():
+    model, twin = solved_twins()
+    assert model.add_columns([], [0], [], []) == range(2, 2)
+    assert model.num_cols == 2
+    assert_same_solution(model.solve(), twin.solve())
+
+
+@pytest.mark.parametrize("costs, ptr, rows, vals, match", [
+    ([1.0, 1.0], [0, 1, 2], [0, 3], [1.0, 1.0], "unknown row 3"),
+    ([1.0, 1.0], [0, 1, 2], [0, -1], [1.0, 1.0], "unknown row -1"),
+    ([1.0, np.inf], [0, 1, 2], [0, 1], [1.0, 1.0], "cost must be finite"),
+    ([1.0, np.nan], [0, 1, 2], [0, 1], [1.0, 1.0], "cost must be finite"),
+    ([1.0, 1.0], [0, 1, 2], [0, 1], [1.0, np.nan], "coefficient must be finite"),
+    ([1.0, 1.0], [0, 1, 2], [0, 1], [-np.inf, 1.0], "coefficient must be finite"),
+    ([1.0, 1.0], [0, 2, 1], [0, 1], [1.0, 1.0], "ptr"),
+    ([1.0], [0, 1, 2], [0, 1], [1.0, 1.0], "ptr"),
+])
+def test_add_columns_rejects_a_bad_batch_whole(costs, ptr, rows, vals, match):
+    # most bad batches start with a valid, cheap column that must not slip in
+    model, twin = solved_twins()
+    with pytest.raises(LpStructureError, match=match):
+        model.add_columns(costs, ptr, rows, vals)
+    assert model.num_cols == 2
+    assert_same_solution(model.solve(), twin.solve())
+
+
 def test_random_lps_match_vertex_oracle_and_scipy():
     rng = np.random.default_rng(2024)
     solved = 0
