@@ -3,7 +3,10 @@
 Each block is a bin; a column is a subset of items that fits the bin's
 capacity, costing the sum of the bin's item costs.  Item rows require
 coverage >= 1; bin rows limit each bin to one pattern.  Pricing is an exact
-0/1 knapsack minimization over values (cost - item dual).
+0/1 knapsack minimization over values (cost - item dual) on candidate items
+only, those with value < 0: a bin with none prices to 0 with the empty
+pattern, a bin whose candidates all fit takes the improving ones in closed
+form, and only the remaining bins run the knapsack DP.
 
 Instance text format ('#' starts a comment):
 
@@ -172,6 +175,9 @@ def generate_ga_instance(num_bins: int, num_items: int, seed: int) -> GaInstance
     always feasible.  PCG64(seed) drives the draws in a fixed order: costs,
     weights, assignment, then capacities of empty bins.
     """
+    if num_bins < 1 or num_items < 0:
+        raise ValueError(f"need at least one bin and a nonnegative item count, got "
+                         f"{num_bins} bins and {num_items} items")
     rng = np.random.Generator(np.random.PCG64(seed))
     costs = rng.integers(1, 101, size=(num_bins, num_items), dtype=np.int64)
     weights = rng.integers(5, 21, size=(num_bins, num_items), dtype=np.int64)
@@ -194,9 +200,11 @@ def generate_ga_instance(num_bins: int, num_items: int, seed: int) -> GaInstance
 def knapsack_min(values, weights, capacity: int) -> tuple[float, tuple[int, ...]]:
     """Exact 0/1 knapsack minimization; the empty set is always allowed.
 
-    Ties on value prefer fewer items, then the lexicographically smallest
-    index tuple, so the result is a pure function of the inputs.  Items with
-    nonnegative value are never selected (they cannot improve on skipping).
+    Only candidate items, those with value < 0, are ever selected: an item
+    with value >= 0 (or nan) cannot improve on skipping it.  Ties on value
+    prefer fewer items, then the lexicographically smaller index tuple, when
+    sums are exact; in floating point the result is what the suffix DP in
+    `knapsack_min_batch` picks, a pure function of the inputs.
     O(len(values) * capacity) time and memory.  This is the one-bin case of
     `knapsack_min_batch`.
     """
@@ -207,14 +215,27 @@ def knapsack_min(values, weights, capacity: int) -> tuple[float, tuple[int, ...]
 
 
 def knapsack_min_batch(values, weights, capacities) -> tuple[np.ndarray, np.ndarray]:
-    """`knapsack_min` over many bins at once: one suffix DP on a (bins, cap+1) grid.
+    """`knapsack_min` over many bins at once.
 
     `values` and `weights` have shape (bins, items) and `capacities` shape
-    (bins,).  Capacities are padded to the largest; a bin's DP row at
-    capacity c does not depend on its own capacity, so every bin gets the
-    values, items and tie-break it would get alone.  Returns each bin's
-    minimum value and a boolean (bins, items) mask of the picked items.
-    O(items * bins * max capacity) time and memory.
+    (bins,).  Returns each bin's minimum value and a boolean (bins, items)
+    mask of the picked items.  Only candidate items (value < 0) count:
+
+    - a bin whose candidates all fit its capacity, or that has none, is read
+      in closed form: scanning items from last to first, it takes item i
+      exactly when ``v_i + acc < acc``, which is the suffix DP's own step at
+      any capacity that holds every candidate, rounding included;
+    - the other bins share one suffix DP over the union of their candidate
+      items, with each bin's other items made unpickable, on a grid padded
+      to the largest of their capacities.  A bin's DP row at capacity c does
+      not depend on its own capacity, so every bin gets the value, items and
+      tie-break it would get alone.
+
+    The tie-break is the suffix DP's: when sums are exact it prefers fewer
+    items, then the lexicographically smaller index tuple.  Each bin's value
+    equals, bit for bit, a DP over all of its items; only picks differ, where
+    such a DP would take an item >= 0 on a rounded tie.
+    O(items * DP bins * their max capacity) time and memory.
     """
     values = np.asarray(values, dtype=float)
     w = np.asarray(weights, dtype=np.int64)
@@ -224,7 +245,30 @@ def knapsack_min_batch(values, weights, capacities) -> tuple[np.ndarray, np.ndar
     if np.any(w < 0):
         raise ValueError("weights must be nonnegative")
     bins, m = values.shape
-    grid = np.arange(int(caps.max(initial=0)) + 1)
+    cand = values < 0
+    # closed form for every bin; exact where all candidates fit, and the DP
+    # below overwrites the rest
+    best = np.zeros(bins)
+    take = np.zeros((bins, m), dtype=bool)
+    for i in range(m - 1, -1, -1):
+        acc = best + values[:, i]
+        np.less(acc, best, out=take[:, i])
+        np.copyto(best, acc, where=take[:, i])
+    dp = np.flatnonzero(np.where(cand, w, 0).sum(axis=1) > caps)
+    if len(dp):
+        items = np.flatnonzero(cand[dp].any(axis=0))
+        sub = np.ix_(dp, items)
+        best[dp], dp_take = _suffix_dp(np.where(cand[sub], values[sub], np.inf), w[sub],
+                                       caps[dp])
+        # the closed form took only candidates, so every column it set is overwritten
+        take[sub] = dp_take
+    return best, take
+
+
+def _suffix_dp(values, w, caps) -> tuple[np.ndarray, np.ndarray]:
+    """The knapsack suffix DP on a (bins, max cap + 1) grid; see `knapsack_min_batch`."""
+    bins, m = values.shape
+    grid = np.arange(int(caps.max()) + 1)
     row_start = np.arange(bins)[:, None] * len(grid)
     # suffix DP over items i..m-1: best value and item count per capacity,
     # two rolling layers plus the take/skip choice of every item

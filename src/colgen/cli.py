@@ -166,17 +166,21 @@ def _cmd_generate(args) -> int:
         print("colgen: generate --problem mc needs --nodes, --arcs and --commodities",
               file=sys.stderr)
         return 2
+    if args.problem == "ga":
+        params = {"bins": args.bins, "items": args.items}
+    else:
+        params = {"nodes": args.nodes, "arcs": args.arcs, "commodities": args.commodities}
+    try:
+        instances = _generate_batch(args.problem, {**params, "count": args.count}, args.seed)
+    except ValueError as exc:
+        print(f"colgen: {exc}", file=sys.stderr)
+        return 2
+    write = write_ga_instance if args.problem == "ga" else write_mc_instance
     out_dir = pathlib.Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for i in range(args.count):
-        seed = args.seed + i
-        if args.problem == "ga":
-            text = write_ga_instance(generate_ga_instance(args.bins, args.items, seed))
-        else:
-            text = write_mc_instance(generate_mc_instance(args.nodes, args.arcs,
-                                                          args.commodities, seed))
-        path = out_dir / f"{args.problem}_s{seed}.txt"
-        path.write_text(text)
+    for i, (_, inst) in enumerate(instances):
+        path = out_dir / f"{args.problem}_s{args.seed + i}.txt"
+        path.write_text(write(inst))
         print(path)
     return 0
 

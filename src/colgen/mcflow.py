@@ -16,6 +16,7 @@ Instance text format (0-based indices, '#' starts a comment):
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,6 +56,27 @@ class Commodity:
     max_delay: float
 
 
+def _arc_error(a: Arc, num_nodes: int) -> str | None:
+    """Why `a` is not a valid arc of a `num_nodes`-node instance, or None."""
+    if not (0 <= a.tail < num_nodes and 0 <= a.head < num_nodes):
+        return f"arc endpoint out of range: {a}"
+    if not all(math.isfinite(x) and x >= 0 for x in (a.capacity, a.delay, a.cost)):
+        return f"arc attributes must be finite and nonnegative: {a}"
+    return None
+
+
+def _commodity_error(c: Commodity, num_nodes: int) -> str | None:
+    """Why `c` is not a valid commodity of a `num_nodes`-node instance, or None."""
+    if not (0 <= c.source < num_nodes and 0 <= c.target < num_nodes):
+        return f"commodity endpoint out of range: {c}"
+    if c.source == c.target:
+        return f"commodity source and target must differ: {c}"
+    if not (math.isfinite(c.bandwidth) and c.bandwidth > 0
+            and math.isfinite(c.max_delay) and c.max_delay >= 0):
+        return f"commodity needs finite positive bandwidth, finite nonnegative budget: {c}"
+    return None
+
+
 @dataclass(frozen=True)
 class McInstance:
     num_nodes: int
@@ -65,17 +87,11 @@ class McInstance:
         if self.num_nodes <= 0:
             raise ValueError("instance needs at least one node")
         for a in self.arcs:
-            if not (0 <= a.tail < self.num_nodes and 0 <= a.head < self.num_nodes):
-                raise ValueError(f"arc endpoint out of range: {a}")
-            if a.capacity < 0 or a.delay < 0 or a.cost < 0:
-                raise ValueError(f"arc attributes must be nonnegative: {a}")
+            if (err := _arc_error(a, self.num_nodes)) is not None:
+                raise ValueError(err)
         for c in self.commodities:
-            if not (0 <= c.source < self.num_nodes and 0 <= c.target < self.num_nodes):
-                raise ValueError(f"commodity endpoint out of range: {c}")
-            if c.source == c.target:
-                raise ValueError("commodity source and target must differ")
-            if c.bandwidth <= 0 or c.max_delay < 0:
-                raise ValueError(f"commodity needs positive bandwidth, nonnegative budget: {c}")
+            if (err := _commodity_error(c, self.num_nodes)) is not None:
+                raise ValueError(err)
 
     @property
     def shape(self) -> tuple[int, int, int]:
@@ -119,13 +135,11 @@ def parse_mc_instance(text: str) -> McInstance:
     if num_nodes is None:
         raise McParseError("missing nodes line")
     for lineno, a in arcs:
-        if not (0 <= a.tail < num_nodes and 0 <= a.head < num_nodes):
-            raise McParseError(f"line {lineno}: arc endpoint out of range: {a}")
-        if a.capacity < 0 or a.delay < 0 or a.cost < 0:
-            raise McParseError(f"line {lineno}: arc attributes must be nonnegative: {a}")
+        if (err := _arc_error(a, num_nodes)) is not None:
+            raise McParseError(f"line {lineno}: {err}")
     for lineno, c in commodities:
-        if not (0 <= c.source < num_nodes and 0 <= c.target < num_nodes):
-            raise McParseError(f"line {lineno}: commodity endpoint out of range: {c}")
+        if (err := _commodity_error(c, num_nodes)) is not None:
+            raise McParseError(f"line {lineno}: {err}")
     try:
         return McInstance(num_nodes, tuple(a for _, a in arcs),
                           tuple(c for _, c in commodities))
@@ -360,6 +374,10 @@ def generate_mc_instance(num_nodes: int, num_arcs: int, num_commodities: int,
     draws in a fixed order: topology, arc attributes, commodities, budgets,
     capacities.
     """
+    if num_nodes < 2 or num_commodities < 0:
+        # one node has no arc or commodity that joins two distinct nodes
+        raise ValueError(f"need at least 2 nodes and a nonnegative commodity count, got "
+                         f"{num_nodes} nodes and {num_commodities} commodities")
     if num_arcs < num_nodes:
         raise ValueError("need at least num_nodes arcs for the connecting ring")
     rng = np.random.Generator(np.random.PCG64(seed))

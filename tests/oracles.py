@@ -210,6 +210,43 @@ def knapsack_brute_items(values, weights, capacity):
     return best[0], best[2]
 
 
+def knapsack_dp_reference(values, weights, capacities):
+    """`knapsack_min_batch` as it was before it priced candidate items only.
+
+    One suffix DP over every item of every bin on a grid padded to the
+    largest capacity; kept verbatim as the fuzz reference for its `best`.
+    Its picks may include a nonnegative item where a rounded sum ties, e.g.
+    ``-64 + -1e-15 == -64``.
+    """
+    values = np.asarray(values, dtype=float)
+    w = np.asarray(weights, dtype=np.int64)
+    caps = np.asarray(capacities, dtype=np.int64)
+    bins, m = values.shape
+    grid = np.arange(int(caps.max(initial=0)) + 1)
+    row_start = np.arange(bins)[:, None] * len(grid)
+    val = np.zeros((bins, len(grid)))
+    cnt = np.zeros((bins, len(grid)), dtype=np.int64)
+    choose = np.zeros((m, bins, len(grid)), dtype=bool)
+    for i in range(m - 1, -1, -1):
+        rest = grid - w[:, i, None]
+        fits = rest >= 0
+        src = row_start + np.maximum(rest, 0)
+        take_v = np.where(fits, values[:, i, None] + val.take(src), np.inf)
+        take_c = 1 + cnt.take(src)
+        ch = choose[i]
+        np.logical_or(take_v < val, (take_v == val) & (take_c <= cnt), out=ch)
+        val = np.where(ch, take_v, val)
+        cnt = np.where(ch, take_c, cnt)
+    rows = np.arange(bins)
+    best = val[rows, caps]
+    take = np.zeros((bins, m), dtype=bool)
+    c = caps.copy()
+    for i in range(m):
+        take[:, i] = choose[i, rows, c]
+        c -= np.where(take[:, i], w[:, i], 0)
+    return best, take
+
+
 def hypercube_brute(d):
     """min over x in {0,1}^n of d @ x, checked exhaustively."""
     d = np.asarray(d, dtype=float)

@@ -4,6 +4,7 @@ import pytest
 from colgen import (GaBlockProblem, GaInstance, GaParseError, PricingRecord,
                     exact_bound, generate_ga_instance, knapsack_min,
                     parse_ga_instance, write_ga_instance)
+from colgen.assignment import knapsack_min_batch
 from colgen.filtering import negative_part_sum
 
 import oracles
@@ -119,6 +120,51 @@ def test_knapsack_matches_brute_force():
         assert got == pytest.approx(want, abs=1e-9)
         assert sum(int(weights[i]) for i in items) <= capacity
         assert got == pytest.approx(sum(float(values[i]) for i in items), abs=1e-9)
+
+
+def test_knapsack_never_picks_a_zero_item_on_a_rounded_tie():
+    # -64 + -1e-15 rounds to -64, so a DP over every item sees the zero-valued
+    # item 0 tie at an equal count; only candidate items (value < 0) count
+    values, weights = [0.0, -64.0, -1e-15], [1, 0, 1]
+    value, items = knapsack_min(values, weights, 1)
+    assert value == -64.0 and 0 not in items
+    _, ref_take = oracles.knapsack_dp_reference([values], [weights], [1])
+    assert ref_take[0, 0]
+
+
+def random_knapsack_batch(rng):
+    """(values, weights, capacities) mixing all-fit, no-candidate and DP bins;
+    zero items, an empty bin list, zero weights and zero capacities included."""
+    bins, m = int(rng.integers(0, 7)), int(rng.integers(0, 7))
+    max_w, max_cap = 8, 20
+    kind = rng.integers(4)
+    if kind == 0:  # exact sums: ties compare equal
+        values = rng.integers(-5, 4, size=(bins, m)).astype(float)
+    elif kind == 1:
+        values = np.round(rng.uniform(-8.0, 4.0, size=(bins, m)), 3)
+    elif kind == 2:  # sums that round to a tie, within 1e-14 of zero and -0.0
+        values = rng.choice([0.0, -0.0, 1e-15, -1e-15, -1e-14, -64.0, -1.0], size=(bins, m))
+        max_w, max_cap = 3, 6
+    else:  # magnitudes from 1e-15 to 100
+        values = rng.normal(size=(bins, m)) * 10.0 ** rng.integers(-15, 3, size=(bins, m))
+    return values, rng.integers(0, max_w, size=(bins, m)), rng.integers(0, max_cap, size=bins)
+
+
+def test_knapsack_batch_matches_the_full_dp_reference():
+    rng = np.random.default_rng(9)
+    ref_nonneg_picks = 0
+    for _ in range(3000):
+        values, weights, capacities = random_knapsack_batch(rng)
+        best, take = knapsack_min_batch(values, weights, capacities)
+        ref_best, ref_take = oracles.knapsack_dp_reference(values, weights, capacities)
+        assert best.tobytes() == ref_best.tobytes()
+        assert np.all(np.where(take, weights, 0).sum(axis=1) <= capacities)
+        assert not np.any(take & ~(values < 0))
+        clean = ~np.any(ref_take & ~(values < 0), axis=1)
+        assert np.array_equal(take[clean], ref_take[clean])
+        ref_nonneg_picks += int(np.sum(~clean))
+    # the draws reach the rounded ties where the reference picks an item >= 0
+    assert ref_nonneg_picks > 0
 
 
 def test_pricing_zero_duals_returns_empty_pattern():

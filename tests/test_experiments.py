@@ -271,6 +271,19 @@ def test_cli_bad_inputs(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("shape", [
+    ["--problem", "ga", "--bins", "0", "--items", "5"],
+    ["--problem", "mc", "--nodes", "5", "--arcs", "3", "--commodities", "2"],
+    ["--problem", "mc", "--nodes", "1", "--arcs", "3", "--commodities", "2"],
+])
+def test_cli_generate_bad_shape_exits_2(tmp_path, capsys, shape):
+    out_dir = tmp_path / "d"
+    assert main(["generate", *shape, "--out-dir", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("colgen: ") and "Traceback" not in err
+    assert not out_dir.exists()
+
+
 def test_cli_failing_instance_exits_nonzero(tmp_path, capsys):
     path = tmp_path / "bad.txt"
     path.write_text(UNROUTABLE_MC)

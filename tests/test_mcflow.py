@@ -55,6 +55,20 @@ def test_parse_rejects_negative_attributes():
         tiny("nodes 2\narc 0 1 -3 1 1\ncommodity 0 1 1 5\n")
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("field", range(5))
+def test_nonfinite_attributes_are_rejected(field, value):
+    # arc capacity, delay, cost, then commodity bandwidth, budget
+    attrs = ["1"] * 5
+    attrs[field] = value
+    text = "nodes 2\narc 0 1 {} {} {}\ncommodity 0 1 {} {}\n".format(*attrs)
+    with pytest.raises(McParseError, match=f"^line {2 if field < 3 else 3}: .*finite"):
+        tiny(text)
+    nums = [float(x) for x in attrs]
+    with pytest.raises(ValueError, match="finite"):
+        McInstance(2, (Arc(0, 1, *nums[:3]),), (Commodity(0, 1, *nums[3:]),))
+
+
 def test_round_trip_on_generated_instances():
     for seed in range(15):
         inst = generate_mc_instance(8, 18, 5, seed)
@@ -86,6 +100,13 @@ def test_generator_output_is_pinned():
 def test_generator_needs_ring():
     with pytest.raises(ValueError):
         generate_mc_instance(10, 9, 2, 0)
+
+
+@pytest.mark.parametrize("shape", [(1, 3, 2), (0, 3, 2), (3, 3, -1)])
+def test_generator_rejects_shapes_without_two_nodes_or_commodities(shape):
+    # one node once looped forever drawing a second endpoint
+    with pytest.raises(ValueError, match="at least 2 nodes"):
+        generate_mc_instance(*shape, 0)
 
 
 def test_rcsp_diamond_picks_fast_route_under_budget():
