@@ -310,7 +310,8 @@ class GaBlockProblem(BlockProblem):
 
     def __init__(self, inst: GaInstance):
         self.inst = inst
-        self._support = [np.zeros(inst.num_items, dtype=bool) for _ in range(inst.num_bins)]
+        # items each bin's installed patterns cover, one row per bin
+        self._support = np.zeros((inst.num_bins, inst.num_items), dtype=bool)
 
     @property
     def num_blocks(self) -> int:
@@ -373,6 +374,5 @@ class GaBlockProblem(BlockProblem):
     def support_set(self, block):
         return self._support[block]
 
-    def register_column(self, block, column):
-        for row, _ in column.coeffs:
-            self._support[block][row] = True
+    def register_columns(self, blocks, rows):
+        self._support[blocks, rows] = True

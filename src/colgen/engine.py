@@ -8,25 +8,31 @@ order, records each outcome and collects the improving columns (reduced cost
 < -epsilon), which enter the master in one `LpModel.add_columns` batch.  The
 run stops when an iteration adds nothing or the iteration cap is hit.
 
-Pricing results stay in arrays (`PricedBlocks`); `Column` objects are built
-only for the columns installed and for the audit's checks.  Exact screening
-reads each earlier iteration's bound terms for all blocks from one
-`bound_terms` call, made lazily (see `bound_term_lookup`).
+Pricing results stay in arrays (`PricedBlocks`), and the bookkeeping after
+pricing is array operations on them: the `RunStats` counts, the improving
+mask, `per_block_added`, and the install batch with its `register_columns`
+call.  No `Column` is built on the solve path: the audit builds the ones it
+checks, and `DwdResult.columns` builds the installed ones when first read.
+Exact screening reads each earlier iteration's bound terms for all blocks
+from one `bound_terms` call, made lazily (see `bound_term_lookup`).
 
-Baseline mode never skips.  Exact screening preserves the baseline optimum;
-heuristic screening (support-restricted bounds) keeps primal feasibility but
-may stop above it.
+Baseline mode screens nothing: it calls no `should_filter` and keeps no
+pricing records.  Exact screening preserves the baseline optimum; heuristic
+screening (support-restricted bounds) keeps primal feasibility but may stop
+above it.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 import time
 from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .filtering import FilterMode, Strategy, bound_term_lookup, should_filter
+from .filtering import FilterDecision, FilterMode, Strategy, bound_term_lookup, should_filter
 from .lp import LpModel, LpNumericalError, LpStatus, RowSense
 from .model import BlockProblem, Column, DualSolution, PricedBlocks, PricingRecord
 
@@ -46,12 +52,14 @@ class DwdConfig:
     trace: bool = False
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        # a nan or inf epsilon would mark no column improving, and the run
+        # would end "optimal" at its first master
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon!r}")
         if self.retain_duals is not None and self.retain_duals < 1:
             raise ValueError("retain_duals must be at least 1")
         if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
+            raise ValueError(f"max_iterations must be at least 1, got {self.max_iterations!r}")
 
 
 class DualStore:
@@ -154,13 +162,21 @@ class DwdResult:
     termination: str
     stats: RunStats
     per_block_added: tuple[int, ...]
-    columns: tuple[Column, ...]
     column_values: np.ndarray
     artificial_value: float
     initial_column_count: int
     duals: DualSolution
     trace: tuple[IterationTrace, ...] | None
     audit: AuditReport | None
+    # the installed batches in install order: (pricing result, its entries)
+    batches: tuple[tuple[PricedBlocks, np.ndarray], ...] = field(
+        default=(), repr=False, compare=False)
+
+    @functools.cached_property
+    def columns(self) -> tuple[Column, ...]:
+        """Every installed column, in install order, built on first read."""
+        return tuple(priced.column(i) for priced, entries in self.batches
+                     for i in entries.tolist())
 
 
 def reduced_cost(column: Column, pi: np.ndarray, mu_k: float) -> float:
@@ -177,7 +193,8 @@ _ARTIFICIAL_TOL = 1e-7
 
 def _lp_batch(priced: PricedBlocks, idx: np.ndarray, num_linking: int):
     """Entries `idx` of `priced` as an `LpModel.add_columns` batch: each
-    column's linking entries, then 1 on its block's convexity row."""
+    column's linking entries, then 1 on its block's convexity row.  Also
+    returns the block and row of each linking entry, for `register_columns`."""
     lo = priced.ptr[idx]
     lens = priced.ptr[idx + 1] - lo
     ptr = np.zeros(len(idx) + 1, dtype=np.int64)
@@ -186,11 +203,12 @@ def _lp_batch(priced: PricedBlocks, idx: np.ndarray, num_linking: int):
     linking = np.ones(ptr[-1], dtype=bool)
     linking[convexity] = False
     src = (np.arange(ptr[-1]) + np.repeat(lo - ptr[:-1], lens + 1))[linking]
+    blocks, link_rows = priced.blocks[idx], priced.rows[src]
     rows = np.empty(ptr[-1], dtype=np.int64)
     vals = np.empty(ptr[-1])
-    rows[linking], vals[linking] = priced.rows[src], priced.vals[src]
-    rows[convexity], vals[convexity] = num_linking + priced.blocks[idx], 1.0
-    return priced.costs[idx], ptr, rows, vals
+    rows[linking], vals[linking] = link_rows, priced.vals[src]
+    rows[convexity], vals[convexity] = num_linking + blocks, 1.0
+    return (priced.costs[idx], ptr, rows, vals), (np.repeat(blocks, lens), link_rows)
 
 
 def run_dwd(problem: BlockProblem, config: DwdConfig | None = None) -> DwdResult:
@@ -209,30 +227,31 @@ def run_dwd(problem: BlockProblem, config: DwdConfig | None = None) -> DwdResult
     num_blocks = problem.num_blocks
     linking = problem.linking_rows()
     num_linking = len(linking)
+    screening = config.mode is not FilterMode.BASELINE
+    eps = config.epsilon
 
     rows = list(linking) + [(problem.convexity_sense(k), 1.0) for k in range(num_blocks)]
     lp = LpModel(rows)
-    columns: list[Column] = []
-    col_lp_idx: list[int] = []
-    per_block_added = [0] * num_blocks
+    batches: list[tuple[PricedBlocks, np.ndarray]] = []
+    col_lp_idx: list[range] = []
+    per_block_added = np.zeros(num_blocks, dtype=np.int64)
     stats = RunStats()
 
-    def install(priced: PricedBlocks, entries: list[int]) -> None:
+    def install(priced: PricedBlocks, entries: np.ndarray) -> None:
         """Add `priced`'s listed entries to the master in one batch, in order."""
-        if not entries:
+        if not len(entries):
             return
-        col_lp_idx.extend(lp.add_columns(*_lp_batch(priced, np.array(entries), num_linking)))
-        for i in entries:
-            col = priced.column(i)
-            columns.append(col)
-            problem.register_column(col.block, col)
+        lp_args, support = _lp_batch(priced, entries, num_linking)
+        col_lp_idx.append(lp.add_columns(*lp_args))
+        problem.register_columns(*support)
+        batches.append((priced, entries))
 
     t_install = time.perf_counter()
     # the initial columns take the pricing result's form; their reduced
     # costs are never read
     initial = problem.initial_columns()
     install(PricedBlocks.from_columns([c.block for c in initial], [(0.0, c) for c in initial]),
-            list(range(len(initial))))
+            np.arange(len(initial)))
     n_initial = len(initial)
 
     big_m = 1e4 * (max((abs(c.cost) for c in initial), default=0.0) + 1.0)
@@ -244,20 +263,15 @@ def run_dwd(problem: BlockProblem, config: DwdConfig | None = None) -> DwdResult
     stats.install_time_s += time.perf_counter() - t_install
 
     store = DualStore(config.retain_duals)
-    history: list[list[PricingRecord]] = [[] for _ in range(num_blocks)]
+    # pricing records per block; baseline reads none, so keeps none
+    history: list[list[PricingRecord]] = [[] for _ in range(num_blocks)] if screening else []
     audit = AuditReport() if config.audit else None
     trace: list[IterationTrace] | None = [] if config.trace else None
     termination = "iteration_limit"
     last_sol = None
     pi = mu = None
-
-    def check_reduced_cost(col, cbar, k, t, context):
-        rc = reduced_cost(col, pi, float(mu[k]))
-        audit.reduced_cost_checks += 1
-        if abs(rc - cbar) > _RC_CHECK_TOL:
-            audit.reduced_cost_mismatches.append(
-                f"iteration {t} block {k} ({context}): pricing said {cbar!r}, "
-                f"recomputed {rc!r}")
+    all_blocks = np.arange(num_blocks)
+    no_skips = np.zeros(num_blocks, dtype=bool)
 
     iterations = 0
     for t in range(1, config.max_iterations + 1):
@@ -276,71 +290,47 @@ def run_dwd(problem: BlockProblem, config: DwdConfig | None = None) -> DwdResult
         pi = sol.duals[:num_linking]
         mu = sol.duals[num_linking:]
         store.push(t, pi)
-        added = 0
-        block_traces: list[BlockTrace] = []
         t_screen = time.perf_counter()
         # the duals stay fixed for the rest of the iteration, so screening
         # every block first and pricing afterwards changes no result
-        term = bound_term_lookup(problem, config.mode, pi)
-        decisions = []
-        for k in range(num_blocks):
-            fd = should_filter(k, store, history[k], float(mu[k]), term,
-                               config.mode, config.strategy, config.epsilon)
-            stats.bounds_evaluated += fd.bounds_evaluated
-            stats.records_skipped_evicted += fd.records_evicted
-            if fd.bounds_evaluated > 0:
-                stats.filters_attempted += 1
-            decisions.append(fd)
+        decisions = None
+        skipped = no_skips
+        if screening:
+            term = bound_term_lookup(problem, config.mode, pi)
+            mu_list = mu.tolist()
+            decisions = [should_filter(k, store, history[k], mu_list[k], term, config.mode,
+                                       config.strategy, eps) for k in range(num_blocks)]
+            skipped = np.array([fd.skip for fd in decisions], dtype=bool)
+            bounds = [fd.bounds_evaluated for fd in decisions]
+            stats.bounds_evaluated += sum(bounds)
+            stats.filters_attempted += num_blocks - bounds.count(0)
+            stats.records_skipped_evicted += sum(fd.records_evicted for fd in decisions)
         t_price = time.perf_counter()
         # one pricing call for the unfiltered blocks; the audit re-prices the
         # filtered ones in the same call
-        todo = [k for k, fd in enumerate(decisions) if audit is not None or not fd.skip]
+        todo = all_blocks if audit is not None else np.flatnonzero(~skipped)
         priced = problem.price_blocks(todo, pi, mu)
         t_record = time.perf_counter()
         if len(priced.reduced_costs) != len(todo):
             raise EngineError(f"price_blocks returned {len(priced.reduced_costs)} results "
                               f"for {len(todo)} blocks at iteration {t}")
-        entry = dict(zip(todo, range(len(todo))))
-        cbars = priced.reduced_costs.tolist()
-        has_column = priced.has_column.tolist()
-        improving: list[int] = []
-        # record and audit in block order; improving columns enter in that
-        # order too, in one batch
-        for k, fd in enumerate(decisions):
-            cbar_seen: float | None = None
-            col_added = False
-            if fd.skip:
-                stats.filters_succeeded += 1
-                if audit is not None:
-                    i = entry[k]
-                    cbar_a = cbars[i]
-                    audit.filter_checks += 1
-                    if has_column[i]:
-                        check_reduced_cost(priced.column(i), cbar_a, k, t, "filtered-block audit")
-                    if cbar_a < -config.epsilon:
-                        if config.mode is FilterMode.EXACT:
-                            audit.soundness_violations.append(
-                                f"iteration {t} block {k}: skipped on bound "
-                                f"{fd.best_bound!r} but exact pricing found {cbar_a!r}")
-                        else:
-                            audit.heuristic_unsound_skips += 1
-            else:
-                i = entry[k]
-                cbar = cbars[i]
-                stats.pricing_calls += 1
-                history[k].append(PricingRecord(t, cbar, float(mu[k])))
-                cbar_seen = cbar
-                if audit is not None and has_column[i]:
-                    check_reduced_cost(priced.column(i), cbar, k, t, "pricing")
-                if cbar < -config.epsilon and has_column[i]:
-                    improving.append(i)
-                    per_block_added[k] += 1
-                    stats.columns_added += 1
-                    added += 1
-                    col_added = True
-            if trace is not None:
-                block_traces.append(BlockTrace(k, fd.decision, fd.bounds,
-                                               fd.records_evicted, cbar_seen, col_added))
+        # entries in block order; the improving ones enter in that order, in
+        # one batch
+        real = ~skipped[todo]
+        improving = np.flatnonzero(real & (priced.reduced_costs < -eps) & priced.has_column)
+        n_skipped = int(skipped.sum())
+        stats.filters_succeeded += n_skipped
+        stats.pricing_calls += num_blocks - n_skipped
+        stats.columns_added += len(improving)
+        # a block is priced at most once per iteration, so no index repeats
+        per_block_added[todo[improving]] += 1
+        if screening:
+            done = todo[real]
+            for k, cbar, mu_k in zip(done.tolist(), priced.reduced_costs[real].tolist(),
+                                     mu[done].tolist()):
+                history[k].append(PricingRecord(t, cbar, mu_k))
+        if audit is not None:
+            _audit_iteration(audit, priced, skipped, decisions, pi, mu, config, t)
         install(priced, improving)
         t_end = time.perf_counter()
         stats.master_time_s += t_screen - t_master
@@ -348,8 +338,11 @@ def run_dwd(problem: BlockProblem, config: DwdConfig | None = None) -> DwdResult
         stats.pricing_time_s += t_record - t_price
         stats.install_time_s += t_end - t_record
         if trace is not None:
-            trace.append(IterationTrace(t, sol.objective, tuple(block_traces), added))
-        if added == 0:
+            trace.append(IterationTrace(t, sol.objective,
+                                        _block_traces(priced, todo, skipped, improving,
+                                                      decisions),
+                                        len(improving)))
+        if not len(improving):
             # heuristic skips may have hidden improving columns
             termination = "converged" if config.mode is FilterMode.HEURISTIC else "optimal"
             break
@@ -360,33 +353,84 @@ def run_dwd(problem: BlockProblem, config: DwdConfig | None = None) -> DwdResult
         termination = "artificial"
 
     if audit is not None and termination == "optimal":
-        final = problem.price_blocks(list(range(num_blocks)), pi, mu)
+        final = problem.price_blocks(all_blocks, pi, mu)
         for k, cbar_f in enumerate(final.reduced_costs.tolist()):
             audit.final_checks += 1
             if final.has_column[k]:
-                check_reduced_cost(final.column(k), cbar_f, k, iterations, "final sweep")
-            if cbar_f < -config.epsilon:
+                _check_reduced_cost(audit, final.column(k), cbar_f, pi, mu, k, iterations,
+                                    "final sweep")
+            if cbar_f < -eps:
                 audit.final_violations.append(
                     f"final sweep block {k}: reduced cost {cbar_f!r} still improving")
 
     stats.iterations = iterations
     stats.wall_time_s = time.perf_counter() - t_start
     # columns added after the last solve (at the iteration limit) have no value
-    lp_idx = np.array(col_lp_idx, dtype=np.intp)
+    lp_idx = np.concatenate([np.zeros(0, dtype=np.intp)]
+                            + [np.arange(r.start, r.stop) for r in col_lp_idx])
     solved = lp_idx < len(x)
-    values = np.zeros(len(columns))
+    values = np.zeros(len(lp_idx))
     values[solved] = x[lp_idx[solved]]
     duals = DualSolution(iterations, pi.copy(), mu.copy())
     return DwdResult(
         objective=last_sol.objective,
         termination=termination,
         stats=stats,
-        per_block_added=tuple(per_block_added),
-        columns=tuple(columns),
+        per_block_added=tuple(per_block_added.tolist()),
         column_values=values,
         artificial_value=artificial_value,
         initial_column_count=n_initial,
         duals=duals,
         trace=tuple(trace) if trace is not None else None,
         audit=audit,
+        batches=tuple(batches),
     )
+
+
+def _check_reduced_cost(audit, col, cbar, pi, mu, k, t, context):
+    """Recompute block `k`'s column `col`'s reduced cost and log a mismatch
+    with pricing's `cbar`."""
+    rc = reduced_cost(col, pi, float(mu[k]))
+    audit.reduced_cost_checks += 1
+    if abs(rc - cbar) > _RC_CHECK_TOL:
+        audit.reduced_cost_mismatches.append(
+            f"iteration {t} block {k} ({context}): pricing said {cbar!r}, "
+            f"recomputed {rc!r}")
+
+
+def _audit_iteration(audit, priced, skipped, decisions, pi, mu, config, t):
+    """The audit's checks of one iteration, whose `priced` holds every block."""
+    cbars = priced.reduced_costs.tolist()
+    has_column = priced.has_column.tolist()
+    for k, skip in enumerate(skipped.tolist()):
+        if not skip:
+            if has_column[k]:
+                _check_reduced_cost(audit, priced.column(k), cbars[k], pi, mu, k, t, "pricing")
+            continue
+        audit.filter_checks += 1
+        if has_column[k]:
+            _check_reduced_cost(audit, priced.column(k), cbars[k], pi, mu, k, t,
+                                "filtered-block audit")
+        if cbars[k] < -config.epsilon:
+            if config.mode is FilterMode.EXACT:
+                audit.soundness_violations.append(
+                    f"iteration {t} block {k}: skipped on bound "
+                    f"{decisions[k].best_bound!r} but exact pricing found {cbars[k]!r}")
+            else:
+                audit.heuristic_unsound_skips += 1
+
+
+def _block_traces(priced, todo, skipped, improving, decisions) -> tuple[BlockTrace, ...]:
+    """One iteration's `BlockTrace`s, in block order."""
+    cbar = dict(zip(todo.tolist(), priced.reduced_costs.tolist()))
+    added = set(todo[improving].tolist())
+    out = []
+    for k, skip in enumerate(skipped.tolist()):
+        fd = decisions[k] if decisions is not None else _PRICED
+        out.append(BlockTrace(k, fd.decision, fd.bounds, fd.records_evicted,
+                              None if skip else cbar[k], k in added))
+    return tuple(out)
+
+
+# what baseline, which screens nothing, records for every block
+_PRICED = FilterDecision(-1, False, None, None, 0, 0, ())

@@ -117,6 +117,10 @@ class ExperimentConfig:
             raise ValueError("need at least one strategy")
         if self.jobs < 1:
             raise ValueError("jobs must be at least 1")
+        # the engine's own checks on epsilon, retain_duals and max_iterations,
+        # made here so that a bad value fails before any solve
+        DwdConfig(epsilon=self.epsilon, retain_duals=self.retain_duals,
+                  max_iterations=self.max_iterations)
 
 
 def make_problem(problem: str, instance):

@@ -18,7 +18,7 @@ it keep primal feasibility but can stop short of the optimum.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,8 +39,9 @@ class Strategy(enum.Enum):
     ADD = "add"            # newest record whose reduced cost was improving
 
 
-@dataclass(frozen=True)
-class FilterDecision:
+class FilterDecision(NamedTuple):
+    """`should_filter`'s verdict on one block; a tuple, so cheap to build."""
+
     block: int
     skip: bool
     best_bound: float | None

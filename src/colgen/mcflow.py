@@ -23,7 +23,7 @@ import numpy as np
 
 from .filtering import negative_part_sum
 from .lp import RowSense
-from .model import BlockProblem, Column
+from .model import BlockProblem, Column, PricedBlocks
 
 DELAY_TOL = 1e-9
 # generated arc capacities add a uniform share in this range of the total
@@ -316,24 +316,57 @@ class McBlockProblem(BlockProblem):
     def initial_columns(self):
         return list(self._initial)
 
-    def solve_pricing(self, block, pi, mu_k):
-        com = self.inst.commodities[block]
-        b = com.bandwidth
+    def price_blocks(self, blocks, pi, mu):
+        """Label setting for each listed commodity, its dual-dependent set-up shared.
+
+        The path weights are computed once per distinct bandwidth, and the
+        arrays the label loop reads go to lists once per call; the result is
+        filled straight from the paths.
+        """
+        blocks = np.asarray(blocks, dtype=np.intp).reshape(-1)
+        return self._price(blocks, pi, np.asarray(mu, dtype=float)[blocks])
+
+    def _price(self, blocks, pi, mu_b) -> PricedBlocks:
         # capacity duals are >=0 up to LP tolerance; clamp the dust so the
         # path weights stay nonnegative for the label-setting solver.  cbar
         # below uses the raw duals; test_mcflow.py's
         # test_dual_clamp_shifts_no_reduced_cost_past_the_audit_tolerance
         # checks that the clamp moves it by less than the audit tolerance
-        w = b * (self._costs + np.maximum(pi, 0.0))
+        clamped = self._costs + np.maximum(pi, 0.0)
         # lists, not arrays: the label loop indexes them one element at a time
-        found = _label_setting(*self._graph, w.tolist(), self._delays.tolist(),
-                               self._dmin[com.target].tolist(), com.max_delay, com.source,
-                               com.target)
-        if found is None:
-            raise UnroutableCommodityError(f"commodity {block} lost all feasible paths")
-        _, path = found
-        cbar = b * float(sum(self._costs[a] + pi[a] for a in path)) - mu_k
-        return cbar, self.path_column(block, path)
+        raw, costs = (self._costs + pi).tolist(), self._costs.tolist()
+        delays = self._delays.tolist()
+        weights: dict[float, list[float]] = {}
+        dmin: dict[int, list[float]] = {}
+        paths, cbars, col_costs, bandwidths = [], [], [], []
+        for k, mu_k in zip(blocks.tolist(), mu_b.tolist()):
+            com = self.inst.commodities[k]
+            b = com.bandwidth
+            if b not in weights:
+                weights[b] = (b * clamped).tolist()
+            if com.target not in dmin:
+                dmin[com.target] = self._dmin[com.target].tolist()
+            found = _label_setting(*self._graph, weights[b], delays, dmin[com.target],
+                                   com.max_delay, com.source, com.target)
+            if found is None:
+                raise UnroutableCommodityError(f"commodity {k} lost all feasible paths")
+            path = found[1]
+            paths.append(path)
+            cbars.append(b * sum(raw[a] for a in path) - mu_k)
+            col_costs.append(b * sum(costs[a] for a in path))
+            bandwidths.append(b)
+        lens = np.array([len(p) for p in paths], dtype=np.int64)
+        ptr = np.zeros(len(paths) + 1, dtype=np.int64)
+        np.cumsum(lens, out=ptr[1:])
+        rows = np.array([a for p in paths for a in sorted(p)], dtype=np.int64)
+        return PricedBlocks(blocks, np.array(cbars, dtype=float),
+                            np.ones(len(paths), dtype=bool), np.array(col_costs, dtype=float),
+                            ptr, rows, np.repeat(-np.array(bandwidths, dtype=float), lens),
+                            lambda i: self.path_column(int(blocks[i]), paths[i]))
+
+    def solve_pricing(self, block, pi, mu_k):
+        priced = self._price(np.array([block], dtype=np.intp), pi, np.array([float(mu_k)]))
+        return float(priced.reduced_costs[0]), priced.column(0)
 
     def hypercube_bound_term(self, block, pi_prev, pi_now):
         b = self.inst.commodities[block].bandwidth
@@ -354,9 +387,8 @@ class McBlockProblem(BlockProblem):
     def support_set(self, block):
         return self._support[block]
 
-    def register_column(self, block, column):
-        for row, _ in column.coeffs:
-            self._support[block][row] = True
+    def register_columns(self, blocks, rows):
+        self._support[blocks, rows] = True
 
 
 # ----------------------------------------------------------------------

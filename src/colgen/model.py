@@ -66,7 +66,9 @@ class PricedBlocks:
     `rows[ptr[i]:ptr[i + 1]]`, `vals[ptr[i]:ptr[i + 1]]`.  Where a block has
     no column, its cost is 0 and its entry range is empty.  `column(i)`
     builds entry i's `Column` (None where there is none); callers build only
-    the ones they keep.
+    the ones they keep.  The engine keeps the results it installs from and
+    calls `column` on them after the run, so it must not read state that
+    later pricing calls change.
     """
 
     blocks: np.ndarray
@@ -102,12 +104,13 @@ class PricedBlocks:
 class BlockProblem(abc.ABC):
     """Contract a problem must satisfy to run under the engine.
 
-    Implementations are stateful: `register_column` is called by the engine
-    for every column actually installed in the master (initial ones
-    included), which is what keeps `support_set` current.  Pricing must be
-    exact -- it returns the true minimum reduced cost over the block's
-    column set, not an approximation.  The engine calls the batch methods
-    `price_blocks` and `bound_terms`; their defaults loop over
+    Implementations are stateful: `register_columns` is called by the
+    engine with every batch of columns actually installed in the master
+    (initial ones included), which is what keeps `support_set` current.
+    Pricing must be exact -- it returns the true minimum reduced cost over
+    the block's column set, not an approximation.  The engine prices, takes
+    exact bound terms and reports installs only in batches (`price_blocks`,
+    `bound_terms`, `register_columns`); the first two default to loops over
     `solve_pricing` and `hypercube_bound_term`.
     """
 
@@ -180,5 +183,11 @@ class BlockProblem(abc.ABC):
     def support_set(self, block: int) -> np.ndarray:
         """Boolean mask over the linking rows that the block's installed columns touch."""
 
-    def register_column(self, block: int, column: Column) -> None:
-        """Engine callback after a column enters the master."""
+    def register_columns(self, blocks: np.ndarray, rows: np.ndarray) -> None:
+        """Engine callback after a batch of columns enters the master.
+
+        Entry j says that an installed column of block `blocks[j]` has a
+        nonzero on linking row `rows[j]`: one entry per (column, linking row)
+        pair of the batch, so a block or row may repeat.  The default keeps
+        nothing.
+        """

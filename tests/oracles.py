@@ -404,3 +404,34 @@ def check_ga_primal(inst, result, tol=1e-6):
     assert result.artificial_value <= tol, f"artificials still active: {result.artificial_value}"
     assert np.all(cover >= 1 - 1e-9), f"coverage short by {np.min(cover) - 1}"
     assert np.all(use <= 1 + 1e-9), f"bin overuse by {np.max(use) - 1}"
+
+
+# ----------------------------------------------------------------------
+# support sets
+
+def register_one_by_one(problem, columns):
+    """`problem.register_columns`, called with one column per batch."""
+    for col in columns:
+        rows = np.array([row for row, _ in col.coeffs], dtype=np.int64)
+        problem.register_columns(np.full(len(rows), col.block, dtype=np.intp), rows)
+
+
+def check_batch_registration(make_problem, make_column, num_blocks, num_rows, rng):
+    """A `register_columns` batch leaves each block's support the union of
+    its columns' rows: the same as registering the columns one by one, and
+    as a union built here from the columns' coefficients."""
+    batched, looped = make_problem(), make_problem()
+    want = np.zeros((num_blocks, num_rows), dtype=bool)
+    for _ in range(4):
+        batch = [make_column(int(rng.integers(num_blocks)),
+                             rng.choice(num_rows, size=int(rng.integers(0, 4)), replace=False))
+                 for _ in range(6)]
+        blocks = np.array([col.block for col in batch for _ in col.coeffs], dtype=np.intp)
+        rows = np.array([row for col in batch for row, _ in col.coeffs], dtype=np.int64)
+        batched.register_columns(blocks, rows)
+        register_one_by_one(looped, batch)
+        for col in batch:
+            want[col.block, [row for row, _ in col.coeffs]] = True
+        for k in range(num_blocks):
+            assert batched.support_set(k).tolist() == want[k].tolist()
+            assert looped.support_set(k).tolist() == want[k].tolist()

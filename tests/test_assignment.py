@@ -194,11 +194,19 @@ def test_support_set_union():
     inst = generate_ga_instance(2, 5, 3)
     problem = GaBlockProblem(inst)
     assert problem.support_set(0).tolist() == [False] * 5
-    problem.register_column(0, problem.assignment_column(0, (1, 3)))
+    oracles.register_one_by_one(problem, [problem.assignment_column(0, (1, 3))])
     assert np.flatnonzero(problem.support_set(0)).tolist() == [1, 3]
-    problem.register_column(0, problem.assignment_column(0, (3, 4)))
+    oracles.register_one_by_one(problem, [problem.assignment_column(0, (3, 4))])
     assert np.flatnonzero(problem.support_set(0)).tolist() == [1, 3, 4]
     assert problem.support_set(1).tolist() == [False] * 5
+
+
+def test_register_columns_batch_is_the_union_of_its_columns():
+    rng = np.random.default_rng(8)
+    for seed in range(4):
+        inst = generate_ga_instance(5, 7, seed)
+        oracles.check_batch_registration(lambda: GaBlockProblem(inst),
+                                         GaBlockProblem(inst).assignment_column, 5, 7, rng)
 
 
 def test_hypercube_term_matches_brute_force():

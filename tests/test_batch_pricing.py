@@ -7,6 +7,7 @@ import pytest
 from colgen import (DwdConfig, FilterMode, GaBlockProblem, GaInstance, McBlockProblem,
                     Strategy, generate_ga_instance, generate_mc_instance, parse_mc_instance,
                     rcsp, run_dwd)
+from colgen.mcflow import _graph_lists, _label_setting, _min_to_target
 from colgen.model import BlockProblem, PricedBlocks
 
 import oracles
@@ -153,6 +154,39 @@ def test_cached_mc_pricing_matches_plain_rcsp():
                            com.source, com.target)
             assert col.native == path
             assert cbar == com.bandwidth * float(sum(costs[a] + pi[a] for a in path)) - mu[k]
+
+
+def test_mc_price_blocks_equals_per_block_label_setting_bit_for_bit():
+    # 30 commodities on 12 nodes share targets, and their bandwidths differ
+    rng = np.random.default_rng(23)
+    for seed in range(3):
+        inst = generate_mc_instance(12, 36, 30, seed)
+        coms = inst.commodities
+        assert len({c.target for c in coms}) < len(coms) and len({c.bandwidth for c in coms}) > 1
+        problem = McBlockProblem(inst)
+        pairs = [(a.tail, a.head) for a in inst.arcs]
+        graph = _graph_lists(inst.num_nodes, pairs)
+        costs = np.array([a.cost for a in inst.arcs])
+        delays = np.array([a.delay for a in inst.arcs])
+        for _ in range(3):
+            pi = np.round(rng.uniform(-0.01, 3.0, size=len(pairs)), 3)
+            mu = rng.uniform(0.0, 50.0, size=len(coms))
+            blocks = [int(k) for k in rng.permutation(len(coms))[:20]]
+            want = []
+            for k in blocks:
+                c = coms[k]
+                b = c.bandwidth
+                _, path = _label_setting(
+                    *graph, (b * (costs + np.maximum(pi, 0.0))).tolist(), delays.tolist(),
+                    _min_to_target(inst.num_nodes, pairs, delays, c.target).tolist(),
+                    c.max_delay, c.source, c.target)
+                cbar = b * float(sum(costs[a] + pi[a] for a in path)) - float(mu[k])
+                want.append((cbar, problem.path_column(k, path)))
+            got = problem.price_blocks(blocks, pi, mu)
+            ref = PricedBlocks.from_columns(blocks, want)
+            for name in ("blocks", "reduced_costs", "has_column", "costs", "ptr", "rows", "vals"):
+                assert getattr(got, name).tobytes() == getattr(ref, name).tobytes(), name
+            assert priced_pairs(got) == want
 
 
 def test_from_columns_marks_blocks_without_a_column():

@@ -5,6 +5,7 @@ from colgen import (DualStore, DwdConfig, EngineError, FilterMode, GaBlockProble
                     LpModel, LpNumericalError, LpSolution, LpStatus, McBlockProblem,
                     RowSense, Strategy, generate_ga_instance, generate_mc_instance,
                     parse_ga_instance, parse_mc_instance, reduced_cost, run_dwd)
+from colgen import engine
 from colgen.model import BlockProblem, Column
 
 import oracles
@@ -451,9 +452,42 @@ def test_engine_determinism():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        DwdConfig(epsilon=0.0)
+    for epsilon in (0.0, -1e-4, float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="epsilon"):
+            DwdConfig(epsilon=epsilon)
     with pytest.raises(ValueError):
         DwdConfig(retain_duals=0)
     with pytest.raises(ValueError):
         DwdConfig(max_iterations=0)
+
+
+@pytest.mark.parametrize("make", [ga_problem, mc_problem])
+def test_baseline_screens_nothing_and_exact_screens_every_block(monkeypatch, make):
+    calls = []
+    real = engine.should_filter
+
+    def counted(block, *args):
+        calls.append(block)
+        return real(block, *args)
+
+    monkeypatch.setattr(engine, "should_filter", counted)
+    base = run_dwd(make(), config(audit=True, trace=True))
+    assert calls == [] and base.stats.filters_attempted == 0
+    assert base.audit.filter_checks == 0
+    assert {b.decision for it in base.trace for b in it.blocks} == {"priced"}
+    exact = run_dwd(make(), config(FilterMode.EXACT, Strategy.ALL))
+    k = make().num_blocks
+    assert calls == list(range(k)) * exact.stats.iterations
+    assert exact.stats.pricing_calls == k * exact.stats.iterations - exact.stats.filters_succeeded
+
+
+def test_columns_are_built_once_on_first_read():
+    result = run_dwd(mc_problem(seed=1), config(FilterMode.EXACT, Strategy.ALL))
+    columns = result.columns
+    assert result.columns is columns
+    assert len(columns) == result.initial_column_count + result.stats.columns_added
+    assert len(columns) == len(result.column_values)
+    added = [0] * len(result.per_block_added)
+    for col in columns[result.initial_column_count:]:
+        added[col.block] += 1
+    assert tuple(added) == result.per_block_added

@@ -132,6 +132,10 @@ def test_config_validation():
         ExperimentConfig(problem="ga", strategies=("exact-all", "nope"))
     with pytest.raises(ValueError):
         ExperimentConfig(problem="ga", jobs=0)
+    for bad in ({"epsilon": 0.0}, {"epsilon": float("nan")}, {"epsilon": float("inf")},
+                {"max_iterations": 0}, {"retain_duals": 0}):
+        with pytest.raises(ValueError):
+            ExperimentConfig(problem="ga", **bad)
 
 
 # ----------------------------------------------------------------------
@@ -269,6 +273,17 @@ def test_cli_bad_inputs(tmp_path, capsys):
     assert main(["generate", "--problem", "ga", "--count", "1",
                  "--out-dir", str(tmp_path)]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("flag", [["--epsilon", "0"], ["--epsilon", "nan"],
+                                  ["--epsilon", "inf"], ["--max-iterations", "0"]])
+def test_cli_bad_numeric_flag_exits_2_before_any_solve(capsys, monkeypatch, flag):
+    monkeypatch.setattr(experiments, "run_dwd", lambda *args: pytest.fail("solved"))
+    assert main(["run", "--problem", "ga", "--generate", "bins=5,items=4,count=2",
+                 *flag]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("colgen: ") and "FAILED" not in captured.err
+    assert captured.err.count("\n") == 1 and not captured.out
 
 
 @pytest.mark.parametrize("shape", [

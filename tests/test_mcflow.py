@@ -237,10 +237,11 @@ class ClampShiftRecorder(McBlockProblem):
         super().__init__(inst)
         self.shifts = []
 
-    def solve_pricing(self, block, pi, mu_k):
-        b = self.inst.commodities[block].bandwidth
-        self.shifts.append(b * float(np.abs(np.minimum(pi, 0.0)).sum()))
-        return super().solve_pricing(block, pi, mu_k)
+    def price_blocks(self, blocks, pi, mu):
+        for k in blocks:
+            b = self.inst.commodities[k].bandwidth
+            self.shifts.append(b * float(np.abs(np.minimum(pi, 0.0)).sum()))
+        return super().price_blocks(blocks, pi, mu)
 
 
 def test_dual_clamp_shifts_no_reduced_cost_past_the_audit_tolerance():
@@ -266,10 +267,19 @@ def test_support_set_grows_by_union():
     inst = tiny(DIAMOND)
     problem = McBlockProblem(inst)
     assert problem.support_set(0).tolist() == [False] * 4
-    problem.register_column(0, problem.path_column(0, (0, 1)))
+    oracles.register_one_by_one(problem, [problem.path_column(0, (0, 1))])
     assert np.flatnonzero(problem.support_set(0)).tolist() == [0, 1]
-    problem.register_column(0, problem.path_column(0, (2, 3)))
+    oracles.register_one_by_one(problem, [problem.path_column(0, (2, 3))])
     assert np.flatnonzero(problem.support_set(0)).tolist() == [0, 1, 2, 3]
+
+
+def test_register_columns_batch_is_the_union_of_its_columns():
+    rng = np.random.default_rng(4)
+    for seed in range(4):
+        inst = generate_mc_instance(8, 20, 6, seed)
+        # arc sets, not paths: support sets read only a column's rows
+        oracles.check_batch_registration(lambda: McBlockProblem(inst),
+                                         McBlockProblem(inst).path_column, 6, 20, rng)
 
 
 def test_hypercube_term_matches_brute_force():
