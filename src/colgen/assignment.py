@@ -371,6 +371,9 @@ class GaBlockProblem(BlockProblem):
     def heuristic_bound_term(self, block, pi_prev, pi_now, support):
         return negative_part_sum((pi_prev - pi_now)[support])
 
+    def heuristic_bound_terms(self, pi_prev, pi_now):
+        return self._support @ np.minimum(pi_prev - pi_now, 0.0)
+
     def support_set(self, block):
         return self._support[block]
 

@@ -95,29 +95,25 @@ def bound_term_lookup(problem: BlockProblem, mode: FilterMode, pi_now: np.ndarra
     """The bound terms `should_filter` reads at the duals `pi_now`, or None in baseline mode.
 
     Returns `term(block, iteration, pi_prev)`: the block's term for a record
-    taken at `iteration`, whose linking duals were `pi_prev`.  Exact mode
-    computes every block's term for one record iteration in one
-    `problem.bound_terms` call, on first use, and keeps the row while the
-    lookup lives (one iteration).  Heuristic mode calls
-    `heuristic_bound_term` per (block, record), on support sets fetched once
-    per block here.
+    taken at `iteration`, whose linking duals were `pi_prev`.  Every block's
+    term for one record iteration comes from one `problem.bound_terms`
+    (exact) or `problem.heuristic_bound_terms` call, made on first use; the
+    row is kept while the lookup lives (one iteration).
     """
     if mode is FilterMode.EXACT:
-        rows: dict[int, list[float]] = {}
+        terms = problem.bound_terms
+    elif mode is FilterMode.HEURISTIC:
+        terms = problem.heuristic_bound_terms
+    else:
+        return None
+    rows: dict[int, list[float]] = {}
 
-        def term(block, iteration, pi_prev):
-            row = rows.get(iteration)
-            if row is None:
-                row = rows[iteration] = problem.bound_terms(pi_prev, pi_now).tolist()
-            return row[block]
-        return term
-    if mode is FilterMode.HEURISTIC:
-        supports = [problem.support_set(k) for k in range(problem.num_blocks)]
-
-        def term(block, iteration, pi_prev):
-            return problem.heuristic_bound_term(block, pi_prev, pi_now, supports[block])
-        return term
-    return None
+    def term(block, iteration, pi_prev):
+        row = rows.get(iteration)
+        if row is None:
+            row = rows[iteration] = terms(pi_prev, pi_now).tolist()
+        return row[block]
+    return term
 
 
 def should_filter(block: int, dual_store, history, mu_now: float, term,

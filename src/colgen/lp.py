@@ -16,10 +16,18 @@ that leaves the basis and its inverse valid, so a re-solve resumes from both,
 which keeps re-solves cheap in column-generation loops.  A solve's returned
 values and duals are computed afresh from the inverse, not carried.
 
-A cold solve crash-starts phase 1: every row whose scaled surplus column has
-coefficient +1 (a <= row with a positive rhs, a >= row with a negative one)
-starts with that surplus basic instead of its artificial, so the start basis
-is still the identity and phase 1 pivots only on the other rows.  Phase 2
+A cold solve crash-starts phase 1 in two steps.  First, every row whose
+scaled surplus column has coefficient +1 (a <= row with a positive rhs, a >=
+row with a negative one) starts with that surplus basic instead of its
+artificial.  Second, each row still held by its artificial takes the
+lowest-index structural column with a positive entry on it and no entry on
+any other artificial-held row (Bixby, "Implementing the simplex method: the
+initial basis", ORSA J. Computing 4(3), 1992).  Such a basis is triangular,
+so its inverse is written down directly; it is used only if its basic values
+are feasible, and otherwise phase 1 starts from the first step's basis, which
+is the identity.  In a decomposition master this puts each block's initial
+column on its convexity row, where phase 1 would otherwise pivot it in one
+row at a time.  Phase 2
 runs on a right-hand side raised by a small, bounded random amount per row
 (Koberstein, "The dual simplex method, techniques for a fast and stable
 implementation", PhD thesis, Paderborn 2005, section 6), which breaks the
@@ -151,11 +159,11 @@ class LpModel:
         self._row = np.concatenate([surplus, np.arange(len(senses))])
         self._val = np.concatenate([-s[surplus], np.ones(len(senses))])
         self._n_int = self._first_struct = len(self._row)
-        # the cold start basis: each row's artificial, or its surplus where
-        # that has coefficient +1; either way B is the identity
-        self._crash_basis = np.arange(len(surplus), self._first_struct)
+        # the slack basis: each row's artificial, or its surplus where that
+        # has coefficient +1; either way B is the identity
+        self._slack_basis = np.arange(len(surplus), self._first_struct)
         crash = np.flatnonzero(s[surplus] < 0)
-        self._crash_basis[surplus[crash]] = crash
+        self._slack_basis[surplus[crash]] = crash
         self._col = np.arange(self._n_int)
         self._c2 = np.zeros(self._n_int)
         self._ptr = np.arange(self._n_int + 1)
@@ -265,6 +273,46 @@ class LpModel:
         out[np.ix_(u_pos, c_rows)] = -inv_u[:, None] * (core[u_row] @ core_inv)
         return out
 
+    def _cold_start(self) -> tuple[np.ndarray, np.ndarray]:
+        """The crash basis of a cold solve and its inverse (module docstring).
+
+        Each row the slack basis leaves on its artificial takes the lowest
+        structural column whose entry there exceeds PIVOT_TOL and which has
+        no entry on another such row.  Its other entries sit on rows whose
+        basic column is a +1 surplus, so B^-1 is the identity except in the
+        crashed rows' columns: 1/a_rr on the pivot row, -a_sr/a_rr on each
+        of the column's other rows.  Falls back to the slack basis when that
+        B^-1 b has an entry below -FEAS_TOL.
+        """
+        m, first, n = self.num_rows, self._first_struct, self._n_int
+        basis, b_inv = self._slack_basis.copy(), np.eye(m)
+        held = self._is_artificial(basis)
+        lo, hi = self._ptr[first], self._ptr[n]
+        rows, vals, cols = self._row[lo:hi], self._val[lo:hi], self._col[lo:hi] - first
+        on_held = held[rows]
+        held_entries = np.bincount(cols, weights=on_held, minlength=n - first)
+        ok = np.flatnonzero(on_held & (vals > PIVOT_TOL) & (held_entries[cols] == 1))
+        pick = np.full(m, n - first)
+        np.minimum.at(pick, rows[ok], cols[ok])
+        crashed = np.flatnonzero(pick < n - first)
+        if not crashed.size:
+            return basis, b_inv
+        # the chosen columns' entries, each with its column's pivot row
+        pivot_row = np.full(n - first, -1)
+        pivot_row[pick[crashed]] = crashed
+        entries = np.flatnonzero(pivot_row[cols] >= 0)
+        e_rows, e_vals, e_piv = rows[entries], vals[entries], pivot_row[cols[entries]]
+        on_pivot = e_rows == e_piv
+        a = np.empty(m)
+        a[e_rows[on_pivot]] = e_vals[on_pivot]
+        off = ~on_pivot
+        b_inv[crashed, crashed] = 1.0 / a[crashed]
+        b_inv[e_rows[off], e_piv[off]] = -e_vals[off] / a[e_piv[off]]
+        if (b_inv @ self._beq).min() < -FEAS_TOL:
+            return basis, np.eye(m)
+        basis[crashed] = first + pick[crashed]
+        return basis, b_inv
+
     # ------------------------------------------------------------------
     def solve(self) -> LpSolution:
         """Run the simplex; warm-starts from the last optimal basis."""
@@ -296,7 +344,7 @@ class LpModel:
         while True:
             if basis is None:
                 # phase 1 from the crash basis
-                basis, b_inv = self._crash_basis.copy(), np.eye(self.num_rows)
+                basis, b_inv = self._cold_start()
                 self._since_inv = 0
                 c1 = artificial.astype(float)
                 status, n1 = self._simplex(c1, beq, basis, b_inv, allow, bland_from_start,
@@ -354,57 +402,67 @@ class LpModel:
         degen_limit = 3 * (m + n)
         degen_run = 0
         pivots = 0
+        # disallowed columns are priced at +inf, so they never enter
+        priced = np.where(allow, costs, np.inf)
         is_art = self._is_artificial(basis)  # kept in step with basis
+        n_art = int(is_art.sum())
         # duals and basic values are carried across pivots and recomputed
         # exactly only after a refactorization
         y = costs[basis] @ b_inv
         xb = np.maximum(b_inv @ rhs, 0.0)
         while True:
-            rc = costs - np.bincount(cols, weights=y[rows] * vals, minlength=n)
-            rc_view = np.where(allow, rc, np.inf)
+            rc = priced - np.bincount(cols, weights=y[rows] * vals, minlength=n)
             if bland:
-                neg = np.flatnonzero(rc_view < -RC_TOL)
+                neg = np.flatnonzero(rc < -RC_TOL)
                 if neg.size == 0:
                     return "optimal", pivots
                 enter = int(neg[0])
             else:
-                enter = int(np.argmin(rc_view))
-                if rc_view[enter] >= -RC_TOL:
+                enter = int(np.argmin(rc))
+                if rc[enter] >= -RC_TOL:
                     return "optimal", pivots
             lo, hi = ptr[enter], ptr[enter + 1]
-            d = b_inv[:, rows[lo:hi]] @ vals[lo:hi]
-            # ratio test over the positions the entering direction touches
-            nz = np.flatnonzero(d)
-            d_nz = d[nz]
-            theta = np.full(nz.size, np.inf)
-            pos = d_nz > PIVOT_TOL
-            theta[pos] = xb[nz[pos]] / d_nz[pos]
-            if pin_artificials:
-                # basic artificials must never grow back above zero
-                theta[is_art[nz] & (d_nz < -PIVOT_TOL)] = 0.0
-            if not np.isfinite(theta).any():
+            if hi - lo == 1:
+                d = b_inv[:, rows[lo]] * vals[lo]
+            else:
+                d = b_inv[:, rows[lo:hi]] @ vals[lo:hi]
+            # ratio test over the positions where the direction is positive,
+            # plus, in phase 2, the basic artificials it would push above
+            # zero, which get ratio 0
+            cand = np.flatnonzero(d > PIVOT_TOL)
+            theta = xb[cand] / d[cand]
+            pinned = (np.flatnonzero(is_art & (d < -PIVOT_TOL))
+                      if pin_artificials and n_art else ())
+            if len(pinned):
+                t_min = 0.0
+                ties = np.sort(np.concatenate([cand[theta == 0.0], pinned]))
+            elif cand.size:
+                t_min = theta.min()
+                ties = cand[theta == t_min]
+            else:
                 return "unbounded", pivots
-            t_min = theta.min()
-            ties = nz[theta == t_min]
-            if bland:
+            if ties.size == 1:
+                leave = int(ties[0])
+            elif bland:
                 leave = int(ties[np.argmin(basis[ties])])
             else:
                 art_tie = ties[is_art[ties]]
                 pool = art_tie if art_tie.size else ties
                 leave = int(pool[np.abs(d[pool]).argmax()])
-            piv = d[leave]
-            if abs(piv) <= PIVOT_TOL:
-                raise _Breakdown(f"phase {phase}, pivot {pivots}: vanishing pivot element")
-            row = b_inv[leave] / piv
-            # rank-1 update, only on the rows the entering direction touches
-            touched = nz[nz != leave]
-            b_inv[touched] -= np.outer(d[touched], row)
+            row = b_inv[leave] / d[leave]
+            # rank-1 update, only on the other rows the direction touches
+            d[leave] = 0.0
+            touched = np.flatnonzero(d)
+            d_t = d[touched]
+            b_inv[touched] -= np.outer(d_t, row)
             b_inv[leave] = row
-            xb[nz] = np.maximum(xb[nz] - t_min * d_nz, 0.0)
+            xb[touched] = np.maximum(xb[touched] - t_min * d_t, 0.0)
             xb[leave] = t_min
             y += rc[enter] * row
             basis[leave] = enter
-            is_art[leave] = False  # artificials never enter
+            if is_art[leave]:
+                is_art[leave] = False  # artificials never enter
+                n_art -= 1
             pivots += 1
             if t_min <= 1e-12:
                 degen_run += 1

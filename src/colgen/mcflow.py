@@ -280,6 +280,7 @@ class McBlockProblem(BlockProblem):
         self._graph = _graph_lists(inst.num_nodes, pairs)
         self._dmin = _delay_potentials(inst.num_nodes, pairs, self._delays,
                                        [com.target for com in inst.commodities])
+        self._bandwidths = np.array([com.bandwidth for com in inst.commodities])
         # commodities by bandwidth, for `bound_terms`; a dict, not np.unique,
         # which would import numpy.ma and its memory
         self._by_bandwidth: dict[float, list[int]] = {}
@@ -383,6 +384,9 @@ class McBlockProblem(BlockProblem):
     def heuristic_bound_term(self, block, pi_prev, pi_now, support):
         b = self.inst.commodities[block].bandwidth
         return negative_part_sum((b * (pi_now - pi_prev))[support])
+
+    def heuristic_bound_terms(self, pi_prev, pi_now):
+        return self._bandwidths * (self._support @ np.minimum(pi_now - pi_prev, 0.0))
 
     def support_set(self, block):
         return self._support[block]

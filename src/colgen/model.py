@@ -5,6 +5,7 @@ from __future__ import annotations
 import abc
 from collections.abc import Callable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,12 +43,12 @@ class DualSolution:
             raise ValueError("dual vectors must be finite")
 
 
-@dataclass(frozen=True)
-class PricingRecord:
+class PricingRecord(NamedTuple):
     """Outcome of one exact pricing solve, kept for later screening bounds.
 
     Only exact solves may be recorded; a heuristically priced value would
-    make every bound built from it unsound.
+    make every bound built from it unsound.  A tuple, so cheap to build:
+    screening runs build one per priced block per iteration.
     """
 
     iteration: int
@@ -109,9 +110,10 @@ class BlockProblem(abc.ABC):
     (initial ones included), which is what keeps `support_set` current.
     Pricing must be exact -- it returns the true minimum reduced cost over
     the block's column set, not an approximation.  The engine prices, takes
-    exact bound terms and reports installs only in batches (`price_blocks`,
-    `bound_terms`, `register_columns`); the first two default to loops over
-    `solve_pricing` and `hypercube_bound_term`.
+    bound terms and reports installs only in batches (`price_blocks`,
+    `bound_terms`, `heuristic_bound_terms`, `register_columns`); the first
+    three default to loops over `solve_pricing`, `hypercube_bound_term` and
+    `heuristic_bound_term`.
     """
 
     @property
@@ -178,6 +180,16 @@ class BlockProblem(abc.ABC):
         Always >= the exact term, so bounds built from it may overshoot and
         skip blocks that still had improving columns.
         """
+
+    def heuristic_bound_terms(self, pi_prev: np.ndarray, pi_now: np.ndarray) -> np.ndarray:
+        """`heuristic_bound_term` of every block on its `support_set`, in block order.
+
+        Families override this with one array expression over all blocks;
+        its sums run in another order, so values may differ from the
+        per-block ones by rounding.
+        """
+        return np.array([self.heuristic_bound_term(k, pi_prev, pi_now, self.support_set(k))
+                         for k in range(self.num_blocks)], dtype=float)
 
     @abc.abstractmethod
     def support_set(self, block: int) -> np.ndarray:

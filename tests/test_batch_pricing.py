@@ -1,5 +1,6 @@
-"""Batched contract methods: `price_blocks` and `bound_terms` against the
-per-block methods, brute force and the default loops."""
+"""Batched contract methods: `price_blocks`, `bound_terms` and
+`heuristic_bound_terms` against the per-block methods, brute force and the
+default loops."""
 
 import numpy as np
 import pytest
@@ -245,3 +246,40 @@ def test_default_bound_terms_loop_over_blocks():
     problem = Recording(generate_ga_instance(4, 3, 0))
     assert problem.bound_terms(np.zeros(3), np.ones(3)).tolist() == [0.0, -1.0, -2.0, -3.0]
     assert calls == [0, 1, 2, 3]
+
+
+# ----------------------------------------------------------------------
+# heuristic_bound_terms
+
+def check_heuristic_bound_terms(problem, rng, draws=20):
+    rows = len(problem.linking_rows())
+    # random installed supports; the last block keeps an empty one
+    n = 3 * problem.num_blocks
+    problem.register_columns(rng.integers(0, problem.num_blocks - 1, size=n),
+                             rng.integers(0, rows, size=n))
+    for _ in range(draws):
+        pi_prev = rng.normal(0.0, 3.0, size=rows)
+        pi_now = rng.normal(0.0, 3.0, size=rows)
+        for a, b in ((pi_prev, pi_now), (pi_now, pi_now)):
+            got = problem.heuristic_bound_terms(a, b)
+            want = [problem.heuristic_bound_term(k, a, b, problem.support_set(k))
+                    for k in range(problem.num_blocks)]
+            assert got.shape == (problem.num_blocks,)
+            # the batch sums in another order, so only up to rounding
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+            assert got[-1] == 0.0
+        assert not problem.heuristic_bound_terms(pi_now, pi_now).any()
+
+
+def test_ga_heuristic_bound_terms_equal_the_per_block_terms():
+    rng = np.random.default_rng(23)
+    for seed in range(5):
+        check_heuristic_bound_terms(GaBlockProblem(generate_ga_instance(7, 6, seed)), rng)
+
+
+def test_mc_heuristic_bound_terms_equal_the_per_block_terms_with_mixed_bandwidths():
+    rng = np.random.default_rng(29)
+    for seed in range(5):
+        inst = generate_mc_instance(9, 24, 12, seed)
+        assert len({c.bandwidth for c in inst.commodities}) > 1
+        check_heuristic_bound_terms(McBlockProblem(inst), rng)

@@ -408,11 +408,12 @@ def test_short_retention_still_exact():
 class LyingBoundProblem(GaBlockProblem):
     """Claims a huge lower bound for every block: every skip is unsound.
 
-    Exact screening reads `bound_terms`, so the double routes it back
-    through the default loop over its lying per-block term.
+    Screening reads `bound_terms` and `heuristic_bound_terms`, so the double
+    routes both back through the default loops over its lying per-block terms.
     """
 
     bound_terms = BlockProblem.bound_terms
+    heuristic_bound_terms = BlockProblem.heuristic_bound_terms
 
     def hypercube_bound_term(self, block, pi_prev, pi_now):
         return 1e6

@@ -256,7 +256,8 @@ class CountingBoxProblem(BoxProblem):
 
     def __init__(self, rows, support_rows=()):
         super().__init__(rows, support_rows)
-        self.calls = {"bound_terms": 0, "heuristic_bound_term": 0, "support_set": 0}
+        self.calls = {"bound_terms": 0, "heuristic_bound_terms": 0, "heuristic_bound_term": 0,
+                      "support_set": 0}
 
     @property
     def num_blocks(self):
@@ -265,6 +266,10 @@ class CountingBoxProblem(BoxProblem):
     def bound_terms(self, pi_prev, pi_now):
         self.calls["bound_terms"] += 1
         return super().bound_terms(pi_prev, pi_now)
+
+    def heuristic_bound_terms(self, pi_prev, pi_now):
+        self.calls["heuristic_bound_terms"] += 1
+        return super().heuristic_bound_terms(pi_prev, pi_now)
 
     def heuristic_bound_term(self, block, pi_prev, pi_now, support):
         self.calls["heuristic_bound_term"] += 1
@@ -289,14 +294,21 @@ def test_exact_lookup_computes_one_row_per_record_iteration():
                 assert got == problem.hypercube_bound_term(block, store.get(it), pi_now)
                 assert type(got) is float
     assert problem.calls["bound_terms"] == 2
+    assert problem.calls["heuristic_bound_terms"] == 0
     assert bound_term_lookup(problem, FilterMode.BASELINE, pi_now) is None
 
 
 def test_heuristic_lookup_fetches_each_support_once():
+    # one heuristic_bound_terms row per record iteration, made on first use:
+    # the default loop fetches each block's support once for it, however
+    # often the row is read
     problem = CountingBoxProblem(3, support_rows=[1])
     pi_prev, pi_now = np.array([1.0, 0.0, 2.0]), np.array([2.0, 1.0, 1.0])
     term = bound_term_lookup(problem, FilterMode.HEURISTIC, pi_now)
-    assert problem.calls["support_set"] == 2
+    assert problem.calls["support_set"] == 0
     for block in (0, 1, 0):
-        assert term(block, 1, pi_prev) == -1.0  # row 1 alone: 0 - 1
-    assert problem.calls == {"bound_terms": 0, "heuristic_bound_term": 3, "support_set": 2}
+        got = term(block, 1, pi_prev)
+        assert got == -1.0  # row 1 alone: 0 - 1
+        assert type(got) is float
+    assert problem.calls == {"bound_terms": 0, "heuristic_bound_terms": 1,
+                             "heuristic_bound_term": 2, "support_set": 2}

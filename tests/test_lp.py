@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import colgen.lp as lp_module
-from colgen import LpModel, LpStatus, RowSense
+from colgen import (DwdConfig, LpModel, LpStatus, McBlockProblem, RowSense,
+                    generate_mc_instance, run_dwd)
 from colgen.lp import LpNumericalError, LpStructureError
 
 import oracles
@@ -356,6 +357,115 @@ def test_perturbed_optimum_infeasible_under_true_rhs_is_solved_again(monkeypatch
     assert fallbacks > 0
 
 
+def dw_master(rng, blocks=6, links=8):
+    """(costs, rows, coeffs) of a decomposition-shaped master: capacity rows
+    in both scaled forms (`<= cap` with loads, `>= -cap` with negated
+    loads), then one `>= 1` convexity row per block.  Columns 0..blocks-1
+    are the blocks' initial columns, and the capacities hold all of them at
+    once; each block also has cheaper loaded columns and a costly empty one,
+    so the LP stays feasible however the capacities are cut."""
+    rows = [(RowSense.LE if i % 2 else RowSense.GE, 0.0) for i in range(links)]
+    rows += [(RowSense.GE, 1.0)] * blocks
+    sign = np.array([1.0 if i % 2 else -1.0 for i in range(links)])
+    costs, cols = [], []
+    for kind in ("initial", "loaded", "loaded", "empty"):
+        for k in range(blocks):
+            col = np.zeros(links + blocks)
+            if kind != "empty":
+                on = rng.choice(links, size=int(rng.integers(1, 4)), replace=False)
+                col[on] = np.round(rng.uniform(0.5, 2.0, size=on.size), 3) * sign[on]
+            col[links + k] = 1.0
+            cols.append(col)
+            costs.append({"initial": 20.0, "loaded": 5.0, "empty": 50.0}[kind]
+                         + float(np.round(rng.uniform(0.0, 5.0), 3)))
+    coeffs = np.array(cols).T
+    load = np.abs(coeffs[:links, :blocks]).sum(axis=1)
+    cap = np.round(load + rng.uniform(0.5, 2.0, size=links), 3)
+    rows[:links] = [(sense, float(c * s)) for (sense, _), c, s in zip(rows, cap, sign)]
+    return np.array(costs), rows, coeffs
+
+
+def test_dw_master_crashes_onto_its_initial_columns(monkeypatch):
+    rng = np.random.default_rng(31)
+    runs = record_phases(monkeypatch)
+    for _ in range(5):
+        costs, rows, coeffs = dw_master(rng)
+        model = build(costs, rows, coeffs)
+        basis, _ = model._cold_start()
+        links = len(rows) - 6
+        assert basis[links:].tolist() == (model._first_struct + np.arange(6)).tolist()
+        runs.clear()
+        sol = model.solve()
+        assert runs[0] == (1, True, 0)
+        status, reference = oracles.linprog_min(costs, rows, coeffs)
+        assert sol.status is LpStatus.OPTIMAL and status == "optimal"
+        assert sol.objective == pytest.approx(reference, abs=1e-6, rel=1e-6)
+        assert_certified(oracles.optimality_report(costs, rows, coeffs, sol), sol)
+
+
+def test_overloaded_crash_falls_back_to_the_slack_basis(monkeypatch):
+    rng = np.random.default_rng(37)
+    costs, rows, coeffs = dw_master(rng)
+    # row 1 (<= cap) can no longer hold the initial columns' load
+    load = coeffs[1, :6].sum()
+    assert load > 0
+    rows[1] = (RowSense.LE, float(load) / 2)
+    model = build(costs, rows, coeffs)
+    basis, b_inv = model._cold_start()
+    assert np.array_equal(basis, model._slack_basis)
+    assert np.array_equal(b_inv, np.eye(len(rows)))
+    runs = record_phases(monkeypatch)
+    sol = model.solve()
+    assert runs[0][:2] == (1, True) and runs[0][2] > 0
+    status, reference = oracles.linprog_min(costs, rows, coeffs)
+    assert sol.status is LpStatus.OPTIMAL and status == "optimal"
+    assert sol.objective == pytest.approx(reference, abs=1e-6, rel=1e-6)
+    assert_certified(oracles.optimality_report(costs, rows, coeffs, sol), sol)
+
+
+def test_crash_takes_the_lowest_eligible_column():
+    rows = [(RowSense.GE, 1.0), (RowSense.GE, 2.0), (RowSense.LE, 5.0), (RowSense.EQ, 3.0)]
+    model = LpModel(rows)
+    for column in ([(0, 1e-12), (2, 1.0)],  # entry on row 0 not above PIVOT_TOL
+                   [(0, 1.0), (1, 1.0)],    # on two artificial-held rows
+                   [(0, -1.0)],             # negative entry
+                   [(0, 2.0), (2, 1.0)],    # row 0's pick
+                   [(0, 1.0)],              # eligible too, but a higher index
+                   [(1, 1.0), (2, -0.5)],   # row 1's pick
+                   [(1, 4.0)],
+                   [(3, 1.0), (1, 1.0)]):   # row 3 (=) has no eligible column
+        model.add_column(1.0, column)
+    basis, b_inv = model._cold_start()
+    first = model._first_struct
+    assert basis.tolist() == [first + 3, first + 5, int(model._slack_basis[2]),
+                              int(model._slack_basis[3])]
+    assert model._is_artificial(basis[3:]).all()
+    np.testing.assert_allclose(b_inv, model._basis_inverse(basis), rtol=0.0, atol=1e-15)
+    assert b_inv @ model._beq == pytest.approx([0.5, 2.0, 5.0 - 0.5 + 1.0, 3.0])
+
+
+def test_crash_inverse_equals_the_refactored_inverse():
+    rng = np.random.default_rng(41)
+    for _ in range(10):
+        costs, rows, coeffs = dw_master(rng, blocks=int(rng.integers(1, 9)),
+                                        links=int(rng.integers(3, 12)))
+        model = build(costs, rows, coeffs)
+        basis, b_inv = model._cold_start()
+        assert not model._is_artificial(basis).any()
+        np.testing.assert_allclose(b_inv, model._basis_inverse(basis), rtol=0.0, atol=1e-12)
+
+
+def test_first_mc_master_needs_no_phase_1_pivots(monkeypatch):
+    # each commodity's initial path goes basic on its convexity row
+    runs = record_phases(monkeypatch)
+    for seed in range(5):
+        runs.clear()
+        result = run_dwd(McBlockProblem(generate_mc_instance(25, 80, 50, seed)),
+                         DwdConfig(max_iterations=1))
+        assert runs[0] == (1, True, 0)
+        assert result.stats.master_pivots == sum(pivots for _, _, pivots in runs)
+
+
 def test_solves_are_bit_identical():
     rng = np.random.default_rng(12)
     rows = [(RowSense.GE, 1.0)] * 30 + [(RowSense.LE, 1.0)] * 10
@@ -447,10 +557,12 @@ def test_refactorization_counts_pivots_across_warm_solves(monkeypatch):
 
 
 def test_numerical_error_names_phase_size_and_pivot(monkeypatch):
-    # phase 1 needs one pivot per row, so both attempts reach a refactorization
+    # every column has entries on two artificial-held rows, so the crash
+    # takes none of them; phase 1 then needs one pivot per row, and both
+    # attempts reach a refactorization
     model = LpModel([(RowSense.GE, 1.0 + i % 3) for i in range(150)])
     for i in range(150):
-        model.add_column(1.0, [(i, 1.0)])
+        model.add_column(1.0, [(i, 1.0), ((i + 1) % 150, 0.5)])
 
     def singular(a):
         raise np.linalg.LinAlgError("singular matrix")
@@ -551,11 +663,12 @@ def test_core_inverse_rejects_singular_unit_columns():
 def test_unit_columns_sharing_a_row_name_phase_and_pivot():
     # row 1's artificial is moved onto row 0, so the phase-1 start basis holds
     # two unit columns on row 0; no column covers row 1, so that artificial
-    # never leaves and both attempts reach their first refactorization
+    # never leaves and both attempts reach their first refactorization.  Each
+    # column has entries on two artificial-held rows, so the crash takes none.
     model = LpModel([(RowSense.GE, 1.0 + i % 3) for i in range(150)])
     for i in range(150):
         if i != 1:
-            model.add_column(1.0, [(i, 1.0)])
+            model.add_column(1.0, [(i, 1.0), (2 if i == 0 else (i + 1) % 150, 0.5)])
     _, art = internal_columns(model)
     model._row[model._ptr[art[1]]] = 0
     with pytest.raises(LpNumericalError) as info:
