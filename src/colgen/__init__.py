@@ -13,28 +13,28 @@ from .engine import (AuditReport, DualStore, DwdConfig, DwdResult, EngineError,
 from .experiments import (STRATEGIES, ExperimentConfig, ExperimentReport,
                           emit_report, format_pct, gap_pct, pct_reduction,
                           run_experiment)
-from .filtering import (FilterDecision, FilterMode, Strategy, bound_term_lookup,
-                        exact_bound, select_records, should_filter)
+from .filtering import (FilterMode, PricingHistory, Screening, Strategy, exact_bound,
+                        should_filter)
 from .lp import (LpError, LpModel, LpNumericalError, LpSolution, LpStatus,
                  LpStructureError, RowSense)
 from .mcflow import (McBlockProblem, McInstance, McParseError,
                      UnroutableCommodityError, generate_mc_instance,
                      parse_mc_instance, rcsp, write_mc_instance)
-from .model import BlockProblem, Column, DualSolution, PricedBlocks, PricingRecord
+from .model import BlockProblem, Column, DualSolution, PricedBlocks
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AuditReport", "BlockProblem", "Column", "DualSolution", "DualStore",
     "DwdConfig", "DwdResult", "E_SET_SHAPES", "EngineError", "ExperimentConfig",
-    "ExperimentReport", "FilterDecision", "FilterMode", "GaBlockProblem",
+    "ExperimentReport", "FilterMode", "GaBlockProblem",
     "GaInstance", "GaParseError", "LpError", "LpModel", "LpNumericalError",
     "LpSolution", "LpStatus", "LpStructureError", "McBlockProblem", "McInstance",
-    "McParseError", "PricedBlocks", "PricingRecord", "RowSense", "RunStats", "STRATEGIES",
-    "Strategy", "UnroutableCommodityError", "bound_term_lookup", "emit_report",
+    "McParseError", "PricedBlocks", "PricingHistory", "RowSense", "RunStats", "STRATEGIES",
+    "Screening", "Strategy", "UnroutableCommodityError", "emit_report",
     "exact_bound", "format_pct", "gap_pct", "generate_ga_instance",
     "generate_mc_instance", "knapsack_min", "parse_ga_instance",
     "parse_mc_instance", "pct_reduction", "rcsp", "reduced_cost", "run_dwd",
-    "run_experiment", "select_records", "should_filter", "write_ga_instance",
+    "run_experiment", "should_filter", "write_ga_instance",
     "write_mc_instance",
 ]

@@ -76,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--format", choices=("csv", "md"), default="csv")
     run.add_argument("--out", help="write the report here instead of stdout")
     run.add_argument("--jobs", type=int, default=1,
-                     help="instances solved in parallel (disables r_time)")
+                     help="instances solved in parallel (disables r_time and r_ptime)")
     run.add_argument("--max-iterations", type=int, default=10_000)
 
     gen = sub.add_parser("generate", help="write instance files")

@@ -3,9 +3,9 @@
 Each iteration solves the restricted master, stores the fresh linking duals,
 then, at those fixed duals, screens every block (bounds built from earlier
 pricing results may prove a block cannot price an improving column), prices
-the unfiltered blocks exactly in one `price_blocks` call, and last, in block
-order, records each outcome and collects the improving columns (reduced cost
-< -epsilon), which enter the master in one `LpModel.add_columns` batch.  The
+the unfiltered blocks exactly in one `price_blocks` call, and last records
+the outcomes and collects the improving columns (reduced cost < -epsilon),
+which enter the master in block order in one `LpModel.add_columns` batch.  The
 run stops when an iteration adds nothing or the iteration cap is hit.
 
 Pricing results stay in arrays (`PricedBlocks`), and the bookkeeping after
@@ -13,11 +13,12 @@ pricing is array operations on them: the `RunStats` counts, the improving
 mask, `per_block_added`, and the install batch with its `register_columns`
 call.  No `Column` is built on the solve path: the audit builds the ones it
 checks, and `DwdResult.columns` builds the installed ones when first read.
-Exact screening reads each earlier iteration's bound terms for all blocks
-from one `bound_terms` call, made lazily (see `bound_term_lookup`).
+Screening is one `should_filter` call per iteration for all blocks, and each
+iteration's records are one row of a `PricingHistory`, written in one
+indexed assignment.
 
 Baseline mode screens nothing: it calls no `should_filter` and keeps no
-pricing records.  Exact screening preserves the baseline optimum; heuristic
+pricing history.  Exact screening preserves the baseline optimum; heuristic
 screening (support-restricted bounds) keeps primal feasibility but may stop
 above it.
 """
@@ -32,9 +33,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .filtering import FilterDecision, FilterMode, Strategy, bound_term_lookup, should_filter
+from .filtering import FilterMode, PricingHistory, Strategy, should_filter
 from .lp import LpModel, LpNumericalError, LpStatus, RowSense
-from .model import BlockProblem, Column, DualSolution, PricedBlocks, PricingRecord
+from .model import BlockProblem, Column, DualSolution, PricedBlocks
 
 
 class EngineError(RuntimeError):
@@ -96,7 +97,7 @@ class DualStore:
 @dataclass(frozen=True)
 class BlockTrace:
     block: int
-    decision: str  # priced / filtered / skipped-evicted (see FilterDecision.decision)
+    decision: str  # priced / filtered / skipped-evicted (every record's duals evicted)
     bounds: tuple[tuple[int, float], ...]
     records_evicted: int
     reduced_cost: float | None
@@ -263,8 +264,10 @@ def run_dwd(problem: BlockProblem, config: DwdConfig | None = None) -> DwdResult
     stats.install_time_s += time.perf_counter() - t_install
 
     store = DualStore(config.retain_duals)
-    # pricing records per block; baseline reads none, so keeps none
-    history: list[list[PricingRecord]] = [[] for _ in range(num_blocks)] if screening else []
+    # baseline reads no pricing records, so keeps none
+    history = PricingHistory(num_blocks) if screening else None
+    terms = (problem.bound_terms if config.mode is FilterMode.EXACT
+             else problem.heuristic_bound_terms)
     audit = AuditReport() if config.audit else None
     trace: list[IterationTrace] | None = [] if config.trace else None
     termination = "iteration_limit"
@@ -293,18 +296,15 @@ def run_dwd(problem: BlockProblem, config: DwdConfig | None = None) -> DwdResult
         t_screen = time.perf_counter()
         # the duals stay fixed for the rest of the iteration, so screening
         # every block first and pricing afterwards changes no result
-        decisions = None
+        screen = None
         skipped = no_skips
         if screening:
-            term = bound_term_lookup(problem, config.mode, pi)
-            mu_list = mu.tolist()
-            decisions = [should_filter(k, store, history[k], mu_list[k], term, config.mode,
-                                       config.strategy, eps) for k in range(num_blocks)]
-            skipped = np.array([fd.skip for fd in decisions], dtype=bool)
-            bounds = [fd.bounds_evaluated for fd in decisions]
-            stats.bounds_evaluated += sum(bounds)
-            stats.filters_attempted += num_blocks - bounds.count(0)
-            stats.records_skipped_evicted += sum(fd.records_evicted for fd in decisions)
+            screen = should_filter(history, store, pi, mu, terms, config.strategy, eps,
+                                   trace is not None)
+            skipped = screen.skipped
+            stats.bounds_evaluated += screen.bounds_evaluated
+            stats.filters_attempted += int(np.count_nonzero(screen.evaluated))
+            stats.records_skipped_evicted += int(screen.evicted.sum())
         t_price = time.perf_counter()
         # one pricing call for the unfiltered blocks; the audit re-prices the
         # filtered ones in the same call
@@ -325,12 +325,9 @@ def run_dwd(problem: BlockProblem, config: DwdConfig | None = None) -> DwdResult
         # a block is priced at most once per iteration, so no index repeats
         per_block_added[todo[improving]] += 1
         if screening:
-            done = todo[real]
-            for k, cbar, mu_k in zip(done.tolist(), priced.reduced_costs[real].tolist(),
-                                     mu[done].tolist()):
-                history[k].append(PricingRecord(t, cbar, mu_k))
+            history.record(t, todo[real], priced.reduced_costs[real], mu)
         if audit is not None:
-            _audit_iteration(audit, priced, skipped, decisions, pi, mu, config, t)
+            _audit_iteration(audit, priced, skipped, screen, pi, mu, config, t)
         install(priced, improving)
         t_end = time.perf_counter()
         stats.master_time_s += t_screen - t_master
@@ -340,7 +337,7 @@ def run_dwd(problem: BlockProblem, config: DwdConfig | None = None) -> DwdResult
         if trace is not None:
             trace.append(IterationTrace(t, sol.objective,
                                         _block_traces(priced, todo, skipped, improving,
-                                                      decisions),
+                                                      screen),
                                         len(improving)))
         if not len(improving):
             # heuristic skips may have hidden improving columns
@@ -398,7 +395,7 @@ def _check_reduced_cost(audit, col, cbar, pi, mu, k, t, context):
             f"recomputed {rc!r}")
 
 
-def _audit_iteration(audit, priced, skipped, decisions, pi, mu, config, t):
+def _audit_iteration(audit, priced, skipped, screen, pi, mu, config, t):
     """The audit's checks of one iteration, whose `priced` holds every block."""
     cbars = priced.reduced_costs.tolist()
     has_column = priced.has_column.tolist()
@@ -415,22 +412,24 @@ def _audit_iteration(audit, priced, skipped, decisions, pi, mu, config, t):
             if config.mode is FilterMode.EXACT:
                 audit.soundness_violations.append(
                     f"iteration {t} block {k}: skipped on bound "
-                    f"{decisions[k].best_bound!r} but exact pricing found {cbars[k]!r}")
+                    f"{float(screen.best_bound[k])!r} but exact pricing found {cbars[k]!r}")
             else:
                 audit.heuristic_unsound_skips += 1
 
 
-def _block_traces(priced, todo, skipped, improving, decisions) -> tuple[BlockTrace, ...]:
-    """One iteration's `BlockTrace`s, in block order."""
+def _block_traces(priced, todo, skipped, improving, screen) -> tuple[BlockTrace, ...]:
+    """One iteration's `BlockTrace`s, in block order; `screen` is None in baseline."""
     cbar = dict(zip(todo.tolist(), priced.reduced_costs.tolist()))
     added = set(todo[improving].tolist())
+    if screen is None:
+        bounds, evaluated, evicted = ((),) * len(skipped), [0] * len(skipped), [0] * len(skipped)
+    else:
+        bounds, evaluated = screen.bounds, screen.evaluated.tolist()
+        evicted = screen.evicted.tolist()
     out = []
     for k, skip in enumerate(skipped.tolist()):
-        fd = decisions[k] if decisions is not None else _PRICED
-        out.append(BlockTrace(k, fd.decision, fd.bounds, fd.records_evicted,
+        decision = ("filtered" if skip else
+                    "skipped-evicted" if evicted[k] and not evaluated[k] else "priced")
+        out.append(BlockTrace(k, decision, bounds[k], evicted[k],
                               None if skip else cbar[k], k in added))
     return tuple(out)
-
-
-# what baseline, which screens nothing, records for every block
-_PRICED = FilterDecision(-1, False, None, None, 0, 0, ())

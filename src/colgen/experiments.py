@@ -5,12 +5,14 @@ then run against the same instance and are scored relative to that baseline:
 
     r_calls = 100 * (base_calls - calls) / base_calls
     r_time  = 100 * (base_time - time) / base_time
+    r_ptime = 100 * (base_pricing - (screening + pricing)) / base_pricing
     gap     = 100 * (objective - base_objective) / base_objective
 
-Only the column-generation run itself is timed (parsing, generation and
-report emission are excluded).  Reports come in two flavors: a long-format
-CSV with a fixed column order, and markdown tables grouping exact and
-heuristic strategies separately.
+r_ptime counts pricing work only, from the `RunStats` phase timers.  Only
+the column-generation run itself is timed (parsing, generation and report
+emission are excluded).  Reports come in two flavors: a long-format CSV with
+a fixed column order, and markdown tables grouping exact and heuristic
+strategies separately.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ STRATEGIES = {
 
 CSV_COLUMNS = ["problem", "instance", "shape", "strategy", "iterations", "calls",
                "vars", "time_s", "objective", "termination", "r_calls_pct", "r_time_pct",
-               "gap_pct"]
+               "r_ptime_pct", "gap_pct"]
 
 
 def pct_reduction(base: float, value: float) -> float:
@@ -68,6 +70,7 @@ class StrategyResult:
     termination: str
     r_calls: float | None = None
     r_time: float | None = None
+    r_ptime: float | None = None
     gap: float | None = None
 
 
@@ -104,7 +107,7 @@ class ExperimentConfig:
     epsilon: float = 1e-4
     retain_duals: int | None = None  # None keeps every dual vector
     audit: bool = False
-    jobs: int = 1  # >1 distributes instances across processes and drops r_time
+    jobs: int = 1  # >1 distributes instances across processes and drops r_time, r_ptime
     max_iterations: int = 10_000
 
     def __post_init__(self):
@@ -154,6 +157,7 @@ def _run_instance(config: ExperimentConfig, name: str, instance):
     failures: list[RunFailure] = []
     violations: list[str] = []
     base: StrategyResult | None = None
+    base_pricing_s = 0.0
     for strat in order:
         try:
             result = run_single(config, instance, strat)
@@ -166,12 +170,15 @@ def _run_instance(config: ExperimentConfig, name: str, instance):
                         + result.audit.reduced_cost_mismatches):
                 violations.append(f"{name}/{strat}: {msg}")
         stats = result.stats
-        r_calls = r_time = gap = None
+        r_calls = r_time = r_ptime = gap = None
         if strat != "baseline" and base is not None:
             if base.calls > 0:
                 r_calls = pct_reduction(base.calls, stats.pricing_calls)
             if time_metrics and base.time_s > 0:
                 r_time = pct_reduction(base.time_s, stats.wall_time_s)
+            if time_metrics and base_pricing_s > 0:
+                r_ptime = pct_reduction(base_pricing_s,
+                                        stats.screening_time_s + stats.pricing_time_s)
             if base.objective != 0:
                 gap = gap_pct(result.objective, base.objective)
             elif result.objective == 0:
@@ -180,10 +187,11 @@ def _run_instance(config: ExperimentConfig, name: str, instance):
                             calls=stats.pricing_calls, vars_added=stats.columns_added,
                             time_s=stats.wall_time_s, objective=result.objective,
                             termination=result.termination,
-                            r_calls=r_calls, r_time=r_time, gap=gap)
+                            r_calls=r_calls, r_time=r_time, r_ptime=r_ptime, gap=gap)
         row.results[strat] = sr
         if strat == "baseline":
             base = sr
+            base_pricing_s = stats.pricing_time_s
     return row, failures, violations
 
 
@@ -192,8 +200,8 @@ def run_experiment(config: ExperimentConfig, instances) -> ExperimentReport:
 
     Baseline always runs (it anchors every relative metric).  A failing run
     is recorded and skipped; the rest of the batch proceeds.  With jobs > 1,
-    instances are spread across processes and r_time is left blank, since
-    wall times from a loaded machine are not comparable.
+    instances are spread across processes and r_time and r_ptime are left
+    blank, since wall times from a loaded machine are not comparable.
     """
     report = ExperimentReport()
     args = [(config, name, inst) for name, inst in instances]
@@ -232,6 +240,7 @@ def emit_csv(rows: list[ReportRow]) -> str:
                 f"{sr.time_s:.3f}", format_objective(sr.objective), sr.termination,
                 "" if sr.r_calls is None else f"{sr.r_calls:.2f}",
                 "" if sr.r_time is None else f"{sr.r_time:.2f}",
+                "" if sr.r_ptime is None else f"{sr.r_ptime:.2f}",
                 "" if sr.gap is None else f"{sr.gap:.2f}",
             ])
     return out.getvalue()
@@ -267,7 +276,7 @@ def emit_markdown(rows: list[ReportRow]) -> str:
         lines.append("")
         header = ["instance", "shape", "#Calls", "#Added", "time (s)", "cost", "termination"]
         for s in strategies:
-            header += [f"{s} %rCalls", f"{s} %rTime"]
+            header += [f"{s} %rCalls", f"{s} %rTime", f"{s} %rPTime"]
             if with_gap:
                 header.append(f"{s} GAP")
             header.append(f"{s} termination")
@@ -281,9 +290,10 @@ def emit_markdown(rows: list[ReportRow]) -> str:
             for s in strategies:
                 sr = row.results.get(s)
                 if sr is None:
-                    cells += ["", "", ""] + ([""] if with_gap else [])
+                    cells += ["", "", "", ""] + ([""] if with_gap else [])
                     continue
-                cells += [_fmt_opt_pct(sr.r_calls), _fmt_opt_pct(sr.r_time)]
+                cells += [_fmt_opt_pct(sr.r_calls), _fmt_opt_pct(sr.r_time),
+                          _fmt_opt_pct(sr.r_ptime)]
                 if with_gap:
                     cells.append(_fmt_opt_pct(sr.gap))
                 cells.append(sr.termination)

@@ -13,6 +13,9 @@ nonnegative bound proves the block has no improving column and pricing can be
 skipped without losing exactness.  Restricting the term to a support set
 gives a cheaper, optimistic variant that may skip blocks wrongly; runs using
 it keep primal feasibility but can stop short of the optimum.
+
+Records are a `PricingHistory`, one row per iteration over all blocks, and
+`should_filter` screens every block at once, one array expression per row.
 """
 
 from __future__ import annotations
@@ -21,8 +24,6 @@ import enum
 from typing import NamedTuple
 
 import numpy as np
-
-from .model import BlockProblem, PricingRecord
 
 
 class FilterMode(enum.Enum):
@@ -39,113 +40,116 @@ class Strategy(enum.Enum):
     ADD = "add"            # newest record whose reduced cost was improving
 
 
-class FilterDecision(NamedTuple):
-    """`should_filter`'s verdict on one block; a tuple, so cheap to build."""
-
-    block: int
-    skip: bool
-    best_bound: float | None
-    record_used: int | None
-    bounds_evaluated: int
-    records_evicted: int
-    bounds: tuple[tuple[int, float], ...]
-
-    @property
-    def decision(self) -> str:
-        if self.skip:
-            return "filtered"
-        if self.bounds_evaluated == 0 and self.records_evicted > 0:
-            return "skipped-evicted"
-        return "priced"
-
-
 def negative_part_sum(diff: np.ndarray) -> float:
     """Minimum of diff . x over the 0/1 box: sum of the negative entries."""
     return float(np.minimum(diff, 0.0).sum())
 
 
-def exact_bound(record: PricingRecord, mu_now: float, term: float) -> float:
-    """Lower bound on the current reduced cost from an earlier record.
+def exact_bound(reduced_cost, mu_prev, mu_now, term):
+    """Lower bound on the current reduced cost from an earlier record, elementwise.
 
     Valid whenever `term` is at most the true box minimum of the dual-shift
-    form; with the support-restricted term the result is only a screening
-    value.  With a record taken at the current duals the term is zero and
-    the record's reduced cost comes back unchanged.
+    form; with the support-restricted term it is only a screening value.
     """
-    return record.reduced_cost + (record.convexity_dual - mu_now) + term
+    return reduced_cost + (mu_prev - mu_now) + term
 
 
-def select_records(strategy: Strategy, history, epsilon: float) -> list[PricingRecord]:
-    """Records to try for one block, newest first."""
-    if not history:
-        return []
-    if strategy is Strategy.ALL:
-        return list(reversed(history))
-    if strategy is Strategy.COMPUTED:
-        return [history[-1]]
-    if strategy is Strategy.ADD:
-        for rec in reversed(history):
-            if rec.reduced_cost < -epsilon:
-                return [rec]
-        return []
-    raise ValueError(f"unknown strategy {strategy!r}")
+class PricingHistory:
+    """Exact pricing outcomes of every block, one row per iteration.
 
-
-def bound_term_lookup(problem: BlockProblem, mode: FilterMode, pi_now: np.ndarray):
-    """The bound terms `should_filter` reads at the duals `pi_now`, or None in baseline mode.
-
-    Returns `term(block, iteration, pi_prev)`: the block's term for a record
-    taken at `iteration`, whose linking duals were `pi_prev`.  Every block's
-    term for one record iteration comes from one `problem.bound_terms`
-    (exact) or `problem.heuristic_bound_terms` call, made on first use; the
-    row is kept while the lookup lives (one iteration).
+    Row t - 1 holds iteration t: each block's minimum reduced cost (NaN where
+    not priced) and the convexity duals.  Only exact solves may be recorded:
+    a heuristically priced value would make every bound built from it unsound.
     """
-    if mode is FilterMode.EXACT:
-        terms = problem.bound_terms
-    elif mode is FilterMode.HEURISTIC:
-        terms = problem.heuristic_bound_terms
-    else:
-        return None
-    rows: dict[int, list[float]] = {}
 
-    def term(block, iteration, pi_prev):
-        row = rows.get(iteration)
-        if row is None:
-            row = rows[iteration] = terms(pi_prev, pi_now).tolist()
-        return row[block]
-    return term
+    def __init__(self, num_blocks: int):
+        self._rc = np.full((8, num_blocks), np.nan)
+        self._mu = np.zeros((8, num_blocks))
+        self.iterations = 0
+
+    def record(self, iteration: int, blocks: np.ndarray, reduced_costs: np.ndarray,
+               mu: np.ndarray) -> None:
+        """Iteration `iteration`'s row (iterations increase): `blocks` priced to
+        `reduced_costs` at convexity duals `mu`."""
+        if iteration > len(self._rc):
+            grow = max(iteration, 2 * len(self._rc)) - len(self._rc)
+            self._rc = np.vstack([self._rc, np.full((grow, len(mu)), np.nan)])
+            self._mu = np.vstack([self._mu, np.zeros((grow, len(mu)))])
+        self._rc[iteration - 1, blocks] = reduced_costs
+        self._mu[iteration - 1] = mu
+        self.iterations = iteration
+
+    @property
+    def reduced_costs(self) -> np.ndarray:
+        return self._rc[:self.iterations]
+
+    @property
+    def convexity_duals(self) -> np.ndarray:
+        return self._mu[:self.iterations]
 
 
-def should_filter(block: int, dual_store, history, mu_now: float, term,
-                  mode: FilterMode, strategy: Strategy, epsilon: float) -> FilterDecision:
-    """Evaluate screening bounds for one block at the current duals.
+class Screening(NamedTuple):
+    """`should_filter`'s verdict on every block at one iteration: two plain
+    Python totals, then arrays over the blocks."""
 
-    `term` is the `bound_term_lookup` for the current duals and `mode`.
-    Stops at the first bound >= -epsilon.  Records whose dual vector was
-    evicted from `dual_store` are counted and passed over; they are kept in
-    the history because a later retention change may not apply retroactively.
-    Depends only on the arguments and mutates nothing but `term`'s cache.
+    skip: bool                # some block is skipped
+    bounds_evaluated: int     # over all blocks
+    skipped: np.ndarray
+    evaluated: np.ndarray     # bounds evaluated
+    evicted: np.ndarray       # records passed over: their duals were evicted
+    best_bound: np.ndarray    # the clearing bound, else the best; -inf if none
+    record_used: np.ndarray   # that bound's record iteration; 0 if none
+    bounds: tuple[tuple[tuple[int, float], ...], ...] | None  # newest first; on request
+
+
+def should_filter(history: PricingHistory, dual_store, pi_now: np.ndarray, mu_now: np.ndarray,
+                  terms, strategy: Strategy, epsilon: float, trace: bool = False) -> Screening:
+    """Evaluate the screening bounds of every block at the duals (`pi_now`, `mu_now`).
+
+    `terms(pi_prev, pi_now)` gives every block's term for a record taken at
+    linking duals `pi_prev` (`bound_terms` or `heuristic_bound_terms`); it
+    is called once for each record iteration some block reads.  Each block
+    tries its records (`strategy`) newest first and stops at the first bound
+    >= -epsilon.  Records whose dual vector was evicted from `dual_store`
+    are counted, for the blocks no retained record cleared, and passed
+    over.  Depends only on the arguments and mutates nothing.
     """
-    if mode is FilterMode.BASELINE:
-        return FilterDecision(block, False, None, None, 0, 0, ())
-    records = select_records(strategy, history, epsilon)
-    bounds: list[tuple[int, float]] = []
-    evicted = 0
-    best: float | None = None
-    used: int | None = None
-    skip = False
-    for rec in records:
-        pi_prev = dual_store.get(rec.iteration)
-        if pi_prev is None:
-            evicted += 1
+    rc = history.reduced_costs
+    mu_rec = history.convexity_duals
+    n, num_blocks = rc.shape
+    # the rows each block may try: every priced row, or its newest priced
+    # (computed) or newest improving (add) row
+    tried = rc < -epsilon if strategy is Strategy.ADD else ~np.isnan(rc)
+    if strategy is not Strategy.ALL and n:
+        newest = n - 1 - np.argmax(tried[::-1], axis=0)
+        has = np.flatnonzero(tried.any(axis=0))
+        tried = np.zeros_like(tried)
+        tried[newest[has], has] = True
+    pis = [dual_store.get(i) for i in range(1, n + 1)]
+    undecided = np.ones(num_blocks, dtype=bool)
+    evaluated = np.zeros(num_blocks, dtype=np.int64)
+    best = np.full(num_blocks, -np.inf)
+    used = np.zeros(num_blocks, dtype=np.int64)
+    per_block = [[] for _ in range(num_blocks)] if trace else None
+    for r in range(n - 1, -1, -1):
+        if pis[r] is None:
             continue
-        lb = exact_bound(rec, mu_now, term(block, rec.iteration, pi_prev))
-        bounds.append((rec.iteration, lb))
-        if best is None or lb > best:
-            best = lb
-            used = rec.iteration
-        if lb >= -epsilon:
-            skip = True
-            used = rec.iteration
-            break
-    return FilterDecision(block, skip, best, used, len(bounds), evicted, tuple(bounds))
+        cand = undecided & tried[r]
+        if not cand.any():
+            continue
+        # a whole row at once; entries outside `cand` are never read
+        lb = exact_bound(rc[r], mu_rec[r], mu_now, terms(pis[r], pi_now))
+        evaluated += cand
+        better = cand & (lb > best)
+        np.copyto(best, lb, where=better)
+        np.copyto(used, r + 1, where=better)
+        # a clearing bound beats the block's earlier ones, which all failed
+        undecided ^= better & (lb >= -epsilon)
+        if trace:
+            for k, v in zip(np.flatnonzero(cand).tolist(), lb[cand].tolist()):
+                per_block[k].append((r + 1, v))
+    dead = [r for r, pi in enumerate(pis) if pi is None]
+    evicted = tried[dead].sum(axis=0) * undecided if dead else np.zeros_like(evaluated)
+    skipped = ~undecided
+    return Screening(bool(skipped.any()), int(evaluated.sum()), skipped, evaluated, evicted,
+                     best, used, tuple(map(tuple, per_block)) if trace else None)

@@ -5,7 +5,6 @@ from __future__ import annotations
 import abc
 from collections.abc import Callable
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -41,19 +40,6 @@ class DualSolution:
             raise ValueError("iteration index starts at 1")
         if not (np.all(np.isfinite(self.linking)) and np.all(np.isfinite(self.convexity))):
             raise ValueError("dual vectors must be finite")
-
-
-class PricingRecord(NamedTuple):
-    """Outcome of one exact pricing solve, kept for later screening bounds.
-
-    Only exact solves may be recorded; a heuristically priced value would
-    make every bound built from it unsound.  A tuple, so cheap to build:
-    screening runs build one per priced block per iteration.
-    """
-
-    iteration: int
-    reduced_cost: float
-    convexity_dual: float
 
 
 @dataclass(frozen=True)
@@ -111,9 +97,10 @@ class BlockProblem(abc.ABC):
     Pricing must be exact -- it returns the true minimum reduced cost over
     the block's column set, not an approximation.  The engine prices, takes
     bound terms and reports installs only in batches (`price_blocks`,
-    `bound_terms`, `heuristic_bound_terms`, `register_columns`); the first
-    three default to loops over `solve_pricing`, `hypercube_bound_term` and
-    `heuristic_bound_term`.
+    `bound_terms`, `heuristic_bound_terms`, `register_columns`); screening
+    takes one row of terms, for all blocks, per record iteration it reads.
+    The first three default to loops over `solve_pricing`,
+    `hypercube_bound_term` and `heuristic_bound_term`.
     """
 
     @property

@@ -2,18 +2,20 @@
 
 Everything here is deliberately written against different primitives than
 the code under test: scipy's LP solver, networkx shortest paths, exhaustive
-enumeration.  Slow is fine; these only run at unit-test scale.
+enumeration, and a screening filter that walks one block's records at a
+time.  Slow is fine; these only run at unit-test scale.
 """
 
 from __future__ import annotations
 
 import itertools
+from typing import NamedTuple
 
 import networkx as nx
 import numpy as np
 import scipy.optimize
 
-from colgen import LpStatus, RowSense
+from colgen import FilterMode, LpStatus, RowSense, Strategy
 
 
 # ----------------------------------------------------------------------
@@ -435,3 +437,98 @@ def check_batch_registration(make_problem, make_column, num_blocks, num_rows, rn
         for k in range(num_blocks):
             assert batched.support_set(k).tolist() == want[k].tolist()
             assert looped.support_set(k).tolist() == want[k].tolist()
+
+
+# ----------------------------------------------------------------------
+# screening: the per-block filter, one block and one record at a time
+
+class PricingRecord(NamedTuple):
+    """Outcome of one exact pricing solve of one block."""
+
+    iteration: int
+    reduced_cost: float
+    convexity_dual: float
+
+
+class FilterDecision(NamedTuple):
+    """`should_filter`'s verdict on one block."""
+
+    block: int
+    skip: bool
+    best_bound: float | None
+    record_used: int | None
+    bounds_evaluated: int
+    records_evicted: int
+    bounds: tuple[tuple[int, float], ...]
+
+    @property
+    def decision(self) -> str:
+        if self.skip:
+            return "filtered"
+        if self.bounds_evaluated == 0 and self.records_evicted > 0:
+            return "skipped-evicted"
+        return "priced"
+
+
+def select_records(strategy, history, epsilon):
+    """Records to try for one block, newest first."""
+    if not history:
+        return []
+    if strategy is Strategy.ALL:
+        return list(reversed(history))
+    if strategy is Strategy.COMPUTED:
+        return [history[-1]]
+    if strategy is Strategy.ADD:
+        for rec in reversed(history):
+            if rec.reduced_cost < -epsilon:
+                return [rec]
+        return []
+    raise ValueError(f"unknown strategy {strategy!r}")
+
+
+def bound_term_lookup(problem, mode, pi_now):
+    """`term(block, iteration, pi_prev)` at the duals `pi_now`, or None in
+    baseline mode; one `bound_terms` or `heuristic_bound_terms` row per
+    record iteration, made on first use."""
+    if mode is FilterMode.EXACT:
+        terms = problem.bound_terms
+    elif mode is FilterMode.HEURISTIC:
+        terms = problem.heuristic_bound_terms
+    else:
+        return None
+    rows = {}
+
+    def term(block, iteration, pi_prev):
+        row = rows.get(iteration)
+        if row is None:
+            row = rows[iteration] = terms(pi_prev, pi_now).tolist()
+        return row[block]
+    return term
+
+
+def should_filter(block, dual_store, history, mu_now, term, mode, strategy, epsilon):
+    """Screening bounds of one block, whose records are `history` (oldest
+    first): newest first, stopping at the first bound >= -epsilon, passing
+    over (and counting) records whose duals were evicted."""
+    if mode is FilterMode.BASELINE:
+        return FilterDecision(block, False, None, None, 0, 0, ())
+    bounds = []
+    evicted = 0
+    best = used = None
+    skip = False
+    for rec in select_records(strategy, history, epsilon):
+        pi_prev = dual_store.get(rec.iteration)
+        if pi_prev is None:
+            evicted += 1
+            continue
+        lb = (rec.reduced_cost + (rec.convexity_dual - mu_now)
+              + term(block, rec.iteration, pi_prev))
+        bounds.append((rec.iteration, lb))
+        if best is None or lb > best:
+            best = lb
+            used = rec.iteration
+        if lb >= -epsilon:
+            skip = True
+            used = rec.iteration
+            break
+    return FilterDecision(block, skip, best, used, len(bounds), evicted, tuple(bounds))

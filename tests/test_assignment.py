@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from colgen import (GaBlockProblem, GaInstance, GaParseError, PricingRecord,
-                    exact_bound, generate_ga_instance, knapsack_min,
-                    parse_ga_instance, write_ga_instance)
+from colgen import (GaBlockProblem, GaInstance, GaParseError, exact_bound,
+                    generate_ga_instance, knapsack_min, parse_ga_instance,
+                    write_ga_instance)
 from colgen.assignment import knapsack_min_batch
 from colgen.filtering import negative_part_sum
 
@@ -236,7 +236,7 @@ def test_bound_matches_hand_coded_bin_formula():
         nu_now = float(rng.uniform(-10.0, 10.0))
         term = negative_part_sum(pi_prev - pi_now)
         hand = cbar + -1.0 * (nu_prev - nu_now) + term
-        generic = exact_bound(PricingRecord(1, cbar, -nu_prev), -nu_now, term)
+        generic = exact_bound(cbar, -nu_prev, -nu_now, term)
         assert generic == hand
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -430,6 +432,24 @@ def test_audit_catches_invalid_exact_bounds():
     assert not result.audit.ok
 
 
+def test_trace_and_audit_messages_hold_python_numbers():
+    # screening works on arrays, but what it reports reads as before:
+    # repr(np.float64(x)) would be "np.float64(x)"
+    inst = generate_ga_instance(6, 5, 0)
+    lying = run_dwd(LyingBoundProblem(inst),
+                    config(FilterMode.EXACT, Strategy.ALL, audit=True))
+    for msg in lying.audit.soundness_violations:
+        assert re.fullmatch(r"iteration \d+ block \d+: skipped on bound -?[\d.e+-]+ "
+                            r"but exact pricing found -?[\d.e+-]+", msg)
+    traced = run_dwd(mc_problem(seed=3), config(FilterMode.EXACT, Strategy.ALL,
+                                                retain_duals=2, trace=True))
+    blocks = [b for it in traced.trace for b in it.blocks]
+    assert any(b.bounds for b in blocks) and any(b.records_evicted for b in blocks)
+    for b in blocks:
+        assert type(b.records_evicted) is int
+        assert all(type(it) is int and type(lb) is float for it, lb in b.bounds)
+
+
 def test_heuristic_unsound_skips_are_informational():
     inst = generate_ga_instance(6, 5, 0)
     result = run_dwd(LyingBoundProblem(inst),
@@ -464,12 +484,14 @@ def test_config_validation():
 
 @pytest.mark.parametrize("make", [ga_problem, mc_problem])
 def test_baseline_screens_nothing_and_exact_screens_every_block(monkeypatch, make):
+    # one screening call per iteration, deciding every block
     calls = []
     real = engine.should_filter
 
-    def counted(block, *args):
-        calls.append(block)
-        return real(block, *args)
+    def counted(*args, **kwargs):
+        screen = real(*args, **kwargs)
+        calls.append(len(screen.skipped))
+        return screen
 
     monkeypatch.setattr(engine, "should_filter", counted)
     base = run_dwd(make(), config(audit=True, trace=True))
@@ -478,7 +500,7 @@ def test_baseline_screens_nothing_and_exact_screens_every_block(monkeypatch, mak
     assert {b.decision for it in base.trace for b in it.blocks} == {"priced"}
     exact = run_dwd(make(), config(FilterMode.EXACT, Strategy.ALL))
     k = make().num_blocks
-    assert calls == list(range(k)) * exact.stats.iterations
+    assert calls == [k] * exact.stats.iterations
     assert exact.stats.pricing_calls == k * exact.stats.iterations - exact.stats.filters_succeeded
 
 

@@ -24,7 +24,7 @@ def csv_rows(csv_text: str) -> list[list[str]]:
 
 
 def strip_time_columns(csv_text: str) -> list[list[str]]:
-    drop = {CSV_COLUMNS.index("time_s"), CSV_COLUMNS.index("r_time_pct")}
+    drop = {CSV_COLUMNS.index(name) for name in ("time_s", "r_time_pct", "r_ptime_pct")}
     return [[c for i, c in enumerate(cells) if i not in drop]
             for cells in csv_rows(csv_text)]
 
@@ -123,6 +123,7 @@ def test_parallel_runs_match_serial_and_drop_rtime():
         strip_time_columns(emit_csv(parallel.rows))
     for row in parallel.rows:
         assert row.results["exact-all"].r_time is None
+        assert row.results["exact-all"].r_ptime is None
 
 
 def test_config_validation():
@@ -153,11 +154,33 @@ def test_csv_layout():
     assert len(rows) == 3  # header + baseline + exact-all
     base_cells = rows[1]
     assert base_cells[3] == "baseline"
-    for name in ("r_calls_pct", "r_time_pct", "gap_pct"):
+    for name in ("r_calls_pct", "r_time_pct", "r_ptime_pct", "gap_pct"):
         assert base_cells[CSV_COLUMNS.index(name)] == ""
     strat_cells = rows[2]
     assert strat_cells[CSV_COLUMNS.index("gap_pct")] == "0.00"
     float(strat_cells[CSV_COLUMNS.index("r_calls_pct")])  # bare number, no sign noise
+    assert CSV_COLUMNS.index("r_ptime_pct") == CSV_COLUMNS.index("r_time_pct") + 1
+    float(strat_cells[CSV_COLUMNS.index("r_ptime_pct")])
+
+
+def test_pricing_rtime_compares_screening_plus_pricing_with_baseline_pricing(monkeypatch):
+    # fixed phase timers: baseline prices in 2 s, the strategy screens in
+    # 0.5 s and prices in 1 s, so its pricing work fell by 25%
+    real = experiments.run_single
+
+    def timed(config, instance, strategy):
+        result = real(config, instance, strategy)
+        stats = result.stats
+        stats.screening_time_s, stats.pricing_time_s = ((0.0, 2.0) if strategy == "baseline"
+                                                        else (0.5, 1.0))
+        return result
+
+    monkeypatch.setattr(experiments, "run_single", timed)
+    report = run_experiment(ExperimentConfig(problem="ga", strategies=("exact-all",)),
+                            ga_batch(1))
+    assert report.rows[0].results["exact-all"].r_ptime == 25.0
+    assert report.rows[0].results["baseline"].r_ptime is None
+    assert "exact-all %rPTime" in emit_markdown(report.rows)
 
 
 def test_markdown_groups_exact_and_heuristic():

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from colgen import (DualStore, FilterDecision, FilterMode, PricingRecord, RowSense,
-                    Strategy, exact_bound, select_records, should_filter)
-from colgen.filtering import bound_term_lookup, negative_part_sum
+from colgen import (DualStore, FilterMode, PricingHistory, RowSense, Strategy, exact_bound,
+                    should_filter)
+from colgen.filtering import negative_part_sum
 from colgen.model import BlockProblem, Column
+
+import oracles
 
 
 class BoxProblem(BlockProblem):
@@ -55,73 +57,99 @@ def test_restricted_sum_examples():
 
 
 def test_exact_bound_is_record_cost_at_zero_drift():
-    rec = PricingRecord(3, -7.25, 1.5)
     # same iteration: no mu drift, no term -> exactly the stored value
-    assert exact_bound(rec, 1.5, 0.0) == rec.reduced_cost
+    assert exact_bound(-7.25, 1.5, 1.5, 0.0) == -7.25
 
 
 def test_exact_bound_arithmetic():
-    rec = PricingRecord(1, 5.0, 2.0)
-    assert exact_bound(rec, 2.0, -2.0) == pytest.approx(3.0)
+    assert exact_bound(5.0, 2.0, 2.0, -2.0) == pytest.approx(3.0)
     # convexity drift enters as mu(l) - mu(t), whatever the row's sense: a
     # >= row's dual falling from 2 to 0 raises the bound, and a <= row's
     # (nonpositive) dual rising from -2 to 0 lowers it
-    assert exact_bound(rec, 0.0, 0.0) == pytest.approx(7.0)
-    assert exact_bound(PricingRecord(1, 5.0, -2.0), 0.0, 0.0) == pytest.approx(3.0)
+    assert exact_bound(5.0, 2.0, 0.0, 0.0) == pytest.approx(7.0)
+    assert exact_bound(5.0, -2.0, 0.0, 0.0) == pytest.approx(3.0)
+    # elementwise on arrays
+    got = exact_bound(np.array([5.0, 5.0]), np.array([2.0, -2.0]), np.zeros(2), np.zeros(2))
+    assert got.tolist() == [7.0, 3.0]
 
 
-def history(*pairs):
-    return [PricingRecord(t, c, 0.0) for t, c in pairs]
+def history(*records, num_blocks=1):
+    """A `PricingHistory` of one block's (iteration, reduced cost[, mu]) records."""
+    hist = PricingHistory(num_blocks)
+    for it, cbar, *mu in records:
+        hist.record(it, np.array([0]), np.array([cbar]), np.array(mu or [0.0]))
+    return hist
+
+
+def zero_store(iterations, retain=None, rows=2):
+    store = DualStore(retain)
+    for t in range(1, iterations + 1):
+        store.push(t, np.zeros(rows))
+    return store
+
+
+def run_filter(problem, store, hist, pi_now, mode, strategy, mu_now=0.0, epsilon=1e-4):
+    """Block 0's part of a batch screening, in the per-block oracle's form."""
+    terms = problem.bound_terms if mode is FilterMode.EXACT else problem.heuristic_bound_terms
+    screen = should_filter(hist, store, pi_now, np.array([mu_now]), terms, strategy, epsilon,
+                           trace=True)
+    return block_decision(screen, 0)
+
+
+def block_decision(screen, k):
+    """Block k's part of a batch `Screening` as an `oracles.FilterDecision`."""
+    evaluated = int(screen.evaluated[k])
+    return oracles.FilterDecision(
+        k, bool(screen.skipped[k]), float(screen.best_bound[k]) if evaluated else None,
+        int(screen.record_used[k]) if evaluated else None, evaluated,
+        int(screen.evicted[k]), screen.bounds[k])
+
+
+def tried(strategy, *records, epsilon=1e-4):
+    """Iterations whose records `strategy` tries, newest first, when no bound clears."""
+    last = max((it for it, _ in records), default=0)
+    fd = run_filter(BoxProblem(2), zero_store(last + 1), history(*records), np.zeros(2),
+                    FilterMode.EXACT, strategy, mu_now=1e3, epsilon=epsilon)
+    assert not fd.skip
+    return [it for it, _ in fd.bounds]
 
 
 def test_select_records_all_newest_first():
-    h = history((1, -3.0), (4, 2.0), (6, -1.0))
-    assert [r.iteration for r in select_records(Strategy.ALL, h, 1e-4)] == [6, 4, 1]
+    assert tried(Strategy.ALL, (1, -3.0), (4, 2.0), (6, -1.0)) == [6, 4, 1]
 
 
 def test_select_records_computed_takes_newest():
-    h = history((1, -3.0), (4, 2.0))
-    assert [r.iteration for r in select_records(Strategy.COMPUTED, h, 1e-4)] == [4]
+    assert tried(Strategy.COMPUTED, (1, -3.0), (4, 2.0)) == [4]
 
 
 def test_select_records_add_takes_newest_improving():
-    h = history((1, -3.0), (4, 2.0))
-    assert [r.iteration for r in select_records(Strategy.ADD, h, 1e-4)] == [1]
-    only_positive = history((2, 0.5), (3, 1.0))
-    assert select_records(Strategy.ADD, only_positive, 1e-4) == []
+    assert tried(Strategy.ADD, (1, -3.0), (4, 2.0)) == [1]
+    assert tried(Strategy.ADD, (2, 0.5), (3, 1.0)) == []
     # the negativity test uses the same epsilon as the engine
-    borderline = history((2, -5e-5))
-    assert select_records(Strategy.ADD, borderline, 1e-4) == []
+    assert tried(Strategy.ADD, (2, -5e-5), epsilon=1e-4) == []
 
 
 def test_select_records_empty_history():
     for strategy in Strategy:
-        assert select_records(strategy, [], 1e-4) == []
-
-
-def run_filter(problem, store, hist, pi_now, mode, strategy, mu_now=0.0, epsilon=1e-4):
-    return should_filter(0, store, hist, mu_now, bound_term_lookup(problem, mode, pi_now),
-                         mode, strategy, epsilon)
+        assert tried(strategy) == []
 
 
 def test_baseline_never_skips():
-    problem = BoxProblem(2)
-    store = DualStore()
-    store.push(1, np.zeros(2))
-    hist = [PricingRecord(1, 100.0, 0.0)]  # hugely nonnegative: any bound would skip
-    fd = run_filter(problem, store, hist, np.zeros(2), FilterMode.BASELINE, Strategy.ALL)
-    assert fd == FilterDecision(0, False, None, None, 0, 0, ())
+    # the engine makes no screening call in baseline; the reference filter
+    # says why: in baseline mode it skips nothing
+    store = zero_store(1)
+    hist = [oracles.PricingRecord(1, 100.0, 0.0)]  # hugely nonnegative: any bound would skip
+    fd = oracles.should_filter(0, store, hist, 0.0, None, FilterMode.BASELINE, Strategy.ALL,
+                               1e-4)
+    assert fd == oracles.FilterDecision(0, False, None, None, 0, 0, ())
     assert fd.decision == "priced"
 
 
 def test_short_circuit_on_first_good_bound():
     problem = BoxProblem(2)
-    store = DualStore()
     pi = np.zeros(2)
-    store.push(1, pi)
-    store.push(2, pi)
-    hist = history((1, 3.0), (2, 5.0))
-    fd = run_filter(problem, store, hist, pi, FilterMode.EXACT, Strategy.ALL)
+    fd = run_filter(problem, zero_store(2), history((1, 3.0), (2, 5.0)), pi,
+                    FilterMode.EXACT, Strategy.ALL)
     assert fd.skip and fd.decision == "filtered"
     assert fd.bounds_evaluated == 1  # newest record already proves it
     assert fd.record_used == 2
@@ -129,11 +157,8 @@ def test_short_circuit_on_first_good_bound():
 
 
 def test_all_bounds_negative_means_priced():
-    problem = BoxProblem(2)
-    store = DualStore()
-    store.push(1, np.zeros(2))
-    hist = history((1, -9.0))
-    fd = run_filter(problem, store, hist, np.zeros(2), FilterMode.EXACT, Strategy.ALL)
+    fd = run_filter(BoxProblem(2), zero_store(1), history((1, -9.0)), np.zeros(2),
+                    FilterMode.EXACT, Strategy.ALL)
     assert not fd.skip
     assert fd.decision == "priced"
     assert fd.bounds_evaluated == 1
@@ -142,8 +167,7 @@ def test_all_bounds_negative_means_priced():
 
 def test_skip_requires_bound_at_least_minus_epsilon():
     problem = BoxProblem(1)
-    store = DualStore()
-    store.push(1, np.zeros(1))
+    store = zero_store(1, rows=1)
     fd = run_filter(problem, store, history((1, -5e-5)), np.zeros(1),
                     FilterMode.EXACT, Strategy.ALL, epsilon=1e-4)
     assert fd.skip  # -5e-5 >= -1e-4
@@ -157,8 +181,8 @@ def test_evicted_records_are_passed_over():
     store = DualStore(retain=1)
     store.push(1, np.zeros(2))
     store.push(2, np.ones(2))  # evicts iteration 1
-    hist = history((1, 50.0))
-    fd = run_filter(problem, store, hist, np.ones(2), FilterMode.EXACT, Strategy.ALL)
+    fd = run_filter(problem, store, history((1, 50.0)), np.ones(2),
+                    FilterMode.EXACT, Strategy.ALL)
     assert not fd.skip
     assert fd.records_evicted == 1
     assert fd.bounds_evaluated == 0
@@ -167,15 +191,12 @@ def test_evicted_records_are_passed_over():
 
 def test_mixed_evicted_and_live_records():
     problem = BoxProblem(2)
-    store = DualStore(retain=1)
-    store.push(1, np.zeros(2))
-    store.push(2, np.zeros(2))
-    hist = history((1, 50.0), (2, 50.0))
-    fd = run_filter(problem, store, hist, np.zeros(2), FilterMode.EXACT, Strategy.ALL)
+    store = zero_store(2, retain=1)
+    fd = run_filter(problem, store, history((1, 50.0), (2, 50.0)), np.zeros(2),
+                    FilterMode.EXACT, Strategy.ALL)
     assert fd.skip
     assert fd.records_evicted == 0  # newest record hit first, short-circuit
-    fd_add = run_filter(problem, store, [PricingRecord(1, -50.0, 0.0),
-                                         PricingRecord(2, 50.0, 0.0)],
+    fd_add = run_filter(problem, store, history((1, -50.0), (2, 50.0)),
                         np.zeros(2), FilterMode.EXACT, Strategy.ADD)
     # ADD wants iteration 1 (the improving one) but its duals are gone
     assert not fd_add.skip
@@ -222,16 +243,13 @@ def test_strategy_nesting_on_random_states():
         t_max = int(rng.integers(2, 7))
         for t in range(1, t_max + 1):
             store.push(t, np.round(rng.normal(scale=2.0, size=rows), 2))
-        hist = [PricingRecord(t, float(np.round(rng.normal(scale=3.0), 2)),
-                              float(np.round(rng.normal(), 2)))
-                for t in range(1, t_max)]
+        hist = history(*[(t, float(np.round(rng.normal(scale=3.0), 2)),
+                          float(np.round(rng.normal(), 2))) for t in range(1, t_max)])
         pi_now = store.get(t_max)
         mu_now = float(np.round(rng.normal(), 2))
-        results = {}
-        for strategy in Strategy:
-            results[strategy] = should_filter(
-                0, store, hist, mu_now, bound_term_lookup(problem, FilterMode.EXACT, pi_now),
-                FilterMode.EXACT, strategy, 1e-4)
+        results = {strategy: run_filter(problem, store, hist, pi_now, FilterMode.EXACT,
+                                        strategy, mu_now=mu_now)
+                   for strategy in Strategy}
         if results[Strategy.COMPUTED].skip:
             assert results[Strategy.ALL].skip
         if results[Strategy.ADD].skip:
@@ -240,14 +258,13 @@ def test_strategy_nesting_on_random_states():
 
 def test_filter_is_pure():
     problem = BoxProblem(2)
-    store = DualStore()
-    store.push(1, np.zeros(2))
+    store = zero_store(1)
     hist = history((1, 3.0))
     pi = np.zeros(2)
     first = run_filter(problem, store, hist, pi, FilterMode.EXACT, Strategy.ALL)
     second = run_filter(problem, store, hist, pi, FilterMode.EXACT, Strategy.ALL)
     assert first == second
-    assert [r.iteration for r in hist] == [1]
+    assert hist.reduced_costs.tolist() == [[3.0]]
     assert store.retained_iterations == (1,)
 
 
@@ -280,35 +297,129 @@ class CountingBoxProblem(BoxProblem):
         return super().support_set(block)
 
 
+def two_block_history(*records):
+    """Both blocks priced to `cbar` at each (iteration, cbar) of `records`."""
+    hist = PricingHistory(2)
+    for it, cbar in records:
+        hist.record(it, np.array([0, 1]), np.full(2, cbar), np.zeros(2))
+    return hist
+
+
 def test_exact_lookup_computes_one_row_per_record_iteration():
     problem = CountingBoxProblem(3)
     store = DualStore()
     store.push(1, np.array([1.0, 0.0, 2.0]))
     store.push(2, np.array([0.0, 3.0, 1.0]))
     pi_now = np.array([2.0, 1.0, 1.0])
-    term = bound_term_lookup(problem, FilterMode.EXACT, pi_now)
-    for _ in range(3):
-        for block in (0, 1):
-            for it in (1, 2):
-                got = term(block, it, store.get(it))
-                assert got == problem.hypercube_bound_term(block, store.get(it), pi_now)
-                assert type(got) is float
+    # no bound clears, so every block reads both record iterations
+    screen = should_filter(two_block_history((1, -50.0), (2, -50.0)), store, pi_now,
+                           np.zeros(2), problem.bound_terms, Strategy.ALL, 1e-4, trace=True)
+    for block in (0, 1):
+        assert [it for it, _ in screen.bounds[block]] == [2, 1]
+        for it, lb in screen.bounds[block]:
+            assert lb == -50.0 + problem.hypercube_bound_term(block, store.get(it), pi_now)
+            assert type(lb) is float and type(it) is int
     assert problem.calls["bound_terms"] == 2
     assert problem.calls["heuristic_bound_terms"] == 0
-    assert bound_term_lookup(problem, FilterMode.BASELINE, pi_now) is None
 
 
 def test_heuristic_lookup_fetches_each_support_once():
-    # one heuristic_bound_terms row per record iteration, made on first use:
-    # the default loop fetches each block's support once for it, however
-    # often the row is read
+    # one heuristic_bound_terms row per record iteration: the default loop
+    # fetches each block's support once for it, however many blocks read it
     problem = CountingBoxProblem(3, support_rows=[1])
-    pi_prev, pi_now = np.array([1.0, 0.0, 2.0]), np.array([2.0, 1.0, 1.0])
-    term = bound_term_lookup(problem, FilterMode.HEURISTIC, pi_now)
-    assert problem.calls["support_set"] == 0
-    for block in (0, 1, 0):
-        got = term(block, 1, pi_prev)
-        assert got == -1.0  # row 1 alone: 0 - 1
-        assert type(got) is float
+    store = DualStore()
+    store.push(1, np.array([1.0, 0.0, 2.0]))
+    screen = should_filter(two_block_history((1, 0.5)), store, np.array([2.0, 1.0, 1.0]),
+                           np.zeros(2), problem.heuristic_bound_terms, Strategy.ALL, 1e-4,
+                           trace=True)
+    assert screen.bounds == (((1, -0.5),), ((1, -0.5),))  # row 1 alone: 0.5 + (0 - 1)
     assert problem.calls == {"bound_terms": 0, "heuristic_bound_terms": 1,
                              "heuristic_bound_term": 2, "support_set": 2}
+
+
+# ----------------------------------------------------------------------
+# the batch screening against the per-block reference filter
+
+class GridProblem(BoxProblem):
+    """Blocks with their own linking weights and support sets, all on a
+    grid of quarters, so that bounds tie with -epsilon exactly."""
+
+    def __init__(self, weights, support):
+        super().__init__(weights.shape[1])
+        self.weights, self.support = weights, support
+
+    @property
+    def num_blocks(self):
+        return len(self.weights)
+
+    def hypercube_bound_term(self, block, pi_prev, pi_now):
+        return negative_part_sum(self.weights[block] * (pi_prev - pi_now))
+
+    def heuristic_bound_term(self, block, pi_prev, pi_now, support):
+        return negative_part_sum((self.weights[block] * (pi_prev - pi_now))[support])
+
+    def support_set(self, block):
+        return self.support[block]
+
+
+def random_screening_state(rng, retain):
+    """A random problem, dual store, history (both forms) and current duals."""
+    num_blocks, rows = int(rng.integers(1, 7)), int(rng.integers(1, 4))
+    grid = lambda lo, hi, size=None: rng.integers(lo, hi + 1, size=size) / 4.0
+    problem = GridProblem(grid(0, 8, (num_blocks, rows)), rng.random((num_blocks, rows)) < 0.6)
+    t_now = int(rng.integers(1, 9))
+    store = DualStore(retain)
+    for t in range(1, t_now + 1):
+        store.push(t, grid(-8, 8, rows))
+    hist = PricingHistory(num_blocks)
+    records = [[] for _ in range(num_blocks)]
+    never = int(rng.integers(num_blocks))  # this block is never priced
+    for t in range(1, t_now):
+        mu = grid(-4, 4, num_blocks)
+        blocks = np.flatnonzero(rng.random(num_blocks) < 0.7)
+        blocks = blocks[blocks != never]
+        cbars = grid(-8, 6, len(blocks))
+        hist.record(t, blocks, cbars, mu)
+        for k, cbar in zip(blocks.tolist(), cbars.tolist()):
+            records[k].append(oracles.PricingRecord(t, cbar, float(mu[k])))
+    return problem, store, hist, records, store.get(t_now), grid(-4, 4, num_blocks)
+
+
+@pytest.mark.parametrize("retain", [None, 1, 2])
+@pytest.mark.parametrize("mode", [FilterMode.EXACT, FilterMode.HEURISTIC])
+@pytest.mark.parametrize("strategy", list(Strategy))
+def test_batch_screening_matches_per_block_oracle(strategy, mode, retain):
+    eps = 0.25
+    rng = np.random.default_rng([list(Strategy).index(strategy), mode is FilterMode.EXACT,
+                                 retain or 0])
+    seen = {"tie": 0, "never priced": 0, "evicted": 0, "all evicted": 0, "no improving": 0}
+    for _ in range(150):
+        problem, store, hist, records, pi_now, mu_now = random_screening_state(rng, retain)
+        terms = (problem.bound_terms if mode is FilterMode.EXACT
+                 else problem.heuristic_bound_terms)
+        screen = should_filter(hist, store, pi_now, mu_now, terms, strategy, eps, trace=True)
+        term = oracles.bound_term_lookup(problem, mode, pi_now)
+        want = [oracles.should_filter(k, store, records[k], float(mu_now[k]), term, mode,
+                                      strategy, eps) for k in range(problem.num_blocks)]
+        # field by field, with the bounds compared bit for bit through repr
+        got = [block_decision(screen, k) for k in range(problem.num_blocks)]
+        assert repr(got) == repr(want)
+        assert type(screen.skip) is bool and type(screen.bounds_evaluated) is int
+        assert screen.skip == any(fd.skip for fd in want)
+        assert screen.bounds_evaluated == sum(fd.bounds_evaluated for fd in want)
+        quiet = should_filter(hist, store, pi_now, mu_now, terms, strategy, eps)
+        assert quiet.bounds is None
+        for a, b in zip(quiet[:-1], screen[:-1]):
+            assert np.array_equal(a, b, equal_nan=True)
+        seen["tie"] += sum(lb == -eps for fd in want for _, lb in fd.bounds)
+        seen["never priced"] += sum(not r for r in records)
+        seen["evicted"] += sum(fd.records_evicted for fd in want)
+        seen["all evicted"] += sum(bool(r) and all(store.get(rec.iteration) is None for rec in r)
+                                   for r in records)
+        seen["no improving"] += sum(bool(r) and all(rec.reduced_cost >= -eps for rec in r)
+                                    for r in records)
+    assert seen["never priced"] and seen["no improving"]
+    # with one retained dual vector every record is evicted, so no bound ties
+    assert seen["tie"] if retain != 1 else seen["all evicted"]
+    if retain is not None:
+        assert seen["evicted"] and seen["all evicted"]
