@@ -8,7 +8,7 @@ multicommodity flow, generalized assignment), and a batch experiment runner.
 from .assignment import (E_SET_SHAPES, GaBlockProblem, GaInstance, GaParseError,
                          generate_ga_instance, knapsack_min, parse_ga_instance,
                          write_ga_instance)
-from .engine import (AuditReport, DualStore, DwdConfig, DwdResult, EngineError,
+from .engine import (AuditReport, DwdConfig, DwdResult, EngineError,
                      RunStats, reduced_cost, run_dwd)
 from .experiments import (STRATEGIES, ExperimentConfig, ExperimentReport,
                           emit_report, format_pct, gap_pct, pct_reduction,
@@ -25,7 +25,7 @@ from .model import BlockProblem, Column, DualSolution, PricedBlocks
 __version__ = "0.1.0"
 
 __all__ = [
-    "AuditReport", "BlockProblem", "Column", "DualSolution", "DualStore",
+    "AuditReport", "BlockProblem", "Column", "DualSolution",
     "DwdConfig", "DwdResult", "E_SET_SHAPES", "EngineError", "ExperimentConfig",
     "ExperimentReport", "FilterMode", "GaBlockProblem",
     "GaInstance", "GaParseError", "LpError", "LpModel", "LpNumericalError",

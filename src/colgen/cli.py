@@ -69,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="comma-separated subset of: " + ", ".join(STRATEGIES))
     run.add_argument("--epsilon", type=float, default=1e-4)
     run.add_argument("--alpha", type=_parse_alpha, default=None,
-                     help="keep only the last N dual vectors (default: keep all)")
+                     help="screen with only the last N dual vectors (default: all)")
     run.add_argument("--seed", type=int, default=0, help="base seed for --generate")
     run.add_argument("--audit", action="store_true",
                      help="re-price every filtered block and cross-check reduced costs")
@@ -95,6 +95,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _generate_batch(problem: str, params: dict[str, int], default_seed: int):
     count = params.pop("count", 1)
     seed = params.pop("seed", default_seed)
+    if count < 1:
+        raise ValueError(f"count must be at least 1, got {count}")
     instances = []
     if problem == "ga":
         extra = set(params) - {"bins", "items"}
@@ -122,9 +124,9 @@ def _load_batch(problem: str, pattern: str):
     parse = parse_mc_instance if problem == "mc" else parse_ga_instance
     instances = []
     for path in paths:
-        text = pathlib.Path(path).read_text()
+        # unreadable files (directories, bad encodings) and parse errors alike
         try:
-            instances.append((pathlib.Path(path).stem, parse(text)))
+            instances.append((pathlib.Path(path).stem, parse(pathlib.Path(path).read_text())))
         except Exception as exc:
             raise ValueError(f"{path}: {exc}") from exc
     return instances

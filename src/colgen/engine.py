@@ -1,10 +1,10 @@
 """Delayed column generation over block-structured LPs with pricing screening.
 
-Each iteration solves the restricted master, stores the fresh linking duals,
-then, at those fixed duals, screens every block (bounds built from earlier
-pricing results may prove a block cannot price an improving column), prices
-the unfiltered blocks exactly in one `price_blocks` call, and last records
-the outcomes and collects the improving columns (reduced cost < -epsilon),
+Each iteration solves the restricted master, then, at its fixed duals,
+screens every block (bounds built from earlier pricing results may prove a
+block cannot price an improving column), prices the unfiltered blocks
+exactly in one `price_blocks` call, and last records the outcomes with the
+duals and collects the improving columns (reduced cost < -epsilon),
 which enter the master in block order in one `LpModel.add_columns` batch.  The
 run stops when an iteration adds nothing or the iteration cap is hit.
 
@@ -14,8 +14,8 @@ mask, `per_block_added`, and the install batch with its `register_columns`
 call.  No `Column` is built on the solve path: the audit builds the ones it
 checks, and `DwdResult.columns` builds the installed ones when first read.
 Screening is one `should_filter` call per iteration for all blocks, and each
-iteration's records are one row of a `PricingHistory`, written in one
-indexed assignment.
+iteration's records and duals are one row of a `PricingHistory`, written in
+one `record` call.
 
 Baseline mode screens nothing: it calls no `should_filter` and keeps no
 pricing history.  Exact screening preserves the baseline optimum; heuristic
@@ -28,7 +28,6 @@ from __future__ import annotations
 import functools
 import math
 import time
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,7 +46,7 @@ class DwdConfig:
     mode: FilterMode = FilterMode.BASELINE
     strategy: Strategy = Strategy.ALL
     epsilon: float = 1e-4
-    retain_duals: int | None = None  # None keeps every dual vector
+    retain_duals: int | None = None  # alpha; None reads every dual vector
     max_iterations: int = 10_000
     audit: bool = False
     trace: bool = False
@@ -57,41 +56,17 @@ class DwdConfig:
         # would end "optimal" at its first master
         if not (math.isfinite(self.epsilon) and self.epsilon > 0):
             raise ValueError(f"epsilon must be positive and finite, got {self.epsilon!r}")
+        # a float or bool would run as another count, or fail mid-run
+        counts = {"max_iterations": self.max_iterations}
+        if self.retain_duals is not None:
+            counts["retain_duals"] = self.retain_duals
+        for name, value in counts.items():
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if self.retain_duals is not None and self.retain_duals < 1:
             raise ValueError("retain_duals must be at least 1")
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be at least 1, got {self.max_iterations!r}")
-
-
-class DualStore:
-    """Linking-dual vectors by iteration, keeping only the newest `retain`."""
-
-    def __init__(self, retain: int | None = None):
-        if retain is not None and retain < 1:
-            raise ValueError("retain must be at least 1")
-        self._retain = retain
-        self._data: dict[int, np.ndarray] = {}
-        self._order: deque[int] = deque()
-
-    def push(self, iteration: int, pi: np.ndarray) -> None:
-        if self._order and iteration <= self._order[-1]:
-            raise ValueError("iterations must be pushed in increasing order")
-        self._data[iteration] = np.array(pi, dtype=float, copy=True)
-        self._order.append(iteration)
-        if self._retain is not None:
-            while len(self._order) > self._retain:
-                del self._data[self._order.popleft()]
-
-    def get(self, iteration: int) -> np.ndarray | None:
-        """The stored vector, or None if it was evicted or never pushed."""
-        return self._data.get(iteration)
-
-    def __len__(self) -> int:
-        return len(self._order)
-
-    @property
-    def retained_iterations(self) -> tuple[int, ...]:
-        return tuple(self._order)
 
 
 @dataclass(frozen=True)
@@ -263,9 +238,8 @@ def run_dwd(problem: BlockProblem, config: DwdConfig | None = None) -> DwdResult
                                  np.arange(len(rows)), signs)
     stats.install_time_s += time.perf_counter() - t_install
 
-    store = DualStore(config.retain_duals)
     # baseline reads no pricing records, so keeps none
-    history = PricingHistory(num_blocks) if screening else None
+    history = PricingHistory(num_blocks, num_linking, config.retain_duals) if screening else None
     terms = (problem.bound_terms if config.mode is FilterMode.EXACT
              else problem.heuristic_bound_terms)
     audit = AuditReport() if config.audit else None
@@ -292,14 +266,13 @@ def run_dwd(problem: BlockProblem, config: DwdConfig | None = None) -> DwdResult
         iterations = t
         pi = sol.duals[:num_linking]
         mu = sol.duals[num_linking:]
-        store.push(t, pi)
         t_screen = time.perf_counter()
         # the duals stay fixed for the rest of the iteration, so screening
         # every block first and pricing afterwards changes no result
         screen = None
         skipped = no_skips
         if screening:
-            screen = should_filter(history, store, pi, mu, terms, config.strategy, eps,
+            screen = should_filter(history, pi, mu, terms, config.strategy, eps,
                                    trace is not None)
             skipped = screen.skipped
             stats.bounds_evaluated += screen.bounds_evaluated
@@ -325,7 +298,7 @@ def run_dwd(problem: BlockProblem, config: DwdConfig | None = None) -> DwdResult
         # a block is priced at most once per iteration, so no index repeats
         per_block_added[todo[improving]] += 1
         if screening:
-            history.record(t, todo[real], priced.reduced_costs[real], mu)
+            history.record(t, todo[real], priced.reduced_costs[real], mu, pi)
         if audit is not None:
             _audit_iteration(audit, priced, skipped, screen, pi, mu, config, t)
         install(priced, improving)

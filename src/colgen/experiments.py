@@ -105,7 +105,7 @@ class ExperimentConfig:
     problem: str  # "mc" | "ga"
     strategies: tuple[str, ...] = ("baseline",)
     epsilon: float = 1e-4
-    retain_duals: int | None = None  # None keeps every dual vector
+    retain_duals: int | None = None  # alpha; None reads every dual vector
     audit: bool = False
     jobs: int = 1  # >1 distributes instances across processes and drops r_time, r_ptime
     max_iterations: int = 10_000

@@ -14,8 +14,9 @@ skipped without losing exactness.  Restricting the term to a support set
 gives a cheaper, optimistic variant that may skip blocks wrongly; runs using
 it keep primal feasibility but can stop short of the optimum.
 
-Records are a `PricingHistory`, one row per iteration over all blocks, and
-`should_filter` screens every block at once, one array expression per row.
+Records are a `PricingHistory`, one row per iteration over all blocks that
+also holds the linking duals, and `should_filter` screens every block at
+once, one array expression per row.
 """
 
 from __future__ import annotations
@@ -58,25 +59,40 @@ class PricingHistory:
     """Exact pricing outcomes of every block, one row per iteration.
 
     Row t - 1 holds iteration t: each block's minimum reduced cost (NaN where
-    not priced) and the convexity duals.  Only exact solves may be recorded:
-    a heuristically priced value would make every bound built from it unsound.
+    not priced), the convexity duals and the linking duals.  Only exact
+    solves may be recorded: a heuristically priced value would make every
+    bound built from it unsound.
+
+    `retain` (the paper's alpha) is a read window, not an eviction: screening
+    at iteration t reads the rows of iterations t - retain + 1 and later, the
+    current dual vector counting as one of the `retain`, so `retain=1` reads
+    none.  Every row is kept whatever `retain` is, since the reduced costs
+    are kept anyway and the linking duals are the same order of memory.
     """
 
-    def __init__(self, num_blocks: int):
+    def __init__(self, num_blocks: int, num_linking: int, retain: int | None = None):
+        if retain is not None and retain < 1:
+            raise ValueError("retain must be at least 1")
+        self.retain = retain
         self._rc = np.full((8, num_blocks), np.nan)
         self._mu = np.zeros((8, num_blocks))
+        self._pi = np.zeros((8, num_linking))
         self.iterations = 0
 
     def record(self, iteration: int, blocks: np.ndarray, reduced_costs: np.ndarray,
-               mu: np.ndarray) -> None:
-        """Iteration `iteration`'s row (iterations increase): `blocks` priced to
-        `reduced_costs` at convexity duals `mu`."""
+               mu: np.ndarray, pi: np.ndarray) -> None:
+        """Iteration `iteration`'s row: `blocks` priced to `reduced_costs` at
+        convexity duals `mu` and linking duals `pi`, both copied."""
+        if iteration <= self.iterations:
+            raise ValueError("iterations must be recorded in increasing order")
         if iteration > len(self._rc):
             grow = max(iteration, 2 * len(self._rc)) - len(self._rc)
             self._rc = np.vstack([self._rc, np.full((grow, len(mu)), np.nan)])
             self._mu = np.vstack([self._mu, np.zeros((grow, len(mu)))])
+            self._pi = np.vstack([self._pi, np.zeros((grow, len(pi)))])
         self._rc[iteration - 1, blocks] = reduced_costs
         self._mu[iteration - 1] = mu
+        self._pi[iteration - 1] = pi
         self.iterations = iteration
 
     @property
@@ -86,6 +102,15 @@ class PricingHistory:
     @property
     def convexity_duals(self) -> np.ndarray:
         return self._mu[:self.iterations]
+
+    @property
+    def linking_duals(self) -> np.ndarray:
+        return self._pi[:self.iterations]
+
+    @property
+    def first_readable(self) -> int:
+        """The oldest iteration whose row screening at the next iteration reads."""
+        return 1 if self.retain is None else max(1, self.iterations + 2 - self.retain)
 
 
 class Screening(NamedTuple):
@@ -102,20 +127,21 @@ class Screening(NamedTuple):
     bounds: tuple[tuple[tuple[int, float], ...], ...] | None  # newest first; on request
 
 
-def should_filter(history: PricingHistory, dual_store, pi_now: np.ndarray, mu_now: np.ndarray,
-                  terms, strategy: Strategy, epsilon: float, trace: bool = False) -> Screening:
+def should_filter(history: PricingHistory, pi_now: np.ndarray, mu_now: np.ndarray, terms,
+                  strategy: Strategy, epsilon: float, trace: bool = False) -> Screening:
     """Evaluate the screening bounds of every block at the duals (`pi_now`, `mu_now`).
 
     `terms(pi_prev, pi_now)` gives every block's term for a record taken at
     linking duals `pi_prev` (`bound_terms` or `heuristic_bound_terms`); it
     is called once for each record iteration some block reads.  Each block
     tries its records (`strategy`) newest first and stops at the first bound
-    >= -epsilon.  Records whose dual vector was evicted from `dual_store`
-    are counted, for the blocks no retained record cleared, and passed
+    >= -epsilon.  Records older than the history's read window are evicted:
+    they are counted, for the blocks no readable record cleared, and passed
     over.  Depends only on the arguments and mutates nothing.
     """
     rc = history.reduced_costs
     mu_rec = history.convexity_duals
+    pi_rec = history.linking_duals
     n, num_blocks = rc.shape
     # the rows each block may try: every priced row, or its newest priced
     # (computed) or newest improving (add) row
@@ -125,20 +151,19 @@ def should_filter(history: PricingHistory, dual_store, pi_now: np.ndarray, mu_no
         has = np.flatnonzero(tried.any(axis=0))
         tried = np.zeros_like(tried)
         tried[newest[has], has] = True
-    pis = [dual_store.get(i) for i in range(1, n + 1)]
+    # rows below `live` are evicted
+    live = history.first_readable - 1
     undecided = np.ones(num_blocks, dtype=bool)
     evaluated = np.zeros(num_blocks, dtype=np.int64)
     best = np.full(num_blocks, -np.inf)
     used = np.zeros(num_blocks, dtype=np.int64)
     per_block = [[] for _ in range(num_blocks)] if trace else None
-    for r in range(n - 1, -1, -1):
-        if pis[r] is None:
-            continue
+    for r in range(n - 1, live - 1, -1):
         cand = undecided & tried[r]
         if not cand.any():
             continue
         # a whole row at once; entries outside `cand` are never read
-        lb = exact_bound(rc[r], mu_rec[r], mu_now, terms(pis[r], pi_now))
+        lb = exact_bound(rc[r], mu_rec[r], mu_now, terms(pi_rec[r], pi_now))
         evaluated += cand
         better = cand & (lb > best)
         np.copyto(best, lb, where=better)
@@ -148,8 +173,7 @@ def should_filter(history: PricingHistory, dual_store, pi_now: np.ndarray, mu_no
         if trace:
             for k, v in zip(np.flatnonzero(cand).tolist(), lb[cand].tolist()):
                 per_block[k].append((r + 1, v))
-    dead = [r for r, pi in enumerate(pis) if pi is None]
-    evicted = tried[dead].sum(axis=0) * undecided if dead else np.zeros_like(evaluated)
+    evicted = tried[:live].sum(axis=0) * undecided
     skipped = ~undecided
     return Screening(bool(skipped.any()), int(evaluated.sum()), skipped, evaluated, evicted,
                      best, used, tuple(map(tuple, per_block)) if trace else None)

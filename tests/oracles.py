@@ -443,11 +443,20 @@ def check_batch_registration(make_problem, make_column, num_blocks, num_rows, rn
 # screening: the per-block filter, one block and one record at a time
 
 class PricingRecord(NamedTuple):
-    """Outcome of one exact pricing solve of one block."""
+    """Outcome of one exact pricing solve of one block, with the duals it
+    was priced at."""
 
     iteration: int
     reduced_cost: float
     convexity_dual: float
+    linking_duals: np.ndarray
+
+
+def evicted(iteration, t_now, retain):
+    """Whether screening at iteration `t_now` has lost the duals of
+    `iteration`: only the newest `retain` dual vectors are kept, the current
+    one included."""
+    return retain is not None and iteration <= t_now - retain
 
 
 class FilterDecision(NamedTuple):
@@ -506,23 +515,23 @@ def bound_term_lookup(problem, mode, pi_now):
     return term
 
 
-def should_filter(block, dual_store, history, mu_now, term, mode, strategy, epsilon):
-    """Screening bounds of one block, whose records are `history` (oldest
-    first): newest first, stopping at the first bound >= -epsilon, passing
-    over (and counting) records whose duals were evicted."""
+def should_filter(block, history, t_now, retain, mu_now, term, mode, strategy, epsilon):
+    """Screening bounds of one block at iteration `t_now`, whose records are
+    `history` (oldest first): newest first, stopping at the first bound >=
+    -epsilon, passing over (and counting) records whose duals were evicted
+    under `retain`."""
     if mode is FilterMode.BASELINE:
         return FilterDecision(block, False, None, None, 0, 0, ())
     bounds = []
-    evicted = 0
+    n_evicted = 0
     best = used = None
     skip = False
     for rec in select_records(strategy, history, epsilon):
-        pi_prev = dual_store.get(rec.iteration)
-        if pi_prev is None:
-            evicted += 1
+        if evicted(rec.iteration, t_now, retain):
+            n_evicted += 1
             continue
         lb = (rec.reduced_cost + (rec.convexity_dual - mu_now)
-              + term(block, rec.iteration, pi_prev))
+              + term(block, rec.iteration, rec.linking_duals))
         bounds.append((rec.iteration, lb))
         if best is None or lb > best:
             best = lb
@@ -531,4 +540,4 @@ def should_filter(block, dual_store, history, mu_now, term, mode, strategy, epsi
             skip = True
             used = rec.iteration
             break
-    return FilterDecision(block, skip, best, used, len(bounds), evicted, tuple(bounds))
+    return FilterDecision(block, skip, best, used, len(bounds), n_evicted, tuple(bounds))

@@ -3,8 +3,8 @@ import re
 import numpy as np
 import pytest
 
-from colgen import (DualStore, DwdConfig, EngineError, FilterMode, GaBlockProblem,
-                    LpModel, LpNumericalError, LpSolution, LpStatus, McBlockProblem,
+from colgen import (DwdConfig, EngineError, FilterMode, GaBlockProblem, LpModel,
+                    LpNumericalError, LpSolution, LpStatus, McBlockProblem, PricingHistory,
                     RowSense, Strategy, generate_ga_instance, generate_mc_instance,
                     parse_ga_instance, parse_mc_instance, reduced_cost, run_dwd)
 from colgen import engine
@@ -26,35 +26,43 @@ def config(mode=FilterMode.BASELINE, strategy=Strategy.ALL, **kw):
 
 
 # ----------------------------------------------------------------------
-# dual store
+# pricing history
 
-def test_dual_store_bounded_retention():
-    store = DualStore(retain=1)
-    for t in (1, 2, 3):
-        store.push(t, np.full(2, float(t)))
-    assert store.get(3) is not None
-    assert store.get(2) is None and store.get(1) is None
-    assert store.retained_iterations == (3,)
+def record_iterations(hist, *iterations):
+    for t in iterations:
+        hist.record(t, np.array([0]), np.array([-1.0]), np.zeros(1), np.full(2, float(t)))
 
 
-def test_dual_store_unbounded():
-    store = DualStore()
-    for t in (1, 2, 3):
-        store.push(t, np.zeros(1))
-    assert all(store.get(t) is not None for t in (1, 2, 3))
-    assert len(store) == 3
+def test_history_read_window_counts_the_current_vector():
+    # screening at iteration 4 reads the rows of iterations 4 - retain + 1 on
+    for retain, first in ((1, 4), (2, 3), (3, 2), (4, 1), (9, 1), (None, 1)):
+        hist = PricingHistory(1, 2, retain)
+        record_iterations(hist, 1, 2, 3)
+        assert hist.first_readable == first
+        # every row stays stored whatever the window
+        assert hist.linking_duals.tolist() == [[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]]
+    assert PricingHistory(1, 2, retain=1).first_readable == 1  # nothing recorded yet
 
 
-def test_dual_store_copies_and_orders():
-    store = DualStore()
-    pi = np.zeros(2)
-    store.push(1, pi)
-    pi[0] = 99.0  # caller mutation must not leak in
-    assert store.get(1)[0] == 0.0
+def test_history_records_in_increasing_order():
+    hist = PricingHistory(1, 2)
+    record_iterations(hist, 1, 3)
+    for t in (3, 2):
+        with pytest.raises(ValueError, match="increasing"):
+            record_iterations(hist, t)
+    assert hist.iterations == 3
+    assert hist.linking_duals.tolist() == [[1.0, 1.0], [0.0, 0.0], [3.0, 3.0]]
+
+
+def test_history_copies_duals_and_rejects_empty_window():
+    hist = PricingHistory(2, 2)
+    pi, mu = np.zeros(2), np.zeros(2)
+    hist.record(1, np.array([0, 1]), np.array([-1.0, 2.0]), mu, pi)
+    pi[0] = mu[0] = 99.0  # caller mutation must not leak in
+    assert hist.linking_duals.tolist() == [[0.0, 0.0]]
+    assert hist.convexity_duals.tolist() == [[0.0, 0.0]]
     with pytest.raises(ValueError):
-        store.push(1, pi)
-    with pytest.raises(ValueError):
-        DualStore(retain=0)
+        PricingHistory(2, 2, retain=0)
 
 
 # ----------------------------------------------------------------------
@@ -382,11 +390,11 @@ def test_master_failures_name_iteration_and_lp_size(monkeypatch):
         run_dwd(ga_problem(bins=5, items=6))
 
 
-def test_full_eviction_degrades_to_baseline_trajectory():
-    inst = generate_ga_instance(8, 6, 11)
-    base = run_dwd(GaBlockProblem(inst), config())
-    evicted = run_dwd(GaBlockProblem(inst),
-                      config(FilterMode.EXACT, Strategy.COMPUTED, retain_duals=1))
+@pytest.mark.parametrize("make", [lambda: ga_problem(bins=8, items=6, seed=11),
+                                  lambda: mc_problem(25, 80, 50, seed=0)], ids=["ga", "mc"])
+def test_full_eviction_degrades_to_baseline_trajectory(make):
+    base = run_dwd(make(), config())
+    evicted = run_dwd(make(), config(FilterMode.EXACT, Strategy.COMPUTED, retain_duals=1))
     # with one retained vector, every record's duals are gone by the next
     # iteration, so nothing is ever skipped and the runs coincide
     assert evicted.objective == base.objective
@@ -480,6 +488,14 @@ def test_config_validation():
         DwdConfig(retain_duals=0)
     with pytest.raises(ValueError):
         DwdConfig(max_iterations=0)
+    # a non-integer would run as another count (2.5 as 2, True as 1) or fail
+    # mid-run
+    for name in ("retain_duals", "max_iterations"):
+        for value in (2.5, 2.0, True, False, "3"):
+            with pytest.raises(ValueError, match=name):
+                DwdConfig(**{name: value})
+    with pytest.raises(ValueError, match="max_iterations"):
+        DwdConfig(max_iterations=None)
 
 
 @pytest.mark.parametrize("make", [ga_problem, mc_problem])

@@ -134,7 +134,8 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(problem="ga", jobs=0)
     for bad in ({"epsilon": 0.0}, {"epsilon": float("nan")}, {"epsilon": float("inf")},
-                {"max_iterations": 0}, {"retain_duals": 0}):
+                {"max_iterations": 0}, {"retain_duals": 0}, {"max_iterations": 2.5},
+                {"retain_duals": 2.5}, {"retain_duals": True}):
         with pytest.raises(ValueError):
             ExperimentConfig(problem="ga", **bad)
 
@@ -296,6 +297,23 @@ def test_cli_bad_inputs(tmp_path, capsys):
     assert main(["generate", "--problem", "ga", "--count", "1",
                  "--out-dir", str(tmp_path)]) == 2
     capsys.readouterr()
+    # a matched path that cannot be read: a directory, a file that is not UTF-8
+    (tmp_path / "dir.txt").mkdir()
+    (tmp_path / "latin1.txt").write_bytes("ga 1 1\nbin 0 10 \xe9\n".encode("latin-1"))
+    for name in ("dir.txt", "latin1.txt"):
+        path = str(tmp_path / name)
+        assert main(["run", "--problem", "ga", "--instances", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"colgen: {path}: ") and "Traceback" not in err
+    # an empty generated batch
+    out_dir = tmp_path / "empty"
+    for argv in (["run", "--problem", "ga", "--generate", "bins=3,items=2,count=0"],
+                 ["generate", "--problem", "ga", "--bins", "3", "--items", "2", "--count", "0",
+                  "--out-dir", str(out_dir)]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "count must be at least 1" in captured.err and not captured.out
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("flag", [["--epsilon", "0"], ["--epsilon", "nan"],

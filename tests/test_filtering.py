@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from colgen import (DualStore, FilterMode, PricingHistory, RowSense, Strategy, exact_bound,
-                    should_filter)
+from colgen import FilterMode, PricingHistory, RowSense, Strategy, exact_bound, should_filter
 from colgen.filtering import negative_part_sum
 from colgen.model import BlockProblem, Column
 
@@ -73,25 +72,20 @@ def test_exact_bound_arithmetic():
     assert got.tolist() == [7.0, 3.0]
 
 
-def history(*records, num_blocks=1):
-    """A `PricingHistory` of one block's (iteration, reduced cost[, mu]) records."""
-    hist = PricingHistory(num_blocks)
+def history(*records, rows=2, retain=None, pis=None):
+    """A `PricingHistory` of one block's (iteration, reduced cost[, mu])
+    records, at linking duals `pis[iteration]` (zeros by default)."""
+    hist = PricingHistory(1, rows, retain)
     for it, cbar, *mu in records:
-        hist.record(it, np.array([0]), np.array([cbar]), np.array(mu or [0.0]))
+        pi = np.zeros(rows) if pis is None else pis[it]
+        hist.record(it, np.array([0]), np.array([cbar]), np.array(mu or [0.0]), pi)
     return hist
 
 
-def zero_store(iterations, retain=None, rows=2):
-    store = DualStore(retain)
-    for t in range(1, iterations + 1):
-        store.push(t, np.zeros(rows))
-    return store
-
-
-def run_filter(problem, store, hist, pi_now, mode, strategy, mu_now=0.0, epsilon=1e-4):
+def run_filter(problem, hist, pi_now, mode, strategy, mu_now=0.0, epsilon=1e-4):
     """Block 0's part of a batch screening, in the per-block oracle's form."""
     terms = problem.bound_terms if mode is FilterMode.EXACT else problem.heuristic_bound_terms
-    screen = should_filter(hist, store, pi_now, np.array([mu_now]), terms, strategy, epsilon,
+    screen = should_filter(hist, pi_now, np.array([mu_now]), terms, strategy, epsilon,
                            trace=True)
     return block_decision(screen, 0)
 
@@ -107,9 +101,8 @@ def block_decision(screen, k):
 
 def tried(strategy, *records, epsilon=1e-4):
     """Iterations whose records `strategy` tries, newest first, when no bound clears."""
-    last = max((it for it, _ in records), default=0)
-    fd = run_filter(BoxProblem(2), zero_store(last + 1), history(*records), np.zeros(2),
-                    FilterMode.EXACT, strategy, mu_now=1e3, epsilon=epsilon)
+    fd = run_filter(BoxProblem(2), history(*records), np.zeros(2), FilterMode.EXACT, strategy,
+                    mu_now=1e3, epsilon=epsilon)
     assert not fd.skip
     return [it for it, _ in fd.bounds]
 
@@ -137,9 +130,9 @@ def test_select_records_empty_history():
 def test_baseline_never_skips():
     # the engine makes no screening call in baseline; the reference filter
     # says why: in baseline mode it skips nothing
-    store = zero_store(1)
-    hist = [oracles.PricingRecord(1, 100.0, 0.0)]  # hugely nonnegative: any bound would skip
-    fd = oracles.should_filter(0, store, hist, 0.0, None, FilterMode.BASELINE, Strategy.ALL,
+    # hugely nonnegative: any bound would skip
+    hist = [oracles.PricingRecord(1, 100.0, 0.0, np.zeros(2))]
+    fd = oracles.should_filter(0, hist, 2, None, 0.0, None, FilterMode.BASELINE, Strategy.ALL,
                                1e-4)
     assert fd == oracles.FilterDecision(0, False, None, None, 0, 0, ())
     assert fd.decision == "priced"
@@ -148,8 +141,7 @@ def test_baseline_never_skips():
 def test_short_circuit_on_first_good_bound():
     problem = BoxProblem(2)
     pi = np.zeros(2)
-    fd = run_filter(problem, zero_store(2), history((1, 3.0), (2, 5.0)), pi,
-                    FilterMode.EXACT, Strategy.ALL)
+    fd = run_filter(problem, history((1, 3.0), (2, 5.0)), pi, FilterMode.EXACT, Strategy.ALL)
     assert fd.skip and fd.decision == "filtered"
     assert fd.bounds_evaluated == 1  # newest record already proves it
     assert fd.record_used == 2
@@ -157,8 +149,8 @@ def test_short_circuit_on_first_good_bound():
 
 
 def test_all_bounds_negative_means_priced():
-    fd = run_filter(BoxProblem(2), zero_store(1), history((1, -9.0)), np.zeros(2),
-                    FilterMode.EXACT, Strategy.ALL)
+    fd = run_filter(BoxProblem(2), history((1, -9.0)), np.zeros(2), FilterMode.EXACT,
+                    Strategy.ALL)
     assert not fd.skip
     assert fd.decision == "priced"
     assert fd.bounds_evaluated == 1
@@ -167,21 +159,19 @@ def test_all_bounds_negative_means_priced():
 
 def test_skip_requires_bound_at_least_minus_epsilon():
     problem = BoxProblem(1)
-    store = zero_store(1, rows=1)
-    fd = run_filter(problem, store, history((1, -5e-5)), np.zeros(1),
+    fd = run_filter(problem, history((1, -5e-5), rows=1), np.zeros(1),
                     FilterMode.EXACT, Strategy.ALL, epsilon=1e-4)
     assert fd.skip  # -5e-5 >= -1e-4
-    fd = run_filter(problem, store, history((1, -2e-4)), np.zeros(1),
+    fd = run_filter(problem, history((1, -2e-4), rows=1), np.zeros(1),
                     FilterMode.EXACT, Strategy.ALL, epsilon=1e-4)
     assert not fd.skip
 
 
 def test_evicted_records_are_passed_over():
     problem = BoxProblem(2)
-    store = DualStore(retain=1)
-    store.push(1, np.zeros(2))
-    store.push(2, np.ones(2))  # evicts iteration 1
-    fd = run_filter(problem, store, history((1, 50.0)), np.ones(2),
+    # screening at iteration 2 with one retained vector, the current one:
+    # iteration 1's duals are gone
+    fd = run_filter(problem, history((1, 50.0), retain=1), np.ones(2),
                     FilterMode.EXACT, Strategy.ALL)
     assert not fd.skip
     assert fd.records_evicted == 1
@@ -191,12 +181,12 @@ def test_evicted_records_are_passed_over():
 
 def test_mixed_evicted_and_live_records():
     problem = BoxProblem(2)
-    store = zero_store(2, retain=1)
-    fd = run_filter(problem, store, history((1, 50.0), (2, 50.0)), np.zeros(2),
+    # screening at iteration 3 keeps the current vector and iteration 2's
+    fd = run_filter(problem, history((1, 50.0), (2, 50.0), retain=2), np.zeros(2),
                     FilterMode.EXACT, Strategy.ALL)
     assert fd.skip
     assert fd.records_evicted == 0  # newest record hit first, short-circuit
-    fd_add = run_filter(problem, store, history((1, -50.0), (2, 50.0)),
+    fd_add = run_filter(problem, history((1, -50.0), (2, 50.0), retain=2),
                         np.zeros(2), FilterMode.EXACT, Strategy.ADD)
     # ADD wants iteration 1 (the improving one) but its duals are gone
     assert not fd_add.skip
@@ -207,12 +197,10 @@ def test_mixed_evicted_and_live_records():
 def test_heuristic_uses_support_restriction():
     # dual drop of -4 lives on row 1, outside the support set {0}
     problem = BoxProblem(2, support_rows=[0])
-    store = DualStore()
-    store.push(1, np.array([1.0, 4.0]))
     pi_now = np.array([1.0, 8.0])
-    hist = history((1, 2.0))
-    exact = run_filter(problem, store, hist, pi_now, FilterMode.EXACT, Strategy.ALL)
-    heur = run_filter(problem, store, hist, pi_now, FilterMode.HEURISTIC, Strategy.ALL)
+    hist = history((1, 2.0), pis={1: np.array([1.0, 4.0])})
+    exact = run_filter(problem, hist, pi_now, FilterMode.EXACT, Strategy.ALL)
+    heur = run_filter(problem, hist, pi_now, FilterMode.HEURISTIC, Strategy.ALL)
     assert not exact.skip      # bound = 2 + min(0, 4-8) = -2
     assert heur.skip           # restricted term drops the -4
     assert heur.best_bound == pytest.approx(2.0)
@@ -239,15 +227,14 @@ def test_strategy_nesting_on_random_states():
     for _ in range(300):
         rows = int(rng.integers(1, 5))
         problem = BoxProblem(rows)
-        store = DualStore()
         t_max = int(rng.integers(2, 7))
-        for t in range(1, t_max + 1):
-            store.push(t, np.round(rng.normal(scale=2.0, size=rows), 2))
+        pis = {t: np.round(rng.normal(scale=2.0, size=rows), 2) for t in range(1, t_max + 1)}
         hist = history(*[(t, float(np.round(rng.normal(scale=3.0), 2)),
-                          float(np.round(rng.normal(), 2))) for t in range(1, t_max)])
-        pi_now = store.get(t_max)
+                          float(np.round(rng.normal(), 2))) for t in range(1, t_max)],
+                       rows=rows, pis=pis)
+        pi_now = pis[t_max]
         mu_now = float(np.round(rng.normal(), 2))
-        results = {strategy: run_filter(problem, store, hist, pi_now, FilterMode.EXACT,
+        results = {strategy: run_filter(problem, hist, pi_now, FilterMode.EXACT,
                                         strategy, mu_now=mu_now)
                    for strategy in Strategy}
         if results[Strategy.COMPUTED].skip:
@@ -258,14 +245,14 @@ def test_strategy_nesting_on_random_states():
 
 def test_filter_is_pure():
     problem = BoxProblem(2)
-    store = zero_store(1)
-    hist = history((1, 3.0))
+    hist = history((1, 3.0), pis={1: np.ones(2)})
     pi = np.zeros(2)
-    first = run_filter(problem, store, hist, pi, FilterMode.EXACT, Strategy.ALL)
-    second = run_filter(problem, store, hist, pi, FilterMode.EXACT, Strategy.ALL)
+    first = run_filter(problem, hist, pi, FilterMode.EXACT, Strategy.ALL)
+    second = run_filter(problem, hist, pi, FilterMode.EXACT, Strategy.ALL)
     assert first == second
     assert hist.reduced_costs.tolist() == [[3.0]]
-    assert store.retained_iterations == (1,)
+    assert hist.linking_duals.tolist() == [[1.0, 1.0]] and hist.iterations == 1
+    assert pi.tolist() == [0.0, 0.0]
 
 
 class CountingBoxProblem(BoxProblem):
@@ -298,26 +285,25 @@ class CountingBoxProblem(BoxProblem):
 
 
 def two_block_history(*records):
-    """Both blocks priced to `cbar` at each (iteration, cbar) of `records`."""
-    hist = PricingHistory(2)
-    for it, cbar in records:
-        hist.record(it, np.array([0, 1]), np.full(2, cbar), np.zeros(2))
+    """Both blocks priced to `cbar` at linking duals `pi` at each (iteration,
+    cbar, pi) of `records`."""
+    hist = PricingHistory(2, 3)
+    for it, cbar, pi in records:
+        hist.record(it, np.array([0, 1]), np.full(2, cbar), np.zeros(2), pi)
     return hist
 
 
 def test_exact_lookup_computes_one_row_per_record_iteration():
     problem = CountingBoxProblem(3)
-    store = DualStore()
-    store.push(1, np.array([1.0, 0.0, 2.0]))
-    store.push(2, np.array([0.0, 3.0, 1.0]))
+    pis = {1: np.array([1.0, 0.0, 2.0]), 2: np.array([0.0, 3.0, 1.0])}
     pi_now = np.array([2.0, 1.0, 1.0])
     # no bound clears, so every block reads both record iterations
-    screen = should_filter(two_block_history((1, -50.0), (2, -50.0)), store, pi_now,
+    screen = should_filter(two_block_history((1, -50.0, pis[1]), (2, -50.0, pis[2])), pi_now,
                            np.zeros(2), problem.bound_terms, Strategy.ALL, 1e-4, trace=True)
     for block in (0, 1):
         assert [it for it, _ in screen.bounds[block]] == [2, 1]
         for it, lb in screen.bounds[block]:
-            assert lb == -50.0 + problem.hypercube_bound_term(block, store.get(it), pi_now)
+            assert lb == -50.0 + problem.hypercube_bound_term(block, pis[it], pi_now)
             assert type(lb) is float and type(it) is int
     assert problem.calls["bound_terms"] == 2
     assert problem.calls["heuristic_bound_terms"] == 0
@@ -327,11 +313,9 @@ def test_heuristic_lookup_fetches_each_support_once():
     # one heuristic_bound_terms row per record iteration: the default loop
     # fetches each block's support once for it, however many blocks read it
     problem = CountingBoxProblem(3, support_rows=[1])
-    store = DualStore()
-    store.push(1, np.array([1.0, 0.0, 2.0]))
-    screen = should_filter(two_block_history((1, 0.5)), store, np.array([2.0, 1.0, 1.0]),
-                           np.zeros(2), problem.heuristic_bound_terms, Strategy.ALL, 1e-4,
-                           trace=True)
+    hist = two_block_history((1, 0.5, np.array([1.0, 0.0, 2.0])))
+    screen = should_filter(hist, np.array([2.0, 1.0, 1.0]), np.zeros(2),
+                           problem.heuristic_bound_terms, Strategy.ALL, 1e-4, trace=True)
     assert screen.bounds == (((1, -0.5),), ((1, -0.5),))  # row 1 alone: 0.5 + (0 - 1)
     assert problem.calls == {"bound_terms": 0, "heuristic_bound_terms": 1,
                              "heuristic_bound_term": 2, "support_set": 2}
@@ -363,15 +347,13 @@ class GridProblem(BoxProblem):
 
 
 def random_screening_state(rng, retain):
-    """A random problem, dual store, history (both forms) and current duals."""
+    """A random problem, history (both forms), current iteration and duals."""
     num_blocks, rows = int(rng.integers(1, 7)), int(rng.integers(1, 4))
     grid = lambda lo, hi, size=None: rng.integers(lo, hi + 1, size=size) / 4.0
     problem = GridProblem(grid(0, 8, (num_blocks, rows)), rng.random((num_blocks, rows)) < 0.6)
     t_now = int(rng.integers(1, 9))
-    store = DualStore(retain)
-    for t in range(1, t_now + 1):
-        store.push(t, grid(-8, 8, rows))
-    hist = PricingHistory(num_blocks)
+    pis = [grid(-8, 8, rows) for _ in range(t_now)]
+    hist = PricingHistory(num_blocks, rows, retain)
     records = [[] for _ in range(num_blocks)]
     never = int(rng.integers(num_blocks))  # this block is never priced
     for t in range(1, t_now):
@@ -379,10 +361,10 @@ def random_screening_state(rng, retain):
         blocks = np.flatnonzero(rng.random(num_blocks) < 0.7)
         blocks = blocks[blocks != never]
         cbars = grid(-8, 6, len(blocks))
-        hist.record(t, blocks, cbars, mu)
+        hist.record(t, blocks, cbars, mu, pis[t - 1])
         for k, cbar in zip(blocks.tolist(), cbars.tolist()):
-            records[k].append(oracles.PricingRecord(t, cbar, float(mu[k])))
-    return problem, store, hist, records, store.get(t_now), grid(-4, 4, num_blocks)
+            records[k].append(oracles.PricingRecord(t, cbar, float(mu[k]), pis[t - 1]))
+    return problem, hist, records, t_now, pis[-1], grid(-4, 4, num_blocks)
 
 
 @pytest.mark.parametrize("retain", [None, 1, 2])
@@ -394,28 +376,28 @@ def test_batch_screening_matches_per_block_oracle(strategy, mode, retain):
                                  retain or 0])
     seen = {"tie": 0, "never priced": 0, "evicted": 0, "all evicted": 0, "no improving": 0}
     for _ in range(150):
-        problem, store, hist, records, pi_now, mu_now = random_screening_state(rng, retain)
+        problem, hist, records, t_now, pi_now, mu_now = random_screening_state(rng, retain)
         terms = (problem.bound_terms if mode is FilterMode.EXACT
                  else problem.heuristic_bound_terms)
-        screen = should_filter(hist, store, pi_now, mu_now, terms, strategy, eps, trace=True)
+        screen = should_filter(hist, pi_now, mu_now, terms, strategy, eps, trace=True)
         term = oracles.bound_term_lookup(problem, mode, pi_now)
-        want = [oracles.should_filter(k, store, records[k], float(mu_now[k]), term, mode,
-                                      strategy, eps) for k in range(problem.num_blocks)]
+        want = [oracles.should_filter(k, records[k], t_now, retain, float(mu_now[k]), term,
+                                      mode, strategy, eps) for k in range(problem.num_blocks)]
         # field by field, with the bounds compared bit for bit through repr
         got = [block_decision(screen, k) for k in range(problem.num_blocks)]
         assert repr(got) == repr(want)
         assert type(screen.skip) is bool and type(screen.bounds_evaluated) is int
         assert screen.skip == any(fd.skip for fd in want)
         assert screen.bounds_evaluated == sum(fd.bounds_evaluated for fd in want)
-        quiet = should_filter(hist, store, pi_now, mu_now, terms, strategy, eps)
+        quiet = should_filter(hist, pi_now, mu_now, terms, strategy, eps)
         assert quiet.bounds is None
         for a, b in zip(quiet[:-1], screen[:-1]):
             assert np.array_equal(a, b, equal_nan=True)
         seen["tie"] += sum(lb == -eps for fd in want for _, lb in fd.bounds)
         seen["never priced"] += sum(not r for r in records)
         seen["evicted"] += sum(fd.records_evicted for fd in want)
-        seen["all evicted"] += sum(bool(r) and all(store.get(rec.iteration) is None for rec in r)
-                                   for r in records)
+        seen["all evicted"] += sum(bool(r) and all(oracles.evicted(rec.iteration, t_now, retain)
+                                                   for rec in r) for r in records)
         seen["no improving"] += sum(bool(r) and all(rec.reduced_cost >= -eps for rec in r)
                                     for r in records)
     assert seen["never priced"] and seen["no improving"]
