@@ -118,6 +118,10 @@ class ExperimentConfig:
             raise ValueError(f"unknown strategies: {', '.join(unknown)}")
         if not self.strategies:
             raise ValueError("need at least one strategy")
+        # a float would reach ProcessPoolExecutor as a worker count, and True
+        # would run serially as 1
+        if isinstance(self.jobs, bool) or not isinstance(self.jobs, int):
+            raise ValueError(f"jobs must be an int, got {self.jobs!r}")
         if self.jobs < 1:
             raise ValueError("jobs must be at least 1")
         # the engine's own checks on epsilon, retain_duals and max_iterations,

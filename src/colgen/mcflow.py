@@ -6,6 +6,18 @@ master minimizes total routing cost subject to arc capacities; one block per
 commodity prices new paths with a label-setting shortest-path solver under a
 delay resource.
 
+The label setting prunes exactly, as in Irnich & Desaulniers ("Shortest Path
+Problems with Resource Constraints", 2005) and Lozano & Medaglia (Comput.
+Oper. Res. 40(1), 2013).  A label dies when its delay plus the least delay to
+the target exceeds the budget, or when its weight plus a lower bound on the
+rest of the path exceeds the weight of a path already known.  In pricing the
+lower bound is dual-free: the capacity duals are clamped at zero, so
+bandwidth times the least arc cost to the target bounds every completion.
+The known path is the lighter, at the current duals, of the commodity's
+min-delay path and the path its last pricing call returned; both are
+delay-feasible.  The weight test is strict and has `BOUND_SLACK` of room for
+rounding, so a search returns the same path, bit for bit, as without it.
+
 Instance text format (0-based indices, '#' starts a comment):
 
     nodes N
@@ -26,6 +38,11 @@ from .lp import RowSense
 from .model import BlockProblem, Column, PricedBlocks
 
 DELAY_TOL = 1e-9
+# relative slack of the weight bounds in the label loop.  Rounding moves a
+# float sum of n nonnegative terms by at most about n * 1.1e-16 relative,
+# far less than this for any path of under a thousand arcs, so the bounds
+# never cut a path that ties the optimum.
+BOUND_SLACK = 1e-12
 # generated arc capacities add a uniform share in this range of the total
 # bandwidth on top of the minimum-delay routing load
 CAPACITY_SLACK = (0.0, 0.1)
@@ -159,25 +176,34 @@ def write_mc_instance(inst: McInstance) -> str:
 # ----------------------------------------------------------------------
 # shortest paths
 
-def _min_to_target(num_nodes, arcs, values, target) -> np.ndarray:
-    """Dijkstra on reversed arcs: least total `values` from each node to target."""
-    into: list[list[int]] = [[] for _ in range(num_nodes)]
-    for idx, (tail, head) in enumerate(arcs):
-        into[head].append(idx)
-    dist = np.full(num_nodes, np.inf)
-    dist[target] = 0.0
-    heap = [(0.0, target)]
-    while heap:
-        d, v = heapq.heappop(heap)
-        if d > dist[v]:
-            continue
-        for idx in into[v]:
-            tail = arcs[idx][0]
-            nd = d + values[idx]
-            if nd < dist[tail]:
-                dist[tail] = nd
-                heapq.heappush(heap, (nd, tail))
-    return dist
+def _potentials(num_nodes, arcs, values, targets) -> np.ndarray:
+    """Least total nonnegative `values` from each node to each target.
+
+    Returns a (len(targets) x num_nodes) array, inf where a node cannot reach
+    the target.  Bellman-Ford on every target at once: each pass sets
+    D[:, tail] = min(D[:, tail], D[:, head] + value) over all arcs, one
+    `np.minimum.reduceat` over the arcs grouped by tail, until nothing
+    changes.  Every entry is a path's sum taken from the target back to the
+    node, the order Dijkstra on reversed arcs takes, and adding a nonnegative
+    float never decreases a sum, so the entries equal Dijkstra's bit for bit.
+    """
+    dist = np.full((len(targets), num_nodes), np.inf)
+    dist[np.arange(len(targets)), targets] = 0.0
+    tails = np.array([tail for tail, _ in arcs], dtype=np.intp)
+    if tails.size == 0:
+        return dist
+    order = np.argsort(tails, kind="stable")
+    tails = tails[order]
+    heads = np.array([head for _, head in arcs], dtype=np.intp)[order]
+    values = np.asarray(values, dtype=float)[order]
+    starts = np.flatnonzero(np.concatenate(([True], tails[1:] != tails[:-1])))
+    nodes = tails[starts]
+    while True:
+        now = dist[:, nodes]
+        new = np.minimum(now, np.minimum.reduceat(dist[:, heads] + values, starts, axis=1))
+        if np.array_equal(new, now):
+            return dist
+        dist[:, nodes] = new
 
 
 def _graph_lists(num_nodes, arcs) -> tuple[list[list[int]], list[int]]:
@@ -188,11 +214,6 @@ def _graph_lists(num_nodes, arcs) -> tuple[list[list[int]], list[int]]:
     return out, [head for _, head in arcs]
 
 
-def _delay_potentials(num_nodes, arcs, delays, targets) -> dict[int, np.ndarray]:
-    """`_min_to_target` delays, once per distinct target."""
-    return {t: _min_to_target(num_nodes, arcs, delays, t) for t in dict.fromkeys(targets)}
-
-
 def rcsp(num_nodes: int, arcs, weights, delays, max_delay: float,
          source: int, target: int) -> tuple[float, tuple[int, ...]] | None:
     """Cheapest simple source-target path with total delay within budget.
@@ -201,21 +222,35 @@ def rcsp(num_nodes: int, arcs, weights, delays, max_delay: float,
     `delays` (nonnegative) are capped by `max_delay`.  Label setting with
     (weight, delay) dominance; among equal-weight optima the lexicographically
     smallest arc-index sequence wins, which pins the result independent of arc
-    ordering quirks.  Returns (weight, arc tuple) or None.
+    ordering quirks.  No weight bound prunes this search.  Returns (weight,
+    arc tuple) or None.
     """
     if source == target:
         return (0.0, ())
     delays = np.asarray(delays, dtype=float)
-    dmin = _min_to_target(num_nodes, arcs, delays, target)
+    dmin = _potentials(num_nodes, arcs, delays, [target])[0]
     return _label_setting(*_graph_lists(num_nodes, arcs),
-                          np.asarray(weights, dtype=float).tolist(), delays.tolist(),
-                          dmin.tolist(), max_delay, source, target)
+                          np.asarray(weights, dtype=float).tolist(), [0.0] * num_nodes, math.inf,
+                          delays.tolist(), dmin.tolist(), max_delay, source, target)
 
 
-def _label_setting(out, heads, weights, delays, dmin, max_delay, source, target):
-    """`rcsp` after its dual-free set-up: out-adjacency, arc heads and the
-    least delay from each node to `target` (`dmin`), all as lists."""
-    if dmin[source] > max_delay + DELAY_TOL:
+def _label_setting(out, heads, weights, lower, limit, delays, dmin, max_delay, source, target):
+    """`rcsp` after its set-up; per-node and per-arc arguments are lists.
+
+    `out` and `heads` come from `_graph_lists`.  A new label dies when its
+    weight plus `lower` at its node exceeds `limit`, or its delay plus `dmin`
+    (the least delay to `target`) there exceeds the budget.  The result is the
+    one with zeros and inf when `lower` never exceeds the weight of a path on
+    to `target` and `limit` is at least some delay-feasible path's weight,
+    both up to `BOUND_SLACK`: every label cut ends above the optimum, so it
+    is not the result, and no label it would have dominated can dominate one
+    that leads to the result, as that would give it a completion no heavier
+    than the optimum.  The test is strict, so labels that tie the optimum
+    survive and the lexicographic tie-break is kept.  Callers without weight
+    bounds pass zeros and inf.
+    """
+    cap = max_delay + DELAY_TOL
+    if dmin[source] > cap:
         return None
     # retained labels per node: (weight, delay, arcseq); a new label is kept
     # unless some retained one is no worse in weight, delay and lex order
@@ -229,8 +264,10 @@ def _label_setting(out, heads, weights, delays, dmin, max_delay, source, target)
         for idx in out[v]:
             head = heads[idx]
             nw = w + weights[idx]
+            if nw + lower[head] > limit:
+                continue
             ndl = dl + delays[idx]
-            if ndl + dmin[head] > max_delay + DELAY_TOL:
+            if ndl + dmin[head] > cap:
                 continue
             nseq = seq + (idx,)
             dominated = False
@@ -243,6 +280,19 @@ def _label_setting(out, heads, weights, delays, dmin, max_delay, source, target)
             retained[head].append((nw, ndl, nseq))
             heapq.heappush(heap, (nw, nseq, ndl, head))
     return None
+
+
+def _min_delay_path(graph, delays, dmin, max_delay, source, target):
+    """`_label_setting` with the delays as weights.  `dmin` is then the least
+    weight on to `target`, and its value at `source` the least path weight
+    up to rounding, so it bounds the search as tightly as it can be."""
+    return _label_setting(*graph, delays, dmin, _above(dmin[source]), delays, dmin, max_delay,
+                          source, target)
+
+
+def _above(weight: float) -> float:
+    """A limit that a path of weight `weight`, summed in any order, stays under."""
+    return weight * (1 + BOUND_SLACK) + BOUND_SLACK
 
 
 def path_delay(inst: McInstance, path) -> float:
@@ -275,27 +325,32 @@ class McBlockProblem(BlockProblem):
         # arcs each commodity's columns use, one row per commodity: a single
         # array is far smaller than one array per commodity
         self._support = np.zeros((len(inst.commodities), len(inst.arcs)), dtype=bool)
-        # dual-free pricing data: (out-adjacency, arc heads) and delay
-        # potentials per target, kept as arrays, which take less memory than lists
+        # dual-free pricing data: (out-adjacency, arc heads), and the least
+        # delay and least arc cost from each node to each distinct target,
+        # one array row per target
         self._graph = _graph_lists(inst.num_nodes, pairs)
-        self._dmin = _delay_potentials(inst.num_nodes, pairs, self._delays,
-                                       [com.target for com in inst.commodities])
+        targets = list(dict.fromkeys(com.target for com in inst.commodities))
+        self._row = {t: i for i, t in enumerate(targets)}
+        self._dmin = _potentials(inst.num_nodes, pairs, self._delays, targets)
+        self._hcost = _potentials(inst.num_nodes, pairs, self._costs, targets)
         self._bandwidths = np.array([com.bandwidth for com in inst.commodities])
         # commodities by bandwidth, for `bound_terms`; a dict, not np.unique,
         # which would import numpy.ma and its memory
         self._by_bandwidth: dict[float, list[int]] = {}
         for k, com in enumerate(inst.commodities):
             self._by_bandwidth.setdefault(com.bandwidth, []).append(k)
-        self._initial: list[Column] = []
-        delays = self._delays.tolist()
+        # each commodity's min-delay path, and the path its last pricing
+        # call returned: both delay-feasible, so either weight caps a search
+        self._initial: list[tuple[int, ...]] = []
+        delays, dmin = self._delays.tolist(), self._dmin.tolist()
         for k, com in enumerate(inst.commodities):
-            found = _label_setting(*self._graph, delays, delays, self._dmin[com.target].tolist(),
-                                   com.max_delay, com.source, com.target)
+            found = _min_delay_path(self._graph, delays, dmin[self._row[com.target]],
+                                    com.max_delay, com.source, com.target)
             if found is None:
                 raise UnroutableCommodityError(
                     f"commodity {k} has no path within delay budget {com.max_delay}")
-            _, path = found
-            self._initial.append(self.path_column(k, path))
+            self._initial.append(found[1])
+        self._last = list(self._initial)
 
     @property
     def num_blocks(self) -> int:
@@ -315,7 +370,7 @@ class McBlockProblem(BlockProblem):
         return Column(block=block, cost=cost, coeffs=coeffs, native=tuple(path))
 
     def initial_columns(self):
-        return list(self._initial)
+        return [self.path_column(k, path) for k, path in enumerate(self._initial)]
 
     def price_blocks(self, blocks, pi, mu):
         """Label setting for each listed commodity, its dual-dependent set-up shared.
@@ -338,20 +393,29 @@ class McBlockProblem(BlockProblem):
         raw, costs = (self._costs + pi).tolist(), self._costs.tolist()
         delays = self._delays.tolist()
         weights: dict[float, list[float]] = {}
+        lower: dict[tuple[float, int], list[float]] = {}
         dmin: dict[int, list[float]] = {}
         paths, cbars, col_costs, bandwidths = [], [], [], []
         for k, mu_k in zip(blocks.tolist(), mu_b.tolist()):
             com = self.inst.commodities[k]
-            b = com.bandwidth
+            b, t = com.bandwidth, com.target
             if b not in weights:
                 weights[b] = (b * clamped).tolist()
-            if com.target not in dmin:
-                dmin[com.target] = self._dmin[com.target].tolist()
-            found = _label_setting(*self._graph, weights[b], delays, dmin[com.target],
-                                   com.max_delay, com.source, com.target)
+            if (b, t) not in lower:
+                # the clamped weights are at least b * cost, so b times the
+                # least cost to t bounds every completion; the factor covers
+                # rounding in the float sums
+                lower[b, t] = (b * (1 - BOUND_SLACK) * self._hcost[self._row[t]]).tolist()
+            if t not in dmin:
+                dmin[t] = self._dmin[self._row[t]].tolist()
+            wb = weights[b]
+            # the lighter incumbent, summed in path order as the labels are
+            best = min(sum(wb[a] for a in self._initial[k]), sum(wb[a] for a in self._last[k]))
+            found = _label_setting(*self._graph, wb, lower[b, t], _above(best), delays, dmin[t],
+                                   com.max_delay, com.source, t)
             if found is None:
                 raise UnroutableCommodityError(f"commodity {k} lost all feasible paths")
-            path = found[1]
+            path = self._last[k] = found[1]
             paths.append(path)
             cbars.append(b * sum(raw[a] for a in path) - mu_k)
             col_costs.append(b * sum(costs[a] for a in path))
@@ -433,14 +497,15 @@ def generate_mc_instance(num_nodes: int, num_arcs: int, num_commodities: int,
             target = int(rng.integers(num_nodes))
         bandwidth = float(rng.integers(1, 6))
         commodities.append((source, target, bandwidth))
-    dmin = _delay_potentials(num_nodes, pairs, delays, [t for _, t, _ in commodities])
-    budgets = [round(float(dmin[target][source]) * float(rng.uniform(1.3, 2.2)) + 0.5, 3)
+    targets = list(dict.fromkeys(t for _, t, _ in commodities))
+    dmin = dict(zip(targets, _potentials(num_nodes, pairs, delays, targets).tolist()))
+    budgets = [round(dmin[target][source] * float(rng.uniform(1.3, 2.2)) + 0.5, 3)
                for source, target, _ in commodities]
-    out, heads = _graph_lists(num_nodes, pairs)
+    graph = _graph_lists(num_nodes, pairs)
     dl = delays.tolist()
     load = np.zeros(num_arcs)
     for (source, target, bandwidth), budget in zip(commodities, budgets):
-        found = _label_setting(out, heads, dl, dl, dmin[target].tolist(), budget, source, target)
+        found = _min_delay_path(graph, dl, dmin[target], budget, source, target)
         for a in found[1]:
             load[a] += bandwidth
     total_b = sum(b for _, _, b in commodities)

@@ -2,12 +2,14 @@
 
 Everything here is deliberately written against different primitives than
 the code under test: scipy's LP solver, networkx shortest paths, exhaustive
-enumeration, and a screening filter that walks one block's records at a
-time.  Slow is fine; these only run at unit-test scale.
+enumeration, a screening filter that walks one block's records at a time,
+and heapq Dijkstra and label setting with no weight bound for the `mc`
+searches.  Slow is fine; these only run at unit-test scale.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from typing import NamedTuple
 
@@ -174,6 +176,60 @@ def networkx_shortest(num_nodes, arcs, weights, source, target):
         return nx.shortest_path_length(g, source, target, weight="weight")
     except nx.NetworkXNoPath:
         return None
+
+
+def min_to_target(num_nodes, arcs, values, target):
+    """Heapq Dijkstra on reversed (tail, head) pairs: least total `values`
+    from each node to `target`, inf where the target is out of reach."""
+    into = [[] for _ in range(num_nodes)]
+    for idx, (tail, head) in enumerate(arcs):
+        into[head].append(idx)
+    dist = np.full(num_nodes, np.inf)
+    dist[target] = 0.0
+    heap = [(0.0, target)]
+    while heap:
+        d, v = heapq.heappop(heap)
+        if d > dist[v]:
+            continue
+        for idx in into[v]:
+            tail = arcs[idx][0]
+            nd = d + values[idx]
+            if nd < dist[tail]:
+                dist[tail] = nd
+                heapq.heappush(heap, (nd, tail))
+    return dist
+
+
+def label_setting_unbounded(out, heads, weights, delays, dmin, max_delay, source, target):
+    """Resource-constrained label setting with no weight bound.
+
+    Same inputs as `colgen.mcflow._label_setting` minus `lower` and `limit`;
+    a label dies only on its delay.  Returns (weight, arc tuple) of the
+    lightest delay-feasible path, the lexicographically smallest arc sequence
+    among equal weights, or None.
+    """
+    if dmin[source] > max_delay + 1e-9:
+        return None
+    retained = [[] for _ in out]
+    retained[source].append((0.0, 0.0, ()))
+    heap = [(0.0, (), 0.0, source)]
+    while heap:
+        w, seq, dl, v = heapq.heappop(heap)
+        if v == target:
+            return (w, seq)
+        for idx in out[v]:
+            head = heads[idx]
+            nw = w + weights[idx]
+            ndl = dl + delays[idx]
+            if ndl + dmin[head] > max_delay + 1e-9:
+                continue
+            nseq = seq + (idx,)
+            if any(ow <= nw and odl <= ndl and oseq <= nseq
+                   for ow, odl, oseq in retained[head]):
+                continue
+            retained[head].append((nw, ndl, nseq))
+            heapq.heappush(heap, (nw, nseq, ndl, head))
+    return None
 
 
 # ----------------------------------------------------------------------

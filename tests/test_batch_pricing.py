@@ -8,7 +8,7 @@ import pytest
 from colgen import (DwdConfig, FilterMode, GaBlockProblem, GaInstance, McBlockProblem,
                     Strategy, generate_ga_instance, generate_mc_instance, parse_mc_instance,
                     rcsp, run_dwd)
-from colgen.mcflow import _graph_lists, _label_setting, _min_to_target
+from colgen.mcflow import _graph_lists, _potentials
 from colgen.model import BlockProblem, PricedBlocks
 
 import oracles
@@ -177,9 +177,9 @@ def test_mc_price_blocks_equals_per_block_label_setting_bit_for_bit():
             for k in blocks:
                 c = coms[k]
                 b = c.bandwidth
-                _, path = _label_setting(
+                _, path = oracles.label_setting_unbounded(
                     *graph, (b * (costs + np.maximum(pi, 0.0))).tolist(), delays.tolist(),
-                    _min_to_target(inst.num_nodes, pairs, delays, c.target).tolist(),
+                    _potentials(inst.num_nodes, pairs, delays, [c.target])[0].tolist(),
                     c.max_delay, c.source, c.target)
                 cbar = b * float(sum(costs[a] + pi[a] for a in path)) - float(mu[k])
                 want.append((cbar, problem.path_column(k, path)))

@@ -135,7 +135,8 @@ def test_config_validation():
         ExperimentConfig(problem="ga", jobs=0)
     for bad in ({"epsilon": 0.0}, {"epsilon": float("nan")}, {"epsilon": float("inf")},
                 {"max_iterations": 0}, {"retain_duals": 0}, {"max_iterations": 2.5},
-                {"retain_duals": 2.5}, {"retain_duals": True}):
+                {"retain_duals": 2.5}, {"retain_duals": True}, {"jobs": 1.5}, {"jobs": 2.0},
+                {"jobs": True}):
         with pytest.raises(ValueError):
             ExperimentConfig(problem="ga", **bad)
 

@@ -1,4 +1,8 @@
+import dataclasses
+import gc
 import hashlib
+import math
+import weakref
 
 import numpy as np
 import pytest
@@ -7,7 +11,8 @@ from colgen import (DwdConfig, FilterMode, McBlockProblem, McParseError,
                     UnroutableCommodityError, generate_mc_instance, parse_mc_instance,
                     rcsp, run_dwd, write_mc_instance)
 from colgen.engine import _RC_CHECK_TOL
-from colgen.mcflow import Arc, Commodity, McInstance, path_cost, path_delay
+from colgen.mcflow import (Arc, Commodity, McInstance, _graph_lists, _label_setting,
+                           _potentials, path_cost, path_delay)
 
 import oracles
 
@@ -168,6 +173,114 @@ def test_rcsp_lexicographic_tie_break():
     # two identical parallel arcs: the smaller arc index must win
     got = rcsp(2, [(0, 1), (0, 1)], [2.0, 2.0], [1.0, 1.0], 5.0, 0, 1)
     assert got == (2.0, (0,))
+
+
+def test_potentials_equal_dijkstra_bit_for_bit():
+    # float values with zero-weight arcs among them; nodes 12 and 13 have
+    # arcs into the ring but none out of it, so no ring node reaches them
+    rng = np.random.default_rng(5)
+    for seed in range(20):
+        inst = generate_mc_instance(12, 40, 1, seed)
+        arcs = pairs(inst.arcs) + [(12, 0), (13, 12), (13, 5)]
+        values = rng.uniform(0.0, 10.0, size=len(arcs)) * (rng.random(len(arcs)) < 0.8)
+        assert (values == 0).any()
+        targets = [int(t) for t in rng.permutation(12)[:5]] + [12]
+        got = _potentials(14, arcs, values, targets)
+        assert got.shape == (6, 14)
+        for row, t in zip(got, targets):
+            assert row.tobytes() == oracles.min_to_target(14, arcs, values, t).tobytes()
+        assert np.isinf(got).any()
+    assert _potentials(3, [], [], [1]).tolist() == [[math.inf, 0.0, math.inf]]
+
+
+def test_label_setting_bounds_return_the_unbounded_result():
+    # integer weights, zeros among them, keep every float sum exact and make
+    # equal-weight optima common; `lower` is then the exact least weight to
+    # the target, and a limit equal to the optimum must keep it
+    rng = np.random.default_rng(31)
+    ties = 0
+    for seed in range(40):
+        inst = generate_mc_instance(8, 22, 1, seed)
+        arcs = pairs(inst.arcs)
+        graph = _graph_lists(inst.num_nodes, arcs)
+        weights = rng.integers(0, 3, size=len(arcs)).astype(float)
+        delays = [a.delay for a in inst.arcs]
+        s, t = inst.commodities[0].source, inst.commodities[0].target
+        dmin = oracles.min_to_target(inst.num_nodes, arcs, delays, t).tolist()
+        lower = oracles.min_to_target(inst.num_nodes, arcs, weights, t).tolist()
+        zeros = [0.0] * inst.num_nodes
+        w = weights.tolist()
+        for budget in (inst.commodities[0].max_delay, math.inf):
+            want = oracles.label_setting_unbounded(*graph, w, delays, dmin, budget, s, t)
+            opt = want[0]
+            for bound, limit in ((zeros, math.inf), (lower, math.inf), (zeros, opt),
+                                 (lower, opt), (lower, opt + 0.5)):
+                assert _label_setting(*graph, w, bound, limit, delays, dmin, budget, s, t) == want
+            # below the optimum the bound cuts every path
+            assert _label_setting(*graph, w, lower, opt - 0.5, delays, dmin, budget, s, t) is None
+            paths = oracles.enumerate_simple_paths(inst.num_nodes, inst.arcs, s, t, budget)
+            ties += sum(sum(w[a] for a in p) == opt for p in paths) > 1
+    assert ties > 10
+
+
+@pytest.mark.parametrize("case, rng_seed",
+                         [("random", 0), ("integer costs", 1), ("loose budgets", 2)])
+def test_price_blocks_equals_unbounded_label_setting(case, rng_seed):
+    # one problem per instance priced round after round, so each search is
+    # capped by the path the commodity's previous search returned
+    rng = np.random.default_rng(rng_seed)
+    for seed in range(3):
+        inst = generate_mc_instance(12, 36, 30, seed)
+        if case == "integer costs":
+            # zero-cost arcs make the cost lower bound 0 at many nodes, and
+            # integer weights make equal-weight optima common
+            inst = dataclasses.replace(inst, arcs=tuple(
+                dataclasses.replace(a, cost=float(c))
+                for a, c in zip(inst.arcs, rng.integers(0, 3, size=36))))
+        elif case == "loose budgets":
+            inst = dataclasses.replace(inst, commodities=tuple(
+                dataclasses.replace(c, max_delay=1e9) for c in inst.commodities))
+        problem = McBlockProblem(inst)
+        arcs = pairs(inst.arcs)
+        graph = _graph_lists(inst.num_nodes, arcs)
+        costs = np.array([a.cost for a in inst.arcs])
+        delays = [a.delay for a in inst.arcs]
+        for _ in range(6):
+            if case == "integer costs":
+                pi = rng.integers(0, 2, size=36) - 1e-9 * rng.random(36)
+            else:
+                pi = np.round(rng.uniform(-0.01, 3.0, size=36), 3)
+            mu = rng.uniform(0.0, 50.0, size=30)
+            blocks = [int(k) for k in rng.permutation(30)[:20]]
+            got = problem.price_blocks(blocks, pi, mu)
+            for i, k in enumerate(blocks):
+                c = inst.commodities[k]
+                dmin = oracles.min_to_target(inst.num_nodes, arcs, delays, c.target).tolist()
+                weights = (c.bandwidth * (costs + np.maximum(pi, 0.0))).tolist()
+                _, path = oracles.label_setting_unbounded(*graph, weights, delays, dmin,
+                                                          c.max_delay, c.source, c.target)
+                assert got.column(i).native == path
+                cbar = c.bandwidth * sum((costs + pi).tolist()[a] for a in path) - float(mu[k])
+                assert got.reduced_costs[i] == cbar
+        if case == "integer costs":
+            assert (problem._hcost == 0).sum() > problem._hcost.shape[0]
+
+
+def test_problem_is_freed_without_the_cycle_collector():
+    # a problem in a reference cycle outlives its run until the cycle
+    # collector happens to run, and a sweep's problems pile up in memory
+    problem = McBlockProblem(generate_mc_instance(25, 80, 50, 0))
+    ref = weakref.ref(problem)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for mode in FilterMode:
+            run_dwd(problem, DwdConfig(mode=mode))
+        del problem
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_pricing_zero_duals_is_plain_rcsp():
