@@ -4,9 +4,10 @@ Each block is a bin; a column is a subset of items that fits the bin's
 capacity, costing the sum of the bin's item costs.  Item rows require
 coverage >= 1; bin rows limit each bin to one pattern.  Pricing is an exact
 0/1 knapsack minimization over values (cost - item dual) on candidate items
-only, those with value < 0: a bin with none prices to 0 with the empty
-pattern, a bin whose candidates all fit takes the improving ones in closed
-form, and only the remaining bins run the knapsack DP.
+only, those with value < 0 that fit the bin on their own: a bin with none
+prices to 0 with the empty pattern, a bin whose candidates all fit takes the
+improving ones in closed form, and only the remaining bins run the knapsack
+DP, each on a grid of its own capacity.
 
 Instance text format ('#' starts a comment):
 
@@ -17,6 +18,7 @@ Instance text format ('#' starts a comment):
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -84,6 +86,13 @@ class GaInstance:
 # ----------------------------------------------------------------------
 # text format
 
+def _int64(text: str, what: str) -> int:
+    value = int(text)
+    if not -2**63 <= value < 2**63:
+        raise ValueError(f"{what} {value} is outside int64")
+    return value
+
+
 def parse_ga_instance(text: str) -> GaInstance:
     header = None
     # index -> (values, line number); an index is checked against the header
@@ -101,14 +110,15 @@ def parse_ga_instance(text: str) -> GaInstance:
                     raise ValueError("duplicate ga header")
                 if len(parts) != 3:
                     raise ValueError("ga header takes 2 values")
-                header = (int(parts[1]), int(parts[2]))
+                header = (_int64(parts[1], "item count"), _int64(parts[2], "bin count"))
                 if header[0] < 0 or header[1] < 1:
                     raise ValueError("ga header needs a nonnegative item count and at "
                                      "least one bin")
             elif parts[0] == "bin":
                 if len(parts) != 3:
                     raise ValueError("bin takes 2 values")
-                k, cap = int(parts[1]), int(parts[2])
+                k = int(parts[1])
+                cap = _int64(parts[2], f"bin {k} capacity")
                 if k in caps:
                     raise ValueError(f"bin {k} repeats line {caps[k][1]}")
                 if cap < 0:
@@ -117,7 +127,9 @@ def parse_ga_instance(text: str) -> GaInstance:
             elif parts[0] == "item":
                 if len(parts) != 5:
                     raise ValueError("item takes 4 values")
-                i, k, cost, weight = map(int, parts[1:])
+                i, k = int(parts[1]), int(parts[2])
+                cost = _int64(parts[3], f"item {i}, bin {k} cost")
+                weight = _int64(parts[4], f"item {i}, bin {k} weight")
                 if (i, k) in entries:
                     raise ValueError(f"item {i}, bin {k} repeats line {entries[i, k][2]}")
                 if weight < 0:
@@ -137,18 +149,21 @@ def parse_ga_instance(text: str) -> GaInstance:
         if not (0 <= i < m and 0 <= k < bins):
             raise GaParseError(f"line {lineno}: item {i}, bin {k} outside the header's "
                                f"{m} items x {bins} bins")
+    # every index is in range, so a short count means a missing line, and the
+    # first one sits within the lines given: no header-sized loop or array
+    # runs before the file is known to fill it
+    if len(caps) < bins:
+        k = next(k for k in range(bins) if k not in caps)
+        raise GaParseError(f"missing bin line for bin {k}")
+    if len(entries) < m * bins:
+        i, k = next(key for key in itertools.product(range(m), range(bins))
+                    if key not in entries)
+        raise GaParseError(f"missing item line for item {i}, bin {k}")
     costs = np.zeros((bins, m), dtype=np.int64)
     weights = np.zeros((bins, m), dtype=np.int64)
-    capacities = np.zeros(bins, dtype=np.int64)
-    for k in range(bins):
-        if k not in caps:
-            raise GaParseError(f"missing bin line for bin {k}")
-        capacities[k] = caps[k][0]
-    for i in range(m):
-        for k in range(bins):
-            if (i, k) not in entries:
-                raise GaParseError(f"missing item line for item {i}, bin {k}")
-            costs[k, i], weights[k, i], _ = entries[(i, k)]
+    capacities = np.array([caps[k][0] for k in range(bins)], dtype=np.int64)
+    for (i, k), (cost, weight, _) in entries.items():
+        costs[k, i], weights[k, i] = cost, weight
     return GaInstance(m, bins, costs, weights, capacities)
 
 
@@ -200,11 +215,12 @@ def generate_ga_instance(num_bins: int, num_items: int, seed: int) -> GaInstance
 def knapsack_min(values, weights, capacity: int) -> tuple[float, tuple[int, ...]]:
     """Exact 0/1 knapsack minimization; the empty set is always allowed.
 
-    Only candidate items, those with value < 0, are ever selected: an item
-    with value >= 0 (or nan) cannot improve on skipping it.  Ties on value
-    prefer fewer items, then the lexicographically smaller index tuple, when
-    sums are exact; in floating point the result is what the suffix DP in
-    `knapsack_min_batch` picks, a pure function of the inputs.
+    Only candidate items, those with value < 0 and weight <= capacity, are
+    ever selected: an item with value >= 0 (or nan) cannot improve on
+    skipping it.  Ties on value prefer fewer items, then the
+    lexicographically smaller index tuple, when sums are exact; in floating
+    point the result is what the suffix DP in `knapsack_min_batch` picks, a
+    pure function of the inputs.
     O(len(values) * capacity) time and memory.  This is the one-bin case of
     `knapsack_min_batch`.
     """
@@ -219,23 +235,23 @@ def knapsack_min_batch(values, weights, capacities) -> tuple[np.ndarray, np.ndar
 
     `values` and `weights` have shape (bins, items) and `capacities` shape
     (bins,).  Returns each bin's minimum value and a boolean (bins, items)
-    mask of the picked items.  Only candidate items (value < 0) count:
+    mask of the picked items.  Only candidate items count: value < 0 and no
+    heavier than their bin.
 
     - a bin whose candidates all fit its capacity, or that has none, is read
       in closed form: scanning items from last to first, it takes item i
       exactly when ``v_i + acc < acc``, which is the suffix DP's own step at
       any capacity that holds every candidate, rounding included;
-    - the other bins share one suffix DP over the union of their candidate
-      items, with each bin's other items made unpickable, on a grid padded
-      to the largest of their capacities.  A bin's DP row at capacity c does
-      not depend on its own capacity, so every bin gets the value, items and
-      tie-break it would get alone.
+    - the other bins share one suffix DP (`_suffix_dp`) over the union of
+      their candidate items, with each bin's other items made unpickable,
+      each bin on its own capacity grid.
 
     The tie-break is the suffix DP's: when sums are exact it prefers fewer
     items, then the lexicographically smaller index tuple.  Each bin's value
     equals, bit for bit, a DP over all of its items; only picks differ, where
     such a DP would take an item >= 0 on a rounded tie.
-    O(items * DP bins * their max capacity) time and memory.
+    O(items * sum of the DP bins' capacities) time and memory; raises
+    MemoryError when that grid cannot be addressed.
     """
     values = np.asarray(values, dtype=float)
     w = np.asarray(weights, dtype=np.int64)
@@ -245,54 +261,83 @@ def knapsack_min_batch(values, weights, capacities) -> tuple[np.ndarray, np.ndar
     if np.any(w < 0):
         raise ValueError("weights must be nonnegative")
     bins, m = values.shape
-    cand = values < 0
+    cand = (values < 0) & (w <= caps[:, None])
+    vals = np.where(cand, values, np.inf)
     # closed form for every bin; exact where all candidates fit, and the DP
     # below overwrites the rest
     best = np.zeros(bins)
     take = np.zeros((bins, m), dtype=bool)
     for i in range(m - 1, -1, -1):
-        acc = best + values[:, i]
+        acc = best + vals[:, i]
         np.less(acc, best, out=take[:, i])
         np.copyto(best, acc, where=take[:, i])
-    dp = np.flatnonzero(np.where(cand, w, 0).sum(axis=1) > caps)
+    # a bin's candidates overflow it where their running load first passes its
+    # capacity; every weight is at most the capacity, so up to that item the
+    # load is below 2**64 and exact in uint64, whatever wraps after it
+    load = np.cumsum(np.where(cand, w, 0), axis=1, dtype=np.uint64)
+    dp = np.flatnonzero((load > caps.astype(np.uint64)[:, None]).any(axis=1))
     if len(dp):
         items = np.flatnonzero(cand[dp].any(axis=0))
         sub = np.ix_(dp, items)
-        best[dp], dp_take = _suffix_dp(np.where(cand[sub], values[sub], np.inf), w[sub],
-                                       caps[dp])
+        best[dp], dp_take = _suffix_dp(vals[sub], w[sub], caps[dp])
         # the closed form took only candidates, so every column it set is overwritten
         take[sub] = dp_take
     return best, take
 
 
 def _suffix_dp(values, w, caps) -> tuple[np.ndarray, np.ndarray]:
-    """The knapsack suffix DP on a (bins, max cap + 1) grid; see `knapsack_min_batch`."""
+    """The knapsack suffix DP, each bin on its own grid 0..cap; see `knapsack_min_batch`.
+
+    All grids sit end to end in one flat array followed by one +inf cell: a
+    take whose weight does not fit its cell's capacity reads that cell, so it
+    never wins.
+    """
     bins, m = values.shape
-    grid = np.arange(int(caps.max()) + 1)
-    row_start = np.arange(bins)[:, None] * len(grid)
-    # suffix DP over items i..m-1: best value and item count per capacity,
-    # two rolling layers plus the take/skip choice of every item
-    val = np.zeros((bins, len(grid)))
-    cnt = np.zeros((bins, len(grid)), dtype=np.int64)
-    choose = np.zeros((m, bins, len(grid)), dtype=bool)
+    # exact in Python ints: a value, a count and m choices per cell must be
+    # addressable, and then no size, start or position below can wrap
+    cells = sum(caps.tolist()) + bins
+    if cells * (m + 16) > np.iinfo(np.intp).max:
+        raise MemoryError(f"a knapsack DP grid of {cells} cells cannot be allocated")
+    sizes = caps + 1
+    starts = np.zeros(bins, dtype=np.int64)
+    np.cumsum(sizes[:-1], out=starts[1:])
+    pos = np.arange(cells)
+    cap_of_cell = pos - np.repeat(starts, sizes)
+    # suffix DP over items i..m-1: best value and item count per cell, one
+    # layer updated in place, plus the take/skip choice of every item
+    val_ext = np.zeros(cells + 1)
+    val_ext[cells] = np.inf
+    cnt_ext = np.zeros(cells + 1, dtype=np.int64)
+    val, cnt = val_ext[:cells], cnt_ext[:cells]
+    choose = np.empty((m, cells), dtype=bool)
+    src = np.empty(cells, dtype=np.intp)
+    short = np.empty(cells, dtype=bool)
+    take_v = np.empty(cells)
+    take_c = np.empty(cells, dtype=np.int64)
+    tie = np.empty(cells, dtype=bool)
     for i in range(m - 1, -1, -1):
-        rest = grid - w[:, i, None]
-        fits = rest >= 0
-        # flat index of each cell's capacity-minus-weight cell in its own row
-        src = row_start + np.maximum(rest, 0)
-        take_v = np.where(fits, values[:, i, None] + val.take(src), np.inf)
-        take_c = 1 + cnt.take(src)
+        w_i = np.repeat(w[:, i], sizes)
+        # each cell's capacity-minus-weight cell, or the +inf cell when short
+        np.subtract(pos, w_i, out=src)
+        np.less(cap_of_cell, w_i, out=short)
+        np.copyto(src, cells, where=short)
+        np.take(val_ext, src, out=take_v)
+        take_v += np.repeat(values[:, i], sizes)
+        np.take(cnt_ext, src, out=take_c)
+        take_c += 1
         ch = choose[i]
-        np.logical_or(take_v < val, (take_v == val) & (take_c <= cnt), out=ch)
-        val = np.where(ch, take_v, val)
-        cnt = np.where(ch, take_c, cnt)
-    rows = np.arange(bins)
-    best = val[rows, caps]
+        np.less(take_v, val, out=ch)
+        np.equal(take_v, val, out=tie)
+        tie &= take_c <= cnt
+        ch |= tie
+        np.copyto(val, take_v, where=ch)
+        np.copyto(cnt, take_c, where=ch)
+    at = starts + caps
+    best = val[at]
     take = np.zeros((bins, m), dtype=bool)
-    c = caps.copy()
     for i in range(m):
-        take[:, i] = choose[i, rows, c]
-        c -= np.where(take[:, i], w[:, i], 0)
+        take[:, i] = choose[i, at]
+        at -= np.where(take[:, i], w[:, i], 0)
     return best, take
 
 

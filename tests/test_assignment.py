@@ -47,6 +47,21 @@ def test_parse_errors_name_lines():
         parse_ga_instance("ga 1 1\nbin 0 -4\nitem 0 0 1 1\n")
     with pytest.raises(GaParseError, match="line 3: item 0, bin 0 has negative weight -1"):
         parse_ga_instance("ga 1 1\nbin 0 10\nitem 0 0 1 -1\n")
+    # values outside int64 name their line; a header is not allocated before
+    # its bin and item lines are all there
+    with pytest.raises(GaParseError, match="line 3: item 0, bin 0 weight 9+ is outside int64"):
+        parse_ga_instance("ga 1 1\nbin 0 10\nitem 0 0 1 99999999999999999999\n")
+    with pytest.raises(GaParseError, match="line 3: item 0, bin 0 cost -9+ is outside int64"):
+        parse_ga_instance("ga 1 1\nbin 0 10\nitem 0 0 -99999999999999999999 1\n")
+    with pytest.raises(GaParseError, match="line 2: bin 0 capacity 9+ is outside int64"):
+        parse_ga_instance("ga 1 1\nbin 0 99999999999999999999\nitem 0 0 1 1\n")
+    with pytest.raises(GaParseError, match="line 1: item count 10+ is outside int64"):
+        parse_ga_instance("ga 100000000000000000000 1\n")
+    with pytest.raises(GaParseError, match="missing bin line for bin 1$"):
+        parse_ga_instance("ga 1000000 100000\nbin 0 10\n")
+    with pytest.raises(GaParseError, match="missing item line for item 1, bin 1$"):
+        parse_ga_instance("ga 2 2\nbin 0 1\nbin 1 1\nitem 0 0 1 1\nitem 0 1 1 1\n"
+                          "item 1 0 1 1\n")
 
 
 def test_round_trip_on_generated_instances():
@@ -165,6 +180,62 @@ def test_knapsack_batch_matches_the_full_dp_reference():
         ref_nonneg_picks += int(np.sum(~clean))
     # the draws reach the rounded ties where the reference picks an item >= 0
     assert ref_nonneg_picks > 0
+
+
+def assert_matches_the_full_dp_reference(values, weights, capacities):
+    """`best` bit for bit, and the picks wherever the reference picks no item >= 0."""
+    best, take = knapsack_min_batch(values, weights, capacities)
+    ref_best, ref_take = oracles.knapsack_dp_reference(values, weights, capacities)
+    assert best.tobytes() == ref_best.tobytes()
+    assert np.all(np.where(take, weights, 0).sum(axis=1) <= capacities)
+    clean = ~np.any(ref_take & ~(values < 0), axis=1)
+    assert np.array_equal(take[clean], ref_take[clean])
+
+
+def test_knapsack_batch_mixes_capacities_in_one_call():
+    # capacities 0-150 side by side, weights 0-30: zero weights, items
+    # heavier than their bin, and cells below an item's weight, whose takes
+    # would otherwise read the grid before their own bin's
+    rng = np.random.default_rng(15)
+    dp_bins = 0
+    for _ in range(300):
+        bins, m = int(rng.integers(1, 51)), int(rng.integers(1, 9))
+        if rng.integers(2):
+            values = rng.integers(-6, 3, size=(bins, m)).astype(float)
+        else:
+            values = np.round(rng.uniform(-9.0, 3.0, size=(bins, m)), 3)
+        weights = rng.integers(0, 31, size=(bins, m))
+        capacities = rng.integers(0, 151, size=bins)
+        assert_matches_the_full_dp_reference(values, weights, capacities)
+        fits = weights <= capacities[:, None]
+        dp_bins += int(np.sum(np.where((values < 0) & fits, weights, 0).sum(axis=1)
+                              > capacities))
+    # over a fifth of the bins run the DP, not the closed form
+    assert dp_bins > 1000
+
+
+@pytest.mark.parametrize("shape", [(400, 10), (100, 100), (5000, 10)])
+def test_knapsack_batch_fallback_dual_round(shape):
+    # the first pricing round prices at the fallback duals, where every item
+    # is a candidate in every bin and nearly every bin runs the DP
+    inst = generate_ga_instance(*shape, 0)
+    values = inst.costs - np.full(inst.num_items, 1e4)
+    assert_matches_the_full_dp_reference(values, inst.weights, inst.capacities)
+
+
+def test_knapsack_weights_near_int64_never_overfill():
+    # the all-fit test once summed 2**62 + 2**62 into a negative int64 and
+    # returned both items; a DP grid too large to address raises instead
+    with pytest.raises(MemoryError):
+        knapsack_min([-1.0, -1.0], [2**62, 2**62], 2**62)
+    with pytest.raises(MemoryError):  # capacity + 1 would wrap
+        knapsack_min([-1.0, -1.0], [2**62, 2**62], 2**63 - 1)
+    with pytest.raises(MemoryError):  # the grids' running sum would wrap
+        knapsack_min_batch(np.full((3, 2), -1.0), np.full((3, 2), 2**61 + 1),
+                           np.full(3, 2**62))
+    # an item heavier than its bin is never picked; the rest sum exactly
+    assert knapsack_min([-1.0, -1.0], [2**63 - 1, 1], 2**62) == (-1.0, (1,))
+    assert knapsack_min([-1.0, -2.0], [2**62, 2**62 - 1], 2**63 - 1) == (-3.0, (0, 1))
 
 
 def test_pricing_zero_duals_returns_empty_pattern():
