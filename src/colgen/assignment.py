@@ -370,7 +370,7 @@ class GaBlockProblem(BlockProblem):
 
     def assignment_column(self, block: int, items) -> Column:
         items = tuple(sorted(int(i) for i in items))
-        cost = float(self.inst.costs[block, list(items)].sum()) if items else 0.0
+        cost = float(self.inst.costs[block, list(items)].sum(dtype=float))
         coeffs = tuple((i, 1.0) for i in items)
         return Column(block=block, cost=cost, coeffs=coeffs, native=items)
 
@@ -392,7 +392,7 @@ class GaBlockProblem(BlockProblem):
         ptr = np.zeros(len(blocks) + 1, dtype=np.int64)
         np.cumsum(take.sum(axis=1), out=ptr[1:])
         rows = np.nonzero(take)[1]
-        col_costs = np.where(take, costs, 0).sum(axis=1).astype(float)
+        col_costs = np.where(take, costs, 0.0).sum(axis=1)
 
         def column(i):
             items = rows[ptr[i]:ptr[i + 1]].tolist()

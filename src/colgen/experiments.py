@@ -155,7 +155,8 @@ def run_single(config: ExperimentConfig, instance, strategy: str):
 
 def _run_instance(config: ExperimentConfig, name: str, instance):
     """All strategies for one instance; returns (row, failures, violations)."""
-    order = ["baseline"] + [s for s in config.strategies if s != "baseline"]
+    # baseline first, then each strategy once, in first-seen order
+    order = list(dict.fromkeys(["baseline", *config.strategies]))
     time_metrics = config.jobs == 1
     row = ReportRow(config.problem, name, _shape_label(instance), {})
     failures: list[RunFailure] = []

@@ -69,7 +69,7 @@ class PricedBlocks:
 
     @classmethod
     def from_columns(cls, blocks, results) -> PricedBlocks:
-        """From `solve_pricing`'s (reduced cost, column) pair for each of `blocks`."""
+        """From a (reduced cost, column or None) pair for each of `blocks`."""
         cols = [col for _, col in results]
         coeffs = [col.coeffs if col is not None else () for col in cols]
         ptr = np.zeros(len(cols) + 1, dtype=np.int64)
@@ -91,16 +91,13 @@ class PricedBlocks:
 class BlockProblem(abc.ABC):
     """Contract a problem must satisfy to run under the engine.
 
-    Implementations are stateful: `register_columns` is called by the
-    engine with every batch of columns actually installed in the master
-    (initial ones included), which is what keeps `support_set` current.
-    Pricing must be exact -- it returns the true minimum reduced cost over
-    the block's column set, not an approximation.  The engine prices, takes
-    bound terms and reports installs only in batches (`price_blocks`,
-    `bound_terms`, `heuristic_bound_terms`, `register_columns`); screening
-    takes one row of terms, for all blocks, per record iteration it reads.
-    The first three default to loops over `solve_pricing`,
-    `hypercube_bound_term` and `heuristic_bound_term`.
+    The engine prices, takes bound terms and reports installs only in
+    batches: one `price_blocks` call per iteration, one `bound_terms` or
+    `heuristic_bound_terms` row, for all blocks, per record iteration that
+    screening reads, and one `register_columns` call per install.
+    Implementations are stateful: `register_columns` is called with every
+    batch of columns actually installed in the master (initial ones
+    included), which is what keeps the heuristic terms' supports current.
     """
 
     @property
@@ -120,67 +117,38 @@ class BlockProblem(abc.ABC):
         """Columns seeding the first restricted master."""
 
     @abc.abstractmethod
-    def solve_pricing(self, block: int, pi: np.ndarray, mu_k: float) -> tuple[float, Column | None]:
-        """Exact pricing at the given duals.
+    def price_blocks(self, blocks, pi: np.ndarray, mu) -> PricedBlocks:
+        """Exact pricing of each listed block, in order, at the given duals.
 
-        `pi` holds the master's linking-row duals and `mu_k` the block's
+        `pi` holds the master's linking-row duals and `mu[k]` block k's
         convexity-row dual, both in the rows' declared senses: a >= row's
         dual is nonnegative, a <= row's nonpositive, an = row's free.  The
-        reduced cost of a column is `cost - sum(pi[row] * coeff) - mu_k`.
-        Returns the minimum reduced cost and the achieving column (None when
-        the block has no column at all).  Must not mutate the dual arrays.
+        reduced cost of a column of block k is `cost - sum(pi[row] * coeff)
+        - mu[k]`.  Entry i of the result holds block `blocks[i]`'s minimum
+        reduced cost over its whole column set, not an approximation, and
+        the column achieving it (none when the block has no column at all).
+        Must not mutate the dual arrays.
         """
-
-    def price_blocks(self, blocks, pi: np.ndarray, mu) -> PricedBlocks:
-        """`solve_pricing` for each listed block, in order, as arrays.
-
-        `mu[k]` is block k's convexity-row dual.  Entry i of the result
-        holds what `solve_pricing(blocks[i], pi, mu[blocks[i]])` returns:
-        the same reduced cost, and the same column, in compressed sparse form
-        and through `column(i)`.  Must be exact and must not mutate the dual
-        arrays.  The default prices one block at a time; families override
-        it to share work across blocks and to skip building `Column` objects.
-        """
-        blocks = list(blocks)
-        return PricedBlocks.from_columns(
-            blocks, [self.solve_pricing(k, pi, float(mu[k])) for k in blocks])
 
     @abc.abstractmethod
-    def hypercube_bound_term(self, block: int, pi_prev: np.ndarray, pi_now: np.ndarray) -> float:
-        """Minimum of the dual-shift form over the block's 0/1 box; <= 0."""
-
     def bound_terms(self, pi_prev: np.ndarray, pi_now: np.ndarray) -> np.ndarray:
-        """`hypercube_bound_term` of every block, as one array in block order.
+        """Exact screening term of every block, as one array in block order.
 
-        Families whose term depends on the block through a few numbers
-        override this to compute each distinct term once; the values must
-        equal the per-block ones bit for bit.
+        Block k's term is the minimum of the dual-shift form over its 0/1
+        box, so it is <= 0, and a record's reduced cost at `pi_prev` plus
+        the convexity drift plus this term bounds the block's reduced cost
+        at `pi_now` from below.  Must not mutate the dual arrays.
         """
-        return np.array([self.hypercube_bound_term(k, pi_prev, pi_now)
-                         for k in range(self.num_blocks)], dtype=float)
 
     @abc.abstractmethod
-    def heuristic_bound_term(self, block: int, pi_prev: np.ndarray, pi_now: np.ndarray,
-                             support: np.ndarray) -> float:
-        """Like hypercube_bound_term but summed over the `support` rows only.
-
-        Always >= the exact term, so bounds built from it may overshoot and
-        skip blocks that still had improving columns.
-        """
-
     def heuristic_bound_terms(self, pi_prev: np.ndarray, pi_now: np.ndarray) -> np.ndarray:
-        """`heuristic_bound_term` of every block on its `support_set`, in block order.
+        """Heuristic screening term of every block, as one array in block order.
 
-        Families override this with one array expression over all blocks;
-        its sums run in another order, so values may differ from the
-        per-block ones by rounding.
+        Like `bound_terms` but summed over the linking rows that the block's
+        installed columns touch only.  Each term is <= 0 and >= the block's
+        exact term, so bounds built from it may overshoot and skip blocks
+        that still had improving columns.
         """
-        return np.array([self.heuristic_bound_term(k, pi_prev, pi_now, self.support_set(k))
-                         for k in range(self.num_blocks)], dtype=float)
-
-    @abc.abstractmethod
-    def support_set(self, block: int) -> np.ndarray:
-        """Boolean mask over the linking rows that the block's installed columns touch."""
 
     def register_columns(self, blocks: np.ndarray, rows: np.ndarray) -> None:
         """Engine callback after a batch of columns enters the master.

@@ -17,7 +17,7 @@ import networkx as nx
 import numpy as np
 import scipy.optimize
 
-from colgen import FilterMode, LpStatus, RowSense, Strategy
+from colgen import FilterMode, LpStatus, PricedBlocks, RowSense, Strategy
 
 
 # ----------------------------------------------------------------------
@@ -493,6 +493,34 @@ def check_batch_registration(make_problem, make_column, num_blocks, num_rows, rn
         for k in range(num_blocks):
             assert batched.support_set(k).tolist() == want[k].tolist()
             assert looped.support_set(k).tolist() == want[k].tolist()
+
+
+# ----------------------------------------------------------------------
+# the batch contract as loops over per-block methods
+#
+# Each takes the problem first, so a test double can install it as a method
+# (`price_blocks = oracles.price_blocks_by_loop`) over its own per-block
+# `solve_pricing`, `hypercube_bound_term`, `heuristic_bound_term` and
+# `support_set`.
+
+def price_blocks_by_loop(problem, blocks, pi, mu):
+    """`price_blocks` from one `problem.solve_pricing(k, pi, mu[k])` per listed block."""
+    blocks = list(blocks)
+    return PricedBlocks.from_columns(
+        blocks, [problem.solve_pricing(k, pi, float(mu[k])) for k in blocks])
+
+
+def bound_terms_by_loop(problem, pi_prev, pi_now):
+    """`bound_terms` from `problem.hypercube_bound_term` of each block."""
+    return np.array([problem.hypercube_bound_term(k, pi_prev, pi_now)
+                     for k in range(problem.num_blocks)], dtype=float)
+
+
+def heuristic_bound_terms_by_loop(problem, pi_prev, pi_now):
+    """`heuristic_bound_terms` from `problem.heuristic_bound_term` of each
+    block on its `problem.support_set`."""
+    return np.array([problem.heuristic_bound_term(k, pi_prev, pi_now, problem.support_set(k))
+                     for k in range(problem.num_blocks)], dtype=float)
 
 
 # ----------------------------------------------------------------------

@@ -246,6 +246,17 @@ def test_pricing_zero_duals_returns_empty_pattern():
     assert col.native == () and col.cost == 0.0
 
 
+def test_pricing_sums_pattern_costs_without_int64_wrap():
+    # two items of cost -(2^62 + 1): their int64 sum wraps to a positive number
+    inst = parse_ga_instance("ga 2 1\nbin 0 10\nitem 0 0 -4611686018427387905 1\n"
+                             "item 1 0 -4611686018427387905 1\n")
+    problem = GaBlockProblem(inst)
+    cbar, col = problem.solve_pricing(0, np.zeros(2), 0.0)
+    assert col.native == (0, 1)
+    assert col.cost == cbar < 0
+    assert problem.assignment_column(0, (0, 1)).cost == col.cost
+
+
 def test_pricing_matches_subset_enumeration():
     rng = np.random.default_rng(3)
     inst = generate_ga_instance(5, 8, 1)

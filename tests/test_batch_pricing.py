@@ -1,6 +1,6 @@
 """Batched contract methods: `price_blocks`, `bound_terms` and
-`heuristic_bound_terms` against the per-block methods, brute force and the
-default loops."""
+`heuristic_bound_terms` against the families' per-block methods, brute force
+and the loops over those methods in `oracles`."""
 
 import numpy as np
 import pytest
@@ -9,16 +9,16 @@ from colgen import (DwdConfig, FilterMode, GaBlockProblem, GaInstance, McBlockPr
                     Strategy, generate_ga_instance, generate_mc_instance, parse_mc_instance,
                     rcsp, run_dwd)
 from colgen.mcflow import _graph_lists, _potentials
-from colgen.model import BlockProblem, PricedBlocks
+from colgen.model import PricedBlocks
 
 import oracles
 
 
 class LoopedGa(GaBlockProblem):
-    """`GaBlockProblem` priced and screened one block at a time by the default loops."""
+    """`GaBlockProblem` priced and screened one block at a time by the oracle loops."""
 
-    price_blocks = BlockProblem.price_blocks
-    bound_terms = BlockProblem.bound_terms
+    price_blocks = oracles.price_blocks_by_loop
+    bound_terms = oracles.bound_terms_by_loop
 
 
 def priced_pairs(priced: PricedBlocks) -> list:
@@ -97,7 +97,7 @@ def test_zero_items_and_empty_block_list():
 
 
 def test_arrays_equal_the_default_loop():
-    # the default `price_blocks` packs `solve_pricing`'s columns into the
+    # the looped `price_blocks` packs `solve_pricing`'s columns into the
     # same arrays that ga fills from the knapsack's item mask
     rng = np.random.default_rng(3)
     for seed in range(10):
@@ -214,7 +214,7 @@ def check_bound_terms(problem, rng, draws=20):
             assert got.shape == (problem.num_blocks,)
             # bit for bit, not approximately: screening must not move
             assert got.tolist() == want
-            assert np.array_equal(got, BlockProblem.bound_terms(problem, a, b))
+            assert np.array_equal(got, oracles.bound_terms_by_loop(problem, a, b))
 
 
 def test_ga_bound_terms_equal_the_per_block_terms():

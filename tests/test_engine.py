@@ -8,7 +8,7 @@ from colgen import (DwdConfig, EngineError, FilterMode, GaBlockProblem, LpModel,
                     RowSense, Strategy, generate_ga_instance, generate_mc_instance,
                     parse_ga_instance, parse_mc_instance, reduced_cost, run_dwd)
 from colgen import engine
-from colgen.model import BlockProblem, Column
+from colgen.model import BlockProblem, Column, PricedBlocks
 
 import oracles
 
@@ -122,7 +122,8 @@ class BudgetedCover(BlockProblem):
 
     Each block's columns are all subsets of the items, enumerated up front;
     block 0 covers cheaply but heavily, block 1 dearly but lightly, so the
-    budget row binds and carries a nonzero dual.
+    budget row binds and carries a nonzero dual.  It implements the batch
+    contract alone, with no per-block methods.
     """
 
     COSTS = ((1.0, 1.0), (4.0, 5.0))
@@ -152,21 +153,19 @@ class BudgetedCover(BlockProblem):
     def initial_columns(self):
         return [cols[0] for cols in self.columns]
 
-    def solve_pricing(self, block, pi, mu_k):
-        priced = [(c.cost - sum(pi[r] * v for r, v in c.coeffs) - mu_k, c)
-                  for c in self.columns[block]]
-        return min(priced, key=lambda p: p[0])
+    def price_blocks(self, blocks, pi, mu):
+        return PricedBlocks.from_columns(blocks, [
+            min(((c.cost - sum(pi[r] * v for r, v in c.coeffs) - float(mu[k]), c)
+                 for c in self.columns[k]), key=lambda p: p[0])
+            for k in blocks])
 
-    def hypercube_bound_term(self, block, pi_prev, pi_now):
-        # the exact minimum over the block's columns (the empty one gives 0)
-        return min(sum((pi_prev[r] - pi_now[r]) * v for r, v in c.coeffs)
-                   for c in self.columns[block])
+    def bound_terms(self, pi_prev, pi_now):
+        # the exact minimum over each block's columns (the empty one gives 0)
+        return np.array([min(sum((pi_prev[r] - pi_now[r]) * v for r, v in c.coeffs)
+                             for c in cols) for cols in self.columns])
 
-    def heuristic_bound_term(self, block, pi_prev, pi_now, support):
-        return self.hypercube_bound_term(block, pi_prev, pi_now)
-
-    def support_set(self, block):
-        return np.ones(3, dtype=bool)
+    def heuristic_bound_terms(self, pi_prev, pi_now):
+        return self.bound_terms(pi_prev, pi_now)
 
     def full_master_objective(self):
         cols = [c for block in self.columns for c in block]
@@ -191,6 +190,25 @@ def test_le_linking_row_and_convexity_senses_reach_the_full_master(convexity, mo
     assert result.audit.ok
     assert result.audit.final_checks == problem.num_blocks
     assert result.duals.linking[2] < -1e-6  # the budget binds; its dual is <= 0
+
+
+def test_contract_is_the_batch_calls():
+    assert set(BlockProblem.__abstractmethods__) == {
+        "num_blocks", "linking_rows", "convexity_sense", "initial_columns", "price_blocks",
+        "bound_terms", "heuristic_bound_terms"}
+    for name in ("solve_pricing", "hypercube_bound_term", "heuristic_bound_term", "support_set"):
+        assert not hasattr(BudgetedCover, name)
+    want = BudgetedCover(RowSense.LE).full_master_objective()
+    for mode in FilterMode:
+        result = run_dwd(BudgetedCover(RowSense.LE),
+                         config(mode, Strategy.ALL, audit=True, max_iterations=200))
+        assert result.audit.ok
+        if mode is FilterMode.HEURISTIC:
+            # a heuristic run stops without the final all-block check
+            assert result.termination == "converged"
+        else:
+            assert result.termination == "optimal"
+            assert result.objective == pytest.approx(want, abs=1e-6)
 
 
 def test_exact_strategies_match_baseline():
@@ -419,11 +437,11 @@ class LyingBoundProblem(GaBlockProblem):
     """Claims a huge lower bound for every block: every skip is unsound.
 
     Screening reads `bound_terms` and `heuristic_bound_terms`, so the double
-    routes both back through the default loops over its lying per-block terms.
+    routes both through the oracle loops over its lying per-block terms.
     """
 
-    bound_terms = BlockProblem.bound_terms
-    heuristic_bound_terms = BlockProblem.heuristic_bound_terms
+    bound_terms = oracles.bound_terms_by_loop
+    heuristic_bound_terms = oracles.heuristic_bound_terms_by_loop
 
     def hypercube_bound_term(self, block, pi_prev, pi_now):
         return 1e6

@@ -7,11 +7,12 @@ from colgen import (ExperimentConfig, GaBlockProblem, generate_ga_instance,
                     generate_mc_instance, parse_ga_instance, parse_mc_instance)
 from colgen import experiments
 from colgen.cli import main
-from colgen.model import BlockProblem
 from colgen.experiments import (CSV_COLUMNS, STRATEGIES, emit_csv,
                                 emit_markdown, emit_report, format_objective,
                                 format_pct, gap_pct, pct_reduction,
                                 run_experiment)
+
+import oracles
 
 
 def ga_batch(count=3, bins=6, items=5, seed=0):
@@ -89,8 +90,8 @@ def test_failures_are_isolated():
 
 
 class OverclaimingBounds(GaBlockProblem):
-    # exact screening reads bound_terms: the default loop reaches the lie below
-    bound_terms = BlockProblem.bound_terms
+    # exact screening reads bound_terms: the oracle loop reaches the lie below
+    bound_terms = oracles.bound_terms_by_loop
 
     def hypercube_bound_term(self, block, pi_prev, pi_now):
         return 1e6
@@ -183,6 +184,22 @@ def test_pricing_rtime_compares_screening_plus_pricing_with_baseline_pricing(mon
     assert report.rows[0].results["exact-all"].r_ptime == 25.0
     assert report.rows[0].results["baseline"].r_ptime is None
     assert "exact-all %rPTime" in emit_markdown(report.rows)
+
+
+def test_repeated_strategy_names_solve_once(tmp_path, monkeypatch):
+    real = experiments.run_single
+    solved = []
+
+    def counted(config, instance, strategy):
+        solved.append(strategy)
+        return real(config, instance, strategy)
+
+    monkeypatch.setattr(experiments, "run_single", counted)
+    code = main(["run", "--problem", "ga", "--generate", "bins=20,items=5,count=1",
+                 "--strategies", "exact-all,exact-all,baseline,exact-all",
+                 "--out", str(tmp_path / "r.csv")])
+    assert code == 0
+    assert solved == ["baseline", "exact-all"]
 
 
 def test_markdown_groups_exact_and_heuristic():

@@ -9,7 +9,13 @@ import oracles
 
 
 class BoxProblem(BlockProblem):
-    """Minimal plug-in whose linking coefficients are +1 on every row."""
+    """Minimal plug-in whose linking coefficients are +1 on every row.
+
+    Its batch terms are the oracle loops over the per-block terms below.
+    """
+
+    bound_terms = oracles.bound_terms_by_loop
+    heuristic_bound_terms = oracles.heuristic_bound_terms_by_loop
 
     def __init__(self, rows, support_rows=()):
         self.rows = rows
@@ -29,7 +35,7 @@ class BoxProblem(BlockProblem):
     def initial_columns(self):
         return [Column(0, 0.0, ())]
 
-    def solve_pricing(self, block, pi, mu_k):
+    def price_blocks(self, blocks, pi, mu):
         raise AssertionError("filter tests never price")
 
     def hypercube_bound_term(self, block, pi_prev, pi_now):
@@ -310,7 +316,7 @@ def test_exact_lookup_computes_one_row_per_record_iteration():
 
 
 def test_heuristic_lookup_fetches_each_support_once():
-    # one heuristic_bound_terms row per record iteration: the default loop
+    # one heuristic_bound_terms row per record iteration: the oracle loop
     # fetches each block's support once for it, however many blocks read it
     problem = CountingBoxProblem(3, support_rows=[1])
     hist = two_block_history((1, 0.5, np.array([1.0, 0.0, 2.0])))
