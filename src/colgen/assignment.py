@@ -378,7 +378,7 @@ class GaBlockProblem(BlockProblem):
         # none: an empty pattern would duplicate its bin row's slack, so item
         # coverage starts on the engine's fallback columns until pricing
         # fills it in
-        return []
+        return PricedBlocks.from_columns([], [])
 
     def price_blocks(self, blocks, pi, mu):
         """All bins in one `knapsack_min_batch` call, read straight from its item mask."""

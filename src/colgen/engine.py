@@ -100,8 +100,9 @@ class RunStats:
     master_solves: int = 0
     master_pivots: int = 0  # sum of the master solves' simplex pivots
     # wall time by phase: master solves, screening, pricing, and recording
-    # plus column install (set-up's initial and fallback columns included);
-    # the audit's final sweep counts in none of them
+    # plus column install (set-up's `initial_columns` call and its install,
+    # and the fallback columns, included); the audit's final sweep counts in
+    # none of them
     master_time_s: float = 0.0
     screening_time_s: float = 0.0
     pricing_time_s: float = 0.0
@@ -223,14 +224,13 @@ def run_dwd(problem: BlockProblem, config: DwdConfig | None = None) -> DwdResult
         batches.append((priced, entries))
 
     t_install = time.perf_counter()
-    # the initial columns take the pricing result's form; their reduced
+    # the initial columns come in the pricing result's form; their reduced
     # costs are never read
     initial = problem.initial_columns()
-    install(PricedBlocks.from_columns([c.block for c in initial], [(0.0, c) for c in initial]),
-            np.arange(len(initial)))
-    n_initial = len(initial)
+    n_initial = len(initial.blocks)
+    install(initial, np.arange(n_initial))
 
-    big_m = 1e4 * (max((abs(c.cost) for c in initial), default=0.0) + 1.0)
+    big_m = 1e4 * (float(np.abs(initial.costs).max(initial=0.0)) + 1.0)
     # signed so that the fallback column alone can satisfy its row
     signs = [-1.0 if (sense is RowSense.LE or (sense is RowSense.EQ and rhs < 0)) else 1.0
              for sense, rhs in rows]

@@ -27,9 +27,10 @@ Instance text format (0-based indices, '#' starts a comment):
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -113,6 +114,13 @@ class McInstance:
     @property
     def shape(self) -> tuple[int, int, int]:
         return (self.num_nodes, len(self.arcs), len(self.commodities))
+
+    @functools.cached_property
+    def _routing(self) -> _Routing:
+        """Dual-free pricing data, built on first use and shared by every
+        `McBlockProblem` of this instance.  Equality, hashing and `repr` read
+        the fields only; a pickled instance carries the data along."""
+        return _Routing.of(self)
 
 
 # ----------------------------------------------------------------------
@@ -306,6 +314,93 @@ def path_cost(inst: McInstance, path) -> float:
 # ----------------------------------------------------------------------
 # block plug-in
 
+def _path_arrays(paths, bandwidths):
+    """(ptr, rows, vals) of path columns in compressed sparse form: each
+    path's arcs in increasing order, each at -bandwidth."""
+    lens = np.array([len(p) for p in paths], dtype=np.int64)
+    ptr = np.zeros(len(paths) + 1, dtype=np.int64)
+    np.cumsum(lens, out=ptr[1:])
+    rows = np.array([a for p in paths for a in sorted(p)], dtype=np.int64)
+    return ptr, rows, np.repeat(-np.asarray(bandwidths, dtype=float), lens)
+
+
+@dataclass(frozen=True, eq=False)
+class _Routing:
+    """An instance's dual-free pricing data, read by all of its problems.
+
+    Nothing here refers to a problem, and the arrays are read-only, so no
+    problem's state reaches another through it.  Per-arc and per-node data
+    the label loop indexes one element at a time are tuples.
+    """
+
+    graph: tuple            # (out-adjacency, arc heads), as `_graph_lists` gives
+    costs: np.ndarray       # arc costs
+    cost_list: tuple
+    delays: tuple
+    # least delay (tuples) and least arc cost (array rows) from each node to
+    # each distinct target, one row per target
+    dmin: tuple
+    hcost: np.ndarray
+    # per commodity: (bandwidth, target, target's row, source, max_delay)
+    commodities: tuple
+    # each commodity's min-delay path: its initial column and, being
+    # delay-feasible, a cap on the weight of its pricing searches
+    paths: tuple
+    bandwidths: np.ndarray
+    # (bandwidth, its commodities) pairs, for `bound_terms`; a dict, not
+    # np.unique, which would import numpy.ma and its memory
+    by_bandwidth: tuple
+    # the initial columns' `PricedBlocks` arrays, `column` left out
+    initial: tuple
+
+    def __post_init__(self):
+        for value in (self.costs, self.hcost, self.bandwidths, *self.initial,
+                      *(blocks for _, blocks in self.by_bandwidth)):
+            value.flags.writeable = False
+
+    def __reduce__(self):
+        # through `__init__`, so an unpickled copy's arrays are read-only too
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+    @classmethod
+    def of(cls, inst: McInstance) -> _Routing:
+        pairs = [(a.tail, a.head) for a in inst.arcs]
+        costs = np.array([a.cost for a in inst.arcs], dtype=float)
+        delays = np.array([a.delay for a in inst.arcs], dtype=float)
+        out, heads = _graph_lists(inst.num_nodes, pairs)
+        graph = (tuple(map(tuple, out)), tuple(heads))
+        targets = list(dict.fromkeys(com.target for com in inst.commodities))
+        row = {t: i for i, t in enumerate(targets)}
+        dmin = tuple(map(tuple, _potentials(inst.num_nodes, pairs, delays, targets).tolist()))
+        delay_list = tuple(delays.tolist())
+        paths = []
+        by_bandwidth: dict[float, list[int]] = {}
+        for k, com in enumerate(inst.commodities):
+            found = _min_delay_path(graph, delay_list, dmin[row[com.target]], com.max_delay,
+                                    com.source, com.target)
+            if found is None:
+                raise UnroutableCommodityError(
+                    f"commodity {k} has no path within delay budget {com.max_delay}")
+            paths.append(found[1])
+            by_bandwidth.setdefault(com.bandwidth, []).append(k)
+        bandwidths = np.array([com.bandwidth for com in inst.commodities], dtype=float)
+        cost_list = tuple(costs.tolist())
+        # summed as `path_column` sums them
+        col_costs = np.array([com.bandwidth * sum(map(cost_list.__getitem__, path))
+                              for com, path in zip(inst.commodities, paths)], dtype=float)
+        num = len(paths)
+        return cls(
+            graph=graph, costs=costs, cost_list=cost_list, delays=delay_list,
+            dmin=dmin, hcost=_potentials(inst.num_nodes, pairs, costs, targets),
+            commodities=tuple((com.bandwidth, com.target, row[com.target], com.source,
+                               com.max_delay) for com in inst.commodities),
+            paths=tuple(paths), bandwidths=bandwidths,
+            by_bandwidth=tuple((b, np.array(ks, dtype=np.intp))
+                               for b, ks in by_bandwidth.items()),
+            initial=(np.arange(num, dtype=np.intp), np.zeros(num), np.ones(num, dtype=bool),
+                     col_costs, *_path_arrays(paths, bandwidths)))
+
+
 class McBlockProblem(BlockProblem):
     """One block per commodity; linking rows are arc capacities.
 
@@ -315,42 +410,20 @@ class McBlockProblem(BlockProblem):
     nonnegative.  Reduced cost of a path column:
 
         bandwidth * sum(arc cost + pi_arc) - mu_k
+
+    The dual-free set-up (graph lists, potentials, min-delay paths, the
+    initial columns' arrays) is the instance's, built once however many
+    problems the instance makes; a problem keeps only its own state.
     """
 
     def __init__(self, inst: McInstance):
         self.inst = inst
-        pairs = [(a.tail, a.head) for a in inst.arcs]
-        self._costs = np.array([a.cost for a in inst.arcs])
-        self._delays = np.array([a.delay for a in inst.arcs])
+        # each commodity's path its last pricing call returned: like its
+        # min-delay path, delay-feasible, so either weight caps a search
+        self._last = list(inst._routing.paths)
         # arcs each commodity's columns use, one row per commodity: a single
         # array is far smaller than one array per commodity
         self._support = np.zeros((len(inst.commodities), len(inst.arcs)), dtype=bool)
-        # dual-free pricing data: (out-adjacency, arc heads), and the least
-        # delay and least arc cost from each node to each distinct target,
-        # one array row per target
-        self._graph = _graph_lists(inst.num_nodes, pairs)
-        targets = list(dict.fromkeys(com.target for com in inst.commodities))
-        self._row = {t: i for i, t in enumerate(targets)}
-        self._dmin = _potentials(inst.num_nodes, pairs, self._delays, targets)
-        self._hcost = _potentials(inst.num_nodes, pairs, self._costs, targets)
-        self._bandwidths = np.array([com.bandwidth for com in inst.commodities])
-        # commodities by bandwidth, for `bound_terms`; a dict, not np.unique,
-        # which would import numpy.ma and its memory
-        self._by_bandwidth: dict[float, list[int]] = {}
-        for k, com in enumerate(inst.commodities):
-            self._by_bandwidth.setdefault(com.bandwidth, []).append(k)
-        # each commodity's min-delay path, and the path its last pricing
-        # call returned: both delay-feasible, so either weight caps a search
-        self._initial: list[tuple[int, ...]] = []
-        delays, dmin = self._delays.tolist(), self._dmin.tolist()
-        for k, com in enumerate(inst.commodities):
-            found = _min_delay_path(self._graph, delays, dmin[self._row[com.target]],
-                                    com.max_delay, com.source, com.target)
-            if found is None:
-                raise UnroutableCommodityError(
-                    f"commodity {k} has no path within delay budget {com.max_delay}")
-            self._initial.append(found[1])
-        self._last = list(self._initial)
 
     @property
     def num_blocks(self) -> int:
@@ -370,63 +443,62 @@ class McBlockProblem(BlockProblem):
         return Column(block=block, cost=cost, coeffs=coeffs, native=tuple(path))
 
     def initial_columns(self):
-        return [self.path_column(k, path) for k, path in enumerate(self._initial)]
+        """Each commodity's min-delay path, from the instance's arrays."""
+        routing = self.inst._routing
+        return PricedBlocks(*routing.initial,
+                            lambda i: self.path_column(i, routing.paths[i]))
 
     def price_blocks(self, blocks, pi, mu):
         """Label setting for each listed commodity, its dual-dependent set-up shared.
 
-        The path weights are computed once per distinct bandwidth, and the
-        arrays the label loop reads go to lists once per call; the result is
+        The path weights are computed once per distinct bandwidth, the cost
+        bounds once per distinct bandwidth and target, and the result is
         filled straight from the paths.
         """
         blocks = np.asarray(blocks, dtype=np.intp).reshape(-1)
         return self._price(blocks, pi, np.asarray(mu, dtype=float)[blocks])
 
     def _price(self, blocks, pi, mu_b) -> PricedBlocks:
+        r = self.inst._routing
         # capacity duals are >=0 up to LP tolerance; clamp the dust so the
         # path weights stay nonnegative for the label-setting solver.  cbar
         # below uses the raw duals; test_mcflow.py's
         # test_dual_clamp_shifts_no_reduced_cost_past_the_audit_tolerance
         # checks that the clamp moves it by less than the audit tolerance
-        clamped = self._costs + np.maximum(pi, 0.0)
-        # lists, not arrays: the label loop indexes them one element at a time
-        raw, costs = (self._costs + pi).tolist(), self._costs.tolist()
-        delays = self._delays.tolist()
+        clamped = r.costs + np.maximum(pi, 0.0)
+        # a list, not an array: the sums index it one element at a time
+        raw = (r.costs + pi).tolist()
+        out, heads = r.graph
+        initial, last = r.paths, self._last
         weights: dict[float, list[float]] = {}
         lower: dict[tuple[float, int], list[float]] = {}
-        dmin: dict[int, list[float]] = {}
         paths, cbars, col_costs, bandwidths = [], [], [], []
+        # every sum below runs left to right over the path, as the labels do
         for k, mu_k in zip(blocks.tolist(), mu_b.tolist()):
-            com = self.inst.commodities[k]
-            b, t = com.bandwidth, com.target
+            b, t, row, source, max_delay = r.commodities[k]
             if b not in weights:
                 weights[b] = (b * clamped).tolist()
-            if (b, t) not in lower:
+            if (b, row) not in lower:
                 # the clamped weights are at least b * cost, so b times the
                 # least cost to t bounds every completion; the factor covers
                 # rounding in the float sums
-                lower[b, t] = (b * (1 - BOUND_SLACK) * self._hcost[self._row[t]]).tolist()
-            if t not in dmin:
-                dmin[t] = self._dmin[self._row[t]].tolist()
+                lower[b, row] = (b * (1 - BOUND_SLACK) * r.hcost[row]).tolist()
             wb = weights[b]
-            # the lighter incumbent, summed in path order as the labels are
-            best = min(sum(wb[a] for a in self._initial[k]), sum(wb[a] for a in self._last[k]))
-            found = _label_setting(*self._graph, wb, lower[b, t], _above(best), delays, dmin[t],
-                                   com.max_delay, com.source, t)
+            weight = wb.__getitem__
+            # the lighter incumbent
+            best = min(sum(map(weight, initial[k])), sum(map(weight, last[k])))
+            found = _label_setting(out, heads, wb, lower[b, row], _above(best), r.delays,
+                                   r.dmin[row], max_delay, source, t)
             if found is None:
                 raise UnroutableCommodityError(f"commodity {k} lost all feasible paths")
-            path = self._last[k] = found[1]
+            path = last[k] = found[1]
             paths.append(path)
-            cbars.append(b * sum(raw[a] for a in path) - mu_k)
-            col_costs.append(b * sum(costs[a] for a in path))
+            cbars.append(b * sum(map(raw.__getitem__, path)) - mu_k)
+            col_costs.append(b * sum(map(r.cost_list.__getitem__, path)))
             bandwidths.append(b)
-        lens = np.array([len(p) for p in paths], dtype=np.int64)
-        ptr = np.zeros(len(paths) + 1, dtype=np.int64)
-        np.cumsum(lens, out=ptr[1:])
-        rows = np.array([a for p in paths for a in sorted(p)], dtype=np.int64)
         return PricedBlocks(blocks, np.array(cbars, dtype=float),
                             np.ones(len(paths), dtype=bool), np.array(col_costs, dtype=float),
-                            ptr, rows, np.repeat(-np.array(bandwidths, dtype=float), lens),
+                            *_path_arrays(paths, bandwidths),
                             lambda i: self.path_column(int(blocks[i]), paths[i]))
 
     def solve_pricing(self, block, pi, mu_k):
@@ -441,7 +513,7 @@ class McBlockProblem(BlockProblem):
         # the term depends on the commodity through its bandwidth only
         shift = pi_now - pi_prev
         out = np.empty(self.num_blocks)
-        for b, blocks in self._by_bandwidth.items():
+        for b, blocks in self.inst._routing.by_bandwidth:
             out[blocks] = negative_part_sum(b * shift)
         return out
 
@@ -450,7 +522,8 @@ class McBlockProblem(BlockProblem):
         return negative_part_sum((b * (pi_now - pi_prev))[support])
 
     def heuristic_bound_terms(self, pi_prev, pi_now):
-        return self._bandwidths * (self._support @ np.minimum(pi_now - pi_prev, 0.0))
+        shift = np.minimum(pi_now - pi_prev, 0.0)
+        return self.inst._routing.bandwidths * (self._support @ shift)
 
     def support_set(self, block):
         return self._support[block]

@@ -113,8 +113,10 @@ class BlockProblem(abc.ABC):
         """Sense of the block's convexity row (rhs is always 1)."""
 
     @abc.abstractmethod
-    def initial_columns(self) -> list[Column]:
-        """Columns seeding the first restricted master."""
+    def initial_columns(self) -> PricedBlocks:
+        """Columns seeding the first restricted master, in `price_blocks`'
+        form (`PricedBlocks.from_columns` builds it from `Column`s).  The
+        engine installs every entry and never reads the reduced costs."""
 
     @abc.abstractmethod
     def price_blocks(self, blocks, pi: np.ndarray, mu) -> PricedBlocks:

@@ -6,6 +6,7 @@ from colgen import (GaBlockProblem, GaInstance, GaParseError, exact_bound,
                     write_ga_instance)
 from colgen.assignment import knapsack_min_batch
 from colgen.filtering import negative_part_sum
+from colgen.model import PricedBlocks
 
 import oracles
 
@@ -332,3 +333,11 @@ def test_eq_shapes_table():
 def test_shape_property():
     inst = generate_ga_instance(7, 3, 0)
     assert inst.shape == (7, 3)
+
+
+def test_initial_columns_are_an_empty_priced_blocks():
+    priced = GaBlockProblem(generate_ga_instance(5, 4, 0)).initial_columns()
+    assert isinstance(priced, PricedBlocks)
+    assert priced.ptr.tolist() == [0]
+    for name in ("blocks", "reduced_costs", "has_column", "costs", "rows", "vals"):
+        assert len(getattr(priced, name)) == 0, name

@@ -151,7 +151,7 @@ class BudgetedCover(BlockProblem):
         return self.convexity
 
     def initial_columns(self):
-        return [cols[0] for cols in self.columns]
+        return PricedBlocks.from_columns([0, 1], [(0.0, cols[0]) for cols in self.columns])
 
     def price_blocks(self, blocks, pi, mu):
         return PricedBlocks.from_columns(blocks, [

@@ -3,7 +3,7 @@ import io
 
 import pytest
 
-from colgen import (ExperimentConfig, GaBlockProblem, generate_ga_instance,
+from colgen import (ExperimentConfig, GaBlockProblem, McBlockProblem, generate_ga_instance,
                     generate_mc_instance, parse_ga_instance, parse_mc_instance)
 from colgen import experiments
 from colgen.cli import main
@@ -125,6 +125,24 @@ def test_parallel_runs_match_serial_and_drop_rtime():
     for row in parallel.rows:
         assert row.results["exact-all"].r_time is None
         assert row.results["exact-all"].r_ptime is None
+
+
+def test_parallel_mc_runs_match_serial():
+    instances = [(f"mc-s{seed}", generate_mc_instance(15, 40, 20, seed)) for seed in range(2)]
+    for _, inst in instances:
+        # the set-up is cached on the instance, and pickles with it
+        McBlockProblem(inst)
+    config = dict(problem="mc", strategies=("exact-all", "heur-all"))
+    serial = run_experiment(ExperimentConfig(**config), instances)
+    parallel = run_experiment(ExperimentConfig(**config, jobs=2), instances)
+    assert not serial.failures and not parallel.failures
+    assert strip_time_columns(emit_csv(serial.rows)) == \
+        strip_time_columns(emit_csv(parallel.rows))
+    for a, b in zip(serial.rows, parallel.rows):
+        for strat in ("baseline", "exact-all", "heur-all"):
+            x, y = a.results[strat], b.results[strat]
+            assert (x.iterations, x.calls, x.vars_added, x.termination, repr(x.objective)) == \
+                (y.iterations, y.calls, y.vars_added, y.termination, repr(y.objective))
 
 
 def test_config_validation():

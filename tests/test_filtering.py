@@ -3,7 +3,7 @@ import pytest
 
 from colgen import FilterMode, PricingHistory, RowSense, Strategy, exact_bound, should_filter
 from colgen.filtering import negative_part_sum
-from colgen.model import BlockProblem, Column
+from colgen.model import BlockProblem, Column, PricedBlocks
 
 import oracles
 
@@ -33,7 +33,7 @@ class BoxProblem(BlockProblem):
         return RowSense.GE
 
     def initial_columns(self):
-        return [Column(0, 0.0, ())]
+        return PricedBlocks.from_columns([0], [(0.0, Column(0, 0.0, ()))])
 
     def price_blocks(self, blocks, pi, mu):
         raise AssertionError("filter tests never price")

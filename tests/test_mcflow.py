@@ -2,17 +2,20 @@ import dataclasses
 import gc
 import hashlib
 import math
+import pickle
 import weakref
 
 import numpy as np
 import pytest
 
-from colgen import (DwdConfig, FilterMode, McBlockProblem, McParseError,
+from colgen import (STRATEGIES, DwdConfig, FilterMode, McBlockProblem, McParseError,
                     UnroutableCommodityError, generate_mc_instance, parse_mc_instance,
                     rcsp, run_dwd, write_mc_instance)
+from colgen import mcflow
 from colgen.engine import _RC_CHECK_TOL
 from colgen.mcflow import (Arc, Commodity, McInstance, _graph_lists, _label_setting,
                            _potentials, path_cost, path_delay)
+from colgen.model import PricedBlocks
 
 import oracles
 
@@ -263,7 +266,8 @@ def test_price_blocks_equals_unbounded_label_setting(case, rng_seed):
                 cbar = c.bandwidth * sum((costs + pi).tolist()[a] for a in path) - float(mu[k])
                 assert got.reduced_costs[i] == cbar
         if case == "integer costs":
-            assert (problem._hcost == 0).sum() > problem._hcost.shape[0]
+            hcost = inst._routing.hcost
+            assert (hcost == 0).sum() > hcost.shape[0]
 
 
 def test_problem_is_freed_without_the_cycle_collector():
@@ -319,10 +323,21 @@ def test_pricing_matches_enumeration_on_random_duals():
         assert path_delay(inst, col.native) <= com.max_delay + 1e-9
 
 
+def initial_columns(problem):
+    """`problem.initial_columns()` as `Column`s, after checking that its
+    arrays are, byte for byte, `PricedBlocks.from_columns` of them."""
+    priced = problem.initial_columns()
+    cols = [priced.column(i) for i in range(len(priced.blocks))]
+    ref = PricedBlocks.from_columns([c.block for c in cols], [(0.0, c) for c in cols])
+    for name in ("blocks", "reduced_costs", "has_column", "costs", "ptr", "rows", "vals"):
+        assert getattr(priced, name).tobytes() == getattr(ref, name).tobytes(), name
+    return cols
+
+
 def test_initial_columns_are_min_delay_paths():
     inst = generate_mc_instance(8, 20, 5, 3)
     problem = McBlockProblem(inst)
-    cols = problem.initial_columns()
+    cols = initial_columns(problem)
     assert len(cols) == len(inst.commodities)
     for k, col in enumerate(cols):
         com = inst.commodities[k]
@@ -335,7 +350,7 @@ def test_initial_columns_match_public_rcsp():
     for seed in range(3):
         inst = generate_mc_instance(25, 80, 50, seed)
         delays = [a.delay for a in inst.arcs]
-        for k, col in enumerate(McBlockProblem(inst).initial_columns()):
+        for k, col in enumerate(initial_columns(McBlockProblem(inst))):
             com = inst.commodities[k]
             _, path = rcsp(inst.num_nodes, pairs(inst.arcs), delays, delays, com.max_delay,
                            com.source, com.target)
@@ -372,8 +387,10 @@ def test_dual_clamp_shifts_no_reduced_cost_past_the_audit_tolerance():
 def test_unroutable_commodity_rejected_before_solving():
     text = "nodes 2\narc 0 1 5 9 1\ncommodity 0 1 1 2\n"  # delay 9 > budget 2
     inst = parse_mc_instance(text)
-    with pytest.raises(UnroutableCommodityError):
-        McBlockProblem(inst)
+    # a failed set-up caches nothing, so every build from the instance fails
+    for _ in range(3):
+        with pytest.raises(UnroutableCommodityError):
+            McBlockProblem(inst)
 
 
 def test_support_set_grows_by_union():
@@ -419,3 +436,100 @@ def test_hypercube_term_matches_brute_force():
 def test_shape_property():
     inst = generate_mc_instance(8, 20, 5, 1)
     assert inst.shape == (8, 20, 5)
+
+
+# ----------------------------------------------------------------------
+# set-up shared by the problems of one instance
+
+def counted(monkeypatch, name):
+    """Count the calls to `mcflow.<name>` from now on."""
+    calls = []
+    real = getattr(mcflow, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(mcflow, name, wrapper)
+    return calls
+
+
+def solve(problem, strategy):
+    mode, selection = STRATEGIES[strategy]
+    return run_dwd(problem, DwdConfig(mode=mode, strategy=selection))
+
+
+def outcome(result):
+    """Everything a run reports but its times."""
+    stats = {k: v for k, v in dataclasses.asdict(result.stats).items() if not k.endswith("_s")}
+    return (repr(result.objective), result.termination, stats, result.per_block_added,
+            result.column_values.tobytes(), result.columns)
+
+
+def test_setup_runs_once_per_instance(monkeypatch):
+    inst = generate_mc_instance(25, 80, 50, 7)
+    potentials = counted(monkeypatch, "_potentials")
+    searches = counted(monkeypatch, "_min_delay_path")
+    problems = [McBlockProblem(inst) for _ in range(3)]
+    # delays and costs, each for all targets at once; one search per commodity
+    assert len(potentials) == 2
+    assert len(searches) == len(inst.commodities)
+    for problem in problems:
+        solve(problem, "exact-all")
+    assert len(potentials) == 2 and len(searches) == len(inst.commodities)
+
+
+def test_problems_of_one_instance_share_no_state():
+    # problem A's runs move its incumbent paths and grow its supports; a
+    # later problem of the same instance must run as one of a fresh copy
+    # does.  Supports shared through the instance change a heur-all run on
+    # seed 1.
+    for seed in range(3):
+        inst = generate_mc_instance(25, 80, 50, seed)
+        first = McBlockProblem(inst)
+        for strategy in ("baseline", "heur-all"):
+            solve(first, strategy)
+        for strategy in ("heur-all", "exact-all", "baseline"):
+            fresh = parse_mc_instance(write_mc_instance(inst))
+            assert "_routing" not in vars(fresh)
+            assert outcome(solve(McBlockProblem(inst), strategy)) == \
+                outcome(solve(McBlockProblem(fresh), strategy))
+
+
+def shared_arrays(inst):
+    routing = inst._routing
+    return [routing.costs, routing.hcost, routing.bandwidths, *routing.initial,
+            *(blocks for _, blocks in routing.by_bandwidth)]
+
+
+def test_shared_arrays_are_read_only():
+    inst = generate_mc_instance(8, 20, 6, 2)
+    problem = McBlockProblem(inst)
+    priced = problem.initial_columns()
+    arrays = shared_arrays(inst) + [getattr(priced, name) for name in (
+        "blocks", "reduced_costs", "has_column", "costs", "ptr", "rows", "vals")]
+    for arr in arrays:
+        assert arr.size > 0
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = arr[0]
+    # the problem's own state stays writable
+    problem.register_columns(np.array([0]), np.array([1]))
+    assert problem.support_set(0)[1]
+
+
+def test_instance_with_set_up_equals_its_parsed_copy_and_pickles():
+    inst = generate_mc_instance(12, 36, 10, 4)
+    McBlockProblem(inst)
+    assert "_routing" in vars(inst)
+    copy = parse_mc_instance(write_mc_instance(inst))
+    assert inst == copy and hash(inst) == hash(copy)
+    again = pickle.loads(pickle.dumps(inst))
+    assert again == inst and hash(again) == hash(inst)
+    # the set-up travels with the instance, read-only as before
+    assert "_routing" in vars(again)
+    assert again._routing.paths == inst._routing.paths
+    for arr in shared_arrays(again):
+        assert not arr.flags.writeable
+    for strategy in ("baseline", "heur-all"):
+        assert outcome(solve(McBlockProblem(again), strategy)) == \
+            outcome(solve(McBlockProblem(copy), strategy))
