@@ -20,14 +20,14 @@ from .lp import (LpError, LpModel, LpNumericalError, LpSolution, LpStatus,
 from .mcflow import (McBlockProblem, McInstance, McParseError,
                      UnroutableCommodityError, generate_mc_instance,
                      parse_mc_instance, rcsp, write_mc_instance)
-from .model import BlockProblem, Column, DualSolution, PricedBlocks
+from .model import BlockProblem, Column, PricedBlocks
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AuditReport", "BlockProblem", "Column", "DualSolution",
-    "DwdConfig", "DwdResult", "E_SET_SHAPES", "EngineError", "ExperimentConfig",
-    "ExperimentReport", "FilterMode", "GaBlockProblem",
+    "AuditReport", "BlockProblem", "Column", "DwdConfig", "DwdResult",
+    "E_SET_SHAPES", "EngineError", "ExperimentConfig", "ExperimentReport",
+    "FilterMode", "GaBlockProblem",
     "GaInstance", "GaParseError", "LpError", "LpModel", "LpNumericalError",
     "LpSolution", "LpStatus", "LpStructureError", "McBlockProblem", "McInstance",
     "McParseError", "PricedBlocks", "PricingHistory", "RowSense", "RunStats", "STRATEGIES",

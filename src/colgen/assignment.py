@@ -368,12 +368,6 @@ class GaBlockProblem(BlockProblem):
     def convexity_sense(self, block: int) -> RowSense:
         return RowSense.LE
 
-    def assignment_column(self, block: int, items) -> Column:
-        items = tuple(sorted(int(i) for i in items))
-        cost = float(self.inst.costs[block, list(items)].sum(dtype=float))
-        coeffs = tuple((i, 1.0) for i in items)
-        return Column(block=block, cost=cost, coeffs=coeffs, native=items)
-
     def initial_columns(self):
         # none: an empty pattern would duplicate its bin row's slack, so item
         # coverage starts on the engine's fallback columns until pricing

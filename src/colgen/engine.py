@@ -34,7 +34,7 @@ import numpy as np
 
 from .filtering import FilterMode, PricingHistory, Strategy, should_filter
 from .lp import LpModel, LpNumericalError, LpStatus, RowSense
-from .model import BlockProblem, Column, DualSolution, PricedBlocks
+from .model import BlockProblem, Column, PricedBlocks
 
 
 class EngineError(RuntimeError):
@@ -142,7 +142,9 @@ class DwdResult:
     column_values: np.ndarray
     artificial_value: float
     initial_column_count: int
-    duals: DualSolution
+    # the last master's duals: linking rows, then one per block's convexity row
+    linking_duals: np.ndarray
+    convexity_duals: np.ndarray
     trace: tuple[IterationTrace, ...] | None
     audit: AuditReport | None
     # the installed batches in install order: (pricing result, its entries)
@@ -210,7 +212,6 @@ def run_dwd(problem: BlockProblem, config: DwdConfig | None = None) -> DwdResult
     rows = list(linking) + [(problem.convexity_sense(k), 1.0) for k in range(num_blocks)]
     lp = LpModel(rows)
     batches: list[tuple[PricedBlocks, np.ndarray]] = []
-    col_lp_idx: list[range] = []
     per_block_added = np.zeros(num_blocks, dtype=np.int64)
     stats = RunStats()
 
@@ -219,7 +220,7 @@ def run_dwd(problem: BlockProblem, config: DwdConfig | None = None) -> DwdResult
         if not len(entries):
             return
         lp_args, support = _lp_batch(priced, entries, num_linking)
-        col_lp_idx.append(lp.add_columns(*lp_args))
+        lp.add_columns(*lp_args)
         problem.register_columns(*support)
         batches.append((priced, entries))
 
@@ -335,13 +336,12 @@ def run_dwd(problem: BlockProblem, config: DwdConfig | None = None) -> DwdResult
 
     stats.iterations = iterations
     stats.wall_time_s = time.perf_counter() - t_start
-    # columns added after the last solve (at the iteration limit) have no value
-    lp_idx = np.concatenate([np.zeros(0, dtype=np.intp)]
-                            + [np.arange(r.start, r.stop) for r in col_lp_idx])
-    solved = lp_idx < len(x)
-    values = np.zeros(len(lp_idx))
-    values[solved] = x[lp_idx[solved]]
-    duals = DualSolution(iterations, pi.copy(), mu.copy())
+    # the LP's columns are the installed ones, in install order, and the
+    # fallback range; columns added after the last solve (at the iteration
+    # limit) have no value
+    values = np.zeros(lp.num_cols - len(artificials))
+    kept = np.delete(x, artificials)
+    values[:len(kept)] = kept
     return DwdResult(
         objective=last_sol.objective,
         termination=termination,
@@ -350,7 +350,8 @@ def run_dwd(problem: BlockProblem, config: DwdConfig | None = None) -> DwdResult
         column_values=values,
         artificial_value=artificial_value,
         initial_column_count=n_initial,
-        duals=duals,
+        linking_duals=pi,
+        convexity_duals=mu,
         trace=tuple(trace) if trace is not None else None,
         audit=audit,
         batches=tuple(batches),

@@ -103,21 +103,6 @@ def _grown(arr: np.ndarray, need: int) -> np.ndarray:
     return out
 
 
-def _accumulated(ptr, rows, vals):
-    """A compressed sparse batch with each column's repeated rows summed,
-    rows kept in order of first appearance."""
-    out_ptr, out_rows, out_vals = [0], [], []
-    for lo, hi in zip(ptr[:-1].tolist(), ptr[1:].tolist()):
-        acc: dict[int, float] = {}
-        for row, val in zip(rows[lo:hi].tolist(), vals[lo:hi].tolist()):
-            acc[row] = acc.get(row, 0.0) + val
-        out_rows.extend(acc)
-        out_vals.extend(acc.values())
-        out_ptr.append(len(out_rows))
-    return (np.array(out_ptr, dtype=np.int64), np.array(out_rows, dtype=np.int64),
-            np.array(out_vals, dtype=float))
-
-
 class LpModel:
     """A minimization LP over nonnegative variables with fixed rows.
 
@@ -180,7 +165,8 @@ class LpModel:
     def add_column(self, cost, coeffs) -> int:
         """Append a variable; `coeffs` is an iterable of (row, value) pairs.
 
-        Repeated rows accumulate.  Returns the new column's index.
+        A repeated row raises `LpStructureError`.  Returns the new column's
+        index.
         """
         pairs = list(coeffs)
         rows = np.array([row for row, _ in pairs], dtype=np.int64)
@@ -191,10 +177,11 @@ class LpModel:
         """Append a batch of variables given in compressed sparse form.
 
         Column i costs `costs[i]` and has the (row, value) pairs
-        `rows[ptr[i]:ptr[i + 1]]`, `vals[ptr[i]:ptr[i + 1]]`; repeated rows
-        within a column accumulate.  The whole batch is checked before any
-        of it is stored, so a rejected batch leaves the model unchanged.
-        Returns the new columns' indices.
+        `rows[ptr[i]:ptr[i + 1]]`, `vals[ptr[i]:ptr[i + 1]]`, stored in the
+        order given; a column may list its rows in any order but name each
+        once.  The whole batch is checked before any of it is stored, so a
+        rejected batch leaves the model unchanged.  Returns the new columns'
+        indices.
         """
         costs = np.asarray(costs, dtype=float).reshape(-1)
         ptr = np.asarray(ptr, dtype=np.int64).reshape(-1)
@@ -213,12 +200,17 @@ class LpModel:
         bad = (rows < 0) | (rows >= self.num_rows)
         if bad.any():
             raise LpStructureError(f"column references unknown row {rows[bad][0]}")
-        # a column whose rows do not strictly increase may repeat one: sum
-        # its repeats in order of first appearance
+        # only a column whose rows do not strictly increase may repeat one
         follows = np.ones(len(rows), dtype=bool)  # entry i and i - 1 share a column
         follows[ptr[:-1][ptr[:-1] < len(rows)]] = False
         if np.any((rows[1:] <= rows[:-1]) & follows[1:]):
-            ptr, rows, vals = _accumulated(ptr, rows, vals)
+            col = np.repeat(np.arange(n), np.diff(ptr))
+            order = np.lexsort((rows, col))
+            r, c = rows[order], col[order]
+            twice = np.flatnonzero((r[1:] == r[:-1]) & (c[1:] == c[:-1]))
+            if twice.size:
+                raise LpStructureError(f"column {c[twice[0]]} of the batch repeats row "
+                                       f"{r[twice[0]]}")
         j, start = self._n_int, int(self._ptr[self._n_int])
         end = start + len(rows)
         if j + n + 1 > len(self._ptr):

@@ -117,9 +117,11 @@ class McInstance:
 
     @functools.cached_property
     def _routing(self) -> _Routing:
-        """Dual-free pricing data, built on first use and shared by every
-        `McBlockProblem` of this instance.  Equality, hashing and `repr` read
-        the fields only; a pickled instance carries the data along."""
+        """Dual-free pricing data, shared by every `McBlockProblem` of this
+        instance: built on first use, or handed over by
+        `generate_mc_instance`, which builds it to size the capacities.
+        Equality, hashing and `repr` read the fields only; a pickled instance
+        carries the data along."""
         return _Routing.of(self)
 
 
@@ -301,10 +303,6 @@ def _min_delay_path(graph, delays, dmin, max_delay, source, target):
 def _above(weight: float) -> float:
     """A limit that a path of weight `weight`, summed in any order, stays under."""
     return weight * (1 + BOUND_SLACK) + BOUND_SLACK
-
-
-def path_delay(inst: McInstance, path) -> float:
-    return float(sum(inst.arcs[a].delay for a in path))
 
 
 def path_cost(inst: McInstance, path) -> float:
@@ -545,7 +543,9 @@ def generate_mc_instance(num_nodes: int, num_arcs: int, num_commodities: int,
     cover the load of routing everything on minimum-delay paths, so the
     master is feasible without artificial help.  PCG64(seed) drives all
     draws in a fixed order: topology, arc attributes, commodities, budgets,
-    capacities.
+    capacities.  The min-delay paths come from the instance's pricing
+    set-up, which reads no capacity, so it is built once, before the
+    capacities, and the returned instance keeps it.
     """
     if num_nodes < 2 or num_commodities < 0:
         # one node has no arc or commodity that joins two distinct nodes
@@ -574,17 +574,19 @@ def generate_mc_instance(num_nodes: int, num_arcs: int, num_commodities: int,
     dmin = dict(zip(targets, _potentials(num_nodes, pairs, delays, targets).tolist()))
     budgets = [round(dmin[target][source] * float(rng.uniform(1.3, 2.2)) + 0.5, 3)
                for source, target, _ in commodities]
-    graph = _graph_lists(num_nodes, pairs)
-    dl = delays.tolist()
-    load = np.zeros(num_arcs)
-    for (source, target, bandwidth), budget in zip(commodities, budgets):
-        found = _min_delay_path(graph, dl, dmin[target], budget, source, target)
-        for a in found[1]:
-            load[a] += bandwidth
+    comms = tuple(Commodity(s, t, b, d) for (s, t, b), d in zip(commodities, budgets))
+    routing = _Routing.of(McInstance(num_nodes, tuple(
+        Arc(t, h, 0.0, float(delays[i]), float(costs[i])) for i, (t, h) in enumerate(pairs)),
+        comms))
+    # each arc's load: the bandwidths (integers, so summed exactly) of the
+    # min-delay paths crossing it
+    rows, vals = routing.initial[-2:]
+    load = np.bincount(rows, weights=-vals, minlength=num_arcs)
     total_b = sum(b for _, _, b in commodities)
     slack = rng.uniform(*CAPACITY_SLACK, size=num_arcs)
     caps = np.round(load + slack * max(total_b, 1.0) + 1.0, 3)
     arcs = tuple(Arc(t, h, float(caps[i]), float(delays[i]), float(costs[i]))
                  for i, (t, h) in enumerate(pairs))
-    comms = tuple(Commodity(s, t, b, d) for (s, t, b), d in zip(commodities, budgets))
-    return McInstance(num_nodes, arcs, comms)
+    inst = McInstance(num_nodes, arcs, comms)
+    inst.__dict__["_routing"] = routing
+    return inst

@@ -28,21 +28,6 @@ class Column:
 
 
 @dataclass(frozen=True)
-class DualSolution:
-    """Duals of one restricted-master solve, split by row group."""
-
-    iteration: int
-    linking: np.ndarray
-    convexity: np.ndarray
-
-    def __post_init__(self):
-        if self.iteration < 1:
-            raise ValueError("iteration index starts at 1")
-        if not (np.all(np.isfinite(self.linking)) and np.all(np.isfinite(self.convexity))):
-            raise ValueError("dual vectors must be finite")
-
-
-@dataclass(frozen=True)
 class PricedBlocks:
     """`price_blocks`' result: entry i prices block `blocks[i]`.
 

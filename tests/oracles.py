@@ -17,7 +17,7 @@ import networkx as nx
 import numpy as np
 import scipy.optimize
 
-from colgen import FilterMode, LpStatus, PricedBlocks, RowSense, Strategy
+from colgen import Column, FilterMode, LpStatus, PricedBlocks, RowSense, Strategy
 
 
 # ----------------------------------------------------------------------
@@ -462,6 +462,21 @@ def check_ga_primal(inst, result, tol=1e-6):
     assert result.artificial_value <= tol, f"artificials still active: {result.artificial_value}"
     assert np.all(cover >= 1 - 1e-9), f"coverage short by {np.min(cover) - 1}"
     assert np.all(use <= 1 + 1e-9), f"bin overuse by {np.max(use) - 1}"
+
+
+# ----------------------------------------------------------------------
+# columns and paths built by hand
+
+def assignment_column(inst, block, items):
+    """The `ga` column of bin `block` taking `items`, its cost summed in float."""
+    items = tuple(sorted(int(i) for i in items))
+    cost = float(inst.costs[block, list(items)].sum(dtype=float))
+    return Column(block=block, cost=cost, coeffs=tuple((i, 1.0) for i in items), native=items)
+
+
+def path_delay(inst, path):
+    """Total delay of an `mc` path, given as arc indices."""
+    return float(sum(inst.arcs[a].delay for a in path))
 
 
 # ----------------------------------------------------------------------

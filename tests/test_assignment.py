@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -255,7 +257,7 @@ def test_pricing_sums_pattern_costs_without_int64_wrap():
     cbar, col = problem.solve_pricing(0, np.zeros(2), 0.0)
     assert col.native == (0, 1)
     assert col.cost == cbar < 0
-    assert problem.assignment_column(0, (0, 1)).cost == col.cost
+    assert oracles.assignment_column(inst, 0, (0, 1)).cost == col.cost
 
 
 def test_pricing_matches_subset_enumeration():
@@ -277,9 +279,9 @@ def test_support_set_union():
     inst = generate_ga_instance(2, 5, 3)
     problem = GaBlockProblem(inst)
     assert problem.support_set(0).tolist() == [False] * 5
-    oracles.register_one_by_one(problem, [problem.assignment_column(0, (1, 3))])
+    oracles.register_one_by_one(problem, [oracles.assignment_column(inst, 0, (1, 3))])
     assert np.flatnonzero(problem.support_set(0)).tolist() == [1, 3]
-    oracles.register_one_by_one(problem, [problem.assignment_column(0, (3, 4))])
+    oracles.register_one_by_one(problem, [oracles.assignment_column(inst, 0, (3, 4))])
     assert np.flatnonzero(problem.support_set(0)).tolist() == [1, 3, 4]
     assert problem.support_set(1).tolist() == [False] * 5
 
@@ -289,7 +291,8 @@ def test_register_columns_batch_is_the_union_of_its_columns():
     for seed in range(4):
         inst = generate_ga_instance(5, 7, seed)
         oracles.check_batch_registration(lambda: GaBlockProblem(inst),
-                                         GaBlockProblem(inst).assignment_column, 5, 7, rng)
+                                         functools.partial(oracles.assignment_column, inst),
+                                         5, 7, rng)
 
 
 def test_hypercube_term_matches_brute_force():

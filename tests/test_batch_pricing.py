@@ -192,8 +192,8 @@ def test_mc_price_blocks_equals_per_block_label_setting_bit_for_bit():
 
 def test_from_columns_marks_blocks_without_a_column():
     priced = PricedBlocks.from_columns(
-        [4, 1], [(2.5, None), (-1.0, GaBlockProblem(generate_ga_instance(5, 3, 0))
-                               .assignment_column(1, (2, 0)))])
+        [4, 1], [(2.5, None),
+                 (-1.0, oracles.assignment_column(generate_ga_instance(5, 3, 0), 1, (2, 0)))])
     assert priced.has_column.tolist() == [False, True]
     assert priced.ptr.tolist() == [0, 0, 2] and priced.rows.tolist() == [0, 2]
     assert priced.column(0) is None and priced.column(1).native == (0, 2)

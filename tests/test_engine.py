@@ -1,13 +1,15 @@
+import dataclasses
 import re
 
 import numpy as np
 import pytest
 
-from colgen import (DwdConfig, EngineError, FilterMode, GaBlockProblem, LpModel,
-                    LpNumericalError, LpSolution, LpStatus, McBlockProblem, PricingHistory,
-                    RowSense, Strategy, generate_ga_instance, generate_mc_instance,
-                    parse_ga_instance, parse_mc_instance, reduced_cost, run_dwd)
-from colgen import engine
+from colgen import (DwdConfig, EngineError, ExperimentConfig, FilterMode, GaBlockProblem,
+                    LpModel, LpNumericalError, LpSolution, LpStatus, McBlockProblem,
+                    PricingHistory, RowSense, Strategy, generate_ga_instance,
+                    generate_mc_instance, parse_ga_instance, parse_mc_instance, reduced_cost,
+                    run_dwd, run_experiment)
+from colgen import engine, experiments
 from colgen.model import BlockProblem, Column, PricedBlocks
 
 import oracles
@@ -189,7 +191,7 @@ def test_le_linking_row_and_convexity_senses_reach_the_full_master(convexity, mo
     assert result.objective == pytest.approx(problem.full_master_objective(), abs=1e-6)
     assert result.audit.ok
     assert result.audit.final_checks == problem.num_blocks
-    assert result.duals.linking[2] < -1e-6  # the budget binds; its dual is <= 0
+    assert result.linking_duals[2] < -1e-6  # the budget binds; its dual is <= 0
 
 
 def test_contract_is_the_batch_calls():
@@ -354,8 +356,8 @@ def test_e6_shape_finishes_without_a_pivot_stall():
 
 def test_basic_columns_price_to_zero():
     result = run_dwd(ga_problem(bins=6, items=6, seed=7), config(audit=True))
-    pi = result.duals.linking
-    mu = result.duals.convexity
+    pi = result.linking_duals
+    mu = result.convexity_duals
     for col, value in zip(result.columns, result.column_values):
         if value > 1e-9:
             rc = reduced_cost(col, pi, float(mu[col.block]))
@@ -456,6 +458,49 @@ def test_audit_catches_invalid_exact_bounds():
                      config(FilterMode.EXACT, Strategy.ALL, audit=True))
     assert result.audit.soundness_violations
     assert not result.audit.ok
+
+
+class MisreportedReducedCost(GaBlockProblem):
+    """Says, at its first pricing call, that block 1's reduced cost is 1.0
+    below its column's."""
+
+    calls = 0
+
+    def price_blocks(self, blocks, pi, mu):
+        priced = super().price_blocks(blocks, pi, mu)
+        self.calls += 1
+        if self.calls == 1:
+            cbars = priced.reduced_costs.copy()
+            cbars[1] -= 1.0
+            priced = dataclasses.replace(priced, reduced_costs=cbars)
+        return priced
+
+
+def test_audit_catches_a_misreported_reduced_cost(monkeypatch):
+    inst = generate_ga_instance(6, 5, 0)
+    result = run_dwd(MisreportedReducedCost(inst), config(audit=True))
+    [msg] = result.audit.reduced_cost_mismatches
+    assert msg.startswith("iteration 1 block 1 (pricing): pricing said ")
+    assert not result.audit.ok
+    monkeypatch.setattr(experiments, "make_problem",
+                        lambda problem, inst: MisreportedReducedCost(inst))
+    report = run_experiment(ExperimentConfig(problem="ga", strategies=("exact-all",),
+                                             audit=True), [("ga", inst)])
+    for strategy in ("baseline", "exact-all"):
+        assert f"ga/{strategy}: {msg}" in report.audit_violations
+    assert not report.ok
+
+
+class ShortPricing(GaBlockProblem):
+    """Prices every listed block but the last."""
+
+    def price_blocks(self, blocks, pi, mu):
+        return super().price_blocks(np.asarray(blocks)[:-1], pi, mu)
+
+
+def test_pricing_result_of_the_wrong_length_names_the_iteration():
+    with pytest.raises(EngineError, match="returned 4 results for 5 blocks at iteration 1"):
+        run_dwd(ShortPricing(generate_ga_instance(5, 6, 0)))
 
 
 def test_trace_and_audit_messages_hold_python_numbers():

@@ -6,7 +6,7 @@ import pytest
 from colgen import (ExperimentConfig, GaBlockProblem, McBlockProblem, generate_ga_instance,
                     generate_mc_instance, parse_ga_instance, parse_mc_instance)
 from colgen import experiments
-from colgen.cli import main
+from colgen.cli import build_parser, main
 from colgen.experiments import (CSV_COLUMNS, STRATEGIES, emit_csv,
                                 emit_markdown, emit_report, format_objective,
                                 format_pct, gap_pct, pct_reduction,
@@ -363,10 +363,56 @@ def test_cli_bad_numeric_flag_exits_2_before_any_solve(capsys, monkeypatch, flag
     assert captured.err.count("\n") == 1 and not captured.out
 
 
+@pytest.mark.parametrize("text, want", [("inf", None), ("none", None), ("all", None),
+                                        ("2", 2)])
+def test_cli_alpha_reads_every_dual_vector_or_a_count(text, want):
+    args = build_parser().parse_args(["run", "--problem", "ga", "--generate", "bins=5,items=4",
+                                      "--alpha", text])
+    assert args.alpha == want
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--alpha", "0"], "--alpha: alpha must be at least 1"),
+    (["--alpha", "x"], "--alpha: invalid"),
+    (["--generate", "bins"], "bad generator key=value pair 'bins'"),
+])
+def test_cli_bad_alpha_or_generator_pair_exits_2_before_any_solve(capsys, monkeypatch, argv,
+                                                                  message):
+    monkeypatch.setattr(experiments, "run_dwd", lambda *args: pytest.fail("solved"))
+    if argv[0] == "--alpha":
+        argv = [*argv, "--generate", "bins=5,items=4,count=2"]
+    with pytest.raises(SystemExit) as info:
+        main(["run", "--problem", "ga", *argv])
+    assert info.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_cli_mc_files_solve_like_the_generated_batch(tmp_path, capsys):
+    # a generated instance keeps the generator's pricing set-up, and a parsed
+    # file builds its own; both must solve alike
+    data = tmp_path / "data"
+    assert main(["generate", "--problem", "mc", "--count", "2", "--seed", "4", "--nodes", "25",
+                 "--arcs", "80", "--commodities", "50", "--out-dir", str(data)]) == 0
+    for seed in (4, 5):
+        # the names `run --generate` gives its instances
+        (data / f"mc_s{seed}.txt").rename(data / f"mc-s{seed}.txt")
+    common = ["run", "--problem", "mc", "--strategies", "exact-all,heur-all,exact-add",
+              "--alpha", "2", "--audit"]
+    files, generated = tmp_path / "files.csv", tmp_path / "generated.csv"
+    assert main([*common, "--instances", str(data / "*.txt"), "--out", str(files)]) == 0
+    assert main([*common, "--generate", "nodes=25,arcs=80,commodities=50,count=2",
+                 "--seed", "4", "--out", str(generated)]) == 0
+    capsys.readouterr()
+    rows = strip_time_columns(files.read_text())
+    assert len(rows) == 9
+    assert rows == strip_time_columns(generated.read_text())
+
+
 @pytest.mark.parametrize("shape", [
     ["--problem", "ga", "--bins", "0", "--items", "5"],
     ["--problem", "mc", "--nodes", "5", "--arcs", "3", "--commodities", "2"],
     ["--problem", "mc", "--nodes", "1", "--arcs", "3", "--commodities", "2"],
+    ["--problem", "mc", "--nodes", "25", "--commodities", "50"],  # no --arcs
 ])
 def test_cli_generate_bad_shape_exits_2(tmp_path, capsys, shape):
     out_dir = tmp_path / "d"

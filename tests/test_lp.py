@@ -132,9 +132,12 @@ def test_resolve_after_add_never_increases():
         assert again.objective <= sol.objective + 1e-7
 
 
-def test_repeated_row_coefficients_accumulate():
+def test_repeated_row_coefficients_are_rejected():
     model = LpModel([(RowSense.GE, 6.0)])
-    assert model.add_column(1.0, [(0, 1.0), (0, 2.0)]) == 0  # effectively 3x >= 6
+    with pytest.raises(LpStructureError, match="column 0 of the batch repeats row 0"):
+        model.add_column(1.0, [(0, 1.0), (0, 2.0)])
+    assert model.num_cols == 0
+    assert model.add_column(3.0, [(0, 3.0)]) == 0
     assert model.add_column(4.0, []) == 1  # indices run on, empty columns too
     assert model.num_cols == 2
     sol = model.solve()
@@ -183,20 +186,30 @@ def test_add_columns_solves_like_one_column_at_a_time():
     assert_same_solution(one_by_one.solve(), batched.solve())
 
 
-def test_add_columns_accumulates_repeated_rows_within_a_column():
-    batched, single = LpModel([(RowSense.GE, 6.0)] * 2), LpModel([(RowSense.GE, 6.0)] * 2)
-    # column 0 is 3x on row 0 and 1x on row 1; column 1 repeats nothing
-    # although its first row equals column 0's last
-    batched.add_columns([1.0, 5.0], [0, 3, 4], [0, 1, 0, 0], [1.0, 1.0, 2.0, 1.0])
-    single.add_column(1.0, [(0, 3.0), (1, 1.0)])
-    single.add_column(5.0, [(0, 1.0)])
-    # stored alike, since the basis inverse reads each column's entries once
-    nnz = single._ptr[single._n_int]
-    assert batched._ptr[:batched._n_int + 1].tolist() == single._ptr[:single._n_int + 1].tolist()
-    for name in ("_row", "_val", "_col"):
-        assert getattr(batched, name)[:nnz].tolist() == getattr(single, name)[:nnz].tolist()
-    assert_same_solution(batched.solve(), single.solve())
-    assert batched.solve().x == pytest.approx([6.0, 0.0])
+def stored(model):
+    """The model's internal columns: pointers, then rows, values and owners."""
+    nnz = model._ptr[model._n_int]
+    return (model._ptr[:model._n_int + 1].tolist(),
+            *(getattr(model, name)[:nnz].tolist() for name in ("_row", "_val", "_col")))
+
+
+def test_add_columns_rejects_repeated_rows_within_a_column():
+    model, twin = solved_twins()
+    before = stored(model)
+    # column 1 repeats row 0 out of order; column 2 repeats nothing although
+    # its first row equals column 1's last
+    with pytest.raises(LpStructureError, match="column 1 of the batch repeats row 0"):
+        model.add_columns([1.0, 1.0, 5.0], [0, 1, 4, 5], [1, 0, 1, 0, 0],
+                          [1.0, 1.0, 1.0, 2.0, 1.0])
+    assert model.num_cols == 2 and stored(model) == before
+    assert_same_solution(model.solve(), twin.solve())
+    # the same batch without the repeat goes in; its second column's rows
+    # stay in the order given
+    assert model.add_columns([1.0, 1.0, 5.0], [0, 1, 3, 4], [1, 1, 0, 0],
+                             [1.0, 1.0, 3.0, 1.0]) == range(2, 5)
+    base = before[0][-1]
+    assert stored(model)[1][base:] == [1, 1, 0, 0]
+    assert model.solve().status is LpStatus.OPTIMAL
 
 
 def solved_twins():
@@ -650,7 +663,7 @@ def test_core_inverse_rejects_singular_unit_columns():
     model = LpModel([(RowSense.GE, 1.0), (RowSense.GE, 2.0)])
     model.add_column(1.0, [(0, 1.0)])
     model.add_column(1.0, [(0, 2.0)])
-    model.add_column(1.0, [(1, 1.0), (1, -1.0)])  # a unit column whose entry is 0
+    model.add_column(1.0, [(1, 0.0)])  # a unit column whose entry is 0
     (s0, s1, zero), art = internal_columns(model)
     good = np.array([s1, art[1]])
     assert model._basis_inverse(good) == pytest.approx(np.diag([0.5, 1.0]))

@@ -14,7 +14,7 @@ from colgen import (STRATEGIES, DwdConfig, FilterMode, McBlockProblem, McParseEr
 from colgen import mcflow
 from colgen.engine import _RC_CHECK_TOL
 from colgen.mcflow import (Arc, Commodity, McInstance, _graph_lists, _label_setting,
-                           _potentials, path_cost, path_delay)
+                           _potentials, path_cost)
 from colgen.model import PricedBlocks
 
 import oracles
@@ -320,7 +320,7 @@ def test_pricing_matches_enumeration_on_random_duals():
             inst.num_nodes, inst.arcs, weights, com.source, com.target, com.max_delay)
         assert want is not None
         assert cbar == pytest.approx(want - mu, abs=1e-9)
-        assert path_delay(inst, col.native) <= com.max_delay + 1e-9
+        assert oracles.path_delay(inst, col.native) <= com.max_delay + 1e-9
 
 
 def initial_columns(problem):
@@ -342,7 +342,7 @@ def test_initial_columns_are_min_delay_paths():
     for k, col in enumerate(cols):
         com = inst.commodities[k]
         assert col.block == k
-        assert path_delay(inst, col.native) <= com.max_delay + 1e-9
+        assert oracles.path_delay(inst, col.native) <= com.max_delay + 1e-9
         assert col.cost == pytest.approx(com.bandwidth * path_cost(inst, col.native))
 
 
@@ -467,16 +467,22 @@ def outcome(result):
 
 
 def test_setup_runs_once_per_instance(monkeypatch):
-    inst = generate_mc_instance(25, 80, 50, 7)
     potentials = counted(monkeypatch, "_potentials")
     searches = counted(monkeypatch, "_min_delay_path")
-    problems = [McBlockProblem(inst) for _ in range(3)]
-    # delays and costs, each for all targets at once; one search per commodity
-    assert len(potentials) == 2
+    inst = generate_mc_instance(25, 80, 50, 7)
+    # the budgets' delays, then the set-up the instance keeps: delays and
+    # costs, each for all targets at once, and one search per commodity
+    assert len(potentials) == 3
     assert len(searches) == len(inst.commodities)
+    problems = [McBlockProblem(inst) for _ in range(3)]
     for problem in problems:
         solve(problem, "exact-all")
-    assert len(potentials) == 2 and len(searches) == len(inst.commodities)
+    assert len(potentials) == 3 and len(searches) == len(inst.commodities)
+    # a parsed copy builds its own on its first problem, once
+    parsed = parse_mc_instance(write_mc_instance(inst))
+    for _ in range(2):
+        McBlockProblem(parsed)
+    assert len(potentials) == 5 and len(searches) == 2 * len(inst.commodities)
 
 
 def test_problems_of_one_instance_share_no_state():
