@@ -233,8 +233,8 @@ def run_dwd(problem: BlockProblem, config: DwdConfig | None = None) -> DwdResult
 
     big_m = 1e4 * (float(np.abs(initial.costs).max(initial=0.0)) + 1.0)
     # signed so that the fallback column alone can satisfy its row
-    signs = [-1.0 if (sense is RowSense.LE or (sense is RowSense.EQ and rhs < 0)) else 1.0
-             for sense, rhs in rows]
+    le, eq = RowSense.LE, RowSense.EQ  # member lookups are slow, so out of the loop
+    signs = [-1.0 if (sense is le or (sense is eq and rhs < 0)) else 1.0 for sense, rhs in rows]
     artificials = lp.add_columns(np.full(len(rows), big_m), np.arange(len(rows) + 1),
                                  np.arange(len(rows)), signs)
     stats.install_time_s += time.perf_counter() - t_install

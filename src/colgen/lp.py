@@ -12,9 +12,15 @@ test runs over the direction's nonzeros only.  Every few pivots the inverse is
 rebuilt from the basis columns: columns with a single nonzero (surplus,
 artificial, single-row structural) are eliminated on their rows and only the
 square core of the rest is inverted.  Columns can be appended after a solve:
-that leaves the basis and its inverse valid, so a re-solve resumes from both,
-which keeps re-solves cheap in column-generation loops.  A solve's returned
-values and duals are computed afresh from the inverse, not carried.
+that leaves the basis, its inverse and its duals valid, so a re-solve resumes
+from all three, which keeps re-solves cheap in column-generation loops.  A
+warm solve recomputes only what the new columns change: the reduced costs,
+and the perturbed right-hand side (drawn anew for the new column count) with
+its basic values.  It does not check again that the basis is feasible under
+the true right-hand side: a perturbed solve checked that, at the tighter
+FEAS_TOL, before it exited, and a solve that ended on the unperturbed cold
+retry below checks it at its exit instead.  A solve's returned values and
+duals are computed afresh from the inverse, not carried.
 
 A cold solve crash-starts phase 1 in two steps.  First, every row whose
 scaled surplus column has coefficient +1 (a <= row with a positive rhs, a >=
@@ -46,6 +52,7 @@ solved concurrently from different threads.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,19 +119,23 @@ class LpModel:
     """
 
     def __init__(self, rows):
+        le, eq = RowSense.LE, RowSense.EQ  # member lookups are slow, so out of the loops
         senses, rhs = [], []
         for sense, b in rows:
             if not isinstance(sense, RowSense):
                 raise LpStructureError(f"row sense must be RowSense, got {sense!r}")
             b = float(b)
-            if not np.isfinite(b):
+            if not math.isfinite(b):
                 raise LpStructureError("row rhs must be finite")
             senses.append(sense)
             rhs.append(b)
-        # last optimal basis and its inverse; dropped while a solve runs, so a
-        # solve that ends in anything but an optimum leaves neither behind
+        m = len(rhs)
+        # last optimal basis, its inverse and its duals c_B B^-1 (before the
+        # row scaling); dropped while a solve runs, so a solve that ends in
+        # anything but an optimum leaves none of them behind
         self._basis: np.ndarray | None = None
         self._b_inv: np.ndarray | None = None
+        self._y: np.ndarray | None = None
         self._since_inv = 0  # pivots since b_inv was last computed afresh
         # internal columns in compressed sparse form: column j's nonzeros sit
         # at [_ptr[j], _ptr[j + 1]) of _row (row index), _val and _col (== j),
@@ -133,16 +144,16 @@ class LpModel:
         # the non-equality rows come first, then one artificial per row, then
         # the structural columns, so structural column j is internal column
         # _first_struct + j.
-        u = np.array([-1.0 if s is RowSense.LE else 1.0 for s in senses])
-        b1 = np.asarray(rhs, dtype=float) * u
+        u = np.fromiter([-1.0 if sense is le else 1.0 for sense in senses], float, m)
+        b1 = np.fromiter(rhs, float, m) * u
         s = np.where(b1 < 0, -1.0, 1.0)
         self._row_mult = u * s
         self._beq = b1 * s
         # the surplus of each non-equality row's >= form, scaled, sits on that
         # row alone, and so does each row's artificial
-        surplus = np.flatnonzero([sense is not RowSense.EQ for sense in senses])
-        self._row = np.concatenate([surplus, np.arange(len(senses))])
-        self._val = np.concatenate([-s[surplus], np.ones(len(senses))])
+        surplus = np.flatnonzero(np.fromiter([sense is not eq for sense in senses], bool, m))
+        self._row = np.concatenate([surplus, np.arange(m)])
+        self._val = np.concatenate([-s[surplus], np.ones(m)])
         self._n_int = self._first_struct = len(self._row)
         # the slack basis: each row's artificial, or its surplus where that
         # has coefficient +1; either way B is the identity
@@ -187,9 +198,10 @@ class LpModel:
         ptr = np.asarray(ptr, dtype=np.int64).reshape(-1)
         rows = np.asarray(rows, dtype=np.int64).reshape(-1)
         vals = np.asarray(vals, dtype=float).reshape(-1)
-        n = len(costs)
-        if (len(ptr) != n + 1 or ptr[0] != 0 or ptr[-1] != len(rows)
-                or len(vals) != len(rows) or np.any(ptr[1:] < ptr[:-1])):
+        n, nnz = len(costs), len(rows)
+        lens = np.diff(ptr)
+        if (len(ptr) != n + 1 or ptr[0] != 0 or ptr[-1] != nnz or len(vals) != nnz
+                or lens.min(initial=0) < 0):
             raise LpStructureError("column batch needs len(ptr) == len(costs) + 1, ptr "
                                    "nondecreasing from 0 to len(rows), and len(vals) == "
                                    "len(rows)")
@@ -197,14 +209,16 @@ class LpModel:
             raise LpStructureError("column cost must be finite")
         if not np.isfinite(vals).all():
             raise LpStructureError("column coefficient must be finite")
-        bad = (rows < 0) | (rows >= self.num_rows)
-        if bad.any():
-            raise LpStructureError(f"column references unknown row {rows[bad][0]}")
-        # only a column whose rows do not strictly increase may repeat one
-        follows = np.ones(len(rows), dtype=bool)  # entry i and i - 1 share a column
-        follows[ptr[:-1][ptr[:-1] < len(rows)]] = False
-        if np.any((rows[1:] <= rows[:-1]) & follows[1:]):
-            col = np.repeat(np.arange(n), np.diff(ptr))
+        if rows.min(initial=0) < 0 or rows.max(initial=-1) >= self.num_rows:
+            bad = rows[(rows < 0) | (rows >= self.num_rows)][0]
+            raise LpStructureError(f"column references unknown row {bad}")
+        # only a column whose rows do not strictly increase may repeat one:
+        # step[i] is rows[i] - rows[i - 1] within a column, 1 at its start
+        step = np.ones(nnz + 1, dtype=np.int64)
+        np.subtract(rows[1:], rows[:-1], out=step[1:nnz])
+        step[ptr[:-1]] = 1
+        if step.min() <= 0:
+            col = np.repeat(np.arange(n), lens)
             order = np.lexsort((rows, col))
             r, c = rows[order], col[order]
             twice = np.flatnonzero((r[1:] == r[:-1]) & (c[1:] == c[:-1]))
@@ -222,7 +236,7 @@ class LpModel:
                 _grown(a, end) for a in (self._row, self._val, self._col))
         self._row[start:end] = rows
         self._val[start:end] = vals * self._row_mult[rows]
-        self._col[start:end] = np.repeat(np.arange(j, j + n), np.diff(ptr))
+        self._col[start:end] = np.repeat(np.arange(j, j + n), lens)
         self._ptr[j + 1:j + n + 1] = start + ptr[1:]
         self._c2[j:j + n] = costs
         self._n_int += n
@@ -319,27 +333,26 @@ class LpModel:
                     f"columns: {first}; Bland retry: {exc}") from exc
 
     def _solve_attempt(self, bland_from_start: bool, refactor_every: int) -> LpSolution:
-        beq = self._beq
-        artificial = self._is_artificial(np.arange(self._n_int))
-        allow = ~artificial
-        c2 = self._c2[: self._n_int]
+        beq, m, n = self._beq, self.num_rows, self._n_int
+        c2 = self._c2[:n]
         iters = 0
 
-        basis, b_inv = self._basis, self._b_inv
-        self._basis = self._b_inv = None
-        if basis is not None and (b_inv @ beq).min(initial=0.0) < -1e-6:
-            basis = None
+        # a warm start resumes from the last optimum's basis, inverse and
+        # duals, which appending columns leaves valid
+        basis, b_inv, y = self._basis, self._b_inv, self._y
+        self._basis = self._b_inv = self._y = None
 
         # phase 2's perturbed rhs, drawn the same way on every solve of this size
-        rng = np.random.default_rng([self.num_rows, self._n_int])
-        rhs = beq + PERTURB_SCALE * (1.0 + beq) * rng.uniform(0.5, 1.0, self.num_rows)
+        rng = np.random.default_rng([m, n])
+        rhs = beq + PERTURB_SCALE * (1.0 + beq) * rng.uniform(0.5, 1.0, m)
         while True:
             if basis is None:
-                # phase 1 from the crash basis
+                # phase 1 from the crash basis, at cost 1 on each artificial
                 basis, b_inv = self._cold_start()
                 self._since_inv = 0
-                c1 = artificial.astype(float)
-                status, n1 = self._simplex(c1, beq, basis, b_inv, allow, bland_from_start,
+                c1 = np.zeros(n)
+                c1[self._first_struct - m:self._first_struct] = 1.0
+                status, n1 = self._simplex(c1, beq, basis, b_inv, None, bland_from_start,
                                            refactor_every, pin_artificials=False)
                 iters += n1
                 if status != "optimal":
@@ -347,8 +360,9 @@ class LpModel:
                 xb = np.maximum(b_inv @ beq, 0.0)
                 if float(c1[basis] @ xb) > FEAS_TOL:
                     return LpSolution(LpStatus.INFEASIBLE, None, None, None, iters)
+                y = None
 
-            status, n2 = self._simplex(c2, rhs, basis, b_inv, allow, bland_from_start,
+            status, n2 = self._simplex(c2, rhs, basis, b_inv, y, bland_from_start,
                                        refactor_every, pin_artificials=True)
             iters += n2
             if status == "unbounded":
@@ -362,31 +376,36 @@ class LpModel:
             # the perturbation
             basis, rhs = None, beq
 
-        x_int = np.zeros(self._n_int)
+        x_int = np.zeros(n)
         x_int[basis] = np.maximum(xb, 0.0)
         x = x_int[self._first_struct:]
         objective = float(c2[self._first_struct:] @ x)
         y = c2[basis] @ b_inv
         duals = y * self._row_mult
-        self._basis, self._b_inv = basis, b_inv
+        # the next solve warm-starts from this basis unless B^-1 b has an
+        # entry below -1e-6; the perturbed exit above already checked that at
+        # the tighter -FEAS_TOL, the unperturbed one did not
+        if rhs is not beq or not xb.min(initial=0.0) < -1e-6:
+            self._basis, self._b_inv, self._y = basis, b_inv, y
         return LpSolution(LpStatus.OPTIMAL, x, objective, duals, iters)
 
-    def _simplex(self, costs, rhs, basis, b_inv, allow, bland, refactor_every, pin_artificials):
+    def _simplex(self, costs, rhs, basis, b_inv, y, bland, refactor_every, pin_artificials):
         """Primal simplex iterations on the current basis, in place.
 
         The basic values are those of B x_B = `rhs`: the true rhs in phase 1,
         a perturbed copy in phase 2 (see the module docstring), where the
-        ratio test then rarely ties at zero.  Dantzig entering rule,
-        switching to Bland's rule once the run of degenerate pivots exceeds
-        3*(rows+cols).  With `pin_artificials`, basic artificials are never
-        allowed to grow (forced ratio 0), which keeps phase-2 iterates
-        feasible for the real rows.  Returns (status, pivots).
+        ratio test then rarely ties at zero.  `y` holds the duals
+        `costs[basis] @ b_inv` when the caller has them, else None.  Dantzig
+        entering rule, switching to Bland's rule once the run of degenerate
+        pivots exceeds 3*(rows+cols).  Artificials never enter.  With
+        `pin_artificials`, basic artificials are never allowed to grow
+        (forced ratio 0), which keeps phase-2 iterates feasible for the real
+        rows.  Returns (status, pivots).
         """
         m, n = len(rhs), len(costs)
         if m == 0:
-            if np.any(costs[allow] < -RC_TOL):
-                return "unbounded", 0
-            return "optimal", 0
+            # no rows, so no artificials either
+            return ("unbounded" if np.any(costs < -RC_TOL) else "optimal"), 0
         ptr, nnz = self._ptr, self._ptr[n]
         rows, vals, cols = self._row[:nnz], self._val[:nnz], self._col[:nnz]
         phase = 2 if pin_artificials else 1
@@ -394,23 +413,28 @@ class LpModel:
         degen_limit = 3 * (m + n)
         degen_run = 0
         pivots = 0
-        # disallowed columns are priced at +inf, so they never enter
-        priced = np.where(allow, costs, np.inf)
+        # artificials are priced at +inf, so they never enter
+        priced = costs.copy()
+        priced[self._first_struct - m:self._first_struct] = np.inf
         is_art = self._is_artificial(basis)  # kept in step with basis
         n_art = int(is_art.sum())
         # duals and basic values are carried across pivots and recomputed
         # exactly only after a refactorization
-        y = costs[basis] @ b_inv
+        if y is None:
+            y = costs[basis] @ b_inv
         xb = np.maximum(b_inv @ rhs, 0.0)
+        terms = np.empty(nnz)  # each entry's share of its column's dual price
+        rc = np.empty(n)
         while True:
-            rc = priced - np.bincount(cols, weights=y[rows] * vals, minlength=n)
+            np.multiply(y.take(rows), vals, out=terms)
+            np.subtract(priced, np.bincount(cols, weights=terms, minlength=n), out=rc)
             if bland:
-                neg = np.flatnonzero(rc < -RC_TOL)
-                if neg.size == 0:
+                neg = (rc < -RC_TOL).nonzero()[0]
+                if not neg.size:
                     return "optimal", pivots
                 enter = int(neg[0])
             else:
-                enter = int(np.argmin(rc))
+                enter = int(rc.argmin())
                 if rc[enter] >= -RC_TOL:
                     return "optimal", pivots
             lo, hi = ptr[enter], ptr[enter + 1]
@@ -418,12 +442,15 @@ class LpModel:
                 d = b_inv[:, rows[lo]] * vals[lo]
             else:
                 d = b_inv[:, rows[lo:hi]] @ vals[lo:hi]
-            # ratio test over the positions where the direction is positive,
-            # plus, in phase 2, the basic artificials it would push above
-            # zero, which get ratio 0
-            cand = np.flatnonzero(d > PIVOT_TOL)
-            theta = xb[cand] / d[cand]
-            pinned = (np.flatnonzero(is_art & (d < -PIVOT_TOL))
+            # the direction touches few rows; the ratio test runs over the
+            # ones where it is positive, plus, in phase 2, the basic
+            # artificials it would push above zero, which get ratio 0
+            nz = d.nonzero()[0]
+            d_nz = d.take(nz)
+            up = d_nz > PIVOT_TOL
+            cand = nz[up]
+            theta = xb.take(cand) / d_nz[up]
+            pinned = (nz[(d_nz < -PIVOT_TOL) & is_art[nz]]
                       if pin_artificials and n_art else ())
             if len(pinned):
                 t_min = 0.0
@@ -436,19 +463,19 @@ class LpModel:
             if ties.size == 1:
                 leave = int(ties[0])
             elif bland:
-                leave = int(ties[np.argmin(basis[ties])])
+                leave = int(ties[basis[ties].argmin()])
             else:
                 art_tie = ties[is_art[ties]]
                 pool = art_tie if art_tie.size else ties
                 leave = int(pool[np.abs(d[pool]).argmax()])
             row = b_inv[leave] / d[leave]
-            # rank-1 update, only on the other rows the direction touches
-            d[leave] = 0.0
-            touched = np.flatnonzero(d)
-            d_t = d[touched]
-            b_inv[touched] -= np.outer(d_t, row)
+            # rank-1 update, only on the rows the direction touches; the
+            # leaving row's update is overwritten
+            touched = b_inv.take(nz, axis=0)
+            touched -= d_nz[:, None] * row
+            b_inv[nz] = touched
             b_inv[leave] = row
-            xb[touched] = np.maximum(xb[touched] - t_min * d_t, 0.0)
+            xb[nz] = np.maximum(xb.take(nz) - t_min * d_nz, 0.0)
             xb[leave] = t_min
             y += rc[enter] * row
             basis[leave] = enter

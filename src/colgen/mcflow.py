@@ -244,20 +244,21 @@ def rcsp(num_nodes: int, arcs, weights, delays, max_delay: float,
                           delays.tolist(), dmin.tolist(), max_delay, source, target)
 
 
-def _label_setting(out, heads, weights, lower, limit, delays, dmin, max_delay, source, target):
-    """`rcsp` after its set-up; per-node and per-arc arguments are lists.
+def _label_setting(out, heads, weights, lower, limit, delays, dmin, max_delay, source, target,
+                   scale=1.0):
+    """`rcsp` after its set-up; per-node and per-arc arguments are sequences.
 
     `out` and `heads` come from `_graph_lists`.  A new label dies when its
-    weight plus `lower` at its node exceeds `limit`, or its delay plus `dmin`
-    (the least delay to `target`) there exceeds the budget.  The result is the
-    one with zeros and inf when `lower` never exceeds the weight of a path on
-    to `target` and `limit` is at least some delay-feasible path's weight,
-    both up to `BOUND_SLACK`: every label cut ends above the optimum, so it
-    is not the result, and no label it would have dominated can dominate one
-    that leads to the result, as that would give it a completion no heavier
-    than the optimum.  The test is strict, so labels that tie the optimum
-    survive and the lexicographic tie-break is kept.  Callers without weight
-    bounds pass zeros and inf.
+    weight plus `scale` times `lower` at its node exceeds `limit`, or its
+    delay plus `dmin` (the least delay to `target`) there exceeds the budget.
+    The result is the one with zeros and inf when that bound never exceeds
+    the weight of a path on to `target` and `limit` is at least some
+    delay-feasible path's weight, both up to `BOUND_SLACK`: every label cut
+    ends above the optimum, so it is not the result, and no label it would
+    have dominated can dominate one that leads to the result, as that would
+    give it a completion no heavier than the optimum.  The test is strict,
+    so labels that tie the optimum survive and the lexicographic tie-break
+    is kept.  Callers without weight bounds pass zeros and inf.
     """
     cap = max_delay + DELAY_TOL
     if dmin[source] > cap:
@@ -274,7 +275,7 @@ def _label_setting(out, heads, weights, lower, limit, delays, dmin, max_delay, s
         for idx in out[v]:
             head = heads[idx]
             nw = w + weights[idx]
-            if nw + lower[head] > limit:
+            if nw + scale * lower[head] > limit:
                 continue
             ndl = dl + delays[idx]
             if ndl + dmin[head] > cap:
@@ -450,8 +451,8 @@ class McBlockProblem(BlockProblem):
         """Label setting for each listed commodity, its dual-dependent set-up shared.
 
         The path weights are computed once per distinct bandwidth, the cost
-        bounds once per distinct bandwidth and target, and the result is
-        filled straight from the paths.
+        bounds once per distinct target, and the result is filled straight
+        from the paths.
         """
         blocks = np.asarray(blocks, dtype=np.intp).reshape(-1)
         return self._price(blocks, pi, np.asarray(mu, dtype=float)[blocks])
@@ -469,24 +470,25 @@ class McBlockProblem(BlockProblem):
         out, heads = r.graph
         initial, last = r.paths, self._last
         weights: dict[float, list[float]] = {}
-        lower: dict[tuple[float, int], list[float]] = {}
+        lower: dict[int, list[float]] = {}
         paths, cbars, col_costs, bandwidths = [], [], [], []
         # every sum below runs left to right over the path, as the labels do
         for k, mu_k in zip(blocks.tolist(), mu_b.tolist()):
             b, t, row, source, max_delay = r.commodities[k]
             if b not in weights:
                 weights[b] = (b * clamped).tolist()
-            if (b, row) not in lower:
-                # the clamped weights are at least b * cost, so b times the
-                # least cost to t bounds every completion; the factor covers
-                # rounding in the float sums
-                lower[b, row] = (b * (1 - BOUND_SLACK) * r.hcost[row]).tolist()
+            if row not in lower:
+                lower[row] = r.hcost[row].tolist()
             wb = weights[b]
             weight = wb.__getitem__
             # the lighter incumbent
             best = min(sum(map(weight, initial[k])), sum(map(weight, last[k])))
-            found = _label_setting(out, heads, wb, lower[b, row], _above(best), r.delays,
-                                   r.dmin[row], max_delay, source, t)
+            # the clamped weights are at least b * cost, so b times the least
+            # cost to t bounds every completion; the factor covers rounding in
+            # the float sums.  The label loop applies it, so one list per
+            # target serves every bandwidth
+            found = _label_setting(out, heads, wb, lower[row], _above(best), r.delays,
+                                   r.dmin[row], max_delay, source, t, b * (1 - BOUND_SLACK))
             if found is None:
                 raise UnroutableCommodityError(f"commodity {k} lost all feasible paths")
             path = last[k] = found[1]

@@ -6,7 +6,7 @@ import pytest
 
 from colgen import (DwdConfig, EngineError, ExperimentConfig, FilterMode, GaBlockProblem,
                     LpModel, LpNumericalError, LpSolution, LpStatus, McBlockProblem,
-                    PricingHistory, RowSense, Strategy, generate_ga_instance,
+                    PricingHistory, RowSense, STRATEGIES, Strategy, generate_ga_instance,
                     generate_mc_instance, parse_ga_instance, parse_mc_instance, reduced_cost,
                     run_dwd, run_experiment)
 from colgen import engine, experiments
@@ -541,6 +541,37 @@ def test_engine_determinism():
     assert a.trace == b.trace
     assert a.per_block_added == b.per_block_added
     assert np.array_equal(a.column_values, b.column_values)
+
+
+# (objective, master pivots, iterations, pricing calls) of each run below.  A
+# change to the master LP or the engine that is meant to pick the same pivots
+# must keep every one of them; one that moves a pivot shows here first.
+PINNED_RUNS = {
+    ("ga 100x10", "baseline"): (18.0, 86, 5, 500),
+    ("ga 100x10", "exact-all"): (18.0, 86, 5, 456),
+    ("ga 100x10", "heur-all"): (18.0, 86, 5, 389),
+    ("ga 400x10", "baseline"): (10.0, 82, 4, 1600),
+    ("ga 400x10", "exact-all"): (10.0, 82, 4, 1220),
+    ("ga 400x10", "heur-all"): (10.0, 81, 4, 1160),
+    ("mc 25/80/50", "baseline"): (1884.068563, 26, 4, 200),
+    ("mc 25/80/50", "exact-all"): (1884.068563, 26, 4, 100),
+    ("mc 25/80/50", "heur-all"): (1884.068563, 26, 4, 86),
+}
+PINNED_PROBLEMS = {
+    "ga 100x10": lambda: GaBlockProblem(generate_ga_instance(100, 10, 1000)),
+    "ga 400x10": lambda: GaBlockProblem(generate_ga_instance(400, 10, 1000)),
+    "mc 25/80/50": lambda: McBlockProblem(generate_mc_instance(25, 80, 50, 1000)),
+}
+
+
+@pytest.mark.parametrize("case, strategy", list(PINNED_RUNS))
+def test_pinned_runs_keep_their_pivots(case, strategy):
+    mode, selection = STRATEGIES[strategy]
+    result = run_dwd(PINNED_PROBLEMS[case](), config(mode, selection))
+    objective, pivots, iterations, pricing_calls = PINNED_RUNS[case, strategy]
+    assert repr(result.objective) == repr(objective)
+    assert (result.stats.master_pivots, result.stats.iterations,
+            result.stats.pricing_calls) == (pivots, iterations, pricing_calls)
 
 
 def test_config_validation():

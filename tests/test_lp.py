@@ -224,6 +224,18 @@ def solved_twins():
     return twins
 
 
+def test_model_without_rows_takes_empty_columns():
+    model = LpModel([])
+    assert model.add_column(2.0, []) == 0
+    sol = model.solve()
+    assert sol.status is LpStatus.OPTIMAL and sol.objective == 0.0
+    assert sol.x.tolist() == [0.0] and sol.duals.size == 0
+    with pytest.raises(LpStructureError, match="unknown row 0"):
+        model.add_column(1.0, [(0, 1.0)])
+    assert model.add_column(-1.0, []) == 1
+    assert model.solve().status is LpStatus.UNBOUNDED
+
+
 def test_add_columns_empty_batch_is_a_no_op():
     model, twin = solved_twins()
     assert model.add_columns([], [0], [], []) == range(2, 2)
@@ -234,11 +246,13 @@ def test_add_columns_empty_batch_is_a_no_op():
 @pytest.mark.parametrize("costs, ptr, rows, vals, match", [
     ([1.0, 1.0], [0, 1, 2], [0, 3], [1.0, 1.0], "unknown row 3"),
     ([1.0, 1.0], [0, 1, 2], [0, -1], [1.0, 1.0], "unknown row -1"),
+    ([1.0, 1.0], [0, 1, 2], [0, 2], [1.0, 1.0], "unknown row 2"),  # one past the last
     ([1.0, np.inf], [0, 1, 2], [0, 1], [1.0, 1.0], "cost must be finite"),
     ([1.0, np.nan], [0, 1, 2], [0, 1], [1.0, 1.0], "cost must be finite"),
     ([1.0, 1.0], [0, 1, 2], [0, 1], [1.0, np.nan], "coefficient must be finite"),
     ([1.0, 1.0], [0, 1, 2], [0, 1], [-np.inf, 1.0], "coefficient must be finite"),
     ([1.0, 1.0], [0, 2, 1], [0, 1], [1.0, 1.0], "ptr"),
+    ([1.0, 1.0, 1.0], [0, 2, 1, 2], [0, 1], [1.0, 1.0], "ptr"),  # right ends, a step back
     ([1.0], [0, 1, 2], [0, 1], [1.0, 1.0], "ptr"),
 ])
 def test_add_columns_rejects_a_bad_batch_whole(costs, ptr, rows, vals, match):
@@ -248,6 +262,54 @@ def test_add_columns_rejects_a_bad_batch_whole(costs, ptr, rows, vals, match):
         model.add_columns(costs, ptr, rows, vals)
     assert model.num_cols == 2
     assert_same_solution(model.solve(), twin.solve())
+
+
+@pytest.mark.parametrize("ptr, rows, repeat", [
+    # empty columns at the start, in the middle and at the end
+    ([0, 0, 2], [1, 1], "column 1 of the batch repeats row 1"),
+    ([0, 0, 2], [1, 0], None),
+    ([0, 1, 1, 3], [0, 1, 1], "column 2 of the batch repeats row 1"),
+    ([0, 1, 1, 3], [0, 0, 1], None),
+    ([0, 2, 2, 2], [1, 1], "column 0 of the batch repeats row 1"),
+    ([0, 2, 2, 2], [1, 0], None),
+    # the row after an empty column starts a column, and may equal the row
+    # before it, but not the next one
+    ([0, 1, 1, 3], [1, 1, 1], "column 2 of the batch repeats row 1"),
+    ([0, 1, 1, 3], [1, 1, 0], None),
+    # a single entry
+    ([0, 1], [1], None),
+    # a column's first row equal to the previous column's last
+    ([0, 2, 4], [0, 1, 1, 0], None),
+])
+def test_add_columns_repeated_row_boundaries(ptr, rows, repeat):
+    model, twin = solved_twins()
+    before = stored(model)
+    costs, vals = [6.0] * (len(ptr) - 1), [1.0] * len(rows)
+    if repeat is not None:
+        with pytest.raises(LpStructureError, match=repeat):
+            model.add_columns(costs, ptr, rows, vals)
+        assert model.num_cols == 2 and stored(model) == before
+        assert_same_solution(model.solve(), twin.solve())
+        return
+    assert model.add_columns(costs, ptr, rows, vals) == range(2, len(ptr) + 1)
+    after = stored(model)
+    assert after[0][len(before[0]):] == [before[0][-1] + p for p in ptr[1:]]
+    assert after[1][len(before[1]):] == rows
+    assert model.solve().status is LpStatus.OPTIMAL
+
+
+@pytest.mark.parametrize("rows, match", [
+    ([(">=", 1.0)], "row sense must be RowSense, got '>='"),
+    ([(RowSense.GE, 1.0), (None, 1.0)], "row sense must be RowSense, got None"),
+    ([(RowSense.GE, np.inf)], "row rhs must be finite"),
+    ([(RowSense.EQ, 0.0), (RowSense.LE, np.nan)], "row rhs must be finite"),
+    # rows are checked in order, each row's sense before its rhs
+    ([(RowSense.GE, np.inf), ("<=", 1.0)], "row rhs must be finite"),
+    ([("<=", np.inf)], "row sense must be RowSense"),
+])
+def test_bad_rows_are_named(rows, match):
+    with pytest.raises(LpStructureError, match=match):
+        LpModel(rows)
 
 
 def test_random_lps_match_vertex_oracle_and_scipy():
