@@ -25,7 +25,7 @@ import numpy as np
 
 from .filtering import negative_part_sum
 from .lp import RowSense
-from .model import BlockProblem, Column, PricedBlocks
+from .model import BlockProblem, PricedBlocks
 
 # shapes of the synthetic evaluation families: (bins, items)
 E_SET_SHAPES = {
@@ -387,14 +387,9 @@ class GaBlockProblem(BlockProblem):
         np.cumsum(take.sum(axis=1), out=ptr[1:])
         rows = np.nonzero(take)[1]
         col_costs = np.where(take, costs, 0.0).sum(axis=1)
-
-        def column(i):
-            items = rows[ptr[i]:ptr[i + 1]].tolist()
-            return Column(block=int(blocks[i]), cost=float(col_costs[i]),
-                          coeffs=tuple((item, 1.0) for item in items), native=tuple(items))
-
+        # each pattern's native is its item tuple, the `native=None` default
         return PricedBlocks(blocks, best - mu_b, np.ones(len(blocks), dtype=bool), col_costs,
-                            ptr, rows, np.ones(len(rows)), column)
+                            ptr, rows, np.ones(len(rows)))
 
     def solve_pricing(self, block, pi, mu_k):
         priced = self._price(np.array([block], dtype=np.intp), pi, np.array([float(mu_k)]))

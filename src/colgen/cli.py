@@ -6,12 +6,14 @@
     colgen generate --problem ga --bins 100 --items 10 --count 10 --out-dir data/
 
 Exit status: 0 on success, 1 when any run failed or an audit check was
-violated, 2 on bad arguments or unreadable instances.
+violated, 2 on bad arguments, unreadable instances or unwritable output
+paths.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import glob
 import pathlib
 import sys
@@ -145,12 +147,15 @@ def _cmd_run(args) -> int:
     except ValueError as exc:
         print(f"colgen: {exc}", file=sys.stderr)
         return 2
-    report = run_experiment(config, instances)
-    text = emit_report(report.rows, args.format)
-    if args.out:
-        pathlib.Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    # opened before any solve, so that an unwritable path loses no report
+    try:
+        out = open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout)
+    except OSError as exc:
+        print(f"colgen: --out: {exc}", file=sys.stderr)
+        return 2
+    with out as stream:
+        report = run_experiment(config, instances)
+        stream.write(emit_report(report.rows, args.format))
     for failure in report.failures:
         print(f"colgen: FAILED {failure.instance}/{failure.strategy}: {failure.error}",
               file=sys.stderr)
@@ -179,11 +184,15 @@ def _cmd_generate(args) -> int:
         return 2
     write = write_ga_instance if args.problem == "ga" else write_mc_instance
     out_dir = pathlib.Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for i, (_, inst) in enumerate(instances):
-        path = out_dir / f"{args.problem}_s{args.seed + i}.txt"
-        path.write_text(write(inst))
-        print(path)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for i, (_, inst) in enumerate(instances):
+            path = out_dir / f"{args.problem}_s{args.seed + i}.txt"
+            path.write_text(write(inst))
+            print(path)
+    except OSError as exc:
+        print(f"colgen: --out-dir: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

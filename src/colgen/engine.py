@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .filtering import FilterMode, PricingHistory, Strategy, should_filter
-from .lp import LpModel, LpNumericalError, LpStatus, RowSense
+from .lp import LpModel, LpNumericalError, LpStatus
 from .model import BlockProblem, Column, PricedBlocks
 
 
@@ -232,9 +232,10 @@ def run_dwd(problem: BlockProblem, config: DwdConfig | None = None) -> DwdResult
     install(initial, np.arange(n_initial))
 
     big_m = 1e4 * (float(np.abs(initial.costs).max(initial=0.0)) + 1.0)
-    # signed so that the fallback column alone can satisfy its row
-    le, eq = RowSense.LE, RowSense.EQ  # member lookups are slow, so out of the loop
-    signs = [-1.0 if (sense is le or (sense is eq and rhs < 0)) else 1.0 for sense, rhs in rows]
+    # signed like its rhs, so that the fallback column alone satisfies its
+    # row.  A -1 on a ga bin's <= 1 row would let the master reuse a pattern
+    # at big_m per extra unit: unbounded once the pattern costs below -big_m
+    signs = [-1.0 if rhs < 0 else 1.0 for _, rhs in rows]
     artificials = lp.add_columns(np.full(len(rows), big_m), np.arange(len(rows) + 1),
                                  np.arange(len(rows)), signs)
     stats.install_time_s += time.perf_counter() - t_install

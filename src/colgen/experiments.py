@@ -6,7 +6,7 @@ then run against the same instance and are scored relative to that baseline:
     r_calls = 100 * (base_calls - calls) / base_calls
     r_time  = 100 * (base_time - time) / base_time
     r_ptime = 100 * (base_pricing - (screening + pricing)) / base_pricing
-    gap     = 100 * (objective - base_objective) / base_objective
+    gap     = 100 * (objective - base_objective) / |base_objective|
 
 r_ptime counts pricing work only, from the `RunStats` phase timers.  Only
 the column-generation run itself is timed (parsing, generation and report
@@ -48,7 +48,9 @@ def pct_reduction(base: float, value: float) -> float:
 
 
 def gap_pct(value: float, reference: float) -> float:
-    return 100.0 * (value - reference) / reference
+    """100 * (value - reference) / |reference|; positive means `value` is worse
+    (higher) than `reference`, whatever the reference's sign."""
+    return 100.0 * (value - reference) / abs(reference)
 
 
 def format_pct(x: float) -> str:

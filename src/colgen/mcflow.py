@@ -36,7 +36,7 @@ import numpy as np
 
 from .filtering import negative_part_sum
 from .lp import RowSense
-from .model import BlockProblem, Column, PricedBlocks
+from .model import BlockProblem, PricedBlocks
 
 DELAY_TOL = 1e-9
 # relative slack of the weight bounds in the label loop.  Rounding moves a
@@ -306,10 +306,6 @@ def _above(weight: float) -> float:
     return weight * (1 + BOUND_SLACK) + BOUND_SLACK
 
 
-def path_cost(inst: McInstance, path) -> float:
-    return float(sum(inst.arcs[a].cost for a in path))
-
-
 # ----------------------------------------------------------------------
 # block plug-in
 
@@ -342,18 +338,18 @@ class _Routing:
     hcost: np.ndarray
     # per commodity: (bandwidth, target, target's row, source, max_delay)
     commodities: tuple
-    # each commodity's min-delay path: its initial column and, being
-    # delay-feasible, a cap on the weight of its pricing searches
-    paths: tuple
     bandwidths: np.ndarray
     # (bandwidth, its commodities) pairs, for `bound_terms`; a dict, not
     # np.unique, which would import numpy.ma and its memory
     by_bandwidth: tuple
-    # the initial columns' `PricedBlocks` arrays, `column` left out
-    initial: tuple
+    # the initial columns, whose `native` holds each commodity's min-delay
+    # path: being delay-feasible, it also caps the weight of its pricing
+    # searches
+    initial: PricedBlocks
 
     def __post_init__(self):
-        for value in (self.costs, self.hcost, self.bandwidths, *self.initial,
+        arrays = [v for v in vars(self.initial).values() if isinstance(v, np.ndarray)]
+        for value in (self.costs, self.hcost, self.bandwidths, *arrays,
                       *(blocks for _, blocks in self.by_bandwidth)):
             value.flags.writeable = False
 
@@ -384,7 +380,7 @@ class _Routing:
             by_bandwidth.setdefault(com.bandwidth, []).append(k)
         bandwidths = np.array([com.bandwidth for com in inst.commodities], dtype=float)
         cost_list = tuple(costs.tolist())
-        # summed as `path_column` sums them
+        # summed as pricing sums them
         col_costs = np.array([com.bandwidth * sum(map(cost_list.__getitem__, path))
                               for com, path in zip(inst.commodities, paths)], dtype=float)
         num = len(paths)
@@ -393,11 +389,12 @@ class _Routing:
             dmin=dmin, hcost=_potentials(inst.num_nodes, pairs, costs, targets),
             commodities=tuple((com.bandwidth, com.target, row[com.target], com.source,
                                com.max_delay) for com in inst.commodities),
-            paths=tuple(paths), bandwidths=bandwidths,
+            bandwidths=bandwidths,
             by_bandwidth=tuple((b, np.array(ks, dtype=np.intp))
                                for b, ks in by_bandwidth.items()),
-            initial=(np.arange(num, dtype=np.intp), np.zeros(num), np.ones(num, dtype=bool),
-                     col_costs, *_path_arrays(paths, bandwidths)))
+            initial=PricedBlocks(np.arange(num, dtype=np.intp), np.zeros(num),
+                                 np.ones(num, dtype=bool), col_costs,
+                                 *_path_arrays(paths, bandwidths), tuple(paths)))
 
 
 class McBlockProblem(BlockProblem):
@@ -419,7 +416,7 @@ class McBlockProblem(BlockProblem):
         self.inst = inst
         # each commodity's path its last pricing call returned: like its
         # min-delay path, delay-feasible, so either weight caps a search
-        self._last = list(inst._routing.paths)
+        self._last = list(inst._routing.initial.native)
         # arcs each commodity's columns use, one row per commodity: a single
         # array is far smaller than one array per commodity
         self._support = np.zeros((len(inst.commodities), len(inst.arcs)), dtype=bool)
@@ -434,18 +431,9 @@ class McBlockProblem(BlockProblem):
     def convexity_sense(self, block: int) -> RowSense:
         return RowSense.GE
 
-    def path_column(self, block: int, path) -> Column:
-        com = self.inst.commodities[block]
-        b = com.bandwidth
-        cost = b * path_cost(self.inst, path)
-        coeffs = tuple((a, -b) for a in sorted(path))
-        return Column(block=block, cost=cost, coeffs=coeffs, native=tuple(path))
-
     def initial_columns(self):
-        """Each commodity's min-delay path, from the instance's arrays."""
-        routing = self.inst._routing
-        return PricedBlocks(*routing.initial,
-                            lambda i: self.path_column(i, routing.paths[i]))
+        """Each commodity's min-delay path, the instance's read-only result."""
+        return self.inst._routing.initial
 
     def price_blocks(self, blocks, pi, mu):
         """Label setting for each listed commodity, its dual-dependent set-up shared.
@@ -468,7 +456,7 @@ class McBlockProblem(BlockProblem):
         # a list, not an array: the sums index it one element at a time
         raw = (r.costs + pi).tolist()
         out, heads = r.graph
-        initial, last = r.paths, self._last
+        initial, last = r.initial.native, self._last
         weights: dict[float, list[float]] = {}
         lower: dict[int, list[float]] = {}
         paths, cbars, col_costs, bandwidths = [], [], [], []
@@ -498,8 +486,7 @@ class McBlockProblem(BlockProblem):
             bandwidths.append(b)
         return PricedBlocks(blocks, np.array(cbars, dtype=float),
                             np.ones(len(paths), dtype=bool), np.array(col_costs, dtype=float),
-                            *_path_arrays(paths, bandwidths),
-                            lambda i: self.path_column(int(blocks[i]), paths[i]))
+                            *_path_arrays(paths, bandwidths), paths)
 
     def solve_pricing(self, block, pi, mu_k):
         priced = self._price(np.array([block], dtype=np.intp), pi, np.array([float(mu_k)]))
@@ -582,7 +569,7 @@ def generate_mc_instance(num_nodes: int, num_arcs: int, num_commodities: int,
         comms))
     # each arc's load: the bandwidths (integers, so summed exactly) of the
     # min-delay paths crossing it
-    rows, vals = routing.initial[-2:]
+    rows, vals = routing.initial.rows, routing.initial.vals
     load = np.bincount(rows, weights=-vals, minlength=num_arcs)
     total_b = sum(b for _, _, b in commodities)
     slack = rng.uniform(*CAPACITY_SLACK, size=num_arcs)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import abc
-from collections.abc import Callable
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,11 +36,11 @@ class PricedBlocks:
     sparse form: it costs `costs[i]`, and its (linking row, coefficient)
     pairs, the same pairs as its `Column.coeffs`, are
     `rows[ptr[i]:ptr[i + 1]]`, `vals[ptr[i]:ptr[i + 1]]`.  Where a block has
-    no column, its cost is 0 and its entry range is empty.  `column(i)`
-    builds entry i's `Column` (None where there is none); callers build only
-    the ones they keep.  The engine keeps the results it installs from and
-    calls `column` on them after the run, so it must not read state that
-    later pricing calls change.
+    no column, its cost is 0 and its entry range is empty.  `native[i]` is
+    the column's `Column.native`; `native=None` means each column's native
+    is its linking rows.  `column(i)` builds entry i's `Column` from these
+    arrays (None where there is none); callers build only the ones they
+    keep.
     """
 
     blocks: np.ndarray
@@ -50,7 +50,16 @@ class PricedBlocks:
     ptr: np.ndarray
     rows: np.ndarray
     vals: np.ndarray
-    column: Callable[[int], Column | None]
+    native: Sequence[tuple] | None = None
+
+    def column(self, i: int) -> Column | None:
+        if not self.has_column[i]:
+            return None
+        span = slice(self.ptr[i], self.ptr[i + 1])
+        rows = self.rows[span].tolist()
+        return Column(block=int(self.blocks[i]), cost=float(self.costs[i]),
+                      coeffs=tuple(zip(rows, self.vals[span].tolist())),
+                      native=tuple(rows) if self.native is None else self.native[i])
 
     @classmethod
     def from_columns(cls, blocks, results) -> PricedBlocks:
@@ -69,7 +78,7 @@ class PricedBlocks:
             ptr=ptr,
             rows=np.array([row for row, _ in pairs], dtype=np.int64),
             vals=np.array([val for _, val in pairs], dtype=float),
-            column=cols.__getitem__,
+            native=[col.native if col is not None else () for col in cols],
         )
 
 

@@ -479,6 +479,18 @@ def path_delay(inst, path):
     return float(sum(inst.arcs[a].delay for a in path))
 
 
+def path_cost(inst, path):
+    """Total arc cost of an `mc` path, given as arc indices, summed along it."""
+    return float(sum(inst.arcs[a].cost for a in path))
+
+
+def path_column(inst, block, path):
+    """The `mc` column of commodity `block` routed along `path`."""
+    b = inst.commodities[block].bandwidth
+    return Column(block=block, cost=b * path_cost(inst, path),
+                  coeffs=tuple((a, -b) for a in sorted(path)), native=tuple(path))
+
+
 # ----------------------------------------------------------------------
 # support sets
 

@@ -2,12 +2,14 @@
 `heuristic_bound_terms` against the families' per-block methods, brute force
 and the loops over those methods in `oracles`."""
 
+import functools
+
 import numpy as np
 import pytest
 
-from colgen import (DwdConfig, FilterMode, GaBlockProblem, GaInstance, McBlockProblem,
-                    Strategy, generate_ga_instance, generate_mc_instance, parse_mc_instance,
-                    rcsp, run_dwd)
+from colgen import (Column, DwdConfig, FilterMode, GaBlockProblem, GaInstance,
+                    McBlockProblem, Strategy, generate_ga_instance, generate_mc_instance,
+                    parse_mc_instance, rcsp, run_dwd)
 from colgen.mcflow import _graph_lists, _potentials
 from colgen.model import PricedBlocks
 
@@ -21,9 +23,10 @@ class LoopedGa(GaBlockProblem):
     bound_terms = oracles.bound_terms_by_loop
 
 
-def priced_pairs(priced: PricedBlocks) -> list:
+def priced_pairs(priced: PricedBlocks, make_column) -> list:
     """`priced` as (reduced cost, column) pairs, after checking that each
-    entry's arrays describe the column that `priced.column` builds."""
+    entry's column is `make_column(block, native)`, the one an oracle builds
+    by hand from the instance."""
     assert len(priced.blocks) == len(priced.reduced_costs) == len(priced.has_column)
     assert len(priced.ptr) == len(priced.blocks) + 1 and priced.ptr[0] == 0
     pairs = []
@@ -34,16 +37,15 @@ def priced_pairs(priced: PricedBlocks) -> list:
         if col is None:
             assert lo == hi and priced.costs[i] == 0.0
         else:
-            assert col.block == k and priced.costs[i] == col.cost
-            assert list(zip(priced.rows[lo:hi].tolist(), priced.vals[lo:hi].tolist())) == \
-                list(col.coeffs)
+            assert col == make_column(k, col.native)
         pairs.append((float(priced.reduced_costs[i]), col))
     return pairs
 
 
 def check_against_oracles(inst, blocks, pi, mu):
     problem = GaBlockProblem(inst)
-    got = priced_pairs(problem.price_blocks(blocks, pi, mu))
+    got = priced_pairs(problem.price_blocks(blocks, pi, mu),
+                       functools.partial(oracles.assignment_column, inst))
     assert len(got) == len(blocks)
     for k, (cbar, col) in zip(blocks, got):
         values = inst.costs[k] - pi
@@ -91,9 +93,10 @@ def test_zero_items_and_empty_block_list():
     inst = generate_ga_instance(3, 0, 4)
     got = check_against_oracles(inst, [2, 1], np.zeros(0), np.array([-1.0, -2.0, -3.0]))
     assert [(cbar, col.native) for cbar, col in got] == [(3.0, ()), (2.0, ())]
-    empty = GaBlockProblem(generate_ga_instance(3, 5, 0)).price_blocks([], np.zeros(5),
-                                                                       np.zeros(3))
-    assert priced_pairs(empty) == [] and empty.ptr.tolist() == [0]
+    inst = generate_ga_instance(3, 5, 0)
+    empty = GaBlockProblem(inst).price_blocks([], np.zeros(5), np.zeros(3))
+    assert priced_pairs(empty, functools.partial(oracles.assignment_column, inst)) == []
+    assert empty.ptr.tolist() == [0]
 
 
 def test_arrays_equal_the_default_loop():
@@ -109,7 +112,8 @@ def test_arrays_equal_the_default_loop():
         looped = LoopedGa(inst).price_blocks(blocks, pi, mu)
         for name in ("blocks", "reduced_costs", "has_column", "costs", "ptr", "rows", "vals"):
             assert getattr(batched, name).tobytes() == getattr(looped, name).tobytes(), name
-        assert priced_pairs(batched) == priced_pairs(looped)
+        make_column = functools.partial(oracles.assignment_column, inst)
+        assert priced_pairs(batched, make_column) == priced_pairs(looped, make_column)
 
 
 def test_duals_are_not_mutated():
@@ -146,7 +150,8 @@ def test_cached_mc_pricing_matches_plain_rcsp():
     for _ in range(4):
         pi = np.round(rng.uniform(-0.01, 3.0, size=len(inst.arcs)), 3)
         mu = rng.uniform(0.0, 50.0, size=len(inst.commodities))
-        got = priced_pairs(problem.price_blocks(range(len(inst.commodities)), pi, mu))
+        got = priced_pairs(problem.price_blocks(range(len(inst.commodities)), pi, mu),
+                           functools.partial(oracles.path_column, inst))
         for k, (cbar, col) in enumerate(got):
             assert (cbar, col) == problem.solve_pricing(k, pi, float(mu[k]))
             com = inst.commodities[k]
@@ -182,22 +187,34 @@ def test_mc_price_blocks_equals_per_block_label_setting_bit_for_bit():
                     _potentials(inst.num_nodes, pairs, delays, [c.target])[0].tolist(),
                     c.max_delay, c.source, c.target)
                 cbar = b * float(sum(costs[a] + pi[a] for a in path)) - float(mu[k])
-                want.append((cbar, problem.path_column(k, path)))
+                want.append((cbar, oracles.path_column(inst, k, path)))
             got = problem.price_blocks(blocks, pi, mu)
             ref = PricedBlocks.from_columns(blocks, want)
             for name in ("blocks", "reduced_costs", "has_column", "costs", "ptr", "rows", "vals"):
                 assert getattr(got, name).tobytes() == getattr(ref, name).tobytes(), name
-            assert priced_pairs(got) == want
+            assert priced_pairs(got, functools.partial(oracles.path_column, inst)) == want
 
 
 def test_from_columns_marks_blocks_without_a_column():
+    inst = generate_ga_instance(5, 3, 0)
     priced = PricedBlocks.from_columns(
-        [4, 1], [(2.5, None),
-                 (-1.0, oracles.assignment_column(generate_ga_instance(5, 3, 0), 1, (2, 0)))])
+        [4, 1], [(2.5, None), (-1.0, oracles.assignment_column(inst, 1, (2, 0)))])
     assert priced.has_column.tolist() == [False, True]
     assert priced.ptr.tolist() == [0, 0, 2] and priced.rows.tolist() == [0, 2]
     assert priced.column(0) is None and priced.column(1).native == (0, 2)
-    assert priced_pairs(priced)[0] == (2.5, None)
+    assert priced_pairs(priced, functools.partial(oracles.assignment_column, inst))[0] == \
+        (2.5, None)
+
+
+def test_from_columns_keeps_each_native():
+    # natives that are not the linking rows: a path's arcs in travel order,
+    # and a column with no linking row at all
+    inst = generate_mc_instance(8, 20, 3, 1)
+    cols = [oracles.path_column(inst, 0, (5, 2)), Column(1, 4.0, (), native=("x",)),
+            oracles.path_column(inst, 2, (3,))]
+    priced = PricedBlocks.from_columns([0, 1, 2], [(0.0, col) for col in cols])
+    assert [priced.column(i) for i in range(3)] == cols
+    assert priced.column(0).native == (5, 2) and priced.column(0).coeffs[0][0] == 2
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,8 @@
 import dataclasses
+import gc
+import pickle
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -389,6 +392,25 @@ def test_weight_left_on_fallback_columns_is_not_optimal(item_line, optimum):
         assert result.audit.final_checks == 0  # the final sweep certifies optima only
 
 
+@pytest.mark.parametrize("text, optimum", [
+    ("ga 1 2\nbin 0 10\nbin 1 10\nitem 0 0 -20000 1\nitem 0 1 5 1\n", -20000.0),
+    ("ga 3 2\nbin 0 10\nbin 1 4\nitem 0 0 -30000 4\nitem 0 1 7 3\nitem 1 0 -15000 5\n"
+     "item 1 1 2 3\nitem 2 0 9 4\nitem 2 1 -12000 4\n", -57000.0)],
+    ids=["1-item", "3-items"])
+def test_patterns_cheaper_than_the_fallback_price_solve(text, optimum):
+    # each best pattern costs less than -1e4, the fallback price: a fallback
+    # column signed -1 on its bin's <= 1 row let the master reuse the
+    # pattern at 1e4 per extra unit, and the master came back unbounded
+    inst = parse_ga_instance(text)
+    assert oracles.ga_full_master_objective(inst) == pytest.approx(optimum)
+    for mode in FilterMode:
+        result = run_dwd(GaBlockProblem(inst), config(mode, audit=True))
+        assert result.objective == optimum and result.audit.ok
+        assert result.termination == ("converged" if mode is FilterMode.HEURISTIC
+                                      else "optimal")
+        assert result.artificial_value == 0.0
+
+
 def test_master_failures_name_iteration_and_lp_size(monkeypatch):
     real_solve = LpModel.solve
     calls = []
@@ -624,3 +646,24 @@ def test_columns_are_built_once_on_first_read():
     for col in columns[result.initial_column_count:]:
         added[col.block] += 1
     assert tuple(added) == result.per_block_added
+
+
+@pytest.mark.parametrize("make", [ga_problem, mc_problem])
+def test_results_pickle_with_their_columns(make):
+    result = run_dwd(make(seed=1), config(FilterMode.EXACT, Strategy.ALL, audit=True))
+    again = pickle.loads(pickle.dumps(result))
+    assert again.columns == result.columns and len(again.columns) > 0
+    assert (again.objective, again.termination, again.per_block_added) == \
+        (result.objective, result.termination, result.per_block_added)
+    assert again.stats == result.stats and again.audit == result.audit
+
+
+@pytest.mark.parametrize("make", [ga_problem, mc_problem])
+def test_a_result_does_not_keep_its_problem_alive(make):
+    problem = make(seed=1)
+    ref = weakref.ref(problem)
+    result = run_dwd(problem, config(FilterMode.EXACT, Strategy.ALL))
+    del problem
+    gc.collect()
+    assert ref() is None
+    assert len(result.columns) == len(result.column_values)

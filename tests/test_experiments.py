@@ -49,6 +49,22 @@ def test_gap_is_zero_at_reference():
     assert gap_pct(110.0, 100.0) == pytest.approx(10.0)
 
 
+def test_gap_above_a_negative_reference_is_positive():
+    assert gap_pct(-18.0, -20.0) == 10.0
+    assert gap_pct(-22.0, -20.0) == -10.0
+
+
+def test_equal_negative_objectives_report_a_zero_gap():
+    # the best pattern costs -20000: exact-all ends at baseline's objective
+    inst = parse_ga_instance("ga 1 2\nbin 0 10\nbin 1 10\nitem 0 0 -20000 1\nitem 0 1 5 1\n")
+    config = ExperimentConfig(problem="ga", strategies=("exact-all", "heur-all"))
+    rows = csv_rows(emit_csv(run_experiment(config, [("neg", inst)]).rows))
+    col = {name: CSV_COLUMNS.index(name) for name in ("objective", "termination", "gap_pct")}
+    assert [[r[col["objective"]], r[col["termination"]]] for r in rows[1:]] == [
+        ["-2.00E+04", "optimal"], ["-2.00E+04", "optimal"], ["-2.00E+04", "converged"]]
+    assert [r[col["gap_pct"]] for r in rows[2:]] == ["0.00", "0.00"]
+
+
 def test_objective_formatting():
     assert format_objective(123456.0) == "1.23E+05"
 
@@ -361,6 +377,26 @@ def test_cli_bad_numeric_flag_exits_2_before_any_solve(capsys, monkeypatch, flag
     captured = capsys.readouterr()
     assert captured.err.startswith("colgen: ") and "FAILED" not in captured.err
     assert captured.err.count("\n") == 1 and not captured.out
+
+
+def test_cli_unwritable_out_exits_2_before_any_solve(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(experiments, "run_dwd", lambda *args: pytest.fail("solved"))
+    out = tmp_path / "missing" / "dir" / "r.csv"
+    assert main(["run", "--problem", "ga", "--generate", "bins=5,items=4,count=2",
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("colgen: --out: ") and str(out) in captured.err
+    assert captured.err.count("\n") == 1 and not captured.out
+
+
+def test_cli_generate_into_a_file_exits_2(capsys, tmp_path):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main(["generate", "--problem", "ga", "--bins", "3", "--items", "2",
+                 "--out-dir", str(taken)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("colgen: --out-dir: ") and captured.err.count("\n") == 1
+    assert not captured.out and taken.read_text() == ""
 
 
 @pytest.mark.parametrize("text, want", [("inf", None), ("none", None), ("all", None),

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import gc
 import hashlib
 import math
@@ -14,7 +15,7 @@ from colgen import (STRATEGIES, DwdConfig, FilterMode, McBlockProblem, McParseEr
 from colgen import mcflow
 from colgen.engine import _RC_CHECK_TOL
 from colgen.mcflow import (Arc, Commodity, McInstance, _graph_lists, _label_setting,
-                           _potentials, path_cost)
+                           _potentials)
 from colgen.model import PricedBlocks
 
 import oracles
@@ -325,12 +326,14 @@ def test_pricing_matches_enumeration_on_random_duals():
 
 def initial_columns(problem):
     """`problem.initial_columns()` as `Column`s, after checking that its
-    arrays are, byte for byte, `PricedBlocks.from_columns` of them."""
+    arrays are, byte for byte, `PricedBlocks.from_columns` of the columns
+    an oracle builds by hand along its paths."""
     priced = problem.initial_columns()
-    cols = [priced.column(i) for i in range(len(priced.blocks))]
-    ref = PricedBlocks.from_columns([c.block for c in cols], [(0.0, c) for c in cols])
+    cols = [oracles.path_column(problem.inst, k, path) for k, path in enumerate(priced.native)]
+    ref = PricedBlocks.from_columns(range(len(cols)), [(0.0, c) for c in cols])
     for name in ("blocks", "reduced_costs", "has_column", "costs", "ptr", "rows", "vals"):
         assert getattr(priced, name).tobytes() == getattr(ref, name).tobytes(), name
+    assert [priced.column(i) for i in range(len(cols))] == cols
     return cols
 
 
@@ -343,7 +346,7 @@ def test_initial_columns_are_min_delay_paths():
         com = inst.commodities[k]
         assert col.block == k
         assert oracles.path_delay(inst, col.native) <= com.max_delay + 1e-9
-        assert col.cost == pytest.approx(com.bandwidth * path_cost(inst, col.native))
+        assert col.cost == pytest.approx(com.bandwidth * oracles.path_cost(inst, col.native))
 
 
 def test_initial_columns_match_public_rcsp():
@@ -397,9 +400,9 @@ def test_support_set_grows_by_union():
     inst = tiny(DIAMOND)
     problem = McBlockProblem(inst)
     assert problem.support_set(0).tolist() == [False] * 4
-    oracles.register_one_by_one(problem, [problem.path_column(0, (0, 1))])
+    oracles.register_one_by_one(problem, [oracles.path_column(inst, 0, (0, 1))])
     assert np.flatnonzero(problem.support_set(0)).tolist() == [0, 1]
-    oracles.register_one_by_one(problem, [problem.path_column(0, (2, 3))])
+    oracles.register_one_by_one(problem, [oracles.path_column(inst, 0, (2, 3))])
     assert np.flatnonzero(problem.support_set(0)).tolist() == [0, 1, 2, 3]
 
 
@@ -409,7 +412,8 @@ def test_register_columns_batch_is_the_union_of_its_columns():
         inst = generate_mc_instance(8, 20, 6, seed)
         # arc sets, not paths: support sets read only a column's rows
         oracles.check_batch_registration(lambda: McBlockProblem(inst),
-                                         McBlockProblem(inst).path_column, 6, 20, rng)
+                                         functools.partial(oracles.path_column, inst),
+                                         6, 20, rng)
 
 
 def test_hypercube_term_matches_brute_force():
@@ -504,17 +508,18 @@ def test_problems_of_one_instance_share_no_state():
 
 def shared_arrays(inst):
     routing = inst._routing
-    return [routing.costs, routing.hcost, routing.bandwidths, *routing.initial,
+    return [routing.costs, routing.hcost, routing.bandwidths,
+            *(getattr(routing.initial, name) for name in (
+                "blocks", "reduced_costs", "has_column", "costs", "ptr", "rows", "vals")),
             *(blocks for _, blocks in routing.by_bandwidth)]
 
 
 def test_shared_arrays_are_read_only():
     inst = generate_mc_instance(8, 20, 6, 2)
     problem = McBlockProblem(inst)
-    priced = problem.initial_columns()
-    arrays = shared_arrays(inst) + [getattr(priced, name) for name in (
-        "blocks", "reduced_costs", "has_column", "costs", "ptr", "rows", "vals")]
-    for arr in arrays:
+    # the initial columns are the instance's own, handed out as they are
+    assert problem.initial_columns() is inst._routing.initial
+    for arr in shared_arrays(inst):
         assert arr.size > 0
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = arr[0]
@@ -533,7 +538,7 @@ def test_instance_with_set_up_equals_its_parsed_copy_and_pickles():
     assert again == inst and hash(again) == hash(inst)
     # the set-up travels with the instance, read-only as before
     assert "_routing" in vars(again)
-    assert again._routing.paths == inst._routing.paths
+    assert again._routing.initial.native == inst._routing.initial.native
     for arr in shared_arrays(again):
         assert not arr.flags.writeable
     for strategy in ("baseline", "heur-all"):
