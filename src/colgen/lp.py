@@ -5,22 +5,24 @@ Internally every row is converted to an equality with a nonnegative right-hand
 side; reported duals are mapped back to the caller's row senses, so duals of
 >= rows come out nonnegative and duals of <= rows nonpositive (up to
 tolerance).  Columns are stored by their nonzeros and priced from them.  The
-explicit basis inverse is kept with rank-1 updates on the rows the entering
-direction touches; the basic values and the duals are carried across pivots
-by the same step and recomputed exactly at each refactorization, and the ratio
-test runs over the direction's nonzeros only.  Every few pivots the inverse is
-rebuilt from the basis columns: columns with a single nonzero (surplus,
-artificial, single-row structural) are eliminated on their rows and only the
-square core of the rest is inverted.  Columns can be appended after a solve:
-that leaves the basis, its inverse and its duals valid, so a re-solve resumes
-from all three, which keeps re-solves cheap in column-generation loops.  A
-warm solve recomputes only what the new columns change: the reduced costs,
-and the perturbed right-hand side (drawn anew for the new column count) with
-its basic values.  It does not check again that the basis is feasible under
-the true right-hand side: a perturbed solve checked that, at the tighter
-FEAS_TOL, before it exited, and a solve that ended on the unperturbed cold
-retry below checks it at its exit instead.  A solve's returned values and
-duals are computed afresh from the inverse, not carried.
+explicit basis inverse is kept with rank-1 updates that touch only its
+entries in the entering direction's nonzero rows and the pivot row's nonzero
+columns; the basic values and the duals are carried across pivots by the
+same step and recomputed exactly at each refactorization, and the ratio test
+runs over the direction's nonzeros only.  Every few pivots the inverse is
+rebuilt from the basis columns, in place: columns with a single nonzero
+(surplus, artificial, single-row structural) are eliminated on their rows,
+only the square core of the rest is inverted, and the block form is written
+over the old inverse once that core inverse exists.  Columns can be appended
+after a solve: that leaves the basis, its inverse and its duals valid, so a
+re-solve resumes from all three, which keeps re-solves cheap in
+column-generation loops.  A warm solve recomputes only what the new columns
+change: the reduced costs, and the perturbed right-hand side (drawn anew for
+the new column count) with its basic values.  It does not check again that the
+basis is feasible under the true right-hand side: a perturbed solve checked
+that, at the tighter FEAS_TOL, before it exited, and a solve that ended on the
+unperturbed cold retry below checks it at its exit instead.  A solve's
+returned values and duals are computed afresh from the inverse, not carried.
 
 A cold solve crash-starts phase 1 in two steps.  First, every row whose
 scaled surplus column has coefficient +1 (a <= row with a positive rhs, a >=
@@ -246,14 +248,16 @@ class LpModel:
     def _is_artificial(self, cols: np.ndarray) -> np.ndarray:
         return (cols >= self._first_struct - self.num_rows) & (cols < self._first_struct)
 
-    def _basis_inverse(self, basis: np.ndarray) -> np.ndarray:
+    def _basis_inverse(self, basis: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """B^-1 of the basis columns, inverting only their multi-entry core.
 
         A basis column with one nonzero (surplus, artificial, a structural
         column on a single row) is eliminated on its own row; in a
         nonsingular basis those rows are distinct.  The other columns form a
         square core on the remaining rows, and B^-1 is assembled in block form
-        from the core's inverse.  Raises LinAlgError for a singular basis.
+        from the core's inverse, into `out` when given (overwriting it only
+        once the core has been inverted), else into a new array.  Raises
+        LinAlgError for a singular basis, with `out` untouched.
         """
         m = len(basis)
         ptr = np.asarray(self._ptr)
@@ -273,10 +277,15 @@ class LpModel:
             core[self._row[ptr[j]:ptr[j + 1]], k] = self._val[ptr[j]:ptr[j + 1]]
         core_inv = np.linalg.inv(core[c_rows])
         inv_u = 1.0 / u_val
-        out = np.zeros((m, m))
+        u_block = core[u_row] @ core_inv
+        u_block *= -inv_u[:, None]
+        if out is None:
+            out = np.zeros((m, m))
+        else:
+            out.fill(0.0)
         out[np.ix_(c_pos, c_rows)] = core_inv
         out[u_pos, u_row] = inv_u
-        out[np.ix_(u_pos, c_rows)] = -inv_u[:, None] * (core[u_row] @ core_inv)
+        out[np.ix_(u_pos, c_rows)] = u_block
         return out
 
     def _cold_start(self) -> tuple[np.ndarray, np.ndarray]:
@@ -423,6 +432,9 @@ class LpModel:
         if y is None:
             y = costs[basis] @ b_inv
         xb = np.maximum(b_inv @ rhs, 0.0)
+        # b_inv's entries by flat index: a view, since b_inv is C-contiguous
+        # and is only ever written in place
+        flat = b_inv.reshape(-1)
         terms = np.empty(nnz)  # each entry's share of its column's dual price
         rc = np.empty(n)
         while True:
@@ -469,15 +481,18 @@ class LpModel:
                 pool = art_tie if art_tie.size else ties
                 leave = int(pool[np.abs(d[pool]).argmax()])
             row = b_inv[leave] / d[leave]
-            # rank-1 update, only on the rows the direction touches; the
-            # leaving row's update is overwritten
-            touched = b_inv.take(nz, axis=0)
-            touched -= d_nz[:, None] * row
-            b_inv[nz] = touched
+            # rank-1 update, only on the entries in the rows the direction
+            # touches and the columns where the pivot row is nonzero: every
+            # other entry would lose d_i * 0.  The leaving row's update is
+            # overwritten.
+            rnz = row.nonzero()[0]
+            row_nz = row.take(rnz)
+            at = (nz * m)[:, None] + rnz
+            flat[at] = flat.take(at) - d_nz[:, None] * row_nz
             b_inv[leave] = row
             xb[nz] = np.maximum(xb.take(nz) - t_min * d_nz, 0.0)
             xb[leave] = t_min
-            y += rc[enter] * row
+            y[rnz] += rc[enter] * row_nz
             basis[leave] = enter
             if is_art[leave]:
                 is_art[leave] = False  # artificials never enter
@@ -492,7 +507,7 @@ class LpModel:
             self._since_inv += 1
             if self._since_inv >= refactor_every:
                 try:
-                    b_inv[:, :] = self._basis_inverse(basis)
+                    self._basis_inverse(basis, out=b_inv)
                 except np.linalg.LinAlgError as exc:
                     raise _Breakdown(f"phase {phase}, pivot {pivots}: singular basis "
                                      "during refactorization") from exc

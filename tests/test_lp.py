@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -667,6 +669,52 @@ def test_long_warm_solve_refactors_twice_and_matches_cold_solve():
     sol = model.solve()
     assert sol.iterations > 2 * 128
     assert_matches_cold_solve(model, sol)
+
+
+def test_carried_inverse_matches_a_fresh_inverse_across_refactorizations():
+    # each pivot updates B^-1 only where the direction and the pivot row are
+    # both nonzero; after a refactorization, the inverse the pivots carry
+    # from solve to solve must still be the basis's own inverse
+    rng = np.random.default_rng(5)
+    rows = [(RowSense.GE, float(v)) for v in np.round(rng.uniform(1.0, 5.0, size=40), 3)]
+    model = LpModel(rows)
+    for i in range(len(rows)):
+        model.add_column(50.0, [(i, 1.0)])
+    pivots, checked = 0, 0
+    for _ in range(60):
+        sol = model.solve()
+        assert sol.status is LpStatus.OPTIMAL
+        pivots += sol.iterations
+        if pivots >= 128 and model._since_inv:
+            np.testing.assert_allclose(model._b_inv, model._basis_inverse(model._basis),
+                                       rtol=0.0, atol=1e-9)
+            checked += 1
+        for _ in range(3):
+            model.add_column(float(np.round(rng.uniform(1.0, 10.0), 3)),
+                             [(i, abs(v)) for i, v in sparse_column(rng, len(rows), 0.1)])
+    assert checked >= 10
+
+
+def test_refactorization_writes_into_the_carried_inverse():
+    # 150 >= rows whose columns each sit on two of them, so the crash takes
+    # none and phase 1 pivots about once per row, refactoring once with a
+    # core of at most 128 columns; the other rows are <= rows held by their
+    # surplus.  A refactorization that built B^-1 apart from the inverse it
+    # replaces would hold two m x m arrays at its peak.
+    m, k = 1500, 150
+    rows = [(RowSense.GE, 1.0 + i % 3) for i in range(k)] + [(RowSense.LE, 4.0)] * (m - k)
+    model = LpModel(rows)
+    for i in range(k):
+        model.add_column(1.0, [(i, 1.0), ((i + 1) % k, 0.5), (k + 5 * i, 1.0)])
+    tracemalloc.start()
+    try:
+        sol = model.solve()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sol.status is LpStatus.OPTIMAL
+    assert 128 <= sol.iterations < 256
+    assert peak < 1.5 * m * m * 8
 
 
 def internal_columns(model):
