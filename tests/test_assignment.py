@@ -1,4 +1,5 @@
 import functools
+import hashlib
 
 import numpy as np
 import pytest
@@ -80,6 +81,50 @@ def test_generator_deterministic_and_ranges():
     assert a == b
     assert np.all((a.costs >= 1) & (a.costs <= 100))
     assert np.all((a.weights >= 5) & (a.weights <= 20))
+
+
+# SHA-256 of `write_ga_instance` text followed by the repr of the hidden
+# assignment, per (bins, items, seed): 400x10 at seeds 0-5 and 100x10 at
+# seeds 0-19 are the benchmark's `--seed 0` sets, 5000x10 is E7's shape and
+# 3x0 has no items.  A change to the generator must leave every instance as
+# it is
+GENERATED_GA = {
+    (400, 10, 0): "08644ec6091fe9188a92cbef43c4bd74609c5600d80f074d5ad5e444ba8662cf",
+    (400, 10, 1): "0ea91c9c5a8a3a6a6a51a0db966d375cdfd8e21213a8072abf08076ae2f15a8b",
+    (400, 10, 2): "ff3384de33b3dfd9fcf218823a289bd5a0f012aaca5ab4680e1a5bc1ea1d981d",
+    (400, 10, 3): "cd25950b29d719e6bddd1bbef2690bab9c9b7a402cd133f1f32958adde7b2a9f",
+    (400, 10, 4): "97ed822bcaebe722af2d267264a790f81145403d1b0d05c9ceea8b3d9efb2d5b",
+    (400, 10, 5): "7947adcabc59d0d60a8e1a794c7494b3f92b9533203be1fb2e0d695ef9e60dd1",
+    (100, 10, 0): "c18be652a2d1b97c9ae53c200d8a83bd1fde290b7969ad6ac9b69b1e5d1c43cd",
+    (100, 10, 1): "597df2a690e9687b490b5d09640380d109dd53bd7ffccf6a03321eb6ab722005",
+    (100, 10, 2): "7e5573ee6f6c7d5c3259b986ab7dbc364ac86fa254380238160dd22bbe7d4dc0",
+    (100, 10, 3): "d3288768159d8e0a6276882618ed91cc9e35e251d311e835a30bd7dc6d9bdf84",
+    (100, 10, 4): "2a6284e74a2a057ae5db577a58566f9986e70d86dbc8dea12d12d251257774f1",
+    (100, 10, 5): "d095ba3312a1841c509593d9f434f421c2b6ccb0940c9ba8d01b5e24b8896f31",
+    (100, 10, 6): "319c33e59a5e081f4b38b30e66571cda921f9d08317569e09c00612c7a4043bc",
+    (100, 10, 7): "8399419c9350c049f770ea44ba4a39e850907497de615abcfcfddfa192156910",
+    (100, 10, 8): "32623037f542b303c44a26ff8f98f893a6edae283695196f5eef3a9354b2a445",
+    (100, 10, 9): "4497c3e30bf02d1e64db2b6b6f3e7045e60b58a9e6eb156dd036cccb487f02df",
+    (100, 10, 10): "497fdf6040cdab0bd5e1b90f15b193906b639bb74e7fffb8add95fdd07cbb7b0",
+    (100, 10, 11): "565ab52350f1799294eab5cedef9340fb10328ddac09264a6da341e3a58dad81",
+    (100, 10, 12): "46db8cb423f00bebcdf25b75c699f406b01671375c5519456bd7528baf0b72b8",
+    (100, 10, 13): "c5f0663edce65d5167ab60d04a933389146be788a5ec0c3e8d7a4b9464dbcb13",
+    (100, 10, 14): "a2d6c1db78b0b1ead8855f8275f350877147bd42e4d4467389e9bcce04475a28",
+    (100, 10, 15): "18c264f18b6d15192d9d7045cac146bb15ad639fdc8d8b904ba504e54082e39a",
+    (100, 10, 16): "50648cc4321c006356e1f8a1095971024d6259d9f1594d40daa9f5ad8b99258b",
+    (100, 10, 17): "18cc2bd71e1c04f95f39d6ec8511055856e375cc000c70260ad08b78e55f8fc3",
+    (100, 10, 18): "3f5e8a69018ebd734e23fa7ae0a61ff2271b32a3c33c231e096125ea727c4740",
+    (100, 10, 19): "5b0e5265f1e4f7098262802dc0512a8b2de17ff73bce0d4883b1fc8fa374bffe",
+    (5000, 10, 0): "021ba39fb07c3a50b26450f44f87572b88b71f9ba3f5ad7c1fa9b8d6fa7c2ff9",
+    (3, 0, 0): "530f1c38510314ff8f7b6a1398d5e97761a197fb5b69c2428723075f0555fe6a",
+}
+
+
+def test_generator_output_is_pinned():
+    for (*shape, seed), digest in GENERATED_GA.items():
+        inst = generate_ga_instance(*shape, seed)
+        text = write_ga_instance(inst) + repr(inst.hidden_assignment)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, (shape, seed)
 
 
 def test_generator_capacity_rule():

@@ -93,17 +93,46 @@ def test_generator_is_deterministic():
     assert a != c
 
 
+# SHA-256 of `write_mc_instance` text per (nodes, arcs, commodities, seed):
+# 25/80/50 at seeds 0-19 is the benchmark's `--seed 0` set, 11000-11004 are
+# later seeds, and the rest are the smallest shapes and the CI one.  A change
+# to the generator must leave every instance as it is
+GENERATED_MC = {
+    (25, 80, 50, 0): "2c872f7be1f4f1ba14e0186a8e57b51d1cf3fc3020d82b25d27c4cdc6ee376e3",
+    (25, 80, 50, 1): "10b63d8b1068d65d45c0b172362e433e792754bff39b7affa15d3b41ca3ed992",
+    (25, 80, 50, 2): "63e5c8ff7f0c299ad9e982e02427da098a89bb2014eafd5ce05569321159246f",
+    (25, 80, 50, 3): "03f44fb84b79c7593a0f716118054339ec52893a905906e3a3d7cbcba9ff8874",
+    (25, 80, 50, 4): "d3eca285cf434b590d09ac33dad061b7d1d8defa67504e4f6c40abe59505d62c",
+    (25, 80, 50, 5): "d43d1e8b84f0c70f2a3b0ca5a776ff6f08717ca0b4ae49965dcacc9420827bfd",
+    (25, 80, 50, 6): "c6086884f7b0aee83249582779cef587f066e0f5ff733f2ac3b251cfc8019ec1",
+    (25, 80, 50, 7): "7ee2ba344421fe56f5d8f1e8a03dc7e1dc780bf256480d11e4b29bc9c72fd0aa",
+    (25, 80, 50, 8): "a24d76322550ba31bfabe6c7b9720994d166ad55d6df7960c9a13406861be23c",
+    (25, 80, 50, 9): "177ad5b2da92a193de5dea7c43d8d3495b167cffff72b1d85b85773788e66de6",
+    (25, 80, 50, 10): "01ed76f347930c9729500be3cb3269d743475c4adaf78145290c3328f2b72efd",
+    (25, 80, 50, 11): "e634aed9e4cdba42c8646bebb1fcf9bfe6a6a11348c6851e7bcb6b52575254e0",
+    (25, 80, 50, 12): "6b509d85de5ce0b33cf955f4ac164f2dfe4a1419f0f602720d42bc7ded60280f",
+    (25, 80, 50, 13): "b83758c2bc1b369b0a5fdc05266609687260b03cfeeaef7c9670a0a5eee5c193",
+    (25, 80, 50, 14): "e5a515acad0e869f3634b9012bfa4770c0e0afe61a905142dd188f931348b917",
+    (25, 80, 50, 15): "ac35bbeb93bc18df9baa3605e31be26812f22ac3623ebd0d43549b276c7a29b3",
+    (25, 80, 50, 16): "31cb6ce18c859ccc8766293e6d000b0c33e982c4147b9dc6f43aef94bfd8775a",
+    (25, 80, 50, 17): "04bdb7feb34fa0d68382007fa3ce72a46aa2eda413838df9ae806bc022841439",
+    (25, 80, 50, 18): "7f6ef52c90b6ee6eb9904279c992c3a76668838950b1849a270319de64be9334",
+    (25, 80, 50, 19): "246f74eefed8631a099e98d2522cb31db43ec9c88382cce04f6cdc8ebc66dc52",
+    (25, 80, 50, 11000): "a2be51d8c7275db829d976885098a8171f0fcdc1e8502d95c804bab4f2755f3e",
+    (25, 80, 50, 11001): "0d44c1544e8e7329030f215570cc75801502f1540f56640c8ad332881876e021",
+    (25, 80, 50, 11002): "687e90ae9055952410779208fbf2f9c7aaa52f0e481cf0dd0ced31ad40aa412f",
+    (25, 80, 50, 11003): "bb87ab501e5e2ed52690f2d93a7592a2f7f91029034e2b412285a06f5f7caaed",
+    (25, 80, 50, 11004): "e3b7d73d493ddfcebd7272e64af641c916e52241ae3a844cd266aed063831c60",
+    (2, 2, 3, 0): "f081391b37d198aa1c09b78c63052a6f3046e9524fe6135f89f75ce636749d2c",
+    (3, 40, 0, 0): "c3759bebb669124e053dd4c20d161c09ca0b7ff024613ac11431840bd852b521",
+    (100, 400, 200, 0): "81e302b3e864468e5b6d572227ff8e5c6a9ebaee08e0d98cb7375c1746d77bd0",
+}
+
+
 def test_generator_output_is_pinned():
-    # SHA-256 of the written instance text; caching the delay potentials per
-    # target must not change a single generated instance
-    want = {
-        0: "2c872f7be1f4f1ba14e0186a8e57b51d1cf3fc3020d82b25d27c4cdc6ee376e3",
-        1: "10b63d8b1068d65d45c0b172362e433e792754bff39b7affa15d3b41ca3ed992",
-        2: "63e5c8ff7f0c299ad9e982e02427da098a89bb2014eafd5ce05569321159246f",
-    }
-    for seed, digest in want.items():
-        text = write_mc_instance(generate_mc_instance(25, 80, 50, seed))
-        assert hashlib.sha256(text.encode()).hexdigest() == digest
+    for (*shape, seed), digest in GENERATED_MC.items():
+        text = write_mc_instance(generate_mc_instance(*shape, seed))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, (shape, seed)
 
 
 def test_generator_needs_ring():
@@ -544,3 +573,31 @@ def test_instance_with_set_up_equals_its_parsed_copy_and_pickles():
     for strategy in ("baseline", "heur-all"):
         assert outcome(solve(McBlockProblem(again), strategy)) == \
             outcome(solve(McBlockProblem(copy), strategy))
+
+
+def same(got, want):
+    """Arrays equal by dtype, shape and bytes; tuples item by item; anything
+    else by type and `==`."""
+    if isinstance(want, np.ndarray):
+        return (isinstance(got, np.ndarray) and got.dtype == want.dtype
+                and got.shape == want.shape and got.tobytes() == want.tobytes())
+    if isinstance(want, tuple):
+        return (isinstance(got, tuple) and len(got) == len(want)
+                and all(same(g, w) for g, w in zip(got, want)))
+    return type(got) is type(want) and got == want
+
+
+def test_generated_set_up_equals_its_parsed_copys():
+    # the generator builds the set-up from its own arrays, not from an
+    # instance; every field must be what a parsed copy builds for itself
+    for (*shape, seed) in GENERATED_MC:
+        inst = generate_mc_instance(*shape, seed)
+        got = inst._routing
+        want = mcflow._Routing.of(parse_mc_instance(write_mc_instance(inst)))
+        for field in dataclasses.fields(got):
+            if field.name != "initial":
+                assert same(getattr(got, field.name), getattr(want, field.name)), \
+                    (shape, seed, field.name)
+        for field in dataclasses.fields(got.initial):
+            assert same(getattr(got.initial, field.name), getattr(want.initial, field.name)), \
+                (shape, seed, "initial", field.name)
