@@ -190,30 +190,33 @@ def _potentials(num_nodes, arcs, values, targets) -> np.ndarray:
     """Least total nonnegative `values` from each node to each target.
 
     Returns a (len(targets) x num_nodes) array, inf where a node cannot reach
-    the target.  Bellman-Ford on every target at once: each pass sets
-    D[:, tail] = min(D[:, tail], D[:, head] + value) over all arcs, one
-    `np.minimum.reduceat` over the arcs grouped by tail, until nothing
+    the target; `values` of shape (r, len(arcs)) give r such arrays stacked.
+    Bellman-Ford on every target and every row of values at once: each pass
+    sets D[..., tail] = min(D[..., tail], D[..., head] + value) over all arcs,
+    one `np.minimum.reduceat` over the arcs grouped by tail, until nothing
     changes.  Every entry is a path's sum taken from the target back to the
     node, the order Dijkstra on reversed arcs takes, and adding a nonnegative
     float never decreases a sum, so the entries equal Dijkstra's bit for bit.
+    A row that settles first stays as it is while the others go on.
     """
-    dist = np.full((len(targets), num_nodes), np.inf)
-    dist[np.arange(len(targets)), targets] = 0.0
+    values = np.asarray(values, dtype=float)
+    dist = np.full(values.shape[:-1] + (len(targets), num_nodes), np.inf)
+    dist[..., np.arange(len(targets)), targets] = 0.0
     tails = np.array([tail for tail, _ in arcs], dtype=np.intp)
     if tails.size == 0:
         return dist
     order = np.argsort(tails, kind="stable")
     tails = tails[order]
     heads = np.array([head for _, head in arcs], dtype=np.intp)[order]
-    values = np.asarray(values, dtype=float)[order]
+    values = values[..., None, order]
     starts = np.flatnonzero(np.concatenate(([True], tails[1:] != tails[:-1])))
     nodes = tails[starts]
     while True:
-        now = dist[:, nodes]
-        new = np.minimum(now, np.minimum.reduceat(dist[:, heads] + values, starts, axis=1))
+        now = dist[..., nodes]
+        new = np.minimum(now, np.minimum.reduceat(dist[..., heads] + values, starts, axis=-1))
         if np.array_equal(new, now):
             return dist
-        dist[:, nodes] = new
+        dist[..., nodes] = new
 
 
 def _graph_lists(num_nodes, arcs) -> tuple[list[list[int]], list[int]]:
@@ -325,7 +328,9 @@ class _Routing:
 
     Nothing here refers to a problem, and the arrays are read-only, so no
     problem's state reaches another through it.  Per-arc and per-node data
-    the label loop indexes one element at a time are tuples.
+    the label loop indexes one element at a time are tuples.  `build` is the
+    one builder: `of` calls it with an instance's fields, and
+    `generate_mc_instance` with its own arrays.
     """
 
     graph: tuple            # (out-adjacency, arc heads), as `_graph_lists` gives
@@ -359,18 +364,29 @@ class _Routing:
 
     @classmethod
     def of(cls, inst: McInstance) -> _Routing:
-        pairs = [(a.tail, a.head) for a in inst.arcs]
-        costs = np.array([a.cost for a in inst.arcs], dtype=float)
-        delays = np.array([a.delay for a in inst.arcs], dtype=float)
-        out, heads = _graph_lists(inst.num_nodes, pairs)
+        return cls.build(inst.num_nodes, [(a.tail, a.head) for a in inst.arcs],
+                         np.array([a.cost for a in inst.arcs], dtype=float),
+                         np.array([a.delay for a in inst.arcs], dtype=float), inst.commodities)
+
+    @classmethod
+    def build(cls, num_nodes: int, pairs, costs: np.ndarray, delays: np.ndarray,
+              commodities, potentials: np.ndarray | None = None) -> _Routing:
+        """The set-up of the graph on `num_nodes` nodes with (tail, head)
+        `pairs`, float arrays of arc `costs` and `delays`, and a sequence of
+        `Commodity`.  `potentials`, if given, is `_potentials` of the stacked
+        delays and costs, to the distinct targets in order of first
+        appearance; the generator has it from setting the budgets."""
+        out, heads = _graph_lists(num_nodes, pairs)
         graph = (tuple(map(tuple, out)), tuple(heads))
-        targets = list(dict.fromkeys(com.target for com in inst.commodities))
+        targets = list(dict.fromkeys(com.target for com in commodities))
         row = {t: i for i, t in enumerate(targets)}
-        dmin = tuple(map(tuple, _potentials(inst.num_nodes, pairs, delays, targets).tolist()))
+        if potentials is None:
+            potentials = _potentials(num_nodes, pairs, np.stack([delays, costs]), targets)
+        dmin = tuple(map(tuple, potentials[0].tolist()))
         delay_list = tuple(delays.tolist())
         paths = []
         by_bandwidth: dict[float, list[int]] = {}
-        for k, com in enumerate(inst.commodities):
+        for k, com in enumerate(commodities):
             found = _min_delay_path(graph, delay_list, dmin[row[com.target]], com.max_delay,
                                     com.source, com.target)
             if found is None:
@@ -378,17 +394,18 @@ class _Routing:
                     f"commodity {k} has no path within delay budget {com.max_delay}")
             paths.append(found[1])
             by_bandwidth.setdefault(com.bandwidth, []).append(k)
-        bandwidths = np.array([com.bandwidth for com in inst.commodities], dtype=float)
+        bandwidths = np.array([com.bandwidth for com in commodities], dtype=float)
         cost_list = tuple(costs.tolist())
         # summed as pricing sums them
         col_costs = np.array([com.bandwidth * sum(map(cost_list.__getitem__, path))
-                              for com, path in zip(inst.commodities, paths)], dtype=float)
+                              for com, path in zip(commodities, paths)], dtype=float)
         num = len(paths)
         return cls(
             graph=graph, costs=costs, cost_list=cost_list, delays=delay_list,
-            dmin=dmin, hcost=_potentials(inst.num_nodes, pairs, costs, targets),
+            # a copy, so the stacked delay rows are not kept alive with it
+            dmin=dmin, hcost=potentials[1].copy(),
             commodities=tuple((com.bandwidth, com.target, row[com.target], com.source,
-                               com.max_delay) for com in inst.commodities),
+                               com.max_delay) for com in commodities),
             bandwidths=bandwidths,
             by_bandwidth=tuple((b, np.array(ks, dtype=np.intp))
                                for b, ks in by_bandwidth.items()),
@@ -532,9 +549,12 @@ def generate_mc_instance(num_nodes: int, num_arcs: int, num_commodities: int,
     cover the load of routing everything on minimum-delay paths, so the
     master is feasible without artificial help.  PCG64(seed) drives all
     draws in a fixed order: topology, arc attributes, commodities, budgets,
-    capacities.  The min-delay paths come from the instance's pricing
-    set-up, which reads no capacity, so it is built once, before the
-    capacities, and the returned instance keeps it.
+    capacities.  Chord arcs and budget factors are drawn in blocks that
+    yield the same values, in the same order, as one draw at a time.  The
+    min-delay paths come from the instance's pricing set-up, which reads no
+    capacity, so it is built once from the generator's own arrays, before
+    the capacities, with the least delays that set the budgets, and the
+    returned instance keeps it.
     """
     if num_nodes < 2 or num_commodities < 0:
         # one node has no arc or commodity that joins two distinct nodes
@@ -544,11 +564,12 @@ def generate_mc_instance(num_nodes: int, num_arcs: int, num_commodities: int,
         raise ValueError("need at least num_nodes arcs for the connecting ring")
     rng = np.random.Generator(np.random.PCG64(seed))
     pairs = [(i, (i + 1) % num_nodes) for i in range(num_nodes)]
-    while len(pairs) < num_arcs:
-        tail = int(rng.integers(num_nodes))
-        head = int(rng.integers(num_nodes))
-        if tail != head:
-            pairs.append((tail, head))
+    # chord arcs `need` at a time: a block of 2 * need ends yields at most
+    # `need` arcs, so the stream is read as far as one (tail, head) draw at a
+    # time reads it, and no further
+    while (need := num_arcs - len(pairs)) > 0:
+        ends = rng.integers(num_nodes, size=2 * need).tolist()
+        pairs += [(t, h) for t, h in zip(ends[::2], ends[1::2]) if t != h]
     costs = np.round(rng.uniform(1.0, 10.0, size=num_arcs), 3)
     delays = np.round(rng.uniform(1.0, 10.0, size=num_arcs), 3)
     commodities = []
@@ -560,13 +581,14 @@ def generate_mc_instance(num_nodes: int, num_arcs: int, num_commodities: int,
         bandwidth = float(rng.integers(1, 6))
         commodities.append((source, target, bandwidth))
     targets = list(dict.fromkeys(t for _, t, _ in commodities))
-    dmin = dict(zip(targets, _potentials(num_nodes, pairs, delays, targets).tolist()))
-    budgets = [round(dmin[target][source] * float(rng.uniform(1.3, 2.2)) + 0.5, 3)
-               for source, target, _ in commodities]
-    comms = tuple(Commodity(s, t, b, d) for (s, t, b), d in zip(commodities, budgets))
-    routing = _Routing.of(McInstance(num_nodes, tuple(
-        Arc(t, h, 0.0, float(delays[i]), float(costs[i])) for i, (t, h) in enumerate(pairs)),
-        comms))
+    # the set-up's least delays and costs, in one pass; the delays set the
+    # budgets, one factor per commodity drawn as one block
+    potentials = _potentials(num_nodes, pairs, np.stack([delays, costs]), targets)
+    least = dict(zip(targets, potentials[0].tolist()))
+    factors = rng.uniform(1.3, 2.2, size=num_commodities).tolist()
+    comms = tuple(Commodity(s, t, b, round(least[t][s] * f + 0.5, 3))
+                  for (s, t, b), f in zip(commodities, factors))
+    routing = _Routing.build(num_nodes, pairs, costs, delays, comms, potentials)
     # each arc's load: the bandwidths (integers, so summed exactly) of the
     # min-delay paths crossing it
     rows, vals = routing.initial.rows, routing.initial.vals

@@ -223,7 +223,15 @@ def test_potentials_equal_dijkstra_bit_for_bit():
         for row, t in zip(got, targets):
             assert row.tobytes() == oracles.min_to_target(14, arcs, values, t).tobytes()
         assert np.isinf(got).any()
+        # stacked rows of values run in one pass and settle after different
+        # numbers of passes; each comes out as it does alone
+        stacked = _potentials(14, arcs, np.stack([values, values[::-1]]), targets)
+        assert stacked.shape == (2, 6, 14)
+        assert stacked[0].tobytes() == got.tobytes()
+        for row, t in zip(stacked[1], targets):
+            assert row.tobytes() == oracles.min_to_target(14, arcs, values[::-1], t).tobytes()
     assert _potentials(3, [], [], [1]).tolist() == [[math.inf, 0.0, math.inf]]
+    assert _potentials(3, [], np.zeros((2, 0)), [1]).tolist() == [[[math.inf, 0.0, math.inf]]] * 2
 
 
 def test_label_setting_bounds_return_the_unbounded_result():
@@ -502,20 +510,30 @@ def outcome(result):
 def test_setup_runs_once_per_instance(monkeypatch):
     potentials = counted(monkeypatch, "_potentials")
     searches = counted(monkeypatch, "_min_delay_path")
+    validated = []
+    check = McInstance.__post_init__
+
+    def counted_check(inst):
+        validated.append(inst)
+        check(inst)
+
+    monkeypatch.setattr(McInstance, "__post_init__", counted_check)
     inst = generate_mc_instance(25, 80, 50, 7)
-    # the budgets' delays, then the set-up the instance keeps: delays and
-    # costs, each for all targets at once, and one search per commodity
-    assert len(potentials) == 3
+    # one pass for the least delays and costs to all targets, which set the
+    # budgets and go into the set-up the instance keeps, one search per
+    # commodity, and one instance built and checked: the returned one
+    assert len(potentials) == 1
     assert len(searches) == len(inst.commodities)
+    assert len(validated) == 1 and validated[0] is inst
     problems = [McBlockProblem(inst) for _ in range(3)]
     for problem in problems:
         solve(problem, "exact-all")
-    assert len(potentials) == 3 and len(searches) == len(inst.commodities)
+    assert len(potentials) == 1 and len(searches) == len(inst.commodities)
     # a parsed copy builds its own on its first problem, once
     parsed = parse_mc_instance(write_mc_instance(inst))
     for _ in range(2):
         McBlockProblem(parsed)
-    assert len(potentials) == 5 and len(searches) == 2 * len(inst.commodities)
+    assert len(potentials) == 2 and len(searches) == 2 * len(inst.commodities)
 
 
 def test_problems_of_one_instance_share_no_state():
