@@ -51,7 +51,10 @@ def _parse_genspec(text: str) -> dict[str, int]:
         key, sep, value = part.partition("=")
         if not sep:
             raise argparse.ArgumentTypeError(f"bad generator key=value pair {part!r}")
-        params[key.strip()] = int(value)
+        key = key.strip()
+        if key in params:
+            raise argparse.ArgumentTypeError(f"generator key {key!r} repeats")
+        params[key] = int(value)
     return params
 
 

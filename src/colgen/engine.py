@@ -101,8 +101,7 @@ class RunStats:
     master_pivots: int = 0  # sum of the master solves' simplex pivots
     # wall time by phase: master solves, screening, pricing, and recording
     # plus column install (set-up's `initial_columns` call and its install,
-    # and the fallback columns, included); the audit's final sweep counts in
-    # none of them
+    # and the fallback columns, included)
     master_time_s: float = 0.0
     screening_time_s: float = 0.0
     pricing_time_s: float = 0.0
@@ -325,12 +324,10 @@ def run_dwd(problem: BlockProblem, config: DwdConfig | None = None) -> DwdResult
         termination = "artificial"
 
     if audit is not None and termination == "optimal":
-        final = problem.price_blocks(all_blocks, pi, mu)
-        for k, cbar_f in enumerate(final.reduced_costs.tolist()):
+        # the last iteration priced every block at the final duals, and its
+        # audit rechecked those columns
+        for k, cbar_f in enumerate(priced.reduced_costs.tolist()):
             audit.final_checks += 1
-            if final.has_column[k]:
-                _check_reduced_cost(audit, final.column(k), cbar_f, pi, mu, k, iterations,
-                                    "final sweep")
             if cbar_f < -eps:
                 audit.final_violations.append(
                     f"final sweep block {k}: reduced cost {cbar_f!r} still improving")

@@ -341,12 +341,10 @@ class _Routing:
     # each distinct target, one row per target
     dmin: tuple
     hcost: np.ndarray
-    # per commodity: (bandwidth, target, target's row, source, max_delay)
+    # per commodity: (bandwidth, target, target's row, source, max_delay),
+    # and the bandwidths as an array, for the batch bound terms
     commodities: tuple
     bandwidths: np.ndarray
-    # (bandwidth, its commodities) pairs, for `bound_terms`; a dict, not
-    # np.unique, which would import numpy.ma and its memory
-    by_bandwidth: tuple
     # the initial columns, whose `native` holds each commodity's min-delay
     # path: being delay-feasible, it also caps the weight of its pricing
     # searches
@@ -354,8 +352,7 @@ class _Routing:
 
     def __post_init__(self):
         arrays = [v for v in vars(self.initial).values() if isinstance(v, np.ndarray)]
-        for value in (self.costs, self.hcost, self.bandwidths, *arrays,
-                      *(blocks for _, blocks in self.by_bandwidth)):
+        for value in (self.costs, self.hcost, self.bandwidths, *arrays):
             value.flags.writeable = False
 
     def __reduce__(self):
@@ -385,7 +382,6 @@ class _Routing:
         dmin = tuple(map(tuple, potentials[0].tolist()))
         delay_list = tuple(delays.tolist())
         paths = []
-        by_bandwidth: dict[float, list[int]] = {}
         for k, com in enumerate(commodities):
             found = _min_delay_path(graph, delay_list, dmin[row[com.target]], com.max_delay,
                                     com.source, com.target)
@@ -393,7 +389,6 @@ class _Routing:
                 raise UnroutableCommodityError(
                     f"commodity {k} has no path within delay budget {com.max_delay}")
             paths.append(found[1])
-            by_bandwidth.setdefault(com.bandwidth, []).append(k)
         bandwidths = np.array([com.bandwidth for com in commodities], dtype=float)
         cost_list = tuple(costs.tolist())
         # summed as pricing sums them
@@ -407,8 +402,6 @@ class _Routing:
             commodities=tuple((com.bandwidth, com.target, row[com.target], com.source,
                                com.max_delay) for com in commodities),
             bandwidths=bandwidths,
-            by_bandwidth=tuple((b, np.array(ks, dtype=np.intp))
-                               for b, ks in by_bandwidth.items()),
             initial=PricedBlocks(np.arange(num, dtype=np.intp), np.zeros(num),
                                  np.ones(num, dtype=bool), col_costs,
                                  *_path_arrays(paths, bandwidths), tuple(paths)))
@@ -509,21 +502,17 @@ class McBlockProblem(BlockProblem):
         priced = self._price(np.array([block], dtype=np.intp), pi, np.array([float(mu_k)]))
         return float(priced.reduced_costs[0]), priced.column(0)
 
+    # a positive bandwidth factors out of the negative-part sums
     def hypercube_bound_term(self, block, pi_prev, pi_now):
         b = self.inst.commodities[block].bandwidth
-        return negative_part_sum(b * (pi_now - pi_prev))
+        return b * negative_part_sum(pi_now - pi_prev)
 
     def bound_terms(self, pi_prev, pi_now):
-        # the term depends on the commodity through its bandwidth only
-        shift = pi_now - pi_prev
-        out = np.empty(self.num_blocks)
-        for b, blocks in self.inst._routing.by_bandwidth:
-            out[blocks] = negative_part_sum(b * shift)
-        return out
+        return self.inst._routing.bandwidths * negative_part_sum(pi_now - pi_prev)
 
     def heuristic_bound_term(self, block, pi_prev, pi_now, support):
         b = self.inst.commodities[block].bandwidth
-        return negative_part_sum((b * (pi_now - pi_prev))[support])
+        return b * negative_part_sum((pi_now - pi_prev)[support])
 
     def heuristic_bound_terms(self, pi_prev, pi_now):
         shift = np.minimum(pi_now - pi_prev, 0.0)

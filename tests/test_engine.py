@@ -317,15 +317,27 @@ def test_trace_filtered_blocks_show_clearing_bound():
 def test_audit_clean_on_exact_runs():
     for make, k in ((lambda: ga_problem(bins=8, items=5, seed=2), 8),
                     (lambda: mc_problem(seed=2), 4)):
-        result = run_dwd(make(), config(FilterMode.EXACT, Strategy.ALL, audit=True,
-                                        trace=True))
+        problem = make()
+        calls = []
+        price_blocks = problem.price_blocks
+
+        def counted(blocks, pi, mu):
+            calls.append(len(blocks))
+            return price_blocks(blocks, pi, mu)
+
+        problem.price_blocks = counted
+        result = run_dwd(problem, config(FilterMode.EXACT, Strategy.ALL, audit=True,
+                                         trace=True))
         audit = result.audit
         assert audit.ok
         assert audit.reduced_cost_checks > 0 and not audit.reduced_cost_mismatches
         filtered = sum(1 for it in result.trace for b in it.blocks
                        if b.decision == "filtered")
         assert audit.filter_checks == filtered
-        assert audit.final_checks == k  # sweep prices every block at the end
+        # each iteration prices every block once, and the final check reads
+        # the last iteration's result: no block is priced again at the end
+        assert calls == [k] * result.stats.iterations
+        assert audit.final_checks == k
         assert not audit.final_violations
 
 

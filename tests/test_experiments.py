@@ -411,6 +411,8 @@ def test_cli_alpha_reads_every_dual_vector_or_a_count(text, want):
     (["--alpha", "0"], "--alpha: alpha must be at least 1"),
     (["--alpha", "x"], "--alpha: invalid"),
     (["--generate", "bins"], "bad generator key=value pair 'bins'"),
+    # a repeated key would silently win: this once solved 2 bins
+    (["--generate", "bins=100,items=3,bins=2,count=1"], "generator key 'bins' repeats"),
 ])
 def test_cli_bad_alpha_or_generator_pair_exits_2_before_any_solve(capsys, monkeypatch, argv,
                                                                   message):

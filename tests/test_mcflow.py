@@ -557,8 +557,7 @@ def shared_arrays(inst):
     routing = inst._routing
     return [routing.costs, routing.hcost, routing.bandwidths,
             *(getattr(routing.initial, name) for name in (
-                "blocks", "reduced_costs", "has_column", "costs", "ptr", "rows", "vals")),
-            *(blocks for _, blocks in routing.by_bandwidth)]
+                "blocks", "reduced_costs", "has_column", "costs", "ptr", "rows", "vals"))]
 
 
 def test_shared_arrays_are_read_only():
