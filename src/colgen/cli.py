@@ -23,6 +23,11 @@ from .experiments import (STRATEGIES, ExperimentConfig, emit_report, run_experim
 from .mcflow import generate_mc_instance, parse_mc_instance, write_mc_instance
 
 
+# each family's shape keys, in the order its generator takes them
+GENERATORS = {"ga": (("bins", "items"), generate_ga_instance),
+              "mc": (("nodes", "arcs", "commodities"), generate_mc_instance)}
+
+
 def _parse_alpha(text: str):
     if text in ("inf", "none", "all"):
         return None
@@ -69,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--instances", help="glob of instance files")
     source.add_argument("--generate", type=_parse_genspec, metavar="K=V,...",
                         help="generate instances instead of loading "
-                             "(ga: bins,items,count,seed; mc: nodes,arcs,commodities,count,seed)")
+                             "(ga: bins,items,count; mc: nodes,arcs,commodities,count)")
     run.add_argument("--strategies", type=_parse_strategies, default=("baseline",),
                      help="comma-separated subset of: " + ", ".join(STRATEGIES))
     run.add_argument("--epsilon", type=float, default=1e-4)
@@ -89,37 +94,24 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--count", type=int, default=1)
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out-dir", required=True)
-    gen.add_argument("--bins", type=int)
-    gen.add_argument("--items", type=int)
-    gen.add_argument("--nodes", type=int)
-    gen.add_argument("--arcs", type=int)
-    gen.add_argument("--commodities", type=int)
+    for keys, _ in GENERATORS.values():
+        for key in keys:
+            gen.add_argument(f"--{key}", type=int)
     return parser
 
 
-def _generate_batch(problem: str, params: dict[str, int], default_seed: int):
+def _generate_batch(problem: str, params: dict[str, int], seed: int):
+    """`count` instances named `<problem>-s<seed>`, seeds counting up from `seed`."""
+    keys, generate = GENERATORS[problem]
+    params = dict(params)
     count = params.pop("count", 1)
-    seed = params.pop("seed", default_seed)
+    if set(params) != set(keys):
+        raise ValueError(f"{problem} generator takes {', '.join(keys)} and an optional "
+                         f"count; --seed sets the seed")
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
-    instances = []
-    if problem == "ga":
-        extra = set(params) - {"bins", "items"}
-        if extra or "bins" not in params or "items" not in params:
-            raise ValueError("ga generator needs bins=..,items=.. (plus count=, seed=)")
-        for i in range(count):
-            inst = generate_ga_instance(params["bins"], params["items"], seed + i)
-            instances.append((f"ga-s{seed + i}", inst))
-    else:
-        extra = set(params) - {"nodes", "arcs", "commodities"}
-        if extra or set(params) != {"nodes", "arcs", "commodities"}:
-            raise ValueError("mc generator needs nodes=..,arcs=..,commodities=.. "
-                             "(plus count=, seed=)")
-        for i in range(count):
-            inst = generate_mc_instance(params["nodes"], params["arcs"],
-                                        params["commodities"], seed + i)
-            instances.append((f"mc-s{seed + i}", inst))
-    return instances
+    return [(f"{problem}-s{seed + i}", generate(*(params[k] for k in keys), seed + i))
+            for i in range(count)]
 
 
 def _load_batch(problem: str, pattern: str):
@@ -140,7 +132,7 @@ def _load_batch(problem: str, pattern: str):
 def _cmd_run(args) -> int:
     try:
         if args.generate is not None:
-            instances = _generate_batch(args.problem, dict(args.generate), args.seed)
+            instances = _generate_batch(args.problem, args.generate, args.seed)
         else:
             instances = _load_batch(args.problem, args.instances)
         config = ExperimentConfig(problem=args.problem, strategies=args.strategies,
@@ -168,18 +160,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    if args.problem == "ga":
-        if args.bins is None or args.items is None:
-            print("colgen: generate --problem ga needs --bins and --items", file=sys.stderr)
-            return 2
-    elif args.nodes is None or args.arcs is None or args.commodities is None:
-        print("colgen: generate --problem mc needs --nodes, --arcs and --commodities",
-              file=sys.stderr)
-        return 2
-    if args.problem == "ga":
-        params = {"bins": args.bins, "items": args.items}
-    else:
-        params = {"nodes": args.nodes, "arcs": args.arcs, "commodities": args.commodities}
+    params = {key: getattr(args, key) for keys, _ in GENERATORS.values() for key in keys
+              if getattr(args, key) is not None}
     try:
         instances = _generate_batch(args.problem, {**params, "count": args.count}, args.seed)
     except ValueError as exc:
@@ -189,8 +171,8 @@ def _cmd_generate(args) -> int:
     out_dir = pathlib.Path(args.out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        for i, (_, inst) in enumerate(instances):
-            path = out_dir / f"{args.problem}_s{args.seed + i}.txt"
+        for name, inst in instances:
+            path = out_dir / f"{name}.txt"
             path.write_text(write(inst))
             print(path)
     except OSError as exc:

@@ -215,7 +215,9 @@ def run_experiment(config: ExperimentConfig, instances) -> ExperimentReport:
     if config.jobs == 1:
         outcomes = [_run_instance(*a) for a in args]
     else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=config.jobs) as pool:
+        # a fork pool starts every worker it is allowed at the first submit
+        workers = max(1, min(config.jobs, len(args)))
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_run_instance_star, args))
     for row, failures, violations in outcomes:
         report.rows.append(row)

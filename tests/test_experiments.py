@@ -1,5 +1,6 @@
 import csv
 import io
+import types
 
 import pytest
 
@@ -143,6 +144,32 @@ def test_parallel_runs_match_serial_and_drop_rtime():
         assert row.results["exact-all"].r_ptime is None
 
 
+def test_jobs_start_no_more_workers_than_instances(monkeypatch):
+    # a fork pool starts all max_workers processes at its first submit
+    asked = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(experiments, "concurrent", types.SimpleNamespace(
+        futures=types.SimpleNamespace(ProcessPoolExecutor=InProcessPool)))
+    config = ExperimentConfig(problem="ga", strategies=("exact-all",), jobs=64)
+    report = run_experiment(config, ga_batch(2))
+    assert asked == [2] and len(report.rows) == 2 and report.ok
+    assert all(row.results["exact-all"].r_time is None for row in report.rows)
+    assert run_experiment(config, []).rows == [] and asked == [2, 1]
+
+
 def test_parallel_mc_runs_match_serial():
     instances = [(f"mc-s{seed}", generate_mc_instance(15, 40, 20, seed)) for seed in range(2)]
     for _, inst in instances:
@@ -276,8 +303,8 @@ def test_cli_generate_then_run(tmp_path, capsys):
     assert main(["generate", "--problem", "ga", "--count", "2", "--seed", "3",
                  "--bins", "5", "--items", "4", "--out-dir", str(data)]) == 0
     files = sorted(p.name for p in data.iterdir())
-    assert files == ["ga_s3.txt", "ga_s4.txt"]
-    parse_ga_instance((data / "ga_s3.txt").read_text())  # round-trips
+    assert files == ["ga-s3.txt", "ga-s4.txt"]  # the names `run --generate` gives them
+    parse_ga_instance((data / "ga-s3.txt").read_text())  # round-trips
 
     out = tmp_path / "report.csv"
     code = main(["run", "--problem", "ga", "--instances", str(data / "*.txt"),
@@ -346,6 +373,9 @@ def test_cli_bad_inputs(tmp_path, capsys):
     assert main(["run", "--problem", "ga", "--instances",
                  str(tmp_path / "nothing-*.txt")]) == 2
     assert main(["run", "--problem", "ga", "--generate", "bins=5"]) == 2
+    # --seed is the only seed: a seed= key is an unknown key, and the message says so
+    assert main(["run", "--problem", "ga", "--generate", "bins=5,items=4,count=2,seed=3"]) == 2
+    assert "--seed" in capsys.readouterr().err
     assert main(["generate", "--problem", "ga", "--count", "1",
                  "--out-dir", str(tmp_path)]) == 2
     capsys.readouterr()
@@ -431,9 +461,6 @@ def test_cli_mc_files_solve_like_the_generated_batch(tmp_path, capsys):
     data = tmp_path / "data"
     assert main(["generate", "--problem", "mc", "--count", "2", "--seed", "4", "--nodes", "25",
                  "--arcs", "80", "--commodities", "50", "--out-dir", str(data)]) == 0
-    for seed in (4, 5):
-        # the names `run --generate` gives its instances
-        (data / f"mc_s{seed}.txt").rename(data / f"mc-s{seed}.txt")
     common = ["run", "--problem", "mc", "--strategies", "exact-all,heur-all,exact-add",
               "--alpha", "2", "--audit"]
     files, generated = tmp_path / "files.csv", tmp_path / "generated.csv"
@@ -451,6 +478,7 @@ def test_cli_mc_files_solve_like_the_generated_batch(tmp_path, capsys):
     ["--problem", "mc", "--nodes", "5", "--arcs", "3", "--commodities", "2"],
     ["--problem", "mc", "--nodes", "1", "--arcs", "3", "--commodities", "2"],
     ["--problem", "mc", "--nodes", "25", "--commodities", "50"],  # no --arcs
+    ["--problem", "ga", "--bins", "3", "--items", "2", "--arcs", "9"],  # an mc flag
 ])
 def test_cli_generate_bad_shape_exits_2(tmp_path, capsys, shape):
     out_dir = tmp_path / "d"
