@@ -388,8 +388,7 @@ class GaBlockProblem(BlockProblem):
         rows = np.nonzero(take)[1]
         col_costs = np.where(take, costs, 0.0).sum(axis=1)
         # each pattern's native is its item tuple, the `native=None` default
-        return PricedBlocks(blocks, best - mu_b, np.ones(len(blocks), dtype=bool), col_costs,
-                            ptr, rows, np.ones(len(rows)))
+        return PricedBlocks(blocks, best - mu_b, col_costs, ptr, rows, np.ones(len(rows)))
 
     def solve_pricing(self, block, pi, mu_k):
         priced = self._price(np.array([block], dtype=np.intp), pi, np.array([float(mu_k)]))

@@ -31,7 +31,11 @@ GENERATORS = {"ga": (("bins", "items"), generate_ga_instance),
 def _parse_alpha(text: str):
     if text in ("inf", "none", "all"):
         return None
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid value {text!r}: expected an integer or 'inf'") from None
     if value < 1:
         raise argparse.ArgumentTypeError("alpha must be at least 1 (or 'inf')")
     return value
@@ -53,13 +57,15 @@ def _parse_genspec(text: str) -> dict[str, int]:
         part = part.strip()
         if not part:
             continue
-        key, sep, value = part.partition("=")
-        if not sep:
-            raise argparse.ArgumentTypeError(f"bad generator key=value pair {part!r}")
+        try:
+            key, value = part.split("=")
+            value = int(value)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"bad generator key=value pair {part!r}") from None
         key = key.strip()
         if key in params:
             raise argparse.ArgumentTypeError(f"generator key {key!r} repeats")
-        params[key] = int(value)
+        params[key] = value
     return params
 
 
@@ -110,6 +116,8 @@ def _generate_batch(problem: str, params: dict[str, int], seed: int):
                          f"count; --seed sets the seed")
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
+    if seed < 0:
+        raise ValueError(f"--seed must be non-negative, got {seed}")
     return [(f"{problem}-s{seed + i}", generate(*(params[k] for k in keys), seed + i))
             for i in range(count)]
 

@@ -291,7 +291,7 @@ def run_dwd(problem: BlockProblem, config: DwdConfig | None = None) -> DwdResult
         # entries in block order; the improving ones enter in that order, in
         # one batch
         real = ~skipped[todo]
-        improving = np.flatnonzero(real & (priced.reduced_costs < -eps) & priced.has_column)
+        improving = np.flatnonzero(real & (priced.reduced_costs < -eps))
         n_skipped = int(skipped.sum())
         stats.filters_succeeded += n_skipped
         stats.pricing_calls += num_blocks - n_skipped
@@ -370,16 +370,12 @@ def _check_reduced_cost(audit, col, cbar, pi, mu, k, t, context):
 def _audit_iteration(audit, priced, skipped, screen, pi, mu, config, t):
     """The audit's checks of one iteration, whose `priced` holds every block."""
     cbars = priced.reduced_costs.tolist()
-    has_column = priced.has_column.tolist()
     for k, skip in enumerate(skipped.tolist()):
+        _check_reduced_cost(audit, priced.column(k), cbars[k], pi, mu, k, t,
+                            "filtered-block audit" if skip else "pricing")
         if not skip:
-            if has_column[k]:
-                _check_reduced_cost(audit, priced.column(k), cbars[k], pi, mu, k, t, "pricing")
             continue
         audit.filter_checks += 1
-        if has_column[k]:
-            _check_reduced_cost(audit, priced.column(k), cbars[k], pi, mu, k, t,
-                                "filtered-block audit")
         if cbars[k] < -config.epsilon:
             if config.mode is FilterMode.EXACT:
                 audit.soundness_violations.append(

@@ -402,8 +402,7 @@ class _Routing:
             commodities=tuple((com.bandwidth, com.target, row[com.target], com.source,
                                com.max_delay) for com in commodities),
             bandwidths=bandwidths,
-            initial=PricedBlocks(np.arange(num, dtype=np.intp), np.zeros(num),
-                                 np.ones(num, dtype=bool), col_costs,
+            initial=PricedBlocks(np.arange(num, dtype=np.intp), np.zeros(num), col_costs,
                                  *_path_arrays(paths, bandwidths), tuple(paths)))
 
 
@@ -495,7 +494,7 @@ class McBlockProblem(BlockProblem):
             col_costs.append(b * sum(map(r.cost_list.__getitem__, path)))
             bandwidths.append(b)
         return PricedBlocks(blocks, np.array(cbars, dtype=float),
-                            np.ones(len(paths), dtype=bool), np.array(col_costs, dtype=float),
+                            np.array(col_costs, dtype=float),
                             *_path_arrays(paths, bandwidths), paths)
 
     def solve_pricing(self, block, pi, mu_k):

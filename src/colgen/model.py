@@ -31,30 +31,25 @@ class Column:
 class PricedBlocks:
     """`price_blocks`' result: entry i prices block `blocks[i]`.
 
-    `reduced_costs[i]` is the block's minimum reduced cost.  Where
-    `has_column[i]`, the column achieving it is also given in compressed
-    sparse form: it costs `costs[i]`, and its (linking row, coefficient)
-    pairs, the same pairs as its `Column.coeffs`, are
-    `rows[ptr[i]:ptr[i + 1]]`, `vals[ptr[i]:ptr[i + 1]]`.  Where a block has
-    no column, its cost is 0 and its entry range is empty.  `native[i]` is
-    the column's `Column.native`; `native=None` means each column's native
-    is its linking rows.  `column(i)` builds entry i's `Column` from these
-    arrays (None where there is none); callers build only the ones they
-    keep.
+    `reduced_costs[i]` is the block's minimum reduced cost, and every entry
+    also gives the column achieving it in compressed sparse form: it costs
+    `costs[i]`, and its (linking row, coefficient) pairs, the same pairs as
+    its `Column.coeffs`, are `rows[ptr[i]:ptr[i + 1]]`,
+    `vals[ptr[i]:ptr[i + 1]]`.  `native[i]` is the column's `Column.native`;
+    `native=None` means each column's native is its linking rows.
+    `column(i)` builds entry i's `Column` from these arrays; callers build
+    only the ones they keep.
     """
 
     blocks: np.ndarray
     reduced_costs: np.ndarray
-    has_column: np.ndarray
     costs: np.ndarray
     ptr: np.ndarray
     rows: np.ndarray
     vals: np.ndarray
     native: Sequence[tuple] | None = None
 
-    def column(self, i: int) -> Column | None:
-        if not self.has_column[i]:
-            return None
+    def column(self, i: int) -> Column:
         span = slice(self.ptr[i], self.ptr[i + 1])
         rows = self.rows[span].tolist()
         return Column(block=int(self.blocks[i]), cost=float(self.costs[i]),
@@ -63,22 +58,21 @@ class PricedBlocks:
 
     @classmethod
     def from_columns(cls, blocks, results) -> PricedBlocks:
-        """From a (reduced cost, column or None) pair for each of `blocks`."""
+        """From a (reduced cost, column) pair for each of `blocks`."""
         cols = [col for _, col in results]
-        coeffs = [col.coeffs if col is not None else () for col in cols]
+        if None in cols:
+            raise ValueError(f"entry {cols.index(None)} has no column")
         ptr = np.zeros(len(cols) + 1, dtype=np.int64)
-        ptr[1:] = np.cumsum([len(c) for c in coeffs], dtype=np.int64)
-        pairs = [pair for c in coeffs for pair in c]
+        ptr[1:] = np.cumsum([len(col.coeffs) for col in cols], dtype=np.int64)
+        pairs = [pair for col in cols for pair in col.coeffs]
         return cls(
             blocks=np.asarray(blocks, dtype=np.intp).reshape(-1),
             reduced_costs=np.array([cbar for cbar, _ in results], dtype=float),
-            has_column=np.array([col is not None for col in cols], dtype=bool),
-            costs=np.array([col.cost if col is not None else 0.0 for col in cols],
-                           dtype=float),
+            costs=np.array([col.cost for col in cols], dtype=float),
             ptr=ptr,
             rows=np.array([row for row, _ in pairs], dtype=np.int64),
             vals=np.array([val for _, val in pairs], dtype=float),
-            native=[col.native if col is not None else () for col in cols],
+            native=[col.native for col in cols],
         )
 
 
@@ -122,8 +116,8 @@ class BlockProblem(abc.ABC):
         reduced cost of a column of block k is `cost - sum(pi[row] * coeff)
         - mu[k]`.  Entry i of the result holds block `blocks[i]`'s minimum
         reduced cost over its whole column set, not an approximation, and
-        the column achieving it (none when the block has no column at all).
-        Must not mutate the dual arrays.
+        the column achieving it.  Every listed block has one: a block with
+        none is the plug-in's error to raise.  Must not mutate the duals.
         """
 
     @abc.abstractmethod

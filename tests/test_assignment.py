@@ -387,5 +387,5 @@ def test_initial_columns_are_an_empty_priced_blocks():
     priced = GaBlockProblem(generate_ga_instance(5, 4, 0)).initial_columns()
     assert isinstance(priced, PricedBlocks)
     assert priced.ptr.tolist() == [0]
-    for name in ("blocks", "reduced_costs", "has_column", "costs", "rows", "vals"):
+    for name in ("blocks", "reduced_costs", "costs", "rows", "vals"):
         assert len(getattr(priced, name)) == 0, name

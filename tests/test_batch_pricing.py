@@ -27,17 +27,12 @@ def priced_pairs(priced: PricedBlocks, make_column) -> list:
     """`priced` as (reduced cost, column) pairs, after checking that each
     entry's column is `make_column(block, native)`, the one an oracle builds
     by hand from the instance."""
-    assert len(priced.blocks) == len(priced.reduced_costs) == len(priced.has_column)
+    assert len(priced.blocks) == len(priced.reduced_costs) == len(priced.costs)
     assert len(priced.ptr) == len(priced.blocks) + 1 and priced.ptr[0] == 0
     pairs = []
     for i, k in enumerate(priced.blocks.tolist()):
         col = priced.column(i)
-        lo, hi = priced.ptr[i], priced.ptr[i + 1]
-        assert priced.has_column[i] == (col is not None)
-        if col is None:
-            assert lo == hi and priced.costs[i] == 0.0
-        else:
-            assert col == make_column(k, col.native)
+        assert col == make_column(k, col.native)
         pairs.append((float(priced.reduced_costs[i]), col))
     return pairs
 
@@ -110,7 +105,7 @@ def test_arrays_equal_the_default_loop():
         blocks = [int(k) for k in rng.permutation(8)[:5]]
         batched = GaBlockProblem(inst).price_blocks(blocks, pi, mu)
         looped = LoopedGa(inst).price_blocks(blocks, pi, mu)
-        for name in ("blocks", "reduced_costs", "has_column", "costs", "ptr", "rows", "vals"):
+        for name in ("blocks", "reduced_costs", "costs", "ptr", "rows", "vals"):
             assert getattr(batched, name).tobytes() == getattr(looped, name).tobytes(), name
         make_column = functools.partial(oracles.assignment_column, inst)
         assert priced_pairs(batched, make_column) == priced_pairs(looped, make_column)
@@ -190,20 +185,17 @@ def test_mc_price_blocks_equals_per_block_label_setting_bit_for_bit():
                 want.append((cbar, oracles.path_column(inst, k, path)))
             got = problem.price_blocks(blocks, pi, mu)
             ref = PricedBlocks.from_columns(blocks, want)
-            for name in ("blocks", "reduced_costs", "has_column", "costs", "ptr", "rows", "vals"):
+            for name in ("blocks", "reduced_costs", "costs", "ptr", "rows", "vals"):
                 assert getattr(got, name).tobytes() == getattr(ref, name).tobytes(), name
             assert priced_pairs(got, functools.partial(oracles.path_column, inst)) == want
 
 
-def test_from_columns_marks_blocks_without_a_column():
+def test_from_columns_rejects_a_missing_column():
+    # every priced block has a column; a plug-in with none must say so
     inst = generate_ga_instance(5, 3, 0)
-    priced = PricedBlocks.from_columns(
-        [4, 1], [(2.5, None), (-1.0, oracles.assignment_column(inst, 1, (2, 0)))])
-    assert priced.has_column.tolist() == [False, True]
-    assert priced.ptr.tolist() == [0, 0, 2] and priced.rows.tolist() == [0, 2]
-    assert priced.column(0) is None and priced.column(1).native == (0, 2)
-    assert priced_pairs(priced, functools.partial(oracles.assignment_column, inst))[0] == \
-        (2.5, None)
+    with pytest.raises(ValueError, match="entry 0 has no column"):
+        PricedBlocks.from_columns(
+            [4, 1], [(2.5, None), (-1.0, oracles.assignment_column(inst, 1, (2, 0)))])
 
 
 def test_from_columns_keeps_each_native():

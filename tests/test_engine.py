@@ -330,7 +330,9 @@ def test_audit_clean_on_exact_runs():
                                          trace=True))
         audit = result.audit
         assert audit.ok
-        assert audit.reduced_cost_checks > 0 and not audit.reduced_cost_mismatches
+        # every block's column is checked once per iteration
+        assert audit.reduced_cost_checks == k * result.stats.iterations
+        assert not audit.reduced_cost_mismatches
         filtered = sum(1 for it in result.trace for b in it.blocks
                        if b.decision == "filtered")
         assert audit.filter_checks == filtered

@@ -443,6 +443,9 @@ def test_cli_alpha_reads_every_dual_vector_or_a_count(text, want):
     (["--generate", "bins"], "bad generator key=value pair 'bins'"),
     # a repeated key would silently win: this once solved 2 bins
     (["--generate", "bins=100,items=3,bins=2,count=1"], "generator key 'bins' repeats"),
+    (["--generate", "bins=x,items=3"], "bad generator key=value pair 'bins=x'"),
+    (["--generate", "bins=3,items=2.5"], "bad generator key=value pair 'items=2.5'"),
+    (["--generate", "bins=3=4,items=2"], "bad generator key=value pair 'bins=3=4'"),
 ])
 def test_cli_bad_alpha_or_generator_pair_exits_2_before_any_solve(capsys, monkeypatch, argv,
                                                                   message):
@@ -452,7 +455,22 @@ def test_cli_bad_alpha_or_generator_pair_exits_2_before_any_solve(capsys, monkey
     with pytest.raises(SystemExit) as info:
         main(["run", "--problem", "ga", *argv])
     assert info.value.code == 2
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    # the message names the flag or the pair, not the parser's function
+    assert message in err and "_parse" not in err
+
+
+@pytest.mark.parametrize("command", [
+    ["generate", "--problem", "ga", "--bins", "3", "--items", "2", "--out-dir"],
+    ["run", "--problem", "ga", "--generate", "bins=3,items=2", "--out"],
+])
+def test_cli_negative_seed_exits_2_before_any_solve_or_write(tmp_path, capsys, monkeypatch,
+                                                             command):
+    monkeypatch.setattr(experiments, "run_dwd", lambda *args: pytest.fail("solved"))
+    out = tmp_path / "out"
+    assert main([*command, str(out), "--seed", "-1"]) == 2
+    assert "--seed must be non-negative, got -1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_mc_files_solve_like_the_generated_batch(tmp_path, capsys):

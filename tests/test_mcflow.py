@@ -368,7 +368,7 @@ def initial_columns(problem):
     priced = problem.initial_columns()
     cols = [oracles.path_column(problem.inst, k, path) for k, path in enumerate(priced.native)]
     ref = PricedBlocks.from_columns(range(len(cols)), [(0.0, c) for c in cols])
-    for name in ("blocks", "reduced_costs", "has_column", "costs", "ptr", "rows", "vals"):
+    for name in ("blocks", "reduced_costs", "costs", "ptr", "rows", "vals"):
         assert getattr(priced, name).tobytes() == getattr(ref, name).tobytes(), name
     assert [priced.column(i) for i in range(len(cols))] == cols
     return cols
@@ -557,7 +557,7 @@ def shared_arrays(inst):
     routing = inst._routing
     return [routing.costs, routing.hcost, routing.bandwidths,
             *(getattr(routing.initial, name) for name in (
-                "blocks", "reduced_costs", "has_column", "costs", "ptr", "rows", "vals"))]
+                "blocks", "reduced_costs", "costs", "ptr", "rows", "vals"))]
 
 
 def test_shared_arrays_are_read_only():
