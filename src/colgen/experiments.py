@@ -38,8 +38,9 @@ STRATEGIES = {
 }
 
 CSV_COLUMNS = ["problem", "instance", "shape", "strategy", "iterations", "calls",
-               "vars", "time_s", "objective", "termination", "r_calls_pct", "r_time_pct",
-               "r_ptime_pct", "gap_pct"]
+               "vars", "pivots", "time_s", "master_s", "pricing_s", "screening_s",
+               "objective", "termination", "r_calls_pct", "r_time_pct", "r_ptime_pct",
+               "gap_pct"]
 
 
 def pct_reduction(base: float, value: float) -> float:
@@ -67,7 +68,12 @@ class StrategyResult:
     iterations: int
     calls: int
     vars_added: int
+    pivots: int
     time_s: float
+    # the RunStats phase timers: master solves, pricing, screening
+    master_s: float
+    pricing_s: float
+    screening_s: float
     objective: float
     termination: str
     r_calls: float | None = None
@@ -192,7 +198,9 @@ def _run_instance(config: ExperimentConfig, name: str, instance):
                 gap = 0.0
         sr = StrategyResult(strategy=strat, iterations=stats.iterations,
                             calls=stats.pricing_calls, vars_added=stats.columns_added,
-                            time_s=stats.wall_time_s, objective=result.objective,
+                            pivots=stats.master_pivots, time_s=stats.wall_time_s,
+                            master_s=stats.master_time_s, pricing_s=stats.pricing_time_s,
+                            screening_s=stats.screening_time_s, objective=result.objective,
                             termination=result.termination,
                             r_calls=r_calls, r_time=r_time, r_ptime=r_ptime, gap=gap)
         row.results[strat] = sr
@@ -245,8 +253,9 @@ def emit_csv(rows: list[ReportRow]) -> str:
         for sr in row.results.values():
             writer.writerow([
                 row.problem, row.instance, row.shape, sr.strategy,
-                sr.iterations, sr.calls, sr.vars_added,
-                f"{sr.time_s:.3f}", format_objective(sr.objective), sr.termination,
+                sr.iterations, sr.calls, sr.vars_added, sr.pivots,
+                *(f"{t:.3f}" for t in (sr.time_s, sr.master_s, sr.pricing_s, sr.screening_s)),
+                format_objective(sr.objective), sr.termination,
                 "" if sr.r_calls is None else f"{sr.r_calls:.2f}",
                 "" if sr.r_time is None else f"{sr.r_time:.2f}",
                 "" if sr.r_ptime is None else f"{sr.r_ptime:.2f}",
@@ -264,10 +273,12 @@ def _markdown_table(header: list[str], body: list[list[str]]) -> list[str]:
 
 
 def emit_markdown(rows: list[ReportRow]) -> str:
-    """Two tables: exact strategies (no GAP column) and heuristic ones (with).
+    """Exact strategies (no GAP column), heuristic ones (with), time split.
 
-    Each row shows the baseline's counts, time, cost and termination, then
-    every strategy's relative metrics and termination.
+    In the first two tables each row shows the baseline's counts, time, cost
+    and termination, then every strategy's relative metrics and termination.
+    The third has one row per run: its master pivots, and its master, pricing
+    and screening times beside the total.
     """
     if not rows:
         return "_no instances_\n"
@@ -314,6 +325,15 @@ def emit_markdown(rows: list[ReportRow]) -> str:
         block("Exact filtering", exact, with_gap=False)
     if heur:
         block("Heuristic filtering", heur, with_gap=True)
+    lines.append("### Time split")
+    lines.append("")
+    lines.extend(_markdown_table(
+        ["instance", "strategy", "#Pivots", "time (s)", "master (s)", "pricing (s)",
+         "screening (s)"],
+        [[row.instance, sr.strategy, str(sr.pivots),
+          *(f"{t:.3f}" for t in (sr.time_s, sr.master_s, sr.pricing_s, sr.screening_s))]
+         for row in rows for sr in row.results.values()]))
+    lines.append("")
     return "\n".join(lines)
 
 

@@ -4,18 +4,29 @@ Minimization only, variables bounded below by zero.  Rows may be >=, <= or =.
 Internally every row is converted to an equality with a nonnegative right-hand
 side; reported duals are mapped back to the caller's row senses, so duals of
 >= rows come out nonnegative and duals of <= rows nonpositive (up to
-tolerance).  Columns are stored by their nonzeros and priced from them.  The
-explicit basis inverse is kept with rank-1 updates that touch only its
-entries in the entering direction's nonzero rows and the pivot row's nonzero
-columns; the basic values and the duals are carried across pivots by the
-same step and recomputed exactly at each refactorization, and the ratio test
-runs over the direction's nonzeros only.  Every few pivots the inverse is
-rebuilt from the basis columns, in place: columns with a single nonzero
-(surplus, artificial, single-row structural) are eliminated on their rows,
-only the square core of the rest is inverted, and the block form is written
-over the old inverse once that core inverse exists.  Columns can be appended
-after a solve: that leaves the basis, its inverse and its duals valid, so a
-re-solve resumes from all three, which keeps re-solves cheap in
+tolerance).  Columns are stored by their nonzeros and priced from them, and
+the ratio test runs over the entering direction's nonzeros only.
+
+One object owns the basis inverse B^-1, and the simplex reaches it only
+through five operations, which are all that another storage of B^-1 must
+provide: `solve(v)` (B^-1 v), `duals(c_B)` (c_B B^-1), `ftran(rows, vals)`
+(B^-1 a for a column a given by its nonzeros), `pivot(nz, d_nz, leave,
+d_leave)` (the basis change for an entering direction, returning the new pivot
+row's nonzeros for the caller's dual update) and `refactor(basis, ptr, rows,
+vals)` (B^-1 rebuilt from the basis columns, read from the model's column
+store).  Today's storage is the explicit dense inverse.  A pivot's rank-1
+update touches only its entries in the direction's nonzero rows and the pivot
+row's nonzero columns.  A refactorization works in place: columns with a
+single nonzero (surplus, artificial, single-row structural) are eliminated on
+their rows, only the square core of the rest is inverted, and the block form
+is written over the old inverse once that core inverse exists.  The one other
+source of B^-1 is a cold start, whose triangular crash inverse is written down
+directly (below).
+
+The basic values and the duals are carried across pivots by the same step and
+recomputed exactly at each refactorization, every few pivots.  Columns can be
+appended after a solve: that leaves the basis, its inverse and its duals
+valid, so a re-solve resumes from all three, which keeps re-solves cheap in
 column-generation loops.  A warm solve recomputes only what the new columns
 change: the reduced costs, and the perturbed right-hand side (drawn anew for
 the new column count) with its basic values.  It does not check again that the
@@ -112,6 +123,95 @@ def _grown(arr: np.ndarray, need: int) -> np.ndarray:
     return out
 
 
+class _DenseInverse:
+    """B^-1 of a basis, kept as a dense row-major m x m array written in place.
+
+    Once the array is handed over, this is the only code that reads or writes
+    it; see the module docstring for the five operations.
+    """
+
+    def __init__(self, b_inv: np.ndarray):
+        self._a = b_inv
+        self._m = len(b_inv)
+        # the entries by flat index: a view, since the array is C-contiguous
+        # and only ever written in place
+        self._flat = b_inv.reshape(-1)
+
+    @property
+    def dense(self) -> np.ndarray:
+        """The inverse as an m x m array, to read."""
+        return self._a
+
+    def solve(self, v: np.ndarray) -> np.ndarray:
+        return self._a @ v
+
+    def duals(self, c_b: np.ndarray) -> np.ndarray:
+        return c_b @ self._a
+
+    def ftran(self, rows: np.ndarray, vals: np.ndarray) -> np.ndarray:
+        """B^-1 a for the column a with entries `vals` on `rows`."""
+        if len(rows) == 1:
+            return self._a[:, rows[0]] * vals[0]
+        return self._a[:, rows] @ vals
+
+    def pivot(self, nz: np.ndarray, d_nz: np.ndarray, leave: int, d_leave: float):
+        """Pivot the column with direction d = B^-1 a into row `leave`.
+
+        `nz` lists the rows where d is nonzero, `d_nz` holds d there, and
+        `d_leave` is d[leave].  Returns the new row `leave` of B^-1 as its
+        nonzero columns and their values.
+        """
+        row = self._a[leave] / d_leave
+        # rank-1 update, only on the entries in the rows the direction
+        # touches and the columns where the pivot row is nonzero: every
+        # other entry would lose d_i * 0.  The leaving row's update is
+        # overwritten.
+        rnz = row.nonzero()[0]
+        row_nz = row.take(rnz)
+        at = (nz * self._m)[:, None] + rnz
+        self._flat[at] = self._flat.take(at) - d_nz[:, None] * row_nz
+        self._a[leave] = row
+        return rnz, row_nz
+
+    def refactor(self, basis: np.ndarray, ptr: np.ndarray, rows: np.ndarray,
+                 vals: np.ndarray) -> None:
+        """B^-1 of the basis columns, inverting only their multi-entry core.
+
+        Internal column j has the entries `vals[ptr[j]:ptr[j + 1]]` on rows
+        `rows[ptr[j]:ptr[j + 1]]`.  A basis column with one nonzero
+        (surplus, artificial, a structural column on a single row) is
+        eliminated on its own row; in a nonsingular basis those rows are
+        distinct.  The other columns form a square core on the remaining
+        rows, and B^-1 is assembled in block form from the core's inverse
+        over the old one, once the core has been inverted.  Raises
+        LinAlgError for a singular basis, with the old inverse untouched.
+        """
+        m = len(basis)
+        lo = ptr[basis]
+        unit = ptr[basis + 1] - lo == 1
+        u_pos, c_pos = np.flatnonzero(unit), np.flatnonzero(~unit)
+        u_row, u_val = rows[lo[u_pos]], vals[lo[u_pos]]
+        if not u_val.all():
+            raise np.linalg.LinAlgError("a unit basis column has a zero entry")
+        # unit columns that share a row leave more core rows than core
+        # columns, and inv rejects the non-square core
+        is_core_row = np.ones(m, dtype=bool)
+        is_core_row[u_row] = False
+        c_rows = np.flatnonzero(is_core_row)
+        core = np.zeros((m, len(c_pos)))
+        for k, j in enumerate(basis[c_pos]):
+            core[rows[ptr[j]:ptr[j + 1]], k] = vals[ptr[j]:ptr[j + 1]]
+        core_inv = np.linalg.inv(core[c_rows])
+        inv_u = 1.0 / u_val
+        u_block = core[u_row] @ core_inv
+        u_block *= -inv_u[:, None]
+        out = self._a
+        out.fill(0.0)
+        out[np.ix_(c_pos, c_rows)] = core_inv
+        out[u_pos, u_row] = inv_u
+        out[np.ix_(u_pos, c_rows)] = u_block
+
+
 class LpModel:
     """A minimization LP over nonnegative variables with fixed rows.
 
@@ -136,9 +236,9 @@ class LpModel:
         # row scaling); dropped while a solve runs, so a solve that ends in
         # anything but an optimum leaves none of them behind
         self._basis: np.ndarray | None = None
-        self._b_inv: np.ndarray | None = None
+        self._inv: _DenseInverse | None = None
         self._y: np.ndarray | None = None
-        self._since_inv = 0  # pivots since b_inv was last computed afresh
+        self._since_inv = 0  # pivots since the inverse was last computed afresh
         # internal columns in compressed sparse form: column j's nonzeros sit
         # at [_ptr[j], _ptr[j + 1]) of _row (row index), _val and _col (== j),
         # and _c2[j] is its cost.  Every row is scaled by _row_mult (+-1) into
@@ -248,47 +348,7 @@ class LpModel:
     def _is_artificial(self, cols: np.ndarray) -> np.ndarray:
         return (cols >= self._first_struct - self.num_rows) & (cols < self._first_struct)
 
-    def _basis_inverse(self, basis: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """B^-1 of the basis columns, inverting only their multi-entry core.
-
-        A basis column with one nonzero (surplus, artificial, a structural
-        column on a single row) is eliminated on its own row; in a
-        nonsingular basis those rows are distinct.  The other columns form a
-        square core on the remaining rows, and B^-1 is assembled in block form
-        from the core's inverse, into `out` when given (overwriting it only
-        once the core has been inverted), else into a new array.  Raises
-        LinAlgError for a singular basis, with `out` untouched.
-        """
-        m = len(basis)
-        ptr = np.asarray(self._ptr)
-        lo = ptr[basis]
-        unit = ptr[basis + 1] - lo == 1
-        u_pos, c_pos = np.flatnonzero(unit), np.flatnonzero(~unit)
-        u_row, u_val = self._row[lo[u_pos]], self._val[lo[u_pos]]
-        if not u_val.all():
-            raise np.linalg.LinAlgError("a unit basis column has a zero entry")
-        # unit columns that share a row leave more core rows than core
-        # columns, and inv rejects the non-square core
-        is_core_row = np.ones(m, dtype=bool)
-        is_core_row[u_row] = False
-        c_rows = np.flatnonzero(is_core_row)
-        core = np.zeros((m, len(c_pos)))
-        for k, j in enumerate(basis[c_pos]):
-            core[self._row[ptr[j]:ptr[j + 1]], k] = self._val[ptr[j]:ptr[j + 1]]
-        core_inv = np.linalg.inv(core[c_rows])
-        inv_u = 1.0 / u_val
-        u_block = core[u_row] @ core_inv
-        u_block *= -inv_u[:, None]
-        if out is None:
-            out = np.zeros((m, m))
-        else:
-            out.fill(0.0)
-        out[np.ix_(c_pos, c_rows)] = core_inv
-        out[u_pos, u_row] = inv_u
-        out[np.ix_(u_pos, c_rows)] = u_block
-        return out
-
-    def _cold_start(self) -> tuple[np.ndarray, np.ndarray]:
+    def _cold_start(self) -> tuple[np.ndarray, _DenseInverse]:
         """The crash basis of a cold solve and its inverse (module docstring).
 
         Each row the slack basis leaves on its artificial takes the lowest
@@ -311,7 +371,7 @@ class LpModel:
         np.minimum.at(pick, rows[ok], cols[ok])
         crashed = np.flatnonzero(pick < n - first)
         if not crashed.size:
-            return basis, b_inv
+            return basis, _DenseInverse(b_inv)
         # the chosen columns' entries, each with its column's pivot row
         pivot_row = np.full(n - first, -1)
         pivot_row[pick[crashed]] = crashed
@@ -324,9 +384,9 @@ class LpModel:
         b_inv[crashed, crashed] = 1.0 / a[crashed]
         b_inv[e_rows[off], e_piv[off]] = -e_vals[off] / a[e_piv[off]]
         if (b_inv @ self._beq).min() < -FEAS_TOL:
-            return basis, np.eye(m)
+            return basis, _DenseInverse(np.eye(m))
         basis[crashed] = first + pick[crashed]
-        return basis, b_inv
+        return basis, _DenseInverse(b_inv)
 
     # ------------------------------------------------------------------
     def solve(self) -> LpSolution:
@@ -348,8 +408,8 @@ class LpModel:
 
         # a warm start resumes from the last optimum's basis, inverse and
         # duals, which appending columns leaves valid
-        basis, b_inv, y = self._basis, self._b_inv, self._y
-        self._basis = self._b_inv = self._y = None
+        basis, inv, y = self._basis, self._inv, self._y
+        self._basis = self._inv = self._y = None
 
         # phase 2's perturbed rhs, drawn the same way on every solve of this size
         rng = np.random.default_rng([m, n])
@@ -357,26 +417,26 @@ class LpModel:
         while True:
             if basis is None:
                 # phase 1 from the crash basis, at cost 1 on each artificial
-                basis, b_inv = self._cold_start()
+                basis, inv = self._cold_start()
                 self._since_inv = 0
                 c1 = np.zeros(n)
                 c1[self._first_struct - m:self._first_struct] = 1.0
-                status, n1 = self._simplex(c1, beq, basis, b_inv, None, bland_from_start,
+                status, n1 = self._simplex(c1, beq, basis, inv, None, bland_from_start,
                                            refactor_every, pin_artificials=False)
                 iters += n1
                 if status != "optimal":
                     raise _Breakdown(f"phase 1, pivot {n1}: came back {status}")
-                xb = np.maximum(b_inv @ beq, 0.0)
+                xb = np.maximum(inv.solve(beq), 0.0)
                 if float(c1[basis] @ xb) > FEAS_TOL:
                     return LpSolution(LpStatus.INFEASIBLE, None, None, None, iters)
                 y = None
 
-            status, n2 = self._simplex(c2, rhs, basis, b_inv, y, bland_from_start,
+            status, n2 = self._simplex(c2, rhs, basis, inv, y, bland_from_start,
                                        refactor_every, pin_artificials=True)
             iters += n2
             if status == "unbounded":
                 return LpSolution(LpStatus.UNBOUNDED, None, None, None, iters)
-            xb = b_inv @ beq
+            xb = inv.solve(beq)
             if rhs is beq or (xb.min(initial=0.0) >= -FEAS_TOL and
                               xb[self._is_artificial(basis)].max(initial=0.0) <= FEAS_TOL):
                 break
@@ -389,27 +449,27 @@ class LpModel:
         x_int[basis] = np.maximum(xb, 0.0)
         x = x_int[self._first_struct:]
         objective = float(c2[self._first_struct:] @ x)
-        y = c2[basis] @ b_inv
+        y = inv.duals(c2[basis])
         duals = y * self._row_mult
         # the next solve warm-starts from this basis unless B^-1 b has an
         # entry below -1e-6; the perturbed exit above already checked that at
         # the tighter -FEAS_TOL, the unperturbed one did not
         if rhs is not beq or not xb.min(initial=0.0) < -1e-6:
-            self._basis, self._b_inv, self._y = basis, b_inv, y
+            self._basis, self._inv, self._y = basis, inv, y
         return LpSolution(LpStatus.OPTIMAL, x, objective, duals, iters)
 
-    def _simplex(self, costs, rhs, basis, b_inv, y, bland, refactor_every, pin_artificials):
+    def _simplex(self, costs, rhs, basis, inv, y, bland, refactor_every, pin_artificials):
         """Primal simplex iterations on the current basis, in place.
 
         The basic values are those of B x_B = `rhs`: the true rhs in phase 1,
         a perturbed copy in phase 2 (see the module docstring), where the
-        ratio test then rarely ties at zero.  `y` holds the duals
-        `costs[basis] @ b_inv` when the caller has them, else None.  Dantzig
-        entering rule, switching to Bland's rule once the run of degenerate
-        pivots exceeds 3*(rows+cols).  Artificials never enter.  With
-        `pin_artificials`, basic artificials are never allowed to grow
-        (forced ratio 0), which keeps phase-2 iterates feasible for the real
-        rows.  Returns (status, pivots).
+        ratio test then rarely ties at zero.  `inv` is the basis's
+        _DenseInverse, and `y` holds the duals `inv.duals(costs[basis])` when
+        the caller has them, else None.  Dantzig entering rule, switching to
+        Bland's rule once the run of degenerate pivots exceeds 3*(rows+cols).
+        Artificials never enter.  With `pin_artificials`, basic artificials
+        are never allowed to grow (forced ratio 0), which keeps phase-2
+        iterates feasible for the real rows.  Returns (status, pivots).
         """
         m, n = len(rhs), len(costs)
         if m == 0:
@@ -430,11 +490,8 @@ class LpModel:
         # duals and basic values are carried across pivots and recomputed
         # exactly only after a refactorization
         if y is None:
-            y = costs[basis] @ b_inv
-        xb = np.maximum(b_inv @ rhs, 0.0)
-        # b_inv's entries by flat index: a view, since b_inv is C-contiguous
-        # and is only ever written in place
-        flat = b_inv.reshape(-1)
+            y = inv.duals(costs[basis])
+        xb = np.maximum(inv.solve(rhs), 0.0)
         terms = np.empty(nnz)  # each entry's share of its column's dual price
         rc = np.empty(n)
         while True:
@@ -450,10 +507,7 @@ class LpModel:
                 if rc[enter] >= -RC_TOL:
                     return "optimal", pivots
             lo, hi = ptr[enter], ptr[enter + 1]
-            if hi - lo == 1:
-                d = b_inv[:, rows[lo]] * vals[lo]
-            else:
-                d = b_inv[:, rows[lo:hi]] @ vals[lo:hi]
+            d = inv.ftran(rows[lo:hi], vals[lo:hi])
             # the direction touches few rows; the ratio test runs over the
             # ones where it is positive, plus, in phase 2, the basic
             # artificials it would push above zero, which get ratio 0
@@ -480,16 +534,7 @@ class LpModel:
                 art_tie = ties[is_art[ties]]
                 pool = art_tie if art_tie.size else ties
                 leave = int(pool[np.abs(d[pool]).argmax()])
-            row = b_inv[leave] / d[leave]
-            # rank-1 update, only on the entries in the rows the direction
-            # touches and the columns where the pivot row is nonzero: every
-            # other entry would lose d_i * 0.  The leaving row's update is
-            # overwritten.
-            rnz = row.nonzero()[0]
-            row_nz = row.take(rnz)
-            at = (nz * m)[:, None] + rnz
-            flat[at] = flat.take(at) - d_nz[:, None] * row_nz
-            b_inv[leave] = row
+            rnz, row_nz = inv.pivot(nz, d_nz, leave, d[leave])
             xb[nz] = np.maximum(xb.take(nz) - t_min * d_nz, 0.0)
             xb[leave] = t_min
             y[rnz] += rc[enter] * row_nz
@@ -507,12 +552,12 @@ class LpModel:
             self._since_inv += 1
             if self._since_inv >= refactor_every:
                 try:
-                    self._basis_inverse(basis, out=b_inv)
+                    inv.refactor(basis, ptr, self._row, self._val)
                 except np.linalg.LinAlgError as exc:
                     raise _Breakdown(f"phase {phase}, pivot {pivots}: singular basis "
                                      "during refactorization") from exc
                 self._since_inv = 0
-                y = costs[basis] @ b_inv
-                xb = np.maximum(b_inv @ rhs, 0.0)
+                y = inv.duals(costs[basis])
+                xb = np.maximum(inv.solve(rhs), 0.0)
             if pivots > max_pivots:
                 raise _Breakdown(f"phase {phase}, pivot {pivots}: pivot limit exceeded")

@@ -346,10 +346,10 @@ class _Routing:
     costs: np.ndarray       # arc costs
     cost_list: tuple
     delays: tuple
-    # least delay (tuples) and least arc cost (array rows) from each node to
-    # each distinct target, one row per target
+    # least delay and least arc cost from each node to each distinct target,
+    # one row per target
     dmin: tuple
-    hcost: np.ndarray
+    hcost: tuple
     # per commodity: (bandwidth, target, target's row, source, max_delay),
     # and the bandwidths as an array, for the batch bound terms
     commodities: tuple
@@ -361,7 +361,7 @@ class _Routing:
 
     def __post_init__(self):
         arrays = [v for v in vars(self.initial).values() if isinstance(v, np.ndarray)]
-        for value in (self.costs, self.hcost, self.bandwidths, *arrays):
+        for value in (self.costs, self.bandwidths, *arrays):
             value.flags.writeable = False
 
     def __reduce__(self):
@@ -406,8 +406,7 @@ class _Routing:
         num = len(paths)
         return cls(
             graph=graph, costs=costs, cost_list=cost_list, delays=delay_list,
-            # a copy, so the stacked delay rows are not kept alive with it
-            dmin=dmin, hcost=potentials[1].copy(),
+            dmin=dmin, hcost=tuple(map(tuple, potentials[1].tolist())),
             commodities=tuple((com.bandwidth, com.target, row[com.target], com.source,
                                com.max_delay) for com in commodities),
             bandwidths=bandwidths,
@@ -476,15 +475,12 @@ class McBlockProblem(BlockProblem):
         out, heads = r.graph
         initial, last = r.initial.native, self._last
         weights: dict[float, list[float]] = {}
-        lower: dict[int, list[float]] = {}
         paths, cbars, col_costs, bandwidths = [], [], [], []
         # every sum below runs left to right over the path, as the labels do
         for k, mu_k in zip(blocks.tolist(), mu_b.tolist()):
             b, t, row, source, max_delay = r.commodities[k]
             if b not in weights:
                 weights[b] = (b * clamped).tolist()
-            if row not in lower:
-                lower[row] = r.hcost[row].tolist()
             wb = weights[b]
             weight = wb.__getitem__
             # the lighter incumbent
@@ -493,7 +489,7 @@ class McBlockProblem(BlockProblem):
             # cost to t bounds every completion; the factor covers rounding in
             # the float sums.  The label loop applies it, so one list per
             # target serves every bandwidth
-            found = _label_setting(out, heads, wb, lower[row], _above(best), r.delays,
+            found = _label_setting(out, heads, wb, r.hcost[row], _above(best), r.delays,
                                    r.dmin[row], max_delay, source, t, b * (1 - BOUND_SLACK))
             if found is None:
                 raise UnroutableCommodityError(f"commodity {k} lost all feasible paths")

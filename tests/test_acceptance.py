@@ -314,14 +314,16 @@ def test_criterion_09_reports_are_deterministic():
                                   strategies=tuple(("baseline",) + EXACT_STRATEGIES
                                                    + HEUR_STRATEGIES))
         text = emit_csv(run_experiment(config, batch(problem)).rows)
-        drop = {CSV_COLUMNS.index(name) for name in ("time_s", "r_time_pct", "r_ptime_pct")}
+        timing = ("time_s", "master_s", "pricing_s", "screening_s", "r_time_pct",
+                  "r_ptime_pct")
+        drop = {CSV_COLUMNS.index(name) for name in timing}
         return [[c for i, c in enumerate(row) if i not in drop]
                 for row in csv.reader(io.StringIO(text))]
 
     same = all(stripped_report(p) == stripped_report(p) for p in ("ga", "mc"))
     verdict("criterion 9 deterministic reports",
             same, "two identical-seed runs per problem, all 7 strategies: csv "
-                  "reports bit-identical outside the three time columns")
+                  "reports bit-identical outside the six time columns")
 
 
 def test_criterion_10_lp_core_strong_duality():

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import hashlib
 import pickle
 import re
 import weakref
@@ -199,8 +200,7 @@ def test_le_linking_row_and_convexity_senses_reach_the_full_master(convexity, mo
 
 def test_contract_is_the_batch_calls():
     assert set(BlockProblem.__abstractmethods__) == {
-        "num_blocks", "linking_rows", "convexity_sense", "initial_columns", "price_blocks",
-        "bound_terms", "heuristic_bound_terms"}
+        "num_blocks", "linking_rows", "convexity_sense", "initial_columns", "price_blocks", "bound_terms", "heuristic_bound_terms"}
     for name in ("solve_pricing", "hypercube_bound_term", "heuristic_bound_term", "support_set"):
         assert not hasattr(BudgetedCover, name)
     want = BudgetedCover(RowSense.LE).full_master_objective()
@@ -579,19 +579,22 @@ def test_engine_determinism():
     assert np.array_equal(a.column_values, b.column_values)
 
 
-# (objective, master pivots, iterations, pricing calls) of each run below.  A
-# change to the master LP or the engine that is meant to pick the same pivots
-# must keep every one of them; one that moves a pivot shows here first.
+# (objective, master pivots, iterations, pricing calls, digest) of each run
+# below, where the digest is the first 16 hex digits of the SHA-256 of the
+# bytes of its linking duals, convexity duals and column values, in that order.
+# A change to the master LP or the engine that is meant to pick the same pivots
+# and compute the same floats must keep every one of them; one that moves a
+# pivot or a last bit shows here first.  They hold at 1, 2 and 4 BLAS threads.
 PINNED_RUNS = {
-    ("ga 100x10", "baseline"): (18.0, 86, 5, 500),
-    ("ga 100x10", "exact-all"): (18.0, 86, 5, 456),
-    ("ga 100x10", "heur-all"): (18.0, 86, 5, 389),
-    ("ga 400x10", "baseline"): (10.0, 82, 4, 1600),
-    ("ga 400x10", "exact-all"): (10.0, 82, 4, 1220),
-    ("ga 400x10", "heur-all"): (10.0, 81, 4, 1160),
-    ("mc 25/80/50", "baseline"): (1884.068563, 26, 4, 200),
-    ("mc 25/80/50", "exact-all"): (1884.068563, 26, 4, 100),
-    ("mc 25/80/50", "heur-all"): (1884.068563, 26, 4, 86),
+    ("ga 100x10", "baseline"): (18.0, 86, 5, 500, "bd7f710d14f957e4"),
+    ("ga 100x10", "exact-all"): (18.0, 86, 5, 456, "bd7f710d14f957e4"),
+    ("ga 100x10", "heur-all"): (18.0, 86, 5, 389, "bd7f710d14f957e4"),
+    ("ga 400x10", "baseline"): (10.0, 82, 4, 1600, "c108bc92239d53ee"),
+    ("ga 400x10", "exact-all"): (10.0, 82, 4, 1220, "c108bc92239d53ee"),
+    ("ga 400x10", "heur-all"): (10.0, 81, 4, 1160, "94716ccd937cab4c"),
+    ("mc 25/80/50", "baseline"): (1884.068563, 26, 4, 200, "e4fe8c068bd9d88c"),
+    ("mc 25/80/50", "exact-all"): (1884.068563, 26, 4, 100, "e4fe8c068bd9d88c"),
+    ("mc 25/80/50", "heur-all"): (1884.068563, 26, 4, 86, "e4fe8c068bd9d88c"),
 }
 PINNED_PROBLEMS = {
     "ga 100x10": lambda: GaBlockProblem(generate_ga_instance(100, 10, 1000)),
@@ -604,10 +607,14 @@ PINNED_PROBLEMS = {
 def test_pinned_runs_keep_their_pivots(case, strategy):
     mode, selection = STRATEGIES[strategy]
     result = run_dwd(PINNED_PROBLEMS[case](), config(mode, selection))
-    objective, pivots, iterations, pricing_calls = PINNED_RUNS[case, strategy]
+    objective, pivots, iterations, pricing_calls, digest = PINNED_RUNS[case, strategy]
     assert repr(result.objective) == repr(objective)
     assert (result.stats.master_pivots, result.stats.iterations,
             result.stats.pricing_calls) == (pivots, iterations, pricing_calls)
+    sha = hashlib.sha256()
+    for values in (result.linking_duals, result.convexity_duals, result.column_values):
+        sha.update(values.tobytes())
+    assert sha.hexdigest()[:16] == digest
 
 
 def test_config_validation():

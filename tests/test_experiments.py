@@ -26,7 +26,8 @@ def csv_rows(csv_text: str) -> list[list[str]]:
 
 
 def strip_time_columns(csv_text: str) -> list[list[str]]:
-    drop = {CSV_COLUMNS.index(name) for name in ("time_s", "r_time_pct", "r_ptime_pct")}
+    timing = ("time_s", "master_s", "pricing_s", "screening_s", "r_time_pct", "r_ptime_pct")
+    drop = {CSV_COLUMNS.index(name) for name in timing}
     return [[c for i, c in enumerate(cells) if i not in drop]
             for cells in csv_rows(csv_text)]
 
@@ -342,8 +343,8 @@ def test_cli_reports_show_termination(tmp_path, capsys):
     assert main(["run", "--problem", "ga", "--instances", str(path),
                  "--strategies", "exact-all,heur-all", "--format", "md"]) == 0
     tables = markdown_tables(capsys.readouterr().out)
-    assert len(tables) == 2
-    for table in tables:
+    assert len(tables) == 3  # exact, heuristic, time split
+    for table in tables[:2]:
         terms = {name: cell for name, cell in table[0].items() if name.endswith("termination")}
         assert len(terms) == 2 and set(terms.values()) == {"artificial"}
 
@@ -363,10 +364,38 @@ def test_markdown_shows_each_runs_termination():
     config = ExperimentConfig(problem="ga", strategies=("exact-all", "heur-all"))
     # seed 78: heur-all stops above the optimum that baseline reaches
     report = run_experiment(config, [("ga-s78", generate_ga_instance(100, 10, 78))])
-    exact, heur = markdown_tables(emit_markdown(report.rows))
+    exact, heur, _ = markdown_tables(emit_markdown(report.rows))
     assert exact[0]["termination"] == heur[0]["termination"] == "optimal"
     assert exact[0]["exact-all termination"] == "optimal"
     assert heur[0]["heur-all termination"] == "converged"
+
+
+def test_reports_split_each_runs_time(monkeypatch):
+    # fixed pivots and phase timers, read back from both formats
+    real = experiments.run_single
+
+    def timed(config, instance, strategy):
+        result = real(config, instance, strategy)
+        stats = result.stats
+        stats.master_pivots = 7 if strategy == "baseline" else 9
+        stats.wall_time_s, stats.master_time_s = 4.0, 2.5
+        stats.pricing_time_s, stats.screening_time_s = 1.0, 0.25
+        return result
+
+    monkeypatch.setattr(experiments, "run_single", timed)
+    report = run_experiment(ExperimentConfig(problem="ga", strategies=("exact-all",)),
+                            ga_batch(1))
+    header, *rows = csv_rows(emit_csv(report.rows))
+    names = ("strategy", "pivots", "time_s", "master_s", "pricing_s", "screening_s")
+    assert [tuple(r[header.index(n)] for n in names) for r in rows] == [
+        ("baseline", "7", "4.000", "2.500", "1.000", "0.250"),
+        ("exact-all", "9", "4.000", "2.500", "1.000", "0.250")]
+    *_, split = markdown_tables(emit_markdown(report.rows))
+    names = ("instance", "strategy", "#Pivots", "time (s)", "master (s)", "pricing (s)",
+             "screening (s)")
+    assert [tuple(r[n] for n in names) for r in split] == [
+        ("ga-s0", "baseline", "7", "4.000", "2.500", "1.000", "0.250"),
+        ("ga-s0", "exact-all", "9", "4.000", "2.500", "1.000", "0.250")]
 
 
 def test_cli_bad_inputs(tmp_path, capsys):

@@ -488,9 +488,9 @@ def test_overloaded_crash_falls_back_to_the_slack_basis(monkeypatch):
     assert load > 0
     rows[1] = (RowSense.LE, float(load) / 2)
     model = build(costs, rows, coeffs)
-    basis, b_inv = model._cold_start()
+    basis, inv = model._cold_start()
     assert np.array_equal(basis, model._slack_basis)
-    assert np.array_equal(b_inv, np.eye(len(rows)))
+    assert np.array_equal(inv.dense, np.eye(len(rows)))
     runs = record_phases(monkeypatch)
     sol = model.solve()
     assert runs[0][:2] == (1, True) and runs[0][2] > 0
@@ -512,13 +512,13 @@ def test_crash_takes_the_lowest_eligible_column():
                    [(1, 4.0)],
                    [(3, 1.0), (1, 1.0)]):   # row 3 (=) has no eligible column
         model.add_column(1.0, column)
-    basis, b_inv = model._cold_start()
+    basis, inv = model._cold_start()
     first = model._first_struct
     assert basis.tolist() == [first + 3, first + 5, int(model._slack_basis[2]),
                               int(model._slack_basis[3])]
     assert model._is_artificial(basis[3:]).all()
-    np.testing.assert_allclose(b_inv, model._basis_inverse(basis), rtol=0.0, atol=1e-15)
-    assert b_inv @ model._beq == pytest.approx([0.5, 2.0, 5.0 - 0.5 + 1.0, 3.0])
+    np.testing.assert_allclose(inv.dense, oracle_inverse(model, basis), rtol=0.0, atol=1e-15)
+    assert inv.solve(model._beq) == pytest.approx([0.5, 2.0, 5.0 - 0.5 + 1.0, 3.0])
 
 
 def test_crash_inverse_equals_the_refactored_inverse():
@@ -527,9 +527,10 @@ def test_crash_inverse_equals_the_refactored_inverse():
         costs, rows, coeffs = dw_master(rng, blocks=int(rng.integers(1, 9)),
                                         links=int(rng.integers(3, 12)))
         model = build(costs, rows, coeffs)
-        basis, b_inv = model._cold_start()
+        basis, inv = model._cold_start()
         assert not model._is_artificial(basis).any()
-        np.testing.assert_allclose(b_inv, model._basis_inverse(basis), rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(inv.dense, oracle_inverse(model, basis), rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(inv.dense, refactored(model, basis), rtol=0.0, atol=1e-12)
 
 
 def test_first_mc_master_needs_no_phase_1_pivots(monkeypatch):
@@ -686,7 +687,7 @@ def test_carried_inverse_matches_a_fresh_inverse_across_refactorizations():
         assert sol.status is LpStatus.OPTIMAL
         pivots += sol.iterations
         if pivots >= 128 and model._since_inv:
-            np.testing.assert_allclose(model._b_inv, model._basis_inverse(model._basis),
+            np.testing.assert_allclose(model._inv.dense, oracle_inverse(model, model._basis),
                                        rtol=0.0, atol=1e-9)
             checked += 1
         for _ in range(3):
@@ -732,6 +733,18 @@ def internal_basis_matrix(model, basis):
     return out
 
 
+def oracle_inverse(model, basis):
+    return np.linalg.inv(internal_basis_matrix(model, basis))
+
+
+def refactored(model, basis, inv=None):
+    """The dense view of `inv` (a fresh one if None) refactored on `basis`."""
+    if inv is None:
+        inv = lp_module._DenseInverse(np.zeros((len(basis), len(basis))))
+    inv.refactor(basis, model._ptr, model._row, model._val)
+    return inv.dense
+
+
 def test_core_inverse_equals_dense_inverse():
     rng = np.random.default_rng(8)
     m = 12
@@ -765,7 +778,7 @@ def test_core_inverse_equals_dense_inverse():
             continue
         label = "all-unit" if n_unit == m else "no-unit" if n_unit == 0 else "mixed"
         checked[label] += 1
-        np.testing.assert_allclose(model._basis_inverse(basis), np.linalg.inv(dense),
+        np.testing.assert_allclose(refactored(model, basis), np.linalg.inv(dense),
                                    rtol=1e-9, atol=1e-9)
 
 
@@ -776,11 +789,14 @@ def test_core_inverse_rejects_singular_unit_columns():
     model.add_column(1.0, [(1, 0.0)])  # a unit column whose entry is 0
     (s0, s1, zero), art = internal_columns(model)
     good = np.array([s1, art[1]])
-    assert model._basis_inverse(good) == pytest.approx(np.diag([0.5, 1.0]))
-    with pytest.raises(np.linalg.LinAlgError):
-        model._basis_inverse(np.array([s0, s1]))  # two unit columns on row 0
-    with pytest.raises(np.linalg.LinAlgError):
-        model._basis_inverse(np.array([s0, zero]))
+    inv = lp_module._DenseInverse(np.zeros((2, 2)))
+    assert refactored(model, good, inv) == pytest.approx(np.diag([0.5, 1.0]))
+    # a singular basis leaves the inverse as it was
+    for singular in ([s0, s1],     # two unit columns on row 0
+                     [s0, zero]):
+        with pytest.raises(np.linalg.LinAlgError):
+            refactored(model, np.array(singular), inv)
+        assert inv.dense == pytest.approx(np.diag([0.5, 1.0]))
 
 
 def test_unit_columns_sharing_a_row_name_phase_and_pivot():

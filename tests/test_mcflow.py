@@ -325,7 +325,7 @@ def test_price_blocks_equals_unbounded_label_setting(case, rng_seed):
                 cbar = c.bandwidth * sum((costs + pi).tolist()[a] for a in path) - float(mu[k])
                 assert got.reduced_costs[i] == cbar
         if case == "integer costs":
-            hcost = inst._routing.hcost
+            hcost = np.array(inst._routing.hcost)
             assert (hcost == 0).sum() > hcost.shape[0]
 
 
@@ -576,7 +576,7 @@ def test_problems_of_one_instance_share_no_state():
 
 def shared_arrays(inst):
     routing = inst._routing
-    return [routing.costs, routing.hcost, routing.bandwidths,
+    return [routing.costs, routing.bandwidths,
             *(getattr(routing.initial, name) for name in (
                 "blocks", "reduced_costs", "costs", "ptr", "rows", "vals"))]
 
