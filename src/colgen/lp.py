@@ -411,8 +411,10 @@ class LpModel:
         basis, inv, y = self._basis, self._inv, self._y
         self._basis = self._inv = self._y = None
 
-        # phase 2's perturbed rhs, drawn the same way on every solve of this size
-        rng = np.random.default_rng([m, n])
+        # phase 2's perturbed rhs, drawn the same way on every solve of this
+        # size; a uint32 seed array draws what the list [m, n] draws, and
+        # builds the generator faster
+        rng = np.random.default_rng(np.array([m, n], dtype=np.uint32))
         rhs = beq + PERTURB_SCALE * (1.0 + beq) * rng.uniform(0.5, 1.0, m)
         while True:
             if basis is None:

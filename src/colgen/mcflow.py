@@ -3,8 +3,24 @@
 A commodity k ships `bandwidth` units from its source to its target along
 simple paths whose total delay stays within the commodity's budget.  The
 master minimizes total routing cost subject to arc capacities; one block per
-commodity prices new paths with a label-setting shortest-path solver under a
-delay resource.
+commodity prices new paths, by a bound where it proves the path and by a
+label-setting shortest-path solver under a delay resource where it does not.
+
+The bound is the standard shortcut for a resource-constrained shortest path
+(Irnich & Desaulniers, below): if the shortest path without the resource
+meets the budget, it is the answer.  The set-up holds the dual-free least
+cost from each node to each target, and its tree path P, which leaves each
+node by its cheapest out-arc.  Any other path leaves P at some node v by
+another arc a, so it costs at least the deviation bound g, the least of
+prefix(v) + cost(a) + least cost from head(a) over all such v and a.  The
+capacity duals, clamped at zero, only add weight, so while P meets the delay
+budget and its cost plus its dual surcharge stays below g, with a relative
+margin of `TREE_SLACK` for rounding, P is strictly lighter than every other
+path: the search would return P, and pricing returns it without one.  A
+tree walk stops after num_nodes arcs, since zero-cost arcs can make it
+cycle, and a target the walk never reaches is never certified.  The set-up
+reads each commodity's min-delay initial path off the least-delay tree in
+the same way and searches only where the bound fails, as on ties.
 
 The label setting prunes exactly, as in Irnich & Desaulniers ("Shortest Path
 Problems with Resource Constraints", 2005) and Lozano & Medaglia (Comput.
@@ -44,6 +60,10 @@ DELAY_TOL = 1e-9
 # far less than this for any path of under a thousand arcs, so the bounds
 # never cut a path that ties the optimum.
 BOUND_SLACK = 1e-12
+# relative margin of the tree-path certificate (`_tree_paths`): its two
+# sides are float sums of at most 2 * num_nodes nonnegative terms each, so
+# rounding moves them by far less than this on any graph this code can hold
+TREE_SLACK = 1e-9
 # generated arc capacities add a uniform share in this range of the total
 # bandwidth on top of the minimum-delay routing load
 CAPACITY_SLACK = (0.0, 0.1)
@@ -85,7 +105,9 @@ def _arc_error(a: Arc, num_nodes: int) -> str | None:
         return f"arc endpoints must be integer node indices: {a}"
     if not (0 <= a.tail < num_nodes and 0 <= a.head < num_nodes):
         return f"arc endpoint out of range: {a}"
-    if not all(math.isfinite(x) and x >= 0 for x in (a.capacity, a.delay, a.cost)):
+    cap, delay, cost = a.capacity, a.delay, a.cost
+    if not (math.isfinite(cap) and cap >= 0 and math.isfinite(delay) and delay >= 0
+            and math.isfinite(cost) and cost >= 0):
         return f"arc attributes must be finite and nonnegative: {a}"
     return None
 
@@ -318,6 +340,85 @@ def _above(weight: float) -> float:
     return weight * (1 + BOUND_SLACK) + BOUND_SLACK
 
 
+def _tree_paths(pairs, values, potentials, rows, sources, targets, caps):
+    """Each commodity's tree path on every layer of `values`, and its
+    headroom: how much weight on top of its values the path can take and
+    stay the one lightest path, by the deviation bound g of the module
+    docstring.
+
+    `values` (r x arcs) are nonnegative arc values and `potentials` (r x
+    targets x nodes) their `_potentials` to the distinct targets, layer 0
+    the delays; per commodity, `rows` holds its target's row, `sources` and
+    `targets` its ends and `caps` its delay budget plus `DELAY_TOL`.  The
+    tree path P leaves each node by its out-arc of least value + potential
+    at the head, the smallest index on ties, and must pass the label loop's
+    delay test at each node.
+
+    Returns (paths, headroom), one row per layer: P's arcs, and g /
+    (1 + TREE_SLACK) minus P's value, where the margin covers every rounding
+    of the float sums on either side.  A commodity whose walk fails a delay
+    test or does not reach its target in num_nodes arcs (zero-value cycles
+    can loop the walk; an unreachable target is never reached) gets () and
+    -inf, which no extra weight is below.
+    """
+    layers, num_rows, num_nodes = potentials.shape
+    tails = np.array([tail for tail, _ in pairs], dtype=np.intp)
+    heads = np.array([head for _, head in pairs], dtype=np.intp)
+    num_arcs, flat = len(pairs), potentials.ravel()
+    # per (layer, target row) and arc: the state of the arc's tail, numbered
+    # as `flat`, and the arc's value + potential at its head.  `_potentials`
+    # leaves a state's potential equal to the least such sum, so the arcs
+    # that attain it are exactly the ones where the two are equal
+    cell = (np.arange(layers * num_rows)[:, None] * num_nodes + tails).ravel()
+    via = (potentials[..., heads] + values[:, None]).ravel()
+    tight = via == flat[cell]
+    taken = np.flatnonzero(tight)
+    # per state: the arc the walk takes, the smallest index that attains the
+    # least, num_arcs for none; and the least over the other arcs, which is
+    # the least itself where a second arc attains it
+    succ = np.full(flat.size, num_arcs)
+    np.minimum.at(succ, cell[taken], taken % num_arcs)
+    alt = np.full(flat.size, np.inf)
+    np.minimum.at(alt, cell, np.where(tight, np.inf, via))
+    ties = np.bincount(cell[taken], minlength=flat.size) > 1
+    alt[ties] = flat[ties]
+    # walk every (layer, commodity) pair at once, at most num_nodes arcs; a
+    # target takes no arc, so the walk stops there
+    base = (np.arange(layers)[:, None] * num_rows + rows).ravel() * num_nodes
+    goal = base + np.tile(targets, layers)
+    succ[goal] = num_arcs
+    shift = np.append(heads - tails, 0)
+    state = base + np.tile(sources, layers)
+    states, arcs = [state], []
+    for _ in range(num_nodes):
+        arc = succ[state]
+        if arc.min(initial=num_arcs) == num_arcs:
+            break
+        arcs.append(arc)
+        state = state + shift[arc]
+        states.append(state)
+    states = np.array(states)
+    arcs = np.array(arcs, dtype=np.intp).reshape(len(arcs), base.size)
+    # the delay and the value up to each state visited, summed left to right,
+    # the delays tested as the label loop tests them
+    values = np.append(values, np.zeros((layers, 1)), axis=1)
+    sums = np.zeros((2,) + states.shape)
+    np.add.accumulate(values[0, arcs], axis=0, out=sums[0, 1:])
+    np.add.accumulate(values[np.repeat(np.arange(layers), len(rows)), arcs], axis=0,
+                      out=sums[1, 1:])
+    delay, value = sums
+    ok = (state == goal) & (delay + flat[states % (num_rows * num_nodes)]
+                            <= np.tile(caps, layers)).all(axis=0)
+    gap = np.where(arcs < num_arcs, value[:-1] + alt[states[:-1]], np.inf).min(
+        axis=0, initial=np.inf)
+    headroom = np.where(ok, gap / (1 + TREE_SLACK) - value[-1], -np.inf)
+    lengths = np.where(ok, (arcs < num_arcs).sum(axis=0), 0)
+    paths = [tuple(a[:n]) for a, n in zip(arcs.T.tolist(), lengths.tolist())]
+    num = len(rows)
+    return ([paths[i * num:(i + 1) * num] for i in range(layers)],
+            headroom.reshape(layers, num))
+
+
 # ----------------------------------------------------------------------
 # block plug-in
 
@@ -358,10 +459,19 @@ class _Routing:
     # path: being delay-feasible, it also caps the weight of its pricing
     # searches
     initial: PricedBlocks
+    # per commodity, its path on the least-cost tree (`_tree_paths`), () if
+    # none is certified, and the surcharge of the clamped duals on it below
+    # which it is the commodity's pricing result; the paths' arcs again,
+    # flat, with their commodities, for one `bincount` of the surcharges
+    tree: tuple
+    headroom: np.ndarray
+    tree_arcs: np.ndarray
+    tree_owner: np.ndarray
 
     def __post_init__(self):
         arrays = [v for v in vars(self.initial).values() if isinstance(v, np.ndarray)]
-        for value in (self.costs, self.bandwidths, *arrays):
+        for value in (self.costs, self.bandwidths, self.headroom, self.tree_arcs,
+                      self.tree_owner, *arrays):
             value.flags.writeable = False
 
     def __reduce__(self):
@@ -390,20 +500,30 @@ class _Routing:
             potentials = _potentials(num_nodes, pairs, np.stack([delays, costs]), targets)
         dmin = tuple(map(tuple, potentials[0].tolist()))
         delay_list = tuple(delays.tolist())
+        num = len(commodities)
+        rows, sources, ends = (np.array(column, dtype=np.intp) for column in (
+            [row[com.target] for com in commodities], [com.source for com in commodities],
+            [com.target for com in commodities]))
+        caps = np.array([com.max_delay for com in commodities], dtype=float) + DELAY_TOL
+        (fastest, tree), headroom = _tree_paths(pairs, np.stack([delays, costs]), potentials,
+                                                rows, sources, ends, caps)
         paths = []
-        for k, com in enumerate(commodities):
-            found = _min_delay_path(graph, delay_list, dmin[row[com.target]], com.max_delay,
-                                    com.source, com.target)
-            if found is None:
-                raise UnroutableCommodityError(
-                    f"commodity {k} has no path within delay budget {com.max_delay}")
-            paths.append(found[1])
+        # a certified min-delay tree path is what the search would return;
+        # the rest, ties among them, are searched
+        for k, (com, path, room) in enumerate(zip(commodities, fastest, headroom[0].tolist())):
+            if room <= 0.0:
+                found = _min_delay_path(graph, delay_list, dmin[row[com.target]], com.max_delay,
+                                        com.source, com.target)
+                if found is None:
+                    raise UnroutableCommodityError(
+                        f"commodity {k} has no path within delay budget {com.max_delay}")
+                path = found[1]
+            paths.append(path)
         bandwidths = np.array([com.bandwidth for com in commodities], dtype=float)
         cost_list = tuple(costs.tolist())
         # summed as pricing sums them
         col_costs = np.array([com.bandwidth * sum(map(cost_list.__getitem__, path))
                               for com, path in zip(commodities, paths)], dtype=float)
-        num = len(paths)
         return cls(
             graph=graph, costs=costs, cost_list=cost_list, delays=delay_list,
             dmin=dmin, hcost=tuple(map(tuple, potentials[1].tolist())),
@@ -411,7 +531,10 @@ class _Routing:
                                com.max_delay) for com in commodities),
             bandwidths=bandwidths,
             initial=PricedBlocks(np.arange(num, dtype=np.intp), np.zeros(num), col_costs,
-                                 *_path_arrays(paths, bandwidths), tuple(paths)))
+                                 *_path_arrays(paths, bandwidths), tuple(paths)),
+            tree=tuple(tree), headroom=headroom[1],
+            tree_arcs=np.array([a for p in tree for a in p], dtype=np.intp),
+            tree_owner=np.repeat(np.arange(num), [len(p) for p in tree]))
 
 
 class McBlockProblem(BlockProblem):
@@ -424,9 +547,10 @@ class McBlockProblem(BlockProblem):
 
         bandwidth * sum(arc cost + pi_arc) - mu_k
 
-    The dual-free set-up (graph lists, potentials, min-delay paths, the
-    initial columns' arrays) is the instance's, built once however many
-    problems the instance makes; a problem keeps only its own state.
+    The dual-free set-up (graph lists, potentials, tree paths and their
+    headroom, min-delay paths, the initial columns' arrays) is the
+    instance's, built once however many problems the instance makes; a
+    problem keeps only its own state.
     """
 
     def __init__(self, inst: McInstance):
@@ -453,11 +577,16 @@ class McBlockProblem(BlockProblem):
         return self.inst._routing.initial
 
     def price_blocks(self, blocks, pi, mu):
-        """Label setting for each listed commodity, its dual-dependent set-up shared.
+        """Each listed commodity's lightest delay-feasible path at the duals.
 
-        The path weights are computed once per distinct bandwidth, the cost
-        bounds once per distinct target, and the result is filled straight
-        from the paths.
+        One `bincount` sums every commodity's dual surcharge on its tree
+        path; a commodity whose surcharge stays below its headroom is priced
+        by that path, which the search would return (see the module
+        docstring).  The rest run label setting, their dual-dependent set-up
+        shared: the path weights are computed once per distinct bandwidth,
+        the cost bounds once per distinct target.  The result is filled
+        straight from the paths, each reduced cost summed left to right
+        along its path either way.
         """
         blocks = np.asarray(blocks, dtype=np.intp).reshape(-1)
         return self._price(blocks, pi, np.asarray(mu, dtype=float)[blocks])
@@ -469,7 +598,12 @@ class McBlockProblem(BlockProblem):
         # below uses the raw duals; test_mcflow.py's
         # test_dual_clamp_shifts_no_reduced_cost_past_the_audit_tolerance
         # checks that the clamp moves it by less than the audit tolerance
-        clamped = r.costs + np.maximum(pi, 0.0)
+        surcharge = np.maximum(pi, 0.0)
+        clamped = r.costs + surcharge
+        # a commodity whose tree path's surcharge stays below its headroom
+        # is priced by that path, which is what its search would return
+        proven = (np.bincount(r.tree_owner, weights=surcharge[r.tree_arcs],
+                              minlength=len(r.commodities))[blocks] < r.headroom[blocks])
         # a list, not an array: the sums index it one element at a time
         raw = (r.costs + pi).tolist()
         out, heads = r.graph
@@ -477,23 +611,26 @@ class McBlockProblem(BlockProblem):
         weights: dict[float, list[float]] = {}
         paths, cbars, col_costs, bandwidths = [], [], [], []
         # every sum below runs left to right over the path, as the labels do
-        for k, mu_k in zip(blocks.tolist(), mu_b.tolist()):
+        for k, mu_k, tree in zip(blocks.tolist(), mu_b.tolist(), proven.tolist()):
             b, t, row, source, max_delay = r.commodities[k]
-            if b not in weights:
-                weights[b] = (b * clamped).tolist()
-            wb = weights[b]
-            weight = wb.__getitem__
-            # the lighter incumbent
-            best = min(sum(map(weight, initial[k])), sum(map(weight, last[k])))
-            # the clamped weights are at least b * cost, so b times the least
-            # cost to t bounds every completion; the factor covers rounding in
-            # the float sums.  The label loop applies it, so one list per
-            # target serves every bandwidth
-            found = _label_setting(out, heads, wb, r.hcost[row], _above(best), r.delays,
-                                   r.dmin[row], max_delay, source, t, b * (1 - BOUND_SLACK))
-            if found is None:
-                raise UnroutableCommodityError(f"commodity {k} lost all feasible paths")
-            path = last[k] = found[1]
+            if tree:
+                path = last[k] = r.tree[k]
+            else:
+                if b not in weights:
+                    weights[b] = (b * clamped).tolist()
+                wb = weights[b]
+                weight = wb.__getitem__
+                # the lighter incumbent
+                best = min(sum(map(weight, initial[k])), sum(map(weight, last[k])))
+                # the clamped weights are at least b * cost, so b times the
+                # least cost to t bounds every completion; the factor covers
+                # rounding in the float sums.  The label loop applies it, so
+                # one list per target serves every bandwidth
+                found = _label_setting(out, heads, wb, r.hcost[row], _above(best), r.delays,
+                                       r.dmin[row], max_delay, source, t, b * (1 - BOUND_SLACK))
+                if found is None:
+                    raise UnroutableCommodityError(f"commodity {k} lost all feasible paths")
+                path = last[k] = found[1]
             paths.append(path)
             cbars.append(b * sum(map(raw.__getitem__, path)) - mu_k)
             col_costs.append(b * sum(map(r.cost_list.__getitem__, path)))
@@ -542,12 +679,12 @@ def generate_mc_instance(num_nodes: int, num_arcs: int, num_commodities: int,
     cover the load of routing everything on minimum-delay paths, so the
     master is feasible without artificial help.  PCG64(seed) drives all
     draws in a fixed order: topology, arc attributes, commodities, budgets,
-    capacities.  Chord arcs and budget factors are drawn in blocks that
-    yield the same values, in the same order, as one draw at a time.  The
-    min-delay paths come from the instance's pricing set-up, which reads no
-    capacity, so it is built once from the generator's own arrays, before
-    the capacities, with the least delays that set the budgets, and the
-    returned instance keeps it.
+    capacities.  Chord arcs, commodities and budget factors are drawn in
+    blocks that yield the same values, in the same order, as one draw at a
+    time.  The min-delay paths come from the instance's pricing set-up,
+    which reads no capacity, so it is built once from the generator's own
+    arrays, before the capacities, with the least delays that set the
+    budgets, and the returned instance keeps it.
     """
     if num_nodes < 2 or num_commodities < 0:
         # one node has no arc or commodity that joins two distinct nodes
@@ -565,14 +702,27 @@ def generate_mc_instance(num_nodes: int, num_arcs: int, num_commodities: int,
         pairs += [(t, h) for t, h in zip(ends[::2], ends[1::2]) if t != h]
     costs = np.round(rng.uniform(1.0, 10.0, size=num_arcs), 3)
     delays = np.round(rng.uniform(1.0, 10.0, size=num_arcs), 3)
+    # each commodity's source, target and bandwidth, drawn as blocks with
+    # array bounds, which read the stream as one draw at a time does.  One at
+    # a time draws a target again while it equals the source, so a block is
+    # kept only up to its first such commodity: the stream is set back, the
+    # kept draws are taken again, and that commodity is drawn one at a time
     commodities = []
-    for _ in range(num_commodities):
-        source = int(rng.integers(num_nodes))
-        target = int(rng.integers(num_nodes))
-        while target == source:
+    while (need := num_commodities - len(commodities)) > 0:
+        low, high = np.tile([0, 0, 1], need), np.tile([num_nodes, num_nodes, 6], need)
+        saved = rng.bit_generator.state
+        draws = rng.integers(low, high).reshape(need, 3)
+        clash = np.flatnonzero(draws[:, 0] == draws[:, 1])[:1].tolist()
+        if clash:
+            rng.bit_generator.state = saved
+            draws = rng.integers(low[:3 * clash[0]], high[:3 * clash[0]]).reshape(-1, 3)
+        commodities += [(s, t, float(b)) for s, t, b in draws.tolist()]
+        if clash:
+            source = int(rng.integers(num_nodes))
             target = int(rng.integers(num_nodes))
-        bandwidth = float(rng.integers(1, 6))
-        commodities.append((source, target, bandwidth))
+            while target == source:
+                target = int(rng.integers(num_nodes))
+            commodities.append((source, target, float(rng.integers(1, 6))))
     targets = list(dict.fromkeys(t for _, t, _ in commodities))
     # the set-up's least delays and costs, in one pass; the delays set the
     # budgets, one factor per commodity drawn as one block
@@ -589,8 +739,8 @@ def generate_mc_instance(num_nodes: int, num_arcs: int, num_commodities: int,
     total_b = sum(b for _, _, b in commodities)
     slack = rng.uniform(*CAPACITY_SLACK, size=num_arcs)
     caps = np.round(load + slack * max(total_b, 1.0) + 1.0, 3)
-    arcs = tuple(Arc(t, h, float(caps[i]), float(delays[i]), float(costs[i]))
-                 for i, (t, h) in enumerate(pairs))
+    arcs = tuple(Arc(t, h, cap, delay, cost) for (t, h), cap, delay, cost
+                 in zip(pairs, caps.tolist(), delays.tolist(), costs.tolist()))
     inst = McInstance(num_nodes, arcs, comms)
     inst.__dict__["_routing"] = routing
     return inst

@@ -200,6 +200,28 @@ def min_to_target(num_nodes, arcs, values, target):
     return dist
 
 
+def mc_commodity_draws(num_nodes, num_arcs, num_commodities, seed):
+    """The (source, target, bandwidth) of each commodity of
+    `generate_mc_instance`, drawn one value at a time: the chord arcs as
+    (tail, head) pairs until there are `num_arcs` arcs, the arc costs and
+    delays, then per commodity a source, a target drawn again while it
+    equals the source, and a bandwidth."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    arcs = num_nodes
+    while arcs < num_arcs:
+        tail, head = int(rng.integers(num_nodes)), int(rng.integers(num_nodes))
+        arcs += tail != head
+    rng.uniform(1.0, 10.0, size=2 * num_arcs)
+    draws = []
+    for _ in range(num_commodities):
+        source = int(rng.integers(num_nodes))
+        target = int(rng.integers(num_nodes))
+        while target == source:
+            target = int(rng.integers(num_nodes))
+        draws.append((source, target, float(rng.integers(1, 6))))
+    return draws
+
+
 def label_setting_unbounded(out, heads, weights, delays, dmin, max_delay, source, target):
     """Resource-constrained label setting with no weight bound.
 

@@ -156,6 +156,16 @@ def test_generator_output_is_pinned():
         assert hashlib.sha256(text.encode()).hexdigest() == digest, (shape, seed)
 
 
+def test_generator_draws_commodities_as_one_value_at_a_time():
+    # blocks of draws stand in for one draw at a time; two and three nodes
+    # make a target equal to its source common, which sets a block back
+    for shape in ((2, 2, 9), (3, 5, 12), (6, 14, 30), (25, 80, 50)):
+        for seed in range(25):
+            want = oracles.mc_commodity_draws(*shape, seed)
+            inst = generate_mc_instance(*shape, seed)
+            assert [(c.source, c.target, c.bandwidth) for c in inst.commodities] == want
+
+
 def test_generator_needs_ring():
     with pytest.raises(ValueError):
         generate_mc_instance(10, 9, 2, 0)
@@ -287,10 +297,12 @@ def test_label_setting_bounds_return_the_unbounded_result():
 
 @pytest.mark.parametrize("case, rng_seed",
                          [("random", 0), ("integer costs", 1), ("loose budgets", 2)])
-def test_price_blocks_equals_unbounded_label_setting(case, rng_seed):
+def test_price_blocks_equals_unbounded_label_setting(monkeypatch, case, rng_seed):
     # one problem per instance priced round after round, so each search is
-    # capped by the path the commodity's previous search returned
+    # capped by the path the commodity's previous search returned, and the
+    # tree bound prices some commodities without one
     rng = np.random.default_rng(rng_seed)
+    searches, priced = counted(monkeypatch, "_label_setting"), 0
     for seed in range(3):
         inst = generate_mc_instance(12, 36, 30, seed)
         if case == "integer costs":
@@ -315,6 +327,7 @@ def test_price_blocks_equals_unbounded_label_setting(case, rng_seed):
             mu = rng.uniform(0.0, 50.0, size=30)
             blocks = [int(k) for k in rng.permutation(30)[:20]]
             got = problem.price_blocks(blocks, pi, mu)
+            priced += len(blocks)
             for i, k in enumerate(blocks):
                 c = inst.commodities[k]
                 dmin = oracles.min_to_target(inst.num_nodes, arcs, delays, c.target).tolist()
@@ -327,6 +340,8 @@ def test_price_blocks_equals_unbounded_label_setting(case, rng_seed):
         if case == "integer costs":
             hcost = np.array(inst._routing.hcost)
             assert (hcost == 0).sum() > hcost.shape[0]
+    # some commodities were searched and some priced by their tree paths
+    assert 0 < len(searches) < priced
 
 
 def test_problem_is_freed_without_the_cycle_collector():
@@ -380,6 +395,95 @@ def test_pricing_matches_enumeration_on_random_duals():
         assert want is not None
         assert cbar == pytest.approx(want - mu, abs=1e-9)
         assert oracles.path_delay(inst, col.native) <= com.max_delay + 1e-9
+
+
+# instances where the tree bound of pricing fires, and where it must not:
+# (text, whether zero duals price the commodity by its tree path)
+TREE_CASES = {
+    # the cheapest path (2, 3) costs 2, and any other at least 10
+    "fires": (DIAMOND, True),
+    # the cheapest path takes delay 8, over the budget of 3
+    "over budget": (DIAMOND.replace("commodity 0 3 1 8", "commodity 0 3 1 3"), False),
+    # two parallel arcs of equal cost: the lexicographic rule picks arc 0
+    "parallel tie": ("nodes 3\narc 0 1 10 1 2\narc 0 1 10 1 2\narc 1 2 10 1 1\n"
+                     "commodity 0 2 2 5\n", False),
+    # two two-arc paths of equal cost and delay
+    "diamond tie": ("nodes 4\narc 0 2 10 1 1\narc 0 1 10 1 1\narc 1 3 10 1 1\n"
+                    "arc 2 3 10 1 1\ncommodity 0 3 1 5\n", False),
+    # arcs 1 and 2 form a cycle of zero cost and delay, and each ties the
+    # arc to the target, so the tree walks 1, 2, 1, ... on both layers
+    "zero cycle": ("nodes 4\narc 0 1 10 1 1\narc 1 2 10 0 0\narc 2 1 10 0 0\n"
+                   "arc 1 3 10 1 1\narc 2 3 10 1 1\ncommodity 0 3 1 10\n", False),
+    # arc 0 leads to a node that reaches no target: an infinite potential,
+    # and the one path to node 2 has no rival at all
+    "dead end": ("nodes 4\narc 0 3 10 1 0\narc 0 1 10 1 1\narc 1 2 10 1 1\n"
+                 "commodity 0 2 1 5\ncommodity 0 3 2 5\n", True),
+}
+
+
+@pytest.mark.parametrize("case", list(TREE_CASES))
+def test_price_blocks_equals_rcsp_where_the_tree_bound_fires_and_where_not(monkeypatch, case):
+    text, fires = TREE_CASES[case]
+    inst = tiny(text)
+    problem = McBlockProblem(inst)
+    searches = counted(monkeypatch, "_label_setting")
+    num = len(inst.commodities)
+    costs = np.array([a.cost for a in inst.arcs])
+    delays = [a.delay for a in inst.arcs]
+    rng = np.random.default_rng(3)
+    # zero duals, then duals on every arc, then large ones on the tree paths
+    tree_arcs = np.zeros(len(costs))
+    tree_arcs[[a for p in inst._routing.tree for a in p]] = 20.0
+    for pi in (np.zeros(len(costs)), np.round(rng.uniform(-0.01, 3.0, len(costs)), 3),
+               tree_arcs):
+        mu = rng.uniform(0.0, 10.0, size=num)
+        before = len(searches)
+        got = problem.price_blocks(range(num), pi, mu)
+        ran = len(searches) - before
+        if not pi.any():
+            assert ran == (0 if fires else num)
+        for k, c in enumerate(inst.commodities):
+            weights = c.bandwidth * (costs + np.maximum(pi, 0.0))
+            _, path = rcsp(inst.num_nodes, pairs(inst.arcs), weights, delays, c.max_delay,
+                           c.source, c.target)
+            assert got.column(k).native == path
+            cbar = c.bandwidth * sum((costs + pi).tolist()[a] for a in path) - float(mu[k])
+            assert got.reduced_costs[k] == cbar
+    if case == "fires":
+        # a surcharge of 40 on the tree path lifts it over the rival
+        assert problem.price_blocks([0], tree_arcs, [0.0]).column(0).native == (0, 1)
+    if case == "parallel tie":
+        assert problem.price_blocks([0], np.zeros(3), [0.0]).column(0).native == (0, 2)
+
+
+def test_tree_paths_never_certify_a_cycle_or_an_unreachable_target():
+    # nodes 1 and 2 form a zero cycle that ties the arcs to node 4, so the
+    # walk from 0 to 4 loops until its cap; node 3 reaches nothing, so node
+    # 0 is unreachable from it
+    arcs = [(0, 1), (1, 2), (2, 1), (1, 4), (2, 4), (0, 3)]
+    values = np.array([[1.0, 0.0, 0.0, 1.0, 1.0, 1.0]] * 2)
+    targets = [4, 0]
+    potentials = _potentials(5, arcs, values, targets)
+    assert np.isinf(potentials[:, 1, 3]).all()
+    paths, headroom = mcflow._tree_paths(arcs, values, potentials, np.array([0, 1]),
+                                         np.array([0, 3]), np.array(targets),
+                                         np.array([100.0, 100.0]))
+    assert paths == [[(), ()], [(), ()]] and (headroom == -np.inf).all()
+    with pytest.raises(UnroutableCommodityError):
+        McBlockProblem(McInstance(5, tuple(Arc(t, h, 1.0, 1.0, 1.0) for t, h in arcs),
+                                  (Commodity(0, 3, 1.0, 9.0), Commodity(3, 0, 1.0, 9.0))))
+
+
+def test_initial_paths_equal_fresh_min_delay_searches():
+    # the set-up reads most initial paths off the delay tree; each must be
+    # the path its own search returns
+    for (*shape, seed) in GENERATED_MC:
+        inst = generate_mc_instance(*shape, seed)
+        r = inst._routing
+        for k, com in enumerate(inst.commodities):
+            found = mcflow._min_delay_path(r.graph, r.delays, r.dmin[r.commodities[k][2]],
+                                           com.max_delay, com.source, com.target)
+            assert found[1] == r.initial.native[k], (shape, seed, k)
 
 
 def initial_columns(problem):
@@ -528,6 +632,19 @@ def outcome(result):
             result.column_values.tobytes(), result.columns)
 
 
+def uncertified(inst):
+    """How many commodities' min-delay tree paths the set-up does not
+    certify, so that it searches them."""
+    r = inst._routing
+    rows = np.array([c[2] for c in r.commodities], dtype=np.intp)
+    ends = [np.array([getattr(c, end) for c in inst.commodities], dtype=np.intp)
+            for end in ("source", "target")]
+    _, headroom = mcflow._tree_paths(
+        pairs(inst.arcs), np.array([r.delays, r.costs]), np.array([r.dmin, r.hcost]), rows,
+        *ends, np.array([c.max_delay for c in inst.commodities]) + mcflow.DELAY_TOL)
+    return int((headroom[0] <= 0).sum())
+
+
 def test_setup_runs_once_per_instance(monkeypatch):
     potentials = counted(monkeypatch, "_potentials")
     searches = counted(monkeypatch, "_min_delay_path")
@@ -542,19 +659,34 @@ def test_setup_runs_once_per_instance(monkeypatch):
     inst = generate_mc_instance(25, 80, 50, 7)
     # one pass for the least delays and costs to all targets, which set the
     # budgets and go into the set-up the instance keeps, one search per
-    # commodity, and one instance built and checked: the returned one
+    # commodity whose min-delay tree path is not certified, and one instance
+    # built and checked: the returned one
+    want = uncertified(inst)
     assert len(potentials) == 1
-    assert len(searches) == len(inst.commodities)
+    assert len(searches) == want
     assert len(validated) == 1 and validated[0] is inst
     problems = [McBlockProblem(inst) for _ in range(3)]
     for problem in problems:
         solve(problem, "exact-all")
-    assert len(potentials) == 1 and len(searches) == len(inst.commodities)
+    assert len(potentials) == 1 and len(searches) == want
     # a parsed copy builds its own on its first problem, once
     parsed = parse_mc_instance(write_mc_instance(inst))
     for _ in range(2):
         McBlockProblem(parsed)
-    assert len(potentials) == 2 and len(searches) == 2 * len(inst.commodities)
+    assert len(potentials) == 2 and len(searches) == 2 * want
+
+
+def test_setup_searches_the_uncertified_commodities_only(monkeypatch):
+    # delays of 1 to 3 tie many min-delay paths, and the set-up searches
+    # those commodities, once for all problems of the instance
+    base = generate_mc_instance(25, 80, 50, 7)
+    inst = McInstance(base.num_nodes, tuple(
+        dataclasses.replace(a, delay=float(1 + i % 3)) for i, a in enumerate(base.arcs)),
+        tuple(dataclasses.replace(c, max_delay=100.0) for c in base.commodities))
+    searches = counted(monkeypatch, "_min_delay_path")
+    for _ in range(2):
+        McBlockProblem(inst)
+    assert 0 < len(searches) == uncertified(inst) < len(inst.commodities)
 
 
 def test_problems_of_one_instance_share_no_state():
