@@ -17,6 +17,9 @@ Screening is one `should_filter` call per iteration for all blocks, and each
 iteration's records and duals are one row of a `PricingHistory`, written in
 one `record` call.
 
+The run's trace is those same objects, kept: each iteration's `Screening`,
+its `PricedBlocks` and the indices of the entries that entered the master.
+
 Baseline mode screens nothing: it calls no `should_filter` and keeps no
 pricing history.  Exact screening preserves the baseline optimum; heuristic
 screening (support-restricted bounds) keeps primal feasibility but may stop
@@ -32,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .filtering import FilterMode, PricingHistory, Strategy, should_filter
+from .filtering import FilterMode, PricingHistory, Screening, Strategy, should_filter
 from .lp import LpModel, LpNumericalError, LpStatus
 from .model import BlockProblem, Column, PricedBlocks
 
@@ -49,9 +52,14 @@ class DwdConfig:
     retain_duals: int | None = None  # alpha; None reads every dual vector
     max_iterations: int = 10_000
     audit: bool = False
-    trace: bool = False
 
     def __post_init__(self):
+        # an equal string is not the member: the engine tests identity, so
+        # mode="exact" would screen with the heuristic terms
+        for name, value, kind in (("mode", self.mode, FilterMode),
+                                  ("strategy", self.strategy, Strategy)):
+            if not isinstance(value, kind):
+                raise ValueError(f"{name} must be a {kind.__name__} member, got {value!r}")
         # a nan or inf epsilon would mark no column improving, and the run
         # would end "optimal" at its first master
         if not (math.isfinite(self.epsilon) and self.epsilon > 0):
@@ -69,22 +77,24 @@ class DwdConfig:
             raise ValueError(f"max_iterations must be at least 1, got {self.max_iterations!r}")
 
 
-@dataclass(frozen=True)
-class BlockTrace:
-    block: int
-    decision: str  # priced / filtered / skipped-evicted (every record's duals evicted)
-    bounds: tuple[tuple[int, float], ...]
-    records_evicted: int
-    reduced_cost: float | None
-    column_added: bool
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IterationTrace:
+    """One iteration, as the engine's own objects.
+
+    Block k was filtered if `screening.skipped[k]`; priced with every
+    record's duals evicted if it was not skipped, `screening.evicted[k]` and
+    not `screening.evaluated[k]`; priced on its bounds otherwise, and always
+    in baseline, where `screening` is None.  Its reduced cost is the entry
+    of `priced` whose `blocks` value is k (under audit the filtered blocks
+    are re-priced, so they have one too), and its column was added if k is
+    in `priced.blocks[added]`.
+    """
+
     iteration: int
     objective: float
-    blocks: tuple[BlockTrace, ...]
-    columns_added: int
+    screening: Screening | None
+    priced: PricedBlocks
+    added: np.ndarray  # the entries of `priced` that entered the master
 
 
 @dataclass
@@ -144,17 +154,17 @@ class DwdResult:
     # the last master's duals: linking rows, then one per block's convexity row
     linking_duals: np.ndarray
     convexity_duals: np.ndarray
-    trace: tuple[IterationTrace, ...] | None
     audit: AuditReport | None
-    # the installed batches in install order: (pricing result, its entries)
-    batches: tuple[tuple[PricedBlocks, np.ndarray], ...] = field(
-        default=(), repr=False, compare=False)
+    # the initial batch, then one entry per iteration
+    initial: PricedBlocks = field(repr=False, compare=False)
+    trace: tuple[IterationTrace, ...] = field(repr=False, compare=False)
 
     @functools.cached_property
     def columns(self) -> tuple[Column, ...]:
-        """Every installed column, in install order, built on first read."""
-        return tuple(priced.column(i) for priced, entries in self.batches
-                     for i in entries.tolist())
+        """Every installed column, in install order, built on first read:
+        the initial batch, then each iteration's added entries."""
+        return tuple([self.initial.column(i) for i in range(self.initial_column_count)]
+                     + [it.priced.column(i) for it in self.trace for i in it.added.tolist()])
 
 
 def reduced_cost(column: Column, pi: np.ndarray, mu_k: float) -> float:
@@ -210,7 +220,6 @@ def run_dwd(problem: BlockProblem, config: DwdConfig | None = None) -> DwdResult
 
     rows = list(linking) + [(problem.convexity_sense(k), 1.0) for k in range(num_blocks)]
     lp = LpModel(rows)
-    batches: list[tuple[PricedBlocks, np.ndarray]] = []
     per_block_added = np.zeros(num_blocks, dtype=np.int64)
     stats = RunStats()
 
@@ -221,7 +230,6 @@ def run_dwd(problem: BlockProblem, config: DwdConfig | None = None) -> DwdResult
         lp_args, support = _lp_batch(priced, entries, num_linking)
         lp.add_columns(*lp_args)
         problem.register_columns(*support)
-        batches.append((priced, entries))
 
     t_install = time.perf_counter()
     # the initial columns come in the pricing result's form; their reduced
@@ -244,7 +252,7 @@ def run_dwd(problem: BlockProblem, config: DwdConfig | None = None) -> DwdResult
     terms = (problem.bound_terms if config.mode is FilterMode.EXACT
              else problem.heuristic_bound_terms)
     audit = AuditReport() if config.audit else None
-    trace: list[IterationTrace] | None = [] if config.trace else None
+    trace: list[IterationTrace] = []
     termination = "iteration_limit"
     last_sol = None
     pi = mu = None
@@ -273,8 +281,7 @@ def run_dwd(problem: BlockProblem, config: DwdConfig | None = None) -> DwdResult
         screen = None
         skipped = no_skips
         if screening:
-            screen = should_filter(history, pi, mu, terms, config.strategy, eps,
-                                   trace is not None)
+            screen = should_filter(history, pi, mu, terms, config.strategy, eps)
             skipped = screen.skipped
             stats.bounds_evaluated += screen.bounds_evaluated
             stats.filters_attempted += int(np.count_nonzero(screen.evaluated))
@@ -308,11 +315,7 @@ def run_dwd(problem: BlockProblem, config: DwdConfig | None = None) -> DwdResult
         stats.screening_time_s += t_price - t_screen
         stats.pricing_time_s += t_record - t_price
         stats.install_time_s += t_end - t_record
-        if trace is not None:
-            trace.append(IterationTrace(t, sol.objective,
-                                        _block_traces(priced, todo, skipped, improving,
-                                                      screen),
-                                        len(improving)))
+        trace.append(IterationTrace(t, sol.objective, screen, priced, improving))
         if not len(improving):
             # heuristic skips may have hidden improving columns
             termination = "converged" if config.mode is FilterMode.HEURISTIC else "optimal"
@@ -350,9 +353,9 @@ def run_dwd(problem: BlockProblem, config: DwdConfig | None = None) -> DwdResult
         initial_column_count=n_initial,
         linking_duals=pi,
         convexity_duals=mu,
-        trace=tuple(trace) if trace is not None else None,
         audit=audit,
-        batches=tuple(batches),
+        initial=initial,
+        trace=tuple(trace),
     )
 
 
@@ -384,20 +387,3 @@ def _audit_iteration(audit, priced, skipped, screen, pi, mu, config, t):
             else:
                 audit.heuristic_unsound_skips += 1
 
-
-def _block_traces(priced, todo, skipped, improving, screen) -> tuple[BlockTrace, ...]:
-    """One iteration's `BlockTrace`s, in block order; `screen` is None in baseline."""
-    cbar = dict(zip(todo.tolist(), priced.reduced_costs.tolist()))
-    added = set(todo[improving].tolist())
-    if screen is None:
-        bounds, evaluated, evicted = ((),) * len(skipped), [0] * len(skipped), [0] * len(skipped)
-    else:
-        bounds, evaluated = screen.bounds, screen.evaluated.tolist()
-        evicted = screen.evicted.tolist()
-    out = []
-    for k, skip in enumerate(skipped.tolist()):
-        decision = ("filtered" if skip else
-                    "skipped-evicted" if evicted[k] and not evaluated[k] else "priced")
-        out.append(BlockTrace(k, decision, bounds[k], evicted[k],
-                              None if skip else cbar[k], k in added))
-    return tuple(out)

@@ -115,7 +115,9 @@ class PricingHistory:
 
 class Screening(NamedTuple):
     """`should_filter`'s verdict on every block at one iteration: two plain
-    Python totals, then arrays over the blocks."""
+    Python totals, then arrays over the blocks.  The engine keeps each
+    iteration's in its trace; the bounds that failed before the best one
+    are not kept."""
 
     skip: bool                # some block is skipped
     bounds_evaluated: int     # over all blocks
@@ -124,11 +126,10 @@ class Screening(NamedTuple):
     evicted: np.ndarray       # records passed over: their duals were evicted
     best_bound: np.ndarray    # the clearing bound, else the best; -inf if none
     record_used: np.ndarray   # that bound's record iteration; 0 if none
-    bounds: tuple[tuple[tuple[int, float], ...], ...] | None  # newest first; on request
 
 
 def should_filter(history: PricingHistory, pi_now: np.ndarray, mu_now: np.ndarray, terms,
-                  strategy: Strategy, epsilon: float, trace: bool = False) -> Screening:
+                  strategy: Strategy, epsilon: float) -> Screening:
     """Evaluate the screening bounds of every block at the duals (`pi_now`, `mu_now`).
 
     `terms(pi_prev, pi_now)` gives every block's term for a record taken at
@@ -137,7 +138,9 @@ def should_filter(history: PricingHistory, pi_now: np.ndarray, mu_now: np.ndarra
     tries its records (`strategy`) newest first and stops at the first bound
     >= -epsilon.  Records older than the history's read window are evicted:
     they are counted, for the blocks no readable record cleared, and passed
-    over.  Depends only on the arguments and mutates nothing.
+    over.  Per block it reports the count of bounds evaluated and the best
+    one with its record, not each bound tried.  Depends only on the
+    arguments and mutates nothing.
     """
     rc = history.reduced_costs
     mu_rec = history.convexity_duals
@@ -157,7 +160,6 @@ def should_filter(history: PricingHistory, pi_now: np.ndarray, mu_now: np.ndarra
     evaluated = np.zeros(num_blocks, dtype=np.int64)
     best = np.full(num_blocks, -np.inf)
     used = np.zeros(num_blocks, dtype=np.int64)
-    per_block = [[] for _ in range(num_blocks)] if trace else None
     for r in range(n - 1, live - 1, -1):
         cand = undecided & tried[r]
         if not cand.any():
@@ -170,10 +172,7 @@ def should_filter(history: PricingHistory, pi_now: np.ndarray, mu_now: np.ndarra
         np.copyto(used, r + 1, where=better)
         # a clearing bound beats the block's earlier ones, which all failed
         undecided ^= better & (lb >= -epsilon)
-        if trace:
-            for k, v in zip(np.flatnonzero(cand).tolist(), lb[cand].tolist()):
-                per_block[k].append((r + 1, v))
     evicted = tried[:live].sum(axis=0) * undecided
     skipped = ~undecided
     return Screening(bool(skipped.any()), int(evaluated.sum()), skipped, evaluated, evicted,
-                     best, used, tuple(map(tuple, per_block)) if trace else None)
+                     best, used)

@@ -692,3 +692,20 @@ def should_filter(block, history, t_now, retain, mu_now, term, mode, strategy, e
             used = rec.iteration
             break
     return FilterDecision(block, skip, best, used, len(bounds), n_evicted, tuple(bounds))
+
+
+# ----------------------------------------------------------------------
+# run traces
+
+def trace_values(result):
+    """`result.trace` as plain Python values, to compare two runs' traces:
+    per iteration its number, objective, screening arrays (None in
+    baseline), pricing result and added entries."""
+    def arrays(obj, names):
+        return None if obj is None else tuple(getattr(obj, n).tolist() for n in names)
+    return [(it.iteration, it.objective,
+             arrays(it.screening, ("skipped", "evaluated", "evicted", "best_bound",
+                                   "record_used")),
+             arrays(it.priced, ("blocks", "reduced_costs", "costs", "ptr", "rows", "vals")),
+             it.added.tolist())
+            for it in result.trace]

@@ -265,7 +265,7 @@ def test_stats_invariants_and_counts(monkeypatch):
 
     monkeypatch.setattr(LpModel, "solve", counted_solve)
     problem = ga_problem(bins=7, items=5, seed=3)
-    result = run_dwd(problem, config(FilterMode.EXACT, Strategy.ALL, trace=True))
+    result = run_dwd(problem, config(FilterMode.EXACT, Strategy.ALL))
     stats = result.stats
     k = 7
     assert stats.pricing_calls <= stats.iterations * k
@@ -275,9 +275,9 @@ def test_stats_invariants_and_counts(monkeypatch):
     assert len(result.columns) == stats.columns_added
     assert stats.filters_succeeded <= stats.filters_attempted
     assert stats.wall_time_s > 0
-    priced = sum(1 for it in result.trace for b in it.blocks if b.decision == "priced")
+    priced = sum(len(it.priced.blocks) for it in result.trace)
     assert priced == stats.pricing_calls
-    added = sum(it.columns_added for it in result.trace)
+    added = sum(len(it.added) for it in result.trace)
     assert added == stats.columns_added
     # one master solve per iteration, and the pivots are the solves' own counts
     assert stats.master_solves == len(solves) == stats.iterations
@@ -296,7 +296,7 @@ def test_phase_timers_split_the_wall_time(mode):
 
 
 def test_trace_objectives_non_increasing():
-    result = run_dwd(mc_problem(seed=5), config(trace=True))
+    result = run_dwd(mc_problem(seed=5), config())
     objectives = [it.objective for it in result.trace]
     assert all(b <= a + 1e-7 for a, b in zip(objectives, objectives[1:]))
     assert objectives[-1] == pytest.approx(result.objective)
@@ -304,14 +304,64 @@ def test_trace_objectives_non_increasing():
 
 def test_trace_filtered_blocks_show_clearing_bound():
     result = run_dwd(ga_problem(bins=10, items=5, seed=1),
-                     config(FilterMode.EXACT, Strategy.ALL, trace=True))
-    filtered = [b for it in result.trace for b in it.blocks if b.decision == "filtered"]
+                     config(FilterMode.EXACT, Strategy.ALL))
+    filtered = 0
+    for it in result.trace:
+        screen = it.screening
+        for k in np.flatnonzero(screen.skipped).tolist():
+            filtered += 1
+            # the clearing bound, from an earlier iteration's record
+            assert screen.evaluated[k] >= 1 and screen.best_bound[k] >= -1e-4
+            assert 1 <= screen.record_used[k] < it.iteration
+            # not priced, so no reduced cost and no column
+            assert k not in it.priced.blocks
     assert filtered, "expected some filtering on this instance"
-    for b in filtered:
-        assert b.bounds, "a filtered block must carry its bound evidence"
-        assert b.bounds[-1][1] >= -1e-4  # the short-circuiting bound
-        assert b.reduced_cost is None
-        assert not b.column_added
+
+
+@pytest.mark.parametrize("audit", [False, True])
+@pytest.mark.parametrize("mode", list(FilterMode))
+@pytest.mark.parametrize("make", [ga_problem, mc_problem])
+def test_trace_agrees_with_the_counters(make, mode, audit):
+    # two retained dual vectors, so that records are evicted too
+    result = run_dwd(make(seed=0), config(mode, Strategy.ALL, retain_duals=2, audit=audit))
+    stats, trace = result.stats, result.trace
+    k = len(result.per_block_added)
+    assert len(trace) == stats.iterations
+    assert [it.iteration for it in trace] == list(range(1, stats.iterations + 1))
+    assert trace[-1].objective == result.objective
+    if mode is FilterMode.BASELINE:
+        assert all(it.screening is None for it in trace)
+        zeros = np.zeros(k, dtype=np.int64)
+        screens = [(zeros.astype(bool), zeros, zeros)] * len(trace)
+    else:
+        screens = [(it.screening.skipped, it.screening.evaluated, it.screening.evicted)
+                   for it in trace]
+        # both kinds of screening event happen on this instance
+        assert stats.filters_succeeded and stats.records_skipped_evicted
+    assert sum(int((~skipped).sum()) for skipped, _, _ in screens) == stats.pricing_calls
+    assert sum(int(skipped.sum()) for skipped, _, _ in screens) == stats.filters_succeeded
+    assert sum(int(evaluated.sum()) for _, evaluated, _ in screens) == stats.bounds_evaluated
+    assert sum(int(np.count_nonzero(evaluated)) for _, evaluated, _ in screens) == \
+        stats.filters_attempted
+    assert sum(int(evicted.sum()) for _, _, evicted in screens) == \
+        stats.records_skipped_evicted
+    for it, (skipped, _, _) in zip(trace, screens):
+        # the audit re-prices the filtered blocks too
+        want = np.arange(k) if audit else np.flatnonzero(~skipped)
+        assert np.array_equal(it.priced.blocks, want)
+        # added: the improving entries of the blocks that were not filtered
+        assert not skipped[it.priced.blocks[it.added]].any()
+        assert (it.priced.reduced_costs[it.added] < -1e-4).all()
+    assert sum(len(it.added) for it in trace) == stats.columns_added
+    added_blocks = np.concatenate([it.priced.blocks[it.added] for it in trace])
+    assert tuple(np.bincount(added_blocks, minlength=k).tolist()) == result.per_block_added
+    # the installed columns: the initial batch, then each iteration's added
+    # entries, in iteration order
+    want = [result.initial.column(i) for i in range(result.initial_column_count)]
+    want += [it.priced.column(i) for it in trace for i in it.added.tolist()]
+    assert list(result.columns) == want
+    assert [c.block for c in result.columns[result.initial_column_count:]] == \
+        added_blocks.tolist()
 
 
 def test_audit_clean_on_exact_runs():
@@ -326,15 +376,13 @@ def test_audit_clean_on_exact_runs():
             return price_blocks(blocks, pi, mu)
 
         problem.price_blocks = counted
-        result = run_dwd(problem, config(FilterMode.EXACT, Strategy.ALL, audit=True,
-                                         trace=True))
+        result = run_dwd(problem, config(FilterMode.EXACT, Strategy.ALL, audit=True))
         audit = result.audit
         assert audit.ok
         # every block's column is checked once per iteration
         assert audit.reduced_cost_checks == k * result.stats.iterations
         assert not audit.reduced_cost_mismatches
-        filtered = sum(1 for it in result.trace for b in it.blocks
-                       if b.decision == "filtered")
+        filtered = sum(int(it.screening.skipped.sum()) for it in result.trace)
         assert audit.filter_checks == filtered
         # each iteration prices every block once, and the final check reads
         # the last iteration's result: no block is priced again at the end
@@ -539,8 +587,8 @@ def test_pricing_result_of_the_wrong_length_names_the_iteration():
         run_dwd(ShortPricing(generate_ga_instance(5, 6, 0)))
 
 
-def test_trace_and_audit_messages_hold_python_numbers():
-    # screening works on arrays, but what it reports reads as before:
+def test_audit_messages_hold_python_numbers():
+    # screening works on arrays, but the audit's messages read as before:
     # repr(np.float64(x)) would be "np.float64(x)"
     inst = generate_ga_instance(6, 5, 0)
     lying = run_dwd(LyingBoundProblem(inst),
@@ -548,13 +596,7 @@ def test_trace_and_audit_messages_hold_python_numbers():
     for msg in lying.audit.soundness_violations:
         assert re.fullmatch(r"iteration \d+ block \d+: skipped on bound -?[\d.e+-]+ "
                             r"but exact pricing found -?[\d.e+-]+", msg)
-    traced = run_dwd(mc_problem(seed=3), config(FilterMode.EXACT, Strategy.ALL,
-                                                retain_duals=2, trace=True))
-    blocks = [b for it in traced.trace for b in it.blocks]
-    assert any(b.bounds for b in blocks) and any(b.records_evicted for b in blocks)
-    for b in blocks:
-        assert type(b.records_evicted) is int
-        assert all(type(it) is int and type(lb) is float for it, lb in b.bounds)
+    assert lying.audit.soundness_violations
 
 
 def test_heuristic_unsound_skips_are_informational():
@@ -566,15 +608,16 @@ def test_heuristic_unsound_skips_are_informational():
 
 
 def test_flags_off_mean_no_payloads():
+    # no audit without the flag; the trace is always kept
     result = run_dwd(ga_problem(seed=0), config())
-    assert result.trace is None and result.audit is None
+    assert result.audit is None and len(result.trace) == result.stats.iterations
 
 
 def test_engine_determinism():
-    a = run_dwd(mc_problem(seed=9), config(FilterMode.EXACT, Strategy.ALL, trace=True))
-    b = run_dwd(mc_problem(seed=9), config(FilterMode.EXACT, Strategy.ALL, trace=True))
+    a = run_dwd(mc_problem(seed=9), config(FilterMode.EXACT, Strategy.ALL))
+    b = run_dwd(mc_problem(seed=9), config(FilterMode.EXACT, Strategy.ALL))
     assert a.objective == b.objective
-    assert a.trace == b.trace
+    assert oracles.trace_values(a) == oracles.trace_values(b)
     assert a.per_block_added == b.per_block_added
     assert np.array_equal(a.column_values, b.column_values)
 
@@ -635,6 +678,21 @@ def test_config_validation():
         DwdConfig(max_iterations=None)
 
 
+def test_config_rejects_a_mode_or_strategy_that_is_no_member():
+    # the engine tests members by identity: mode="exact" would screen with
+    # the heuristic terms, and on ga 20 x 6 seed 189 end "optimal" at 27.0,
+    # where baseline's optimum is 24.0
+    for name, value in (("mode", "exact"), ("mode", "baseline"), ("mode", None),
+                        ("mode", Strategy.ALL), ("strategy", "add"),
+                        ("strategy", FilterMode.EXACT)):
+        with pytest.raises(ValueError, match=rf"^{name} must be a \w+ member, got "
+                                             + re.escape(repr(value)) + "$"):
+            DwdConfig(**{name: value})
+    for mode in FilterMode:
+        for strategy in Strategy:
+            assert DwdConfig(mode=mode, strategy=strategy).mode is mode
+
+
 @pytest.mark.parametrize("make", [ga_problem, mc_problem])
 def test_baseline_screens_nothing_and_exact_screens_every_block(monkeypatch, make):
     # one screening call per iteration, deciding every block
@@ -647,12 +705,13 @@ def test_baseline_screens_nothing_and_exact_screens_every_block(monkeypatch, mak
         return screen
 
     monkeypatch.setattr(engine, "should_filter", counted)
-    base = run_dwd(make(), config(audit=True, trace=True))
+    base = run_dwd(make(), config(audit=True))
+    k = make().num_blocks
     assert calls == [] and base.stats.filters_attempted == 0
     assert base.audit.filter_checks == 0
-    assert {b.decision for it in base.trace for b in it.blocks} == {"priced"}
+    assert all(it.screening is None and it.priced.blocks.tolist() == list(range(k))
+               for it in base.trace)
     exact = run_dwd(make(), config(FilterMode.EXACT, Strategy.ALL))
-    k = make().num_blocks
     assert calls == [k] * exact.stats.iterations
     assert exact.stats.pricing_calls == k * exact.stats.iterations - exact.stats.filters_succeeded
 

@@ -91,26 +91,40 @@ def history(*records, rows=2, retain=None, pis=None):
 def run_filter(problem, hist, pi_now, mode, strategy, mu_now=0.0, epsilon=1e-4):
     """Block 0's part of a batch screening, in the per-block oracle's form."""
     terms = problem.bound_terms if mode is FilterMode.EXACT else problem.heuristic_bound_terms
-    screen = should_filter(hist, pi_now, np.array([mu_now]), terms, strategy, epsilon,
-                           trace=True)
+    screen = should_filter(hist, pi_now, np.array([mu_now]), terms, strategy, epsilon)
     return block_decision(screen, 0)
 
 
 def block_decision(screen, k):
-    """Block k's part of a batch `Screening` as an `oracles.FilterDecision`."""
+    """Block k's part of a batch `Screening` as an `oracles.FilterDecision`,
+    whose `bounds` list the batch form does not keep."""
     evaluated = int(screen.evaluated[k])
     return oracles.FilterDecision(
         k, bool(screen.skipped[k]), float(screen.best_bound[k]) if evaluated else None,
         int(screen.record_used[k]) if evaluated else None, evaluated,
-        int(screen.evicted[k]), screen.bounds[k])
+        int(screen.evicted[k]), None)
+
+
+def record_spy(terms, pis):
+    """`terms` that also logs, per call, the iteration of `pis` (iteration:
+    linking duals, all distinct) whose row its `pi_prev` is."""
+    read = []
+
+    def spy(pi_prev, pi_now):
+        read.append(next(it for it, pi in pis.items() if np.array_equal(pi, pi_prev)))
+        return terms(pi_prev, pi_now)
+    return spy, read
 
 
 def tried(strategy, *records, epsilon=1e-4):
-    """Iterations whose records `strategy` tries, newest first, when no bound clears."""
-    fd = run_filter(BoxProblem(2), history(*records), np.zeros(2), FilterMode.EXACT, strategy,
-                    mu_now=1e3, epsilon=epsilon)
-    assert not fd.skip
-    return [it for it, _ in fd.bounds]
+    """Iterations whose records `strategy` tries, in the order it tries
+    them, when no bound clears."""
+    pis = {it: np.full(2, float(it)) for it, *_ in records}
+    terms, read = record_spy(BoxProblem(2).bound_terms, pis)
+    screen = should_filter(history(*records, pis=pis), np.zeros(2), np.array([1e3]), terms,
+                           strategy, epsilon)
+    assert not screen.skip and screen.evaluated.tolist() == [len(read)]
+    return read
 
 
 def test_select_records_all_newest_first():
@@ -303,14 +317,18 @@ def test_exact_lookup_computes_one_row_per_record_iteration():
     problem = CountingBoxProblem(3)
     pis = {1: np.array([1.0, 0.0, 2.0]), 2: np.array([0.0, 3.0, 1.0])}
     pi_now = np.array([2.0, 1.0, 1.0])
-    # no bound clears, so every block reads both record iterations
+    # no bound clears, so every block reads both record iterations, newest
+    # first, from one row each
+    terms, read = record_spy(problem.bound_terms, pis)
     screen = should_filter(two_block_history((1, -50.0, pis[1]), (2, -50.0, pis[2])), pi_now,
-                           np.zeros(2), problem.bound_terms, Strategy.ALL, 1e-4, trace=True)
+                           np.zeros(2), terms, Strategy.ALL, 1e-4)
+    assert read == [2, 1]
+    assert screen.evaluated.tolist() == [2, 2] and not screen.skipped.any()
     for block in (0, 1):
-        assert [it for it, _ in screen.bounds[block]] == [2, 1]
-        for it, lb in screen.bounds[block]:
-            assert lb == -50.0 + problem.hypercube_bound_term(block, pis[it], pi_now)
-            assert type(lb) is float and type(it) is int
+        lbs = {it: -50.0 + problem.hypercube_bound_term(block, pis[it], pi_now) for it in (2, 1)}
+        # the best bound, the newer record's on a tie: it is read first
+        used = 2 if lbs[2] >= lbs[1] else 1
+        assert screen.best_bound[block] == lbs[used] and screen.record_used[block] == used
     assert problem.calls["bound_terms"] == 2
     assert problem.calls["heuristic_bound_terms"] == 0
 
@@ -321,8 +339,10 @@ def test_heuristic_lookup_fetches_each_support_once():
     problem = CountingBoxProblem(3, support_rows=[1])
     hist = two_block_history((1, 0.5, np.array([1.0, 0.0, 2.0])))
     screen = should_filter(hist, np.array([2.0, 1.0, 1.0]), np.zeros(2),
-                           problem.heuristic_bound_terms, Strategy.ALL, 1e-4, trace=True)
-    assert screen.bounds == (((1, -0.5),), ((1, -0.5),))  # row 1 alone: 0.5 + (0 - 1)
+                           problem.heuristic_bound_terms, Strategy.ALL, 1e-4)
+    # one bound each, from iteration 1, on row 1 alone: 0.5 + (0 - 1)
+    assert screen.evaluated.tolist() == [1, 1] and screen.record_used.tolist() == [1, 1]
+    assert screen.best_bound.tolist() == [-0.5, -0.5]
     assert problem.calls == {"bound_terms": 0, "heuristic_bound_terms": 1,
                              "heuristic_bound_term": 2, "support_set": 2}
 
@@ -385,20 +405,18 @@ def test_batch_screening_matches_per_block_oracle(strategy, mode, retain):
         problem, hist, records, t_now, pi_now, mu_now = random_screening_state(rng, retain)
         terms = (problem.bound_terms if mode is FilterMode.EXACT
                  else problem.heuristic_bound_terms)
-        screen = should_filter(hist, pi_now, mu_now, terms, strategy, eps, trace=True)
+        screen = should_filter(hist, pi_now, mu_now, terms, strategy, eps)
         term = oracles.bound_term_lookup(problem, mode, pi_now)
         want = [oracles.should_filter(k, records[k], t_now, retain, float(mu_now[k]), term,
                                       mode, strategy, eps) for k in range(problem.num_blocks)]
-        # field by field, with the bounds compared bit for bit through repr
+        # field by field (skip, best bound, record used, bounds evaluated,
+        # records evicted), with the best bounds compared bit for bit
+        # through repr; the batch form keeps no list of the bounds tried
         got = [block_decision(screen, k) for k in range(problem.num_blocks)]
-        assert repr(got) == repr(want)
+        assert repr(got) == repr([fd._replace(bounds=None) for fd in want])
         assert type(screen.skip) is bool and type(screen.bounds_evaluated) is int
         assert screen.skip == any(fd.skip for fd in want)
         assert screen.bounds_evaluated == sum(fd.bounds_evaluated for fd in want)
-        quiet = should_filter(hist, pi_now, mu_now, terms, strategy, eps)
-        assert quiet.bounds is None
-        for a, b in zip(quiet[:-1], screen[:-1]):
-            assert np.array_equal(a, b, equal_nan=True)
         seen["tie"] += sum(lb == -eps for fd in want for _, lb in fd.bounds)
         seen["never priced"] += sum(not r for r in records)
         seen["evicted"] += sum(fd.records_evicted for fd in want)
