@@ -91,8 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="re-price every filtered block and cross-check reduced costs")
     run.add_argument("--format", choices=("csv", "md"), default="csv")
     run.add_argument("--out", help="write the report here instead of stdout")
-    run.add_argument("--jobs", type=int, default=1,
-                     help="instances solved in parallel (disables r_time and r_ptime)")
     run.add_argument("--max-iterations", type=int, default=10_000)
 
     gen = sub.add_parser("generate", help="write instance files")
@@ -145,8 +143,7 @@ def _cmd_run(args) -> int:
             instances = _load_batch(args.problem, args.instances)
         config = ExperimentConfig(problem=args.problem, strategies=args.strategies,
                                   epsilon=args.epsilon, retain_duals=args.alpha,
-                                  audit=args.audit, jobs=args.jobs,
-                                  max_iterations=args.max_iterations)
+                                  audit=args.audit, max_iterations=args.max_iterations)
     except ValueError as exc:
         print(f"colgen: {exc}", file=sys.stderr)
         return 2

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -60,6 +61,12 @@ class DwdConfig:
                                   ("strategy", self.strategy, Strategy)):
             if not isinstance(value, kind):
                 raise ValueError(f"{name} must be a {kind.__name__} member, got {value!r}")
+        # a string would fail in math.isfinite without naming the field, and
+        # any truthy audit value would run the audit
+        if isinstance(self.epsilon, bool) or not isinstance(self.epsilon, numbers.Real):
+            raise ValueError(f"epsilon must be a real number, got {self.epsilon!r}")
+        if not isinstance(self.audit, bool):
+            raise ValueError(f"audit must be a bool, got {self.audit!r}")
         # a nan or inf epsilon would mark no column improving, and the run
         # would end "optimal" at its first master
         if not (math.isfinite(self.epsilon) and self.epsilon > 0):
@@ -107,7 +114,6 @@ class RunStats:
     filters_succeeded: int = 0
     bounds_evaluated: int = 0
     records_skipped_evicted: int = 0
-    master_solves: int = 0
     master_pivots: int = 0  # sum of the master solves' simplex pivots
     # wall time by phase: master solves, screening, pricing, and recording
     # plus column install (set-up's `initial_columns` call and its install,
@@ -266,7 +272,6 @@ def run_dwd(problem: BlockProblem, config: DwdConfig | None = None) -> DwdResult
             sol = lp.solve()
         except LpNumericalError as exc:
             raise LpNumericalError(f"master LP at iteration {t}: {exc}") from exc
-        stats.master_solves += 1
         stats.master_pivots += sol.iterations
         if sol.status is not LpStatus.OPTIMAL:
             raise EngineError(f"master LP came back {sol.status.value} at iteration {t} "

@@ -10,20 +10,20 @@ then run against the same instance and are scored relative to that baseline:
 
 r_ptime counts pricing work only, from the `RunStats` phase timers.  Only
 the column-generation run itself is timed (parsing, generation and report
-emission are excluded).  Reports come in two flavors: a long-format CSV with
-a fixed column order, and markdown tables grouping exact and heuristic
-strategies separately.
+emission are excluded).  The runs go one after another in one process, so
+every strategy row carries its time metrics.  Reports come in two flavors: a
+long-format CSV with a fixed column order, and markdown tables grouping exact
+and heuristic strategies separately.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import csv
 import io
 from dataclasses import dataclass, field
 
 from .assignment import GaBlockProblem, GaInstance
-from .engine import DwdConfig, run_dwd
+from .engine import DwdConfig, RunStats, run_dwd
 from .filtering import FilterMode, Strategy
 from .mcflow import McBlockProblem, McInstance
 
@@ -64,16 +64,12 @@ def format_objective(v: float) -> str:
 
 @dataclass(frozen=True)
 class StrategyResult:
+    """One run: its `RunStats`, objective and termination, then its metrics
+    against the instance's baseline run (None on baseline's own row, and
+    where baseline failed or gives a zero base)."""
+
     strategy: str
-    iterations: int
-    calls: int
-    vars_added: int
-    pivots: int
-    time_s: float
-    # the RunStats phase timers: master solves, pricing, screening
-    master_s: float
-    pricing_s: float
-    screening_s: float
+    stats: RunStats
     objective: float
     termination: str
     r_calls: float | None = None
@@ -115,7 +111,6 @@ class ExperimentConfig:
     epsilon: float = 1e-4
     retain_duals: int | None = None  # alpha; None reads every dual vector
     audit: bool = False
-    jobs: int = 1  # >1 distributes instances across processes and drops r_time, r_ptime
     max_iterations: int = 10_000
 
     def __post_init__(self):
@@ -126,16 +121,10 @@ class ExperimentConfig:
             raise ValueError(f"unknown strategies: {', '.join(unknown)}")
         if not self.strategies:
             raise ValueError("need at least one strategy")
-        # a float would reach ProcessPoolExecutor as a worker count, and True
-        # would run serially as 1
-        if isinstance(self.jobs, bool) or not isinstance(self.jobs, int):
-            raise ValueError(f"jobs must be an int, got {self.jobs!r}")
-        if self.jobs < 1:
-            raise ValueError("jobs must be at least 1")
-        # the engine's own checks on epsilon, retain_duals and max_iterations,
-        # made here so that a bad value fails before any solve
+        # the engine's own checks on epsilon, retain_duals, max_iterations
+        # and audit, made here so that a bad value fails before any solve
         DwdConfig(epsilon=self.epsilon, retain_duals=self.retain_duals,
-                  max_iterations=self.max_iterations)
+                  max_iterations=self.max_iterations, audit=self.audit)
 
 
 def make_problem(problem: str, instance):
@@ -161,85 +150,69 @@ def run_single(config: ExperimentConfig, instance, strategy: str):
     return run_dwd(make_problem(config.problem, instance), dwd)
 
 
-def _run_instance(config: ExperimentConfig, name: str, instance):
-    """All strategies for one instance; returns (row, failures, violations)."""
+def _run_instance(config: ExperimentConfig, name: str, instance,
+                  report: ExperimentReport) -> ReportRow:
+    """All strategies for one instance; failures and audit violations go
+    into `report`."""
     # baseline first, then each strategy once, in first-seen order
     order = list(dict.fromkeys(["baseline", *config.strategies]))
-    time_metrics = config.jobs == 1
     row = ReportRow(config.problem, name, _shape_label(instance), {})
-    failures: list[RunFailure] = []
-    violations: list[str] = []
     base: StrategyResult | None = None
-    base_pricing_s = 0.0
     for strat in order:
         try:
             result = run_single(config, instance, strat)
         except Exception as exc:
-            failures.append(RunFailure(name, strat, f"{type(exc).__name__}: {exc}"))
+            report.failures.append(RunFailure(name, strat, f"{type(exc).__name__}: {exc}"))
             continue
         if result.audit is not None and not result.audit.ok:
             for msg in (result.audit.soundness_violations
                         + result.audit.final_violations
                         + result.audit.reduced_cost_mismatches):
-                violations.append(f"{name}/{strat}: {msg}")
+                report.audit_violations.append(f"{name}/{strat}: {msg}")
         stats = result.stats
         r_calls = r_time = r_ptime = gap = None
         if strat != "baseline" and base is not None:
-            if base.calls > 0:
-                r_calls = pct_reduction(base.calls, stats.pricing_calls)
-            if time_metrics and base.time_s > 0:
-                r_time = pct_reduction(base.time_s, stats.wall_time_s)
-            if time_metrics and base_pricing_s > 0:
-                r_ptime = pct_reduction(base_pricing_s,
+            if base.stats.pricing_calls > 0:
+                r_calls = pct_reduction(base.stats.pricing_calls, stats.pricing_calls)
+            if base.stats.wall_time_s > 0:
+                r_time = pct_reduction(base.stats.wall_time_s, stats.wall_time_s)
+            if base.stats.pricing_time_s > 0:
+                r_ptime = pct_reduction(base.stats.pricing_time_s,
                                         stats.screening_time_s + stats.pricing_time_s)
             if base.objective != 0:
                 gap = gap_pct(result.objective, base.objective)
             elif result.objective == 0:
                 gap = 0.0
-        sr = StrategyResult(strategy=strat, iterations=stats.iterations,
-                            calls=stats.pricing_calls, vars_added=stats.columns_added,
-                            pivots=stats.master_pivots, time_s=stats.wall_time_s,
-                            master_s=stats.master_time_s, pricing_s=stats.pricing_time_s,
-                            screening_s=stats.screening_time_s, objective=result.objective,
-                            termination=result.termination,
-                            r_calls=r_calls, r_time=r_time, r_ptime=r_ptime, gap=gap)
+        sr = StrategyResult(strat, stats, result.objective, result.termination,
+                            r_calls, r_time, r_ptime, gap)
         row.results[strat] = sr
         if strat == "baseline":
             base = sr
-            base_pricing_s = stats.pricing_time_s
-    return row, failures, violations
+    return row
 
 
 def run_experiment(config: ExperimentConfig, instances) -> ExperimentReport:
     """Run the configured strategies over `instances` ([(name, instance)]).
 
-    Baseline always runs (it anchors every relative metric).  A failing run
-    is recorded and skipped; the rest of the batch proceeds.  With jobs > 1,
-    instances are spread across processes and r_time and r_ptime are left
-    blank, since wall times from a loaded machine are not comparable.
+    Instances run one after another, each under baseline first (it anchors
+    every relative metric) and then each strategy, in one process, so that
+    the wall times a row compares were taken alike.  A failing run is
+    recorded and skipped; the rest of the batch proceeds.
     """
     report = ExperimentReport()
-    args = [(config, name, inst) for name, inst in instances]
-    if config.jobs == 1:
-        outcomes = [_run_instance(*a) for a in args]
-    else:
-        # a fork pool starts every worker it is allowed at the first submit
-        workers = max(1, min(config.jobs, len(args)))
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_run_instance_star, args))
-    for row, failures, violations in outcomes:
-        report.rows.append(row)
-        report.failures.extend(failures)
-        report.audit_violations.extend(violations)
+    for name, inst in instances:
+        report.rows.append(_run_instance(config, name, inst, report))
     return report
-
-
-def _run_instance_star(a):
-    return _run_instance(*a)
 
 
 # ----------------------------------------------------------------------
 # report emission
+
+def _time_split(stats: RunStats) -> tuple[float, ...]:
+    """The run's wall time, then its master, pricing and screening times."""
+    return (stats.wall_time_s, stats.master_time_s, stats.pricing_time_s,
+            stats.screening_time_s)
+
 
 def _fmt_opt_pct(x) -> str:
     return format_pct(x) if x is not None else ""
@@ -251,10 +224,11 @@ def emit_csv(rows: list[ReportRow]) -> str:
     writer.writerow(CSV_COLUMNS)
     for row in rows:
         for sr in row.results.values():
+            st = sr.stats
             writer.writerow([
                 row.problem, row.instance, row.shape, sr.strategy,
-                sr.iterations, sr.calls, sr.vars_added, sr.pivots,
-                *(f"{t:.3f}" for t in (sr.time_s, sr.master_s, sr.pricing_s, sr.screening_s)),
+                st.iterations, st.pricing_calls, st.columns_added, st.master_pivots,
+                *(f"{t:.3f}" for t in _time_split(st)),
                 format_objective(sr.objective), sr.termination,
                 "" if sr.r_calls is None else f"{sr.r_calls:.2f}",
                 "" if sr.r_time is None else f"{sr.r_time:.2f}",
@@ -305,8 +279,9 @@ def emit_markdown(rows: list[ReportRow]) -> str:
             base = row.results.get("baseline")
             if base is None:
                 continue
-            cells = [row.instance, row.shape, str(base.calls), str(base.vars_added),
-                     f"{base.time_s:.3f}", format_objective(base.objective), base.termination]
+            cells = [row.instance, row.shape, str(base.stats.pricing_calls),
+                     str(base.stats.columns_added), f"{base.stats.wall_time_s:.3f}",
+                     format_objective(base.objective), base.termination]
             for s in strategies:
                 sr = row.results.get(s)
                 if sr is None:
@@ -330,8 +305,8 @@ def emit_markdown(rows: list[ReportRow]) -> str:
     lines.extend(_markdown_table(
         ["instance", "strategy", "#Pivots", "time (s)", "master (s)", "pricing (s)",
          "screening (s)"],
-        [[row.instance, sr.strategy, str(sr.pivots),
-          *(f"{t:.3f}" for t in (sr.time_s, sr.master_s, sr.pricing_s, sr.screening_s))]
+        [[row.instance, sr.strategy, str(sr.stats.master_pivots),
+          *(f"{t:.3f}" for t in _time_split(sr.stats))]
          for row in rows for sr in row.results.values()]))
     lines.append("")
     return "\n".join(lines)

@@ -71,8 +71,13 @@ class PricingHistory:
     """
 
     def __init__(self, num_blocks: int, num_linking: int, retain: int | None = None):
-        if retain is not None and retain < 1:
-            raise ValueError("retain must be at least 1")
+        if retain is not None:
+            # a float fails in `range` only once screening reads the window,
+            # and True would read as 1
+            if isinstance(retain, bool) or not isinstance(retain, int):
+                raise ValueError(f"retain must be an int, got {retain!r}")
+            if retain < 1:
+                raise ValueError("retain must be at least 1")
         self.retain = retain
         self._rc = np.full((8, num_blocks), np.nan)
         self._mu = np.zeros((8, num_blocks))

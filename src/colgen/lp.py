@@ -150,8 +150,6 @@ class _DenseInverse:
 
     def ftran(self, rows: np.ndarray, vals: np.ndarray) -> np.ndarray:
         """B^-1 a for the column a with entries `vals` on `rows`."""
-        if len(rows) == 1:
-            return self._a[:, rows[0]] * vals[0]
         return self._a[:, rows] @ vals
 
     def pivot(self, nz: np.ndarray, d_nz: np.ndarray, leave: int, d_leave: float):

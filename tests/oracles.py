@@ -709,3 +709,13 @@ def trace_values(result):
              arrays(it.priced, ("blocks", "reduced_costs", "costs", "ptr", "rows", "vals")),
              it.added.tolist())
             for it in result.trace]
+
+
+def master_path(result):
+    """What the master saw of `result`'s run, bit for bit: each iteration's
+    objective and added columns (block, cost, coefficients, native), then the
+    final linking and convexity duals and column values."""
+    return ([(repr(it.objective), repr([it.priced.column(i) for i in it.added.tolist()]))
+             for it in result.trace],
+            result.linking_duals.tobytes(), result.convexity_duals.tobytes(),
+            result.column_values.tobytes())

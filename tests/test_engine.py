@@ -71,6 +71,15 @@ def test_history_copies_duals_and_rejects_empty_window():
         PricingHistory(2, 2, retain=0)
 
 
+def test_history_rejects_a_window_that_is_no_int():
+    # 2.5 would fail in `range` once three rows are recorded, and True would
+    # read as a window of 1
+    for retain in (2.5, 2.0, True, False, "3"):
+        with pytest.raises(ValueError, match=r"^retain must be an int, got "
+                                             + re.escape(repr(retain)) + "$"):
+            PricingHistory(1, 2, retain=retain)
+
+
 # ----------------------------------------------------------------------
 # reduced cost helper
 
@@ -217,14 +226,26 @@ def test_contract_is_the_batch_calls():
 
 
 def test_exact_strategies_match_baseline():
-    for make in (lambda s: ga_problem(seed=s), lambda s: mc_problem(seed=s)):
-        for seed in range(4):
-            base = run_dwd(make(seed), config())
-            for strategy in Strategy:
-                again = run_dwd(make(seed), config(FilterMode.EXACT, strategy))
-                rel = abs(again.objective - base.objective) / max(1.0, abs(base.objective))
-                assert rel <= 1e-6, f"seed {seed} {strategy} diverged by {rel}"
+    # an exact skip proves the block has no improving column, so every exact
+    # strategy, at any alpha, adds baseline's columns at every iteration and
+    # takes baseline's master path to its last bit
+    cases = {**{f"ga 20x6 seed {s}": (lambda s=s: ga_problem(20, 6, s)) for s in range(10)},
+             **{f"mc 12/30/10 seed {s}": (lambda s=s: mc_problem(12, 30, 10, s))
+                for s in range(10)},
+             **PINNED_PROBLEMS}
+    runs = 0
+    for name, make in cases.items():
+        base = run_dwd(make(), config())
+        assert base.termination == "optimal", name
+        want = oracles.master_path(base)
+        for strategy in Strategy:
+            for alpha in (None, 2):
+                again = run_dwd(make(), config(FilterMode.EXACT, strategy, retain_duals=alpha))
                 assert again.termination == "optimal"
+                assert oracles.master_path(again) == want, \
+                    f"{name} exact-{strategy.value} alpha {alpha} left baseline's path"
+                runs += 1
+    assert runs == 6 * len(cases)
 
 
 def test_heuristic_stop_is_labelled_converged_not_optimal():
@@ -280,7 +301,7 @@ def test_stats_invariants_and_counts(monkeypatch):
     added = sum(len(it.added) for it in result.trace)
     assert added == stats.columns_added
     # one master solve per iteration, and the pivots are the solves' own counts
-    assert stats.master_solves == len(solves) == stats.iterations
+    assert len(solves) == stats.iterations
     assert stats.master_pivots == sum(sol.iterations for sol in solves) > 0
 
 
@@ -676,6 +697,17 @@ def test_config_validation():
                 DwdConfig(**{name: value})
     with pytest.raises(ValueError, match="max_iterations"):
         DwdConfig(max_iterations=None)
+    # a string would fail in math.isfinite without naming the field, and any
+    # truthy audit value would run the audit
+    for name, value, kind in (("epsilon", "0.1", "a real number"),
+                              ("epsilon", None, "a real number"),
+                              ("epsilon", True, "a real number"),
+                              ("audit", "no", "a bool"), ("audit", 1, "a bool"),
+                              ("audit", None, "a bool")):
+        with pytest.raises(ValueError, match=rf"^{name} must be {kind}, got "
+                                             + re.escape(repr(value)) + "$"):
+            DwdConfig(**{name: value})
+    assert DwdConfig(epsilon=1).epsilon == 1 and DwdConfig(audit=True).audit is True
 
 
 def test_config_rejects_a_mode_or_strategy_that_is_no_member():
