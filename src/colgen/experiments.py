@@ -116,6 +116,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.problem not in ("mc", "ga"):
             raise ValueError(f"unknown problem {self.problem!r}")
+        # a bare name would be read letter by letter
+        if isinstance(self.strategies, str):
+            raise ValueError(f"strategies must be a sequence of names, got {self.strategies!r}")
         unknown = [s for s in self.strategies if s not in STRATEGIES]
         if unknown:
             raise ValueError(f"unknown strategies: {', '.join(unknown)}")

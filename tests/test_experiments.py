@@ -1,10 +1,14 @@
 import csv
 import io
+import os
+import subprocess
+import sys
 
 import pytest
 
 from colgen import (ExperimentConfig, GaBlockProblem, generate_ga_instance, generate_mc_instance,
                     parse_ga_instance, parse_mc_instance)
+import colgen
 from colgen import experiments
 from colgen.cli import build_parser, main
 from colgen.experiments import (CSV_COLUMNS, STRATEGIES, emit_csv,
@@ -137,6 +141,53 @@ def test_deterministic_apart_from_timing():
     second = run_experiment(config, mc)
     assert first.ok and second.ok
     assert strip_time_columns(emit_csv(first.rows)) == strip_time_columns(emit_csv(second.rows))
+
+
+def test_every_strategy_row_reports_its_time_reductions():
+    # the runner is serial, so every row's times were taken alike and each
+    # non-baseline row carries r_time and r_ptime, in the report too
+    strategies = tuple(s for s in STRATEGIES if s != "baseline")
+    batches = (("ga", ga_batch(2)),
+               ("mc", [(f"mc-s{seed}", generate_mc_instance(8, 20, 6, seed)) for seed in range(2)]))
+    col = {name: CSV_COLUMNS.index(name) for name in ("strategy", "r_time_pct", "r_ptime_pct")}
+    for problem, instances in batches:
+        report = run_experiment(ExperimentConfig(problem=problem, strategies=strategies),
+                                instances)
+        assert report.ok and len(report.rows) == 2
+        for row in report.rows:
+            assert list(row.results) == ["baseline", *strategies]
+            for strat in strategies:
+                sr = row.results[strat]
+                assert isinstance(sr.r_time, float) and isinstance(sr.r_ptime, float), \
+                    f"{problem} {row.instance} {strat}"
+        cells = csv_rows(emit_csv(report.rows))[1:]
+        assert len(cells) == 2 * len(STRATEGIES)
+        for r in cells:
+            if r[col["strategy"]] != "baseline":
+                float(r[col["r_time_pct"]]), float(r[col["r_ptime_pct"]])
+
+
+def test_importing_colgen_starts_no_process_pool():
+    # a fresh interpreter: pytest itself may have loaded either module
+    code = ("import sys, colgen, colgen.cli\n"
+            "from colgen import ExperimentConfig, generate_ga_instance, run_experiment\n"
+            "run_experiment(ExperimentConfig(problem='ga', strategies=('exact-all',)),\n"
+            "               [('ga', generate_ga_instance(6, 5, 0))])\n"
+            "print(sorted({'concurrent.futures', 'multiprocessing'} & sys.modules.keys()))\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(colgen.__file__)))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+def test_config_rejects_a_bare_strategy_name():
+    # read letter by letter it would be refused as "unknown strategies: e, x, ..."
+    with pytest.raises(ValueError, match=r"^strategies must be a sequence of names, "
+                                         r"got 'exact-all'$"):
+        ExperimentConfig(problem="ga", strategies="exact-all")
+    assert ExperimentConfig(problem="ga", strategies=("exact-all",)).strategies == ("exact-all",)
 
 
 def test_config_validation():
