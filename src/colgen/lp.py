@@ -14,26 +14,35 @@ provide: `solve(v)` (B^-1 v), `duals(c_B)` (c_B B^-1), `ftran(rows, vals)`
 d_leave)` (the basis change for an entering direction, returning the new pivot
 row's nonzeros for the caller's dual update) and `refactor(basis, ptr, rows,
 vals)` (B^-1 rebuilt from the basis columns, read from the model's column
-store).  Today's storage is the explicit dense inverse.  A pivot's rank-1
-update touches only its entries in the direction's nonzero rows and the pivot
-row's nonzero columns.  A refactorization works in place: columns with a
-single nonzero (surplus, artificial, single-row structural) are eliminated on
-their rows, only the square core of the rest is inverted, and the block form
-is written over the old inverse once that core inverse exists.  The one other
-source of B^-1 is a cold start, whose triangular crash inverse is written down
-directly (below).
+store).  The storage keeps each column of B^-1 that has one nonzero as its
+(position, value) pair, and the others in a column-major panel of m + 1
+entries per column; no m x m array is built.  Just after a refactorization
+the panel holds only the columns of the core's rows (below), about 100 of
+the 5,100 on the master of the paper's largest `ga` shape, and a pivot moves
+at most one more column into it.  FTRAN is one gather of panel columns (every unit column
+points at one shared zero column), one sum and one scatter of the unit
+values.  A pivot's rank-1 update touches only the panel entries in the
+direction's nonzero rows and the pivot row's nonzero columns.  A
+refactorization eliminates the basis columns with a single nonzero (surplus,
+artificial, single-row structural) on their rows, inverts only the square
+core of the rest, and builds the new panel from that core inverse.  Every sum
+over the panel and the core inverse itself (Gauss-Jordan elimination) run in
+numpy's element-wise loops, not in BLAS or LAPACK, whose sums change order with
+their thread count; so the pivot path is the same at any thread count.  The
+one other source of B^-1 is a cold start, whose triangular crash inverse is
+written down directly (below).
 
 The basic values and the duals are carried across pivots by the same step and
 recomputed exactly at each refactorization, every few pivots.  Columns can be
 appended after a solve: that leaves the basis, its inverse and its duals
 valid, so a re-solve resumes from all three, which keeps re-solves cheap in
-column-generation loops.  A warm solve recomputes only what the new columns
-change: the reduced costs, and the perturbed right-hand side (drawn anew for
-the new column count) with its basic values.  It does not check again that the
-basis is feasible under the true right-hand side: a perturbed solve checked
-that, at the tighter FEAS_TOL, before it exited, and a solve that ended on the
-unperturbed cold retry below checks it at its exit instead.  A solve's
-returned values and duals are computed afresh from the inverse, not carried.
+column-generation loops.  A warm solve recomputes the reduced costs, and the
+basic values under the same perturbed right-hand side.  It does not check
+again that the basis is feasible under the true right-hand side: a perturbed
+solve checked that, at the tighter FEAS_TOL, before it exited, and a solve
+that ended on the unperturbed cold retry below checks it at its exit instead.
+A solve's returned values and duals are computed afresh from the inverse, not
+carried.
 
 A cold solve crash-starts phase 1 in two steps.  First, every row whose
 scaled surplus column has coefficient +1 (a <= row with a positive rhs, a >=
@@ -55,8 +64,8 @@ end: the final basis is accepted only if its basic values under the true
 right-hand side are feasible, which makes it optimal, since reduced costs do
 not depend on the right-hand side.  Otherwise the solve starts again from a
 cold phase 1 and runs phase 2 on the true right-hand side.  The perturbation
-is drawn from a generator seeded by the LP's size, so solves are
-deterministic.
+is drawn once per model, from a generator seeded by its row count, so solves
+are deterministic.
 
 Models are independent: two LpModel instances share no state and may be
 solved concurrently from different threads.
@@ -123,34 +132,128 @@ def _grown(arr: np.ndarray, need: int) -> np.ndarray:
     return out
 
 
-class _DenseInverse:
-    """B^-1 of a basis, kept as a dense row-major m x m array written in place.
+# entries of C^-1 that a refactorization gathers at a time (8 MB) to sum the
+# unit rows' block of B^-1
+_OFF_BLOCK = 1 << 20
 
-    Once the array is handed over, this is the only code that reads or writes
-    it; see the module docstring for the five operations.
+
+def _inverse(a: np.ndarray) -> np.ndarray:
+    """The inverse of the square matrix `a`, from numpy's element-wise loops.
+
+    Gauss-Jordan elimination with partial pivoting, without row swaps:
+    column j pivots on the free row p of largest magnitude, and then holds
+    the inverse's column p (Press et al., "Numerical Recipes", section 2.1).
+    Each step updates only the rows where column j is nonzero, so a sparse
+    core costs far less than k^3.  No BLAS or LAPACK call is made, so the
+    result does not depend on their thread count.  Raises LinAlgError when
+    the matrix is not square or a pivot is zero.
+    """
+    k = len(a)
+    if a.shape != (k, k):
+        raise np.linalg.LinAlgError(f"a {a.shape} core is not square")
+    w = a.copy()
+    free = np.ones(k)  # 1.0 on the rows that have not pivoted yet
+    piv = np.empty(k, dtype=np.int64)
+    for j in range(k):
+        f = w[:, j].copy()
+        p = int((np.abs(f) * free).argmax())
+        if f[p] == 0.0 or not free[p]:
+            raise np.linalg.LinAlgError("singular matrix")
+        free[p] = 0.0
+        piv[j] = p
+        w[p, j] = 1.0
+        w[p] /= f[p]
+        f[p] = 0.0
+        nz = f.nonzero()[0]
+        w[nz, j] = 0.0
+        w[nz] -= f.take(nz)[:, None] * w[p]
+    # row p_j of w is row j of the inverse, with its column j at column p_j
+    out = np.empty((k, k))
+    out[:, piv] = w[piv]
+    return out
+
+
+class _PanelInverse:
+    """B^-1 of a basis, as its unit columns plus a column-major panel.
+
+    Column i of B^-1, the one that multiplies a column's entry on row i, is
+    either a unit column, with its one nonzero `_val[i]` at basis position
+    `_pos[i]`, or a panel column, kept in row `_slot[i]` of the panel.  The
+    panel is a (slots, m + 1) array: row s holds column `_col[s]` of B^-1,
+    and its last entry is a dummy position that stays zero.  Slot 0 is all
+    zeros, and every unit column points at it; a panel column has `_pos` m
+    (the dummy) and `_val` 0.  So a product over any columns of B^-1 is one
+    gather of panel rows, one sum and one scatter of the unit values, with no
+    branch on the column's kind.  After a refactorization the panel holds
+    the columns of the core's rows; a pivot moves the unit column with an
+    entry in its leaving row, if any, into the next slot.  No m x m array is
+    built, and every sum runs in numpy's own loops, so no result depends on
+    the BLAS thread count.  See the module docstring for the five
+    operations.
     """
 
-    def __init__(self, b_inv: np.ndarray):
-        self._a = b_inv
-        self._m = len(b_inv)
-        # the entries by flat index: a view, since the array is C-contiguous
-        # and only ever written in place
-        self._flat = b_inv.reshape(-1)
+    def __init__(self, m: int):
+        """The identity."""
+        self._m = m
+        self._pos = np.arange(m)
+        self._val = np.ones(m)
+        self._unit_at = np.arange(m)  # position -> its unit column, or -1
+        self._slot = np.zeros(m, dtype=np.int64)
+        self._set_panel(np.zeros((16, m + 1)), np.zeros(16, dtype=np.int64))
+        self._used = 1  # slots in use, the zero slot included
+
+    @classmethod
+    def triangular(cls, m: int, diag_cols: np.ndarray, diag: np.ndarray,
+                   off_cols: np.ndarray, off_pos: np.ndarray, off: np.ndarray):
+        """The identity with `diag` on the diagonal of columns `diag_cols`.
+
+        The entries `off` sit at positions `off_pos` of columns `off_cols`
+        (a subset of `diag_cols`), off the diagonal: a cold start's crash
+        inverse (LpModel._cold_start).
+        """
+        inv = cls(m)
+        inv._val[diag_cols] = diag
+        multi = np.flatnonzero(np.bincount(off_cols, minlength=m))
+        used = len(multi) + 1
+        if used > len(inv._panel):
+            inv._set_panel(np.zeros((2 * used, m + 1)), np.zeros(2 * used, dtype=np.int64))
+        inv._slot[multi] = np.arange(1, used)
+        inv._col[1:used] = multi
+        inv._panel[inv._slot[off_cols], off_pos] = off
+        inv._panel[inv._slot[multi], multi] = inv._val[multi]
+        inv._pos[multi], inv._val[multi], inv._unit_at[multi] = m, 0.0, -1
+        inv._used = used
+        return inv
 
     @property
     def dense(self) -> np.ndarray:
-        """The inverse as an m x m array, to read."""
-        return self._a
+        """B^-1 as an m x m array, built afresh; for tests."""
+        m, used = self._m, self._used
+        out = np.zeros((m, m))
+        out[:, self._col[1:used]] = self._panel[1:used, :m].T
+        unit = self._slot == 0
+        out[self._pos[unit], np.flatnonzero(unit)] = self._val[unit]
+        return out
 
     def solve(self, v: np.ndarray) -> np.ndarray:
-        return self._a @ v
+        used = self._used
+        out = np.einsum("sj,s->j", self._panel[1:used], v.take(self._col[1:used]))
+        out[self._pos] += self._val * v
+        return out[:-1]
 
     def duals(self, c_b: np.ndarray) -> np.ndarray:
-        return c_b @ self._a
+        used = self._used
+        # a panel column's _pos m is clipped to m - 1 and its _val 0 clears
+        # that entry, which the panel's sum then replaces
+        y = self._val * c_b.take(self._pos, mode="clip")
+        y[self._col[1:used]] = np.einsum("sj,j->s", self._panel[1:used, :-1], c_b)
+        return y
 
     def ftran(self, rows: np.ndarray, vals: np.ndarray) -> np.ndarray:
         """B^-1 a for the column a with entries `vals` on `rows`."""
-        return self._a[:, rows] @ vals
+        out = np.einsum("sj,s->j", self._panel.take(self._slot.take(rows), axis=0), vals)
+        out[self._pos.take(rows)] += self._val.take(rows) * vals
+        return out[:-1]
 
     def pivot(self, nz: np.ndarray, d_nz: np.ndarray, leave: int, d_leave: float):
         """Pivot the column with direction d = B^-1 a into row `leave`.
@@ -159,17 +262,39 @@ class _DenseInverse:
         `d_leave` is d[leave].  Returns the new row `leave` of B^-1 as its
         nonzero columns and their values.
         """
-        row = self._a[leave] / d_leave
-        # rank-1 update, only on the entries in the rows the direction
-        # touches and the columns where the pivot row is nonzero: every
-        # other entry would lose d_i * 0.  The leaving row's update is
-        # overwritten.
-        rnz = row.nonzero()[0]
-        row_nz = row.take(rnz)
-        at = (nz * self._m)[:, None] + rnz
-        self._flat[at] = self._flat.take(at) - d_nz[:, None] * row_nz
-        self._a[leave] = row
-        return rnz, row_nz
+        used = self._used
+        u = self._unit_at[leave]
+        if u >= 0:
+            # the unit column with its entry in row `leave` moves into the
+            # next panel slot, so that one update below covers every column
+            if used == len(self._panel):
+                self._grow()
+            self._flat[used * (self._m + 1) + leave] = self._val[u]
+            self._slot[u], self._col[used] = used, u
+            self._pos[u], self._val[u], self._unit_at[leave] = self._m, 0.0, -1
+            used = self._used = used + 1
+        # each column of B^-1 with an entry e in row `leave` becomes
+        # column - (e / d_leave) (d - e_leave)
+        lead = self._panel[:used, leave]
+        s = lead.nonzero()[0]
+        r = lead.take(s) / d_leave
+        s_at = s * (self._m + 1)
+        at = s_at[:, None] + nz
+        flat = self._flat
+        flat[at] = flat.take(at) - r[:, None] * d_nz
+        flat[s_at + leave] = r
+        return self._col.take(s), r
+
+    def _grow(self):
+        used = self._used
+        panel = np.zeros((2 * used, self._m + 1))
+        panel[:used] = self._panel[:used]
+        self._set_panel(panel, _grown(self._col, used))
+
+    def _set_panel(self, panel: np.ndarray, col: np.ndarray):
+        # the entries by flat index: a view, since the panel is C-contiguous
+        # and only ever written in place
+        self._panel, self._flat, self._col = panel, panel.reshape(-1), col
 
     def refactor(self, basis: np.ndarray, ptr: np.ndarray, rows: np.ndarray,
                  vals: np.ndarray) -> None:
@@ -178,36 +303,74 @@ class _DenseInverse:
         Internal column j has the entries `vals[ptr[j]:ptr[j + 1]]` on rows
         `rows[ptr[j]:ptr[j + 1]]`.  A basis column with one nonzero
         (surplus, artificial, a structural column on a single row) is
-        eliminated on its own row; in a nonsingular basis those rows are
-        distinct.  The other columns form a square core on the remaining
-        rows, and B^-1 is assembled in block form from the core's inverse
-        over the old one, once the core has been inverted.  Raises
-        LinAlgError for a singular basis, with the old inverse untouched.
+        eliminated on its own row, and that row's column of B^-1 is a unit
+        column; in a nonsingular basis those rows are distinct.  The other
+        basis columns form a square core C on the remaining rows.  With D
+        the unit columns' entries and C_u the core columns' entries on the
+        unit rows, B^-1's columns of the core rows are C^-1 on the core
+        positions and -D^-1 C_u C^-1 on the unit positions; they make up the
+        new panel.  Raises LinAlgError for a singular basis, with the old
+        inverse untouched.
         """
-        m = len(basis)
+        m = self._m
         lo = ptr[basis]
-        unit = ptr[basis + 1] - lo == 1
+        lens = ptr[basis + 1] - lo
+        unit = lens == 1
         u_pos, c_pos = np.flatnonzero(unit), np.flatnonzero(~unit)
         u_row, u_val = rows[lo[u_pos]], vals[lo[u_pos]]
         if not u_val.all():
             raise np.linalg.LinAlgError("a unit basis column has a zero entry")
-        # unit columns that share a row leave more core rows than core
-        # columns, and inv rejects the non-square core
-        is_core_row = np.ones(m, dtype=bool)
-        is_core_row[u_row] = False
-        c_rows = np.flatnonzero(is_core_row)
-        core = np.zeros((m, len(c_pos)))
-        for k, j in enumerate(basis[c_pos]):
-            core[rows[ptr[j]:ptr[j + 1]], k] = vals[ptr[j]:ptr[j + 1]]
-        core_inv = np.linalg.inv(core[c_rows])
+        # each row's index among the core rows, -1 on a unit row; unit
+        # columns that share a row leave more core rows than core columns,
+        # and _inverse rejects the non-square core
+        core_at = np.zeros(m, dtype=np.int64)
+        core_at[u_row] = -1
+        c_rows = np.flatnonzero(core_at == 0)
+        k = len(c_pos)
+        core_at[c_rows] = np.arange(len(c_rows))
+        # the core columns' entries, column by column
+        c_lo, c_len = lo[c_pos], lens[c_pos]
+        n_e = int(c_len.sum())
+        at = np.arange(n_e) + np.repeat(c_lo - (np.cumsum(c_len) - c_len), c_len)
+        e_row, e_val, e_col = rows[at], vals[at], np.repeat(np.arange(k), c_len)
+        e_core = core_at[e_row]
+        on = e_core >= 0
+        core = np.zeros((len(c_rows), k))
+        core[e_core[on], e_col[on]] = e_val[on]
+        core_inv = _inverse(core)
+
         inv_u = 1.0 / u_val
-        u_block = core[u_row] @ core_inv
-        u_block *= -inv_u[:, None]
-        out = self._a
-        out.fill(0.0)
-        out[np.ix_(c_pos, c_rows)] = core_inv
-        out[u_pos, u_row] = inv_u
-        out[np.ix_(u_pos, c_rows)] = u_block
+        pos = np.full(m, m)
+        pos[u_row] = u_pos
+        val = np.zeros(m)
+        val[u_row] = inv_u
+        panel = np.zeros((2 * k + 16, m + 1))
+        panel[1:k + 1, c_pos] = core_inv.T
+        # the unit positions' entries: each core-column entry on a unit row
+        # adds -value / (that row's unit entry) times a row of C^-1 at its
+        # unit column's position.  The entries are summed in order, grouped
+        # by position, a block of rows of C^-1 at a time.
+        off = np.flatnonzero(~on)
+        target = pos[e_row[off]]
+        order = np.argsort(target, kind="stable")
+        off, target = off[order], target[order]
+        coef = -e_val[off] * val[e_row[off]]
+        step = max(1, _OFF_BLOCK // max(k, 1))
+        for b in range(0, len(off), step):
+            t = target[b:b + step]
+            first = np.flatnonzero(np.concatenate(([True], t[1:] != t[:-1])))
+            terms = core_inv.take(e_col[off[b:b + step]], axis=0)
+            terms *= coef[b:b + step, None]
+            panel[1:k + 1, t[first]] += np.add.reduceat(terms, first, axis=0).T
+        unit_at = np.full(m, -1)
+        unit_at[u_pos] = u_row
+        slot = np.zeros(m, dtype=np.int64)
+        slot[c_rows] = np.arange(1, k + 1)
+        col = np.zeros(len(panel), dtype=np.int64)
+        col[1:k + 1] = c_rows
+        self._pos, self._val, self._unit_at, self._slot = pos, val, unit_at, slot
+        self._set_panel(panel, col)
+        self._used = k + 1
 
 
 class LpModel:
@@ -234,7 +397,7 @@ class LpModel:
         # row scaling); dropped while a solve runs, so a solve that ends in
         # anything but an optimum leaves none of them behind
         self._basis: np.ndarray | None = None
-        self._inv: _DenseInverse | None = None
+        self._inv: _PanelInverse | None = None
         self._y: np.ndarray | None = None
         self._since_inv = 0  # pivots since the inverse was last computed afresh
         # internal columns in compressed sparse form: column j's nonzeros sit
@@ -249,6 +412,9 @@ class LpModel:
         s = np.where(b1 < 0, -1.0, 1.0)
         self._row_mult = u * s
         self._beq = b1 * s
+        # phase 2's perturbed rhs (module docstring), drawn once
+        self._perturbed = self._beq + PERTURB_SCALE * (1.0 + self._beq) * (
+            np.random.default_rng(m).uniform(0.5, 1.0, m))
         # the surplus of each non-equality row's >= form, scaled, sits on that
         # row alone, and so does each row's artificial
         surplus = np.flatnonzero(np.fromiter([sense is not eq for sense in senses], bool, m))
@@ -346,7 +512,7 @@ class LpModel:
     def _is_artificial(self, cols: np.ndarray) -> np.ndarray:
         return (cols >= self._first_struct - self.num_rows) & (cols < self._first_struct)
 
-    def _cold_start(self) -> tuple[np.ndarray, _DenseInverse]:
+    def _cold_start(self) -> tuple[np.ndarray, _PanelInverse]:
         """The crash basis of a cold solve and its inverse (module docstring).
 
         Each row the slack basis leaves on its artificial takes the lowest
@@ -358,7 +524,7 @@ class LpModel:
         B^-1 b has an entry below -FEAS_TOL.
         """
         m, first, n = self.num_rows, self._first_struct, self._n_int
-        basis, b_inv = self._slack_basis.copy(), np.eye(m)
+        basis = self._slack_basis.copy()
         held = self._is_artificial(basis)
         lo, hi = self._ptr[first], self._ptr[n]
         rows, vals, cols = self._row[lo:hi], self._val[lo:hi], self._col[lo:hi] - first
@@ -369,7 +535,7 @@ class LpModel:
         np.minimum.at(pick, rows[ok], cols[ok])
         crashed = np.flatnonzero(pick < n - first)
         if not crashed.size:
-            return basis, _DenseInverse(b_inv)
+            return basis, _PanelInverse(m)
         # the chosen columns' entries, each with its column's pivot row
         pivot_row = np.full(n - first, -1)
         pivot_row[pick[crashed]] = crashed
@@ -379,12 +545,12 @@ class LpModel:
         a = np.empty(m)
         a[e_rows[on_pivot]] = e_vals[on_pivot]
         off = ~on_pivot
-        b_inv[crashed, crashed] = 1.0 / a[crashed]
-        b_inv[e_rows[off], e_piv[off]] = -e_vals[off] / a[e_piv[off]]
-        if (b_inv @ self._beq).min() < -FEAS_TOL:
-            return basis, _DenseInverse(np.eye(m))
+        inv = _PanelInverse.triangular(m, crashed, 1.0 / a[crashed], e_piv[off], e_rows[off],
+                                       -e_vals[off] / a[e_piv[off]])
+        if inv.solve(self._beq).min() < -FEAS_TOL:
+            return basis, _PanelInverse(m)
         basis[crashed] = first + pick[crashed]
-        return basis, _DenseInverse(b_inv)
+        return basis, inv
 
     # ------------------------------------------------------------------
     def solve(self) -> LpSolution:
@@ -409,11 +575,7 @@ class LpModel:
         basis, inv, y = self._basis, self._inv, self._y
         self._basis = self._inv = self._y = None
 
-        # phase 2's perturbed rhs, drawn the same way on every solve of this
-        # size; a uint32 seed array draws what the list [m, n] draws, and
-        # builds the generator faster
-        rng = np.random.default_rng(np.array([m, n], dtype=np.uint32))
-        rhs = beq + PERTURB_SCALE * (1.0 + beq) * rng.uniform(0.5, 1.0, m)
+        rhs = self._perturbed
         while True:
             if basis is None:
                 # phase 1 from the crash basis, at cost 1 on each artificial
@@ -427,7 +589,7 @@ class LpModel:
                 if status != "optimal":
                     raise _Breakdown(f"phase 1, pivot {n1}: came back {status}")
                 xb = np.maximum(inv.solve(beq), 0.0)
-                if float(c1[basis] @ xb) > FEAS_TOL:
+                if math.fsum(c1[basis] * xb) > FEAS_TOL:
                     return LpSolution(LpStatus.INFEASIBLE, None, None, None, iters)
                 y = None
 
@@ -448,7 +610,8 @@ class LpModel:
         x_int = np.zeros(n)
         x_int[basis] = np.maximum(xb, 0.0)
         x = x_int[self._first_struct:]
-        objective = float(c2[self._first_struct:] @ x)
+        # exactly rounded, so in no order that a thread count could change
+        objective = math.fsum(c2[basis] * x_int[basis])
         y = inv.duals(c2[basis])
         duals = y * self._row_mult
         # the next solve warm-starts from this basis unless B^-1 b has an
@@ -464,7 +627,7 @@ class LpModel:
         The basic values are those of B x_B = `rhs`: the true rhs in phase 1,
         a perturbed copy in phase 2 (see the module docstring), where the
         ratio test then rarely ties at zero.  `inv` is the basis's
-        _DenseInverse, and `y` holds the duals `inv.duals(costs[basis])` when
+        _PanelInverse, and `y` holds the duals `inv.duals(costs[basis])` when
         the caller has them, else None.  Dantzig entering rule, switching to
         Bland's rule once the run of degenerate pivots exceeds 3*(rows+cols).
         Artificials never enter.  With `pin_artificials`, basic artificials

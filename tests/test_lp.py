@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import colgen.lp as lp_module
-from colgen import (DwdConfig, LpModel, LpStatus, McBlockProblem, RowSense,
-                    generate_mc_instance, run_dwd)
+from colgen import (E_SET_SHAPES, DwdConfig, GaBlockProblem, LpModel, LpStatus,
+                    McBlockProblem, RowSense, generate_ga_instance, generate_mc_instance,
+                    run_dwd)
 from colgen.lp import LpNumericalError, LpStructureError
 
 import oracles
@@ -617,9 +618,9 @@ def test_refactorization_counts_pivots_across_warm_solves(monkeypatch):
     model = RecordingLp(rows)
     for i in range(len(rows)):
         model.add_column(50.0, [(i, 1.0)])
-    real_inv = np.linalg.inv
+    real_inv = lp_module._inverse
     inv_calls = []
-    monkeypatch.setattr(np.linalg, "inv", lambda a: inv_calls.append(1) or real_inv(a))
+    monkeypatch.setattr(lp_module, "_inverse", lambda a: inv_calls.append(1) or real_inv(a))
     pivots, warm_invs = [], 0
     for _ in range(60):
         before = len(inv_calls)
@@ -645,7 +646,7 @@ def test_numerical_error_names_phase_size_and_pivot(monkeypatch):
     def singular(a):
         raise np.linalg.LinAlgError("singular matrix")
 
-    monkeypatch.setattr(np.linalg, "inv", singular)
+    monkeypatch.setattr(lp_module, "_inverse", singular)
     with pytest.raises(LpNumericalError) as info:
         model.solve()
     msg = str(info.value)
@@ -696,12 +697,12 @@ def test_carried_inverse_matches_a_fresh_inverse_across_refactorizations():
     assert checked >= 10
 
 
-def test_refactorization_writes_into_the_carried_inverse():
+def test_refactorization_builds_no_m_by_m_array():
     # 150 >= rows whose columns each sit on two of them, so the crash takes
     # none and phase 1 pivots about once per row, refactoring once with a
     # core of at most 128 columns; the other rows are <= rows held by their
-    # surplus.  A refactorization that built B^-1 apart from the inverse it
-    # replaces would hold two m x m arrays at its peak.
+    # surplus.  B^-1 keeps only its columns with more than one nonzero, so
+    # the whole solve stays below the size of one m x m array.
     m, k = 1500, 150
     rows = [(RowSense.GE, 1.0 + i % 3) for i in range(k)] + [(RowSense.LE, 4.0)] * (m - k)
     model = LpModel(rows)
@@ -715,7 +716,39 @@ def test_refactorization_writes_into_the_carried_inverse():
         tracemalloc.stop()
     assert sol.status is LpStatus.OPTIMAL
     assert 128 <= sol.iterations < 256
-    assert peak < 1.5 * m * m * 8
+    assert peak < m * m * 8
+
+
+def test_e6_shaped_master_allocates_no_m_by_m_array(monkeypatch):
+    # the master of ga 1000 x 100 (E6) seed 0 after two iterations: 1,100
+    # rows, a core of about 90 columns.  A cold start, a refactorization and
+    # a warm re-solve that pivots past the next one each stay below the size
+    # of one dense inverse.
+    models = []
+    real_solve = LpModel.solve
+    monkeypatch.setattr(LpModel, "solve", lambda model: models.append(model) or real_solve(model))
+    run_dwd(GaBlockProblem(generate_ga_instance(*E_SET_SHAPES["E6"], 0)),
+            DwdConfig(max_iterations=2))
+    model = models[-1]
+    m, basis = model.num_rows, model._basis.copy()
+    assert m == 1100 and model._inv is not None
+    for step in ("cold start", "refactor", "warm solve"):
+        tracemalloc.start()
+        try:
+            if step == "cold start":
+                model._cold_start()
+            elif step == "refactor":
+                inv = lp_module._PanelInverse(m)
+                inv.refactor(basis, model._ptr, model._row, model._val)
+            else:
+                model.add_column(1.0, [(0, 1.0)])
+                sol = real_solve(model)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < m * m * 8, step
+    np.testing.assert_allclose(inv.dense, oracle_inverse(model, basis), rtol=0.0, atol=1e-9)
+    assert sol.status is LpStatus.OPTIMAL and sol.iterations > 128
 
 
 def internal_columns(model):
@@ -740,7 +773,7 @@ def oracle_inverse(model, basis):
 def refactored(model, basis, inv=None):
     """The dense view of `inv` (a fresh one if None) refactored on `basis`."""
     if inv is None:
-        inv = lp_module._DenseInverse(np.zeros((len(basis), len(basis))))
+        inv = lp_module._PanelInverse(len(basis))
     inv.refactor(basis, model._ptr, model._row, model._val)
     return inv.dense
 
@@ -782,18 +815,21 @@ def test_core_inverse_equals_dense_inverse():
                                    rtol=1e-9, atol=1e-9)
 
 
-def test_core_inverse_rejects_singular_unit_columns():
+def test_core_inverse_rejects_singular_bases():
     model = LpModel([(RowSense.GE, 1.0), (RowSense.GE, 2.0)])
     model.add_column(1.0, [(0, 1.0)])
     model.add_column(1.0, [(0, 2.0)])
     model.add_column(1.0, [(1, 0.0)])  # a unit column whose entry is 0
-    (s0, s1, zero), art = internal_columns(model)
+    model.add_column(1.0, [(0, 1.0), (1, 2.0)])
+    model.add_column(1.0, [(0, -0.5), (1, -1.0)])
+    (s0, s1, zero, p, q), art = internal_columns(model)
     good = np.array([s1, art[1]])
-    inv = lp_module._DenseInverse(np.zeros((2, 2)))
+    inv = lp_module._PanelInverse(2)
     assert refactored(model, good, inv) == pytest.approx(np.diag([0.5, 1.0]))
     # a singular basis leaves the inverse as it was
     for singular in ([s0, s1],     # two unit columns on row 0
-                     [s0, zero]):
+                     [s0, zero],
+                     [p, q]):      # a core of two parallel columns
         with pytest.raises(np.linalg.LinAlgError):
             refactored(model, np.array(singular), inv)
         assert inv.dense == pytest.approx(np.diag([0.5, 1.0]))
