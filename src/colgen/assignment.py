@@ -250,9 +250,9 @@ def knapsack_min_batch(values, weights, capacities) -> tuple[np.ndarray, np.ndar
     """`knapsack_min` over many bins at once.
 
     `values` and `weights` have shape (bins, items) and `capacities` shape
-    (bins,).  Returns each bin's minimum value and a boolean (bins, items)
-    mask of the picked items.  Only candidate items count: value < 0 and no
-    heavier than their bin.
+    (bins,); other shapes raise ValueError.  Returns each bin's minimum value
+    and a boolean (bins, items) mask of the picked items.  Only candidate
+    items count: value < 0 and no heavier than their bin.
 
     - a bin whose candidates all fit its capacity, or that has none, is read
       in closed form from one right-to-left `np.cumsum` of its candidates'
@@ -275,6 +275,12 @@ def knapsack_min_batch(values, weights, capacities) -> tuple[np.ndarray, np.ndar
     values = np.asarray(values, dtype=float)
     w = np.asarray(weights, dtype=np.int64)
     caps = np.asarray(capacities, dtype=np.int64)
+    if values.ndim != 2 or w.shape != values.shape:
+        raise ValueError(f"weights of shape {w.shape} do not match values of shape "
+                         f"{values.shape}, which must be (bins, items)")
+    if caps.shape != values.shape[:1]:
+        raise ValueError(f"capacities of shape {caps.shape} do not match values of shape "
+                         f"{values.shape}: need ({len(values)},)")
     if np.any(caps < 0):
         raise ValueError("capacity must be nonnegative")
     if np.any(w < 0):
@@ -438,7 +444,8 @@ class GaBlockProblem(BlockProblem):
         return negative_part_sum((pi_prev - pi_now)[support])
 
     def heuristic_bound_terms(self, pi_prev, pi_now):
-        return self._support @ np.minimum(pi_prev - pi_now, 0.0)
+        # numpy's own loop, not BLAS, whose sums change order with its thread count
+        return np.einsum("bi,i->b", self._support, np.minimum(pi_prev - pi_now, 0.0))
 
     def support_set(self, block):
         return self._support[block]

@@ -19,18 +19,18 @@ store).  The storage keeps each column of B^-1 that has one nonzero as its
 entries per column; no m x m array is built.  Just after a refactorization
 the panel holds only the columns of the core's rows (below), about 100 of
 the 5,100 on the master of the paper's largest `ga` shape, and a pivot moves
-at most one more column into it.  FTRAN is one gather of panel columns (every unit column
-points at one shared zero column), one sum and one scatter of the unit
-values.  A pivot's rank-1 update touches only the panel entries in the
-direction's nonzero rows and the pivot row's nonzero columns.  A
+at most one more column into it.  FTRAN is one gather of panel columns
+(every unit column points at one shared zero column), one sum and one scatter
+of the unit values.  A pivot's rank-1 update touches only the panel entries
+in the direction's nonzero rows and the pivot row's nonzero columns.  A
 refactorization eliminates the basis columns with a single nonzero (surplus,
-artificial, single-row structural) on their rows, inverts only the square
-core of the rest, and builds the new panel from that core inverse.  Every sum
-over the panel and the core inverse itself (Gauss-Jordan elimination) run in
-numpy's element-wise loops, not in BLAS or LAPACK, whose sums change order with
-their thread count; so the pivot path is the same at any thread count.  The
-one other source of B^-1 is a cold start, whose triangular crash inverse is
-written down directly (below).
+artificial, single-row structural) on their rows, then the core entries alone
+in their row and column, inverts only the square rest of the core, and builds
+the new panel from those.  Every sum over the panel and the core inverse
+itself (Gauss-Jordan elimination) run in numpy's element-wise loops, not in
+BLAS or LAPACK, whose sums change order with their thread count; so the pivot
+path is the same at any thread count.  Apart from the identity, B^-1 comes
+only from a refactorization, a cold start's included (below).
 
 The basic values and the duals are carried across pivots by the same step and
 recomputed exactly at each refactorization, every few pivots.  Columns can be
@@ -51,21 +51,20 @@ artificial.  Second, each row still held by its artificial takes the
 lowest-index structural column with a positive entry on it and no entry on
 any other artificial-held row (Bixby, "Implementing the simplex method: the
 initial basis", ORSA J. Computing 4(3), 1992).  Such a basis is triangular,
-so its inverse is written down directly; it is used only if its basic values
+so its refactorization inverts nothing; it is used only if its basic values
 are feasible, and otherwise phase 1 starts from the first step's basis, which
 is the identity.  In a decomposition master this puts each block's initial
 column on its convexity row, where phase 1 would otherwise pivot it in one
-row at a time.  Phase 2
-runs on a right-hand side raised by a small, bounded random amount per row
-(Koberstein, "The dual simplex method, techniques for a fast and stable
-implementation", PhD thesis, Paderborn 2005, section 6), which breaks the
-ties that make degenerate masters stall.  The perturbation is removed at the
-end: the final basis is accepted only if its basic values under the true
-right-hand side are feasible, which makes it optimal, since reduced costs do
-not depend on the right-hand side.  Otherwise the solve starts again from a
-cold phase 1 and runs phase 2 on the true right-hand side.  The perturbation
-is drawn once per model, from a generator seeded by its row count, so solves
-are deterministic.
+row at a time.  Phase 2 runs on a right-hand side raised by a small, bounded
+random amount per row (Koberstein, "The dual simplex method, techniques for a
+fast and stable implementation", PhD thesis, Paderborn 2005, section 6),
+which breaks the ties that make degenerate masters stall.  The perturbation
+is removed at the end: the final basis is accepted only if its basic values
+under the true right-hand side are feasible, which makes it optimal, since
+reduced costs do not depend on the right-hand side.  Otherwise the solve
+starts again from a cold phase 1 and runs phase 2 on the true right-hand
+side.  The perturbation is drawn once per model, from a generator seeded by
+its row count, so solves are deterministic.
 
 Models are independent: two LpModel instances share no state and may be
 solved concurrently from different threads.
@@ -202,29 +201,6 @@ class _PanelInverse:
         self._set_panel(np.zeros((16, m + 1)), np.zeros(16, dtype=np.int64))
         self._used = 1  # slots in use, the zero slot included
 
-    @classmethod
-    def triangular(cls, m: int, diag_cols: np.ndarray, diag: np.ndarray,
-                   off_cols: np.ndarray, off_pos: np.ndarray, off: np.ndarray):
-        """The identity with `diag` on the diagonal of columns `diag_cols`.
-
-        The entries `off` sit at positions `off_pos` of columns `off_cols`
-        (a subset of `diag_cols`), off the diagonal: a cold start's crash
-        inverse (LpModel._cold_start).
-        """
-        inv = cls(m)
-        inv._val[diag_cols] = diag
-        multi = np.flatnonzero(np.bincount(off_cols, minlength=m))
-        used = len(multi) + 1
-        if used > len(inv._panel):
-            inv._set_panel(np.zeros((2 * used, m + 1)), np.zeros(2 * used, dtype=np.int64))
-        inv._slot[multi] = np.arange(1, used)
-        inv._col[1:used] = multi
-        inv._panel[inv._slot[off_cols], off_pos] = off
-        inv._panel[inv._slot[multi], multi] = inv._val[multi]
-        inv._pos[multi], inv._val[multi], inv._unit_at[multi] = m, 0.0, -1
-        inv._used = used
-        return inv
-
     @property
     def dense(self) -> np.ndarray:
         """B^-1 as an m x m array, built afresh; for tests."""
@@ -298,7 +274,7 @@ class _PanelInverse:
 
     def refactor(self, basis: np.ndarray, ptr: np.ndarray, rows: np.ndarray,
                  vals: np.ndarray) -> None:
-        """B^-1 of the basis columns, inverting only their multi-entry core.
+        """B^-1 of the basis columns, inverting only what is left of their core.
 
         Internal column j has the entries `vals[ptr[j]:ptr[j + 1]]` on rows
         `rows[ptr[j]:ptr[j + 1]]`.  A basis column with one nonzero
@@ -309,14 +285,19 @@ class _PanelInverse:
         the unit columns' entries and C_u the core columns' entries on the
         unit rows, B^-1's columns of the core rows are C^-1 on the core
         positions and -D^-1 C_u C^-1 on the unit positions; they make up the
-        new panel.  Raises LinAlgError for a singular basis, with the old
-        inverse untouched.
+        new panel.  A core entry a alone in its core row and core column is
+        taken first, as a sparse LU starts (Suhl & Suhl, ORSA J. Computing
+        2(4), 1990): its column's row of C^-1 is 1/a at a's row, so each of
+        the column's unit-row entries gives one entry of B^-1, and only the
+        rest of C is inverted and multiplied out, with the bits of the whole
+        (up to the sign of a zero).  Raises LinAlgError for a singular
+        basis, with the old inverse untouched.
         """
         m = self._m
         lo = ptr[basis]
         lens = ptr[basis + 1] - lo
         unit = lens == 1
-        u_pos, c_pos = np.flatnonzero(unit), np.flatnonzero(~unit)
+        u_pos, c_pos = unit.nonzero()[0], (~unit).nonzero()[0]
         u_row, u_val = rows[lo[u_pos]], vals[lo[u_pos]]
         if not u_val.all():
             raise np.linalg.LinAlgError("a unit basis column has a zero entry")
@@ -325,43 +306,67 @@ class _PanelInverse:
         # and _inverse rejects the non-square core
         core_at = np.zeros(m, dtype=np.int64)
         core_at[u_row] = -1
-        c_rows = np.flatnonzero(core_at == 0)
+        c_rows = (core_at == 0).nonzero()[0]
         k = len(c_pos)
         core_at[c_rows] = np.arange(len(c_rows))
         # the core columns' entries, column by column
         c_lo, c_len = lo[c_pos], lens[c_pos]
         n_e = int(c_len.sum())
-        at = np.arange(n_e) + np.repeat(c_lo - (np.cumsum(c_len) - c_len), c_len)
-        e_row, e_val, e_col = rows[at], vals[at], np.repeat(np.arange(k), c_len)
+        at = np.arange(n_e) + (c_lo - (c_len.cumsum() - c_len)).repeat(c_len)
+        e_row, e_val, e_col = rows[at], vals[at], np.arange(k).repeat(c_len)
         e_core = core_at[e_row]
-        on = e_core >= 0
-        core = np.zeros((len(c_rows), k))
-        core[e_core[on], e_col[on]] = e_val[on]
-        core_inv = _inverse(core)
+        on = (e_core >= 0).nonzero()[0]
+        # the lone entries; a lone column's slot is 1 + its entry's core row
+        on_core, on_col = e_core[on], e_col[on]
+        lone = on[(np.bincount(on_core, minlength=len(c_rows))[on_core] == 1)
+                  & (np.bincount(on_col, minlength=k)[on_col] == 1)]
+        l_core, l_col, l_val = e_core[lone], e_col[lone], e_val[lone]
+        if not l_val.all():
+            raise np.linalg.LinAlgError("a lone core entry is zero")
+        l_slot = np.zeros(k, dtype=np.int64)
+        l_slot[l_col] = 1 + l_core
+        inv_a = np.zeros(k)
+        inv_a[l_col] = 1.0 / l_val
+        rest_row = np.ones(len(c_rows), dtype=bool)
+        rest_row[l_core] = False
+        rest_col = l_slot == 0
 
-        inv_u = 1.0 / u_val
         pos = np.full(m, m)
         pos[u_row] = u_pos
         val = np.zeros(m)
-        val[u_row] = inv_u
+        val[u_row] = 1.0 / u_val
         panel = np.zeros((2 * k + 16, m + 1))
-        panel[1:k + 1, c_pos] = core_inv.T
+        panel[1 + l_core, c_pos[l_col]] = inv_a[l_col]
         # the unit positions' entries: each core-column entry on a unit row
-        # adds -value / (that row's unit entry) times a row of C^-1 at its
-        # unit column's position.  The entries are summed in order, grouped
-        # by position, a block of rows of C^-1 at a time.
-        off = np.flatnonzero(~on)
-        target = pos[e_row[off]]
-        order = np.argsort(target, kind="stable")
-        off, target = off[order], target[order]
-        coef = -e_val[off] * val[e_row[off]]
-        step = max(1, _OFF_BLOCK // max(k, 1))
-        for b in range(0, len(off), step):
-            t = target[b:b + step]
-            first = np.flatnonzero(np.concatenate(([True], t[1:] != t[:-1])))
-            terms = core_inv.take(e_col[off[b:b + step]], axis=0)
-            terms *= coef[b:b + step, None]
-            panel[1:k + 1, t[first]] += np.add.reduceat(terms, first, axis=0).T
+        # adds -value / (that row's unit entry) times its column's row of
+        # C^-1 at its unit column's position, in order, grouped by position
+        off = (e_core < 0).nonzero()[0]
+        target, coef = pos[e_row[off]], -e_val[off] * val[e_row[off]]
+        by_lone = ~rest_col[e_col[off]]
+        c = e_col[off[by_lone]]
+        panel[l_slot[c], target[by_lone]] = inv_a[c] * coef[by_lone]
+        r_rows, r_cols = rest_row.nonzero()[0], rest_col.nonzero()[0]
+        if len(r_rows) or len(r_cols):
+            order = np.argsort(target, kind="stable")
+            off, target, coef, by_lone = off[order], target[order], coef[order], by_lone[order]
+            r_at = np.cumsum(rest_col) - 1  # each core column's index in the rest
+            rest = on[rest_col[on_col]]
+            core = np.zeros((len(r_rows), len(r_cols)))
+            core[np.cumsum(rest_row)[e_core[rest]] - 1, r_at[e_col[rest]]] = e_val[rest]
+            core_inv = _inverse(core)
+            r_slots = 1 + r_rows[:, None]
+            panel[r_slots, c_pos[r_cols]] = core_inv.T
+            # the rest's entries, a block of rows of C^-1 at a time; the
+            # blocks are cut as if no entry were set aside, so that each
+            # position's sum is grouped as over the whole core
+            step = max(1, _OFF_BLOCK // k)
+            for b in range(0, len(off), step):
+                blk = b + (~by_lone[b:b + step]).nonzero()[0]
+                t = target[blk]
+                first = np.diff(t, prepend=-1).nonzero()[0]
+                terms = core_inv.take(r_at[e_col[off[blk]]], axis=0)
+                terms *= coef[blk, None]
+                panel[r_slots, t[first]] += np.add.reduceat(terms, first, axis=0).T
         unit_at = np.full(m, -1)
         unit_at[u_pos] = u_row
         slot = np.zeros(m, dtype=np.int64)
@@ -518,10 +523,10 @@ class LpModel:
         Each row the slack basis leaves on its artificial takes the lowest
         structural column whose entry there exceeds PIVOT_TOL and which has
         no entry on another such row.  Its other entries sit on rows whose
-        basic column is a +1 surplus, so B^-1 is the identity except in the
-        crashed rows' columns: 1/a_rr on the pivot row, -a_sr/a_rr on each
-        of the column's other rows.  Falls back to the slack basis when that
-        B^-1 b has an entry below -FEAS_TOL.
+        basic column is a +1 surplus, so each crashed column's entry on its
+        row is alone in the core, and `refactor` inverts no part of it.
+        Falls back to the slack basis when that B^-1 b has an entry below
+        -FEAS_TOL.
         """
         m, first, n = self.num_rows, self._first_struct, self._n_int
         basis = self._slack_basis.copy()
@@ -534,23 +539,15 @@ class LpModel:
         pick = np.full(m, n - first)
         np.minimum.at(pick, rows[ok], cols[ok])
         crashed = np.flatnonzero(pick < n - first)
+        inv = _PanelInverse(m)
         if not crashed.size:
-            return basis, _PanelInverse(m)
-        # the chosen columns' entries, each with its column's pivot row
-        pivot_row = np.full(n - first, -1)
-        pivot_row[pick[crashed]] = crashed
-        entries = np.flatnonzero(pivot_row[cols] >= 0)
-        e_rows, e_vals, e_piv = rows[entries], vals[entries], pivot_row[cols[entries]]
-        on_pivot = e_rows == e_piv
-        a = np.empty(m)
-        a[e_rows[on_pivot]] = e_vals[on_pivot]
-        off = ~on_pivot
-        inv = _PanelInverse.triangular(m, crashed, 1.0 / a[crashed], e_piv[off], e_rows[off],
-                                       -e_vals[off] / a[e_piv[off]])
+            return basis, inv
+        crash = basis.copy()
+        crash[crashed] = first + pick[crashed]
+        inv.refactor(crash, self._ptr, self._row, self._val)
         if inv.solve(self._beq).min() < -FEAS_TOL:
             return basis, _PanelInverse(m)
-        basis[crashed] = first + pick[crashed]
-        return basis, inv
+        return crash, inv
 
     # ------------------------------------------------------------------
     def solve(self) -> LpSolution:

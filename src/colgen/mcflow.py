@@ -657,7 +657,8 @@ class McBlockProblem(BlockProblem):
 
     def heuristic_bound_terms(self, pi_prev, pi_now):
         shift = np.minimum(pi_now - pi_prev, 0.0)
-        return self.inst._routing.bandwidths * (self._support @ shift)
+        # numpy's own loop, not BLAS, whose sums change order with its thread count
+        return self.inst._routing.bandwidths * np.einsum("bi,i->b", self._support, shift)
 
     def support_set(self, block):
         return self._support[block]

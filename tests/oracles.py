@@ -4,7 +4,10 @@ Everything here is deliberately written against different primitives than
 the code under test: scipy's LP solver, networkx shortest paths, exhaustive
 enumeration, a screening filter that walks one block's records at a time,
 and heapq Dijkstra and label setting with no weight bound for the `mc`
-searches.  Slow is fine; these only run at unit-test scale.
+searches.  Slow is fine; these only run at unit-test scale.  The one
+exception is `whole_core_inverse`, the basis refactorization as it was before
+lone core entries were set aside, on the same Gauss-Jordan elimination, kept
+because the new one must give its bits.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import numpy as np
 import scipy.optimize
 
 from colgen import Column, FilterMode, LpStatus, PricedBlocks, RowSense, Strategy
+from colgen.lp import _OFF_BLOCK, _inverse
 
 
 # ----------------------------------------------------------------------
@@ -443,6 +447,61 @@ def restricted_master_objective(problem, columns):
     if res.status != 0:
         raise RuntimeError(f"restricted master not optimal: {res.message}")
     return float(res.fun)
+
+
+def whole_core_inverse(basis, ptr, rows, vals):
+    """Dense B^-1 of the internal basis columns, refactored by inverting the
+    whole core, as `_PanelInverse.refactor` did before it set its lone
+    entries aside.
+
+    The single-nonzero basis columns are eliminated on their rows; the core
+    C of the other columns on the other rows goes whole to Gauss-Jordan
+    (`colgen.lp._inverse`); each core-column entry on a unit row then adds
+    -value / (that row's unit entry) times its column's row of C^-1 at the
+    unit column's position, summed in entry order, grouped by position, a
+    block of `_OFF_BLOCK` entries of C^-1 at a time.  The same steps and
+    sums in the same order, so `refactor` must give these bits, up to the
+    sign of a zero.
+    """
+    m = len(basis)
+    lo = ptr[basis]
+    lens = ptr[basis + 1] - lo
+    unit = lens == 1
+    u_pos, c_pos = np.flatnonzero(unit), np.flatnonzero(~unit)
+    u_row, u_val = rows[lo[u_pos]], vals[lo[u_pos]]
+    core_at = np.zeros(m, dtype=np.int64)
+    core_at[u_row] = -1
+    c_rows = np.flatnonzero(core_at == 0)
+    k = len(c_pos)
+    core_at[c_rows] = np.arange(len(c_rows))
+    c_lo, c_len = lo[c_pos], lens[c_pos]
+    at = np.arange(int(c_len.sum())) + np.repeat(c_lo - (np.cumsum(c_len) - c_len), c_len)
+    e_row, e_val, e_col = rows[at], vals[at], np.repeat(np.arange(k), c_len)
+    e_core = core_at[e_row]
+    on = e_core >= 0
+    core = np.zeros((len(c_rows), k))
+    core[e_core[on], e_col[on]] = e_val[on]
+    core_inv = _inverse(core)
+    pos = np.full(m, m)
+    pos[u_row] = u_pos
+    val = np.zeros(m)
+    val[u_row] = 1.0 / u_val
+    out = np.zeros((m, m))
+    out[u_pos, u_row] = val[u_row]
+    out[np.ix_(c_pos, c_rows)] = core_inv
+    off = np.flatnonzero(~on)
+    target = pos[e_row[off]]
+    order = np.argsort(target, kind="stable")
+    off, target = off[order], target[order]
+    coef = -e_val[off] * val[e_row[off]]
+    step = max(1, _OFF_BLOCK // max(k, 1))
+    for b in range(0, len(off), step):
+        t = target[b:b + step]
+        first = np.flatnonzero(np.concatenate(([True], t[1:] != t[:-1])))
+        terms = core_inv.take(e_col[off[b:b + step]], axis=0)
+        terms *= coef[b:b + step, None]
+        out[np.ix_(t[first], c_rows)] += np.add.reduceat(terms, first, axis=0)
+    return out
 
 
 # ----------------------------------------------------------------------

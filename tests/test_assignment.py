@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -356,6 +357,25 @@ def test_knapsack_weights_near_int64_never_overfill():
     # an item heavier than its bin is never picked; the rest sum exactly
     assert knapsack_min([-1.0, -1.0], [2**63 - 1, 1], 2**62) == (-1.0, (1,))
     assert knapsack_min([-1.0, -2.0], [2**62, 2**62 - 1], 2**63 - 1) == (-3.0, (0, 1))
+
+
+def test_knapsack_batch_rejects_mismatched_shapes():
+    # every candidate fits here, so no shape reaches the DP: one capacity
+    # for two bins, or one row of weights for two bins, would be broadcast
+    values = np.full((2, 3), -1.0)
+    for weights, caps, names in ((np.ones((2, 3), int), np.array([5]), ("(1,)", "(2, 3)")),
+                                 (np.ones((1, 3), int), np.array([5, 5]), ("(1, 3)", "(2, 3)")),
+                                 (np.ones((2, 2), int), np.array([5, 5]), ("(2, 2)", "(2, 3)")),
+                                 (np.ones((2, 3), int), np.array([5, 5, 5]), ("(3,)", "(2, 3)")),
+                                 (3 * np.ones((2, 3), int), np.array([4]), ("(1,)", "(2, 3)")),
+                                 (np.ones((2, 3), int), np.array([[5], [5]]),
+                                  ("(2, 1)", "(2, 3)"))):
+        with pytest.raises(ValueError, match=re.escape(names[0]) + ".*" + re.escape(names[1])):
+            knapsack_min_batch(values, weights, caps)
+    with pytest.raises(ValueError, match=re.escape("(3,)")):
+        knapsack_min_batch(np.full(3, -1.0), np.ones(3, int), np.array([5]))
+    with pytest.raises(ValueError, match=re.escape("(1, 2)") + ".*" + re.escape("(1, 3)")):
+        knapsack_min([-1.0, -1.0, -1.0], [1, 1], 5)
 
 
 def test_pricing_zero_duals_returns_empty_pattern():

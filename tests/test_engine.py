@@ -687,17 +687,27 @@ def test_pinned_runs_keep_their_pivots(case, strategy):
 
 
 def test_pivots_do_not_depend_on_the_blas_thread_count():
-    # the master's sums run in numpy's own loops, so E3 (ga 100 x 100) seed 0
-    # takes one pivot path whatever thread count BLAS starts with; the count
-    # is read when numpy loads, so each run gets an interpreter of its own
+    # the master's sums and the heuristic screening terms run in numpy's own
+    # loops, so E3 (ga 100 x 100) seed 0 under baseline and heur-all, and mc
+    # 100/400/200 seed 0 under heur-all, take one path whatever thread count
+    # BLAS starts with; the count is read when numpy loads, so each thread
+    # count gets an interpreter of its own
     code = ("import hashlib\n"
-            "from colgen import E_SET_SHAPES, GaBlockProblem, generate_ga_instance, run_dwd\n"
-            "r = run_dwd(GaBlockProblem(generate_ga_instance(*E_SET_SHAPES['E3'], 0)))\n"
-            "sha = hashlib.sha256()\n"
-            "for values in (r.linking_duals, r.convexity_duals, r.column_values):\n"
-            "    sha.update(values.tobytes())\n"
-            "print(r.termination, repr(r.objective), r.stats.master_pivots, "
-            "r.stats.iterations, sha.hexdigest())\n")
+            "from colgen import (E_SET_SHAPES, STRATEGIES, DwdConfig, GaBlockProblem,\n"
+            "                    McBlockProblem, generate_ga_instance, generate_mc_instance,\n"
+            "                    run_dwd)\n"
+            "e3 = GaBlockProblem, generate_ga_instance(*E_SET_SHAPES['E3'], 0)\n"
+            "mc = McBlockProblem, generate_mc_instance(100, 400, 200, 0)\n"
+            "runs = (e3, 'baseline'), (e3, 'heur-all'), (mc, 'heur-all')\n"
+            "for (make, inst), strategy in runs:\n"
+            "    mode, selection = STRATEGIES[strategy]\n"
+            "    r = run_dwd(make(inst), DwdConfig(mode=mode, strategy=selection))\n"
+            "    sha = hashlib.sha256()\n"
+            "    for values in (r.linking_duals, r.convexity_duals, r.column_values):\n"
+            "        sha.update(values.tobytes())\n"
+            "    print(strategy, r.termination, repr(r.objective), r.stats.master_pivots,\n"
+            "          r.stats.iterations, r.stats.pricing_calls, r.stats.filters_succeeded,\n"
+            "          sha.hexdigest())\n")
     src = os.path.dirname(os.path.dirname(os.path.abspath(colgen.__file__)))
     runs = {}
     for threads in ("1", "2", "4"):
@@ -705,9 +715,14 @@ def test_pivots_do_not_depend_on_the_blas_thread_count():
                "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
         runs[threads] = subprocess.Popen([sys.executable, "-c", code], env=env, text=True,
                                          stdout=subprocess.PIPE)
-    out = {threads: run.communicate(timeout=120)[0].split() for threads, run in runs.items()}
+    out = {threads: [line.split() for line in run.communicate(timeout=180)[0].splitlines()]
+           for threads, run in runs.items()}
     assert all(run.returncode == 0 for run in runs.values())
-    assert out["1"][:2] == ["optimal", "186.0"]
+    assert [line[:3] for line in out["1"]] == [["baseline", "optimal", "186.0"],
+                                               ["heur-all", "converged", "186.0"],
+                                               ["heur-all", "converged", "9266.418047"]]
+    # heur-all skips blocks on both shapes, so the terms decide something
+    assert int(out["1"][1][6]) > 0 and int(out["1"][2][6]) > 0
     assert out["2"] == out["1"] and out["4"] == out["1"]
 
 

@@ -522,16 +522,27 @@ def test_crash_takes_the_lowest_eligible_column():
     assert inv.solve(model._beq) == pytest.approx([0.5, 2.0, 5.0 - 0.5 + 1.0, 3.0])
 
 
-def test_crash_inverse_equals_the_refactored_inverse():
+def test_cold_start_refactors_the_crash_basis_once(monkeypatch):
+    # the crash core is all lone entries, so the one refactorization of a
+    # cold start runs no Gauss-Jordan elimination
+    calls, core_calls = [], []
+    real_refactor, real_inv = lp_module._PanelInverse.refactor, lp_module._inverse
+    monkeypatch.setattr(lp_module._PanelInverse, "refactor",
+                        lambda inv, *args: calls.append(1) or real_refactor(inv, *args))
+    monkeypatch.setattr(lp_module, "_inverse", lambda a: core_calls.append(1) or real_inv(a))
     rng = np.random.default_rng(41)
     for _ in range(10):
         costs, rows, coeffs = dw_master(rng, blocks=int(rng.integers(1, 9)),
                                         links=int(rng.integers(3, 12)))
-        model = build(costs, rows, coeffs)
+        # scaled columns, so that no crash entry is 1
+        model = build(costs, rows, coeffs * np.round(rng.uniform(0.3, 3.0, len(costs)), 3))
+        calls.clear()
         basis, inv = model._cold_start()
+        assert len(calls) == 1 and not core_calls
         assert not model._is_artificial(basis).any()
+        assert np.array_equal(inv.dense, oracles.whole_core_inverse(
+            basis, model._ptr, model._row, model._val))
         np.testing.assert_allclose(inv.dense, oracle_inverse(model, basis), rtol=0.0, atol=1e-12)
-        np.testing.assert_allclose(inv.dense, refactored(model, basis), rtol=0.0, atol=1e-12)
 
 
 def test_first_mc_master_needs_no_phase_1_pivots(monkeypatch):
@@ -637,16 +648,17 @@ def test_refactorization_counts_pivots_across_warm_solves(monkeypatch):
 
 def test_numerical_error_names_phase_size_and_pivot(monkeypatch):
     # every column has entries on two artificial-held rows, so the crash
-    # takes none of them; phase 1 then needs one pivot per row, and both
-    # attempts reach a refactorization
+    # takes none of them and the cold start refactors nothing; phase 1 then
+    # needs one pivot per row, and both attempts reach a refactorization,
+    # where every refactorization fails
     model = LpModel([(RowSense.GE, 1.0 + i % 3) for i in range(150)])
     for i in range(150):
         model.add_column(1.0, [(i, 1.0), ((i + 1) % 150, 0.5)])
 
-    def singular(a):
+    def singular(inv, *args):
         raise np.linalg.LinAlgError("singular matrix")
 
-    monkeypatch.setattr(lp_module, "_inverse", singular)
+    monkeypatch.setattr(lp_module._PanelInverse, "refactor", singular)
     with pytest.raises(LpNumericalError) as info:
         model.solve()
     msg = str(info.value)
@@ -815,6 +827,47 @@ def test_core_inverse_equals_dense_inverse():
                                    rtol=1e-9, atol=1e-9)
 
 
+def test_lone_core_entries_skip_gauss_jordan_and_keep_the_whole_core_bits(monkeypatch):
+    # dw_master's crash basis with some link rows' surplus columns swapped
+    # for loaded columns: the core then holds both lone entries (a block
+    # whose convexity row only its initial column covers) and a block of
+    # shared rows, and only that block reaches Gauss-Jordan
+    received = []
+    real_inv = lp_module._inverse
+    monkeypatch.setattr(lp_module, "_inverse", lambda a: received.append(a.copy()) or real_inv(a))
+    rng = np.random.default_rng(43)
+    mixed = 0
+    while mixed < 20:
+        blocks = int(rng.integers(2, 9))
+        costs, rows, coeffs = dw_master(rng, blocks=blocks, links=int(rng.integers(3, 12)))
+        # scaled columns, so that no lone entry is 1
+        model = build(costs, rows, coeffs * np.round(rng.uniform(0.3, 3.0, len(costs)), 3))
+        basis, _ = model._cold_start()
+        links = len(rows) - blocks
+        swap = rng.choice(links, size=int(rng.integers(1, min(links, 3 * blocks) + 1)),
+                          replace=False)
+        basis[swap] = rng.choice(internal_columns(model)[0][blocks:], size=len(swap),
+                                 replace=False)
+        dense = internal_basis_matrix(model, basis)
+        if np.linalg.cond(dense) > 1e8:
+            continue
+        # the core and its lone entries, read off the dense basis
+        multi = (dense != 0.0).sum(axis=0) > 1
+        core = dense[~(dense[:, ~multi] != 0.0).any(axis=1)][:, multi]
+        on = core != 0.0
+        lone = on & (on.sum(axis=0) == 1) & (on.sum(axis=1, keepdims=True) == 1)
+        rest_rows, rest_cols = ~lone.any(axis=1), ~lone.any(axis=0)
+        received.clear()
+        assert np.array_equal(refactored(model, basis), oracles.whole_core_inverse(
+            basis, model._ptr, model._row, model._val))
+        if rest_rows.any():
+            assert len(received) == 1
+            assert np.array_equal(received[0], core[np.ix_(rest_rows, rest_cols)])
+        else:
+            assert not received
+        mixed += bool(lone.any() and rest_rows.any())
+
+
 def test_core_inverse_rejects_singular_bases():
     model = LpModel([(RowSense.GE, 1.0), (RowSense.GE, 2.0)])
     model.add_column(1.0, [(0, 1.0)])
@@ -822,14 +875,16 @@ def test_core_inverse_rejects_singular_bases():
     model.add_column(1.0, [(1, 0.0)])  # a unit column whose entry is 0
     model.add_column(1.0, [(0, 1.0), (1, 2.0)])
     model.add_column(1.0, [(0, -0.5), (1, -1.0)])
-    (s0, s1, zero, p, q), art = internal_columns(model)
+    model.add_column(1.0, [(0, 0.0), (1, 1.0)])  # with row 1 a unit row, a lone 0
+    (s0, s1, zero, p, q, lone_zero), art = internal_columns(model)
     good = np.array([s1, art[1]])
     inv = lp_module._PanelInverse(2)
     assert refactored(model, good, inv) == pytest.approx(np.diag([0.5, 1.0]))
     # a singular basis leaves the inverse as it was
     for singular in ([s0, s1],     # two unit columns on row 0
                      [s0, zero],
-                     [p, q]):      # a core of two parallel columns
+                     [p, q],       # a core of two parallel columns
+                     [lone_zero, art[1]]):
         with pytest.raises(np.linalg.LinAlgError):
             refactored(model, np.array(singular), inv)
         assert inv.dense == pytest.approx(np.diag([0.5, 1.0]))
