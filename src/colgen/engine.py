@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .filtering import FilterMode, PricingHistory, Screening, Strategy, should_filter
-from .lp import LpModel, LpNumericalError, LpStatus
+from .lp import LpModel, LpNumericalError, LpStatus, RowSense
 from .model import BlockProblem, Column, PricedBlocks
 
 
@@ -208,8 +208,9 @@ def _lp_batch(priced: PricedBlocks, idx: np.ndarray, num_linking: int):
 def run_dwd(problem: BlockProblem, config: DwdConfig | None = None) -> DwdResult:
     """Run column generation on `problem` and return the terminal state.
 
-    The master always stays feasible: one high-cost fallback column is
-    attached to every row, priced far above any real column, so it only
+    The master always stays feasible: each row the all-zero master leaves
+    unmet (`>=` with rhs > 0, `<=` with rhs < 0, `=` with rhs != 0) gets one
+    high-cost fallback column, priced far above any real column, so it only
     carries weight while real coverage is missing.  A run whose last master
     still puts weight on them (`artificial_value` above 1e-7) when pricing
     adds nothing ends `artificial`: its objective carries the fallback price,
@@ -245,12 +246,11 @@ def run_dwd(problem: BlockProblem, config: DwdConfig | None = None) -> DwdResult
     install(initial, np.arange(n_initial))
 
     big_m = 1e4 * (float(np.abs(initial.costs).max(initial=0.0)) + 1.0)
-    # signed like its rhs, so that the fallback column alone satisfies its
-    # row.  A -1 on a ga bin's <= 1 row would let the master reuse a pattern
-    # at big_m per extra unit: unbounded once the pattern costs below -big_m
-    signs = [-1.0 if rhs < 0 else 1.0 for _, rhs in rows]
-    artificials = lp.add_columns(np.full(len(rows), big_m), np.arange(len(rows) + 1),
-                                 np.arange(len(rows)), signs)
+    # one per unmet row, signed like its rhs, so that it alone meets its row
+    unmet = [i for i, (sense, rhs) in enumerate(rows)
+             if rhs > 0 and sense is not RowSense.LE or rhs < 0 and sense is not RowSense.GE]
+    artificials = lp.add_columns(np.full(len(unmet), big_m), np.arange(len(unmet) + 1),
+                                 unmet, np.sign([rows[i][1] for i in unmet]))
     stats.install_time_s += time.perf_counter() - t_install
 
     # baseline reads no pricing records, so keeps none

@@ -43,6 +43,17 @@ def test_parse_errors_name_lines():
         parse_ga_instance("ga 1 1\nitem -1 0 1 1\nbin 0 10\nitem 0 0 4 2\n")
     with pytest.raises(GaParseError, match="line 1: ga header needs"):
         parse_ga_instance("ga 2 -1\n")
+    # malformed lines: a second header, wrong value counts, an unknown word
+    with pytest.raises(GaParseError, match="^line 2: duplicate ga header$"):
+        parse_ga_instance("ga 1 1\nga 1 1\nbin 0 10\nitem 0 0 1 1\n")
+    for header in ("ga 1", "ga 1 1 1"):
+        with pytest.raises(GaParseError, match="^line 1: ga header takes 2 values$"):
+            parse_ga_instance(f"{header}\nbin 0 10\nitem 0 0 1 1\n")
+    for item in ("item 0 0 1", "item 0 0 1 1 1"):
+        with pytest.raises(GaParseError, match="^line 3: item takes 4 values$"):
+            parse_ga_instance(f"ga 1 1\nbin 0 10\n{item}\n")
+    with pytest.raises(GaParseError, match="^line 3: unknown directive 'items'$"):
+        parse_ga_instance("ga 1 1\nbin 0 10\nitems 0 0 1 1\n")
     # a repeated line names both lines; a negative value names its line
     with pytest.raises(GaParseError, match="line 3: bin 0 repeats line 2"):
         parse_ga_instance("ga 1 1\nbin 0 10\nbin 0 20\nitem 0 0 1 1\n")

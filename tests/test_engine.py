@@ -498,6 +498,53 @@ def test_patterns_cheaper_than_the_fallback_price_solve(text, optimum):
         assert result.artificial_value == 0.0
 
 
+class SignedRows(BudgetedCover):
+    """BudgetedCover with `=` convexity rows and three more linking rows:
+    item 0's cover again, written `-x <= -1`, and two `>=` rows that every
+    column meets, at rhs 0 and -2.  Its optimum is BudgetedCover's."""
+
+    def column(self, k, items):
+        col = super().column(k, items)
+        extra = ((3, -1.0), (4, 1.0), (5, 1.0)) if 0 in items else ()
+        return Column(k, col.cost, col.coeffs + extra, items)
+
+    def linking_rows(self):
+        return super().linking_rows() + [(RowSense.LE, -1.0), (RowSense.GE, 0.0),
+                                         (RowSense.GE, -2.0)]
+
+
+@pytest.mark.parametrize("make, rows, signs", [
+    # ga: 6 item rows (>= 1), then 5 bin rows (<= 1)
+    (lambda: ga_problem(bins=5, items=6), range(6), [1.0] * 6),
+    # mc: 16 arc rows (>= -capacity), then 4 commodity rows (>= 1)
+    (lambda: mc_problem(), range(16, 20), [1.0] * 4),
+    # the two >= 1 item rows, the <= -1 one and both = 1 convexity rows; not
+    # the <= 3 budget row or the >= 0 and >= -2 rows
+    (lambda: SignedRows(RowSense.EQ), [0, 1, 3, 6, 7], [1.0, 1.0, -1.0, 1.0, 1.0]),
+], ids=["ga", "mc", "mixed"])
+def test_fallback_columns_sit_on_the_rows_the_empty_master_leaves_unmet(
+        monkeypatch, make, rows, signs):
+    batches = []
+
+    class Recording(LpModel):
+        def add_columns(self, costs, ptr, rows, vals):
+            batches.append((list(ptr), list(rows), list(vals)))
+            return super().add_columns(costs, ptr, rows, vals)
+
+    monkeypatch.setattr(engine, "LpModel", Recording)
+    problem = make()
+    result = run_dwd(problem, config())
+    assert result.termination == "optimal" and result.artificial_value == 0.0
+    if isinstance(problem, SignedRows):
+        want = BudgetedCover(RowSense.EQ).full_master_objective()
+        assert result.objective == pytest.approx(want, abs=1e-6)
+    # the batch after the initial columns (ga has none): one entry per column,
+    # on its row, signed like the row's rhs
+    ptr, got_rows, got_vals = batches[1 if result.initial_column_count else 0]
+    assert ptr == list(range(len(got_rows) + 1))
+    assert got_rows == list(rows) and got_vals == signs
+
+
 def test_master_failures_name_iteration_and_lp_size(monkeypatch):
     real_solve = LpModel.solve
     calls = []
@@ -512,10 +559,11 @@ def test_master_failures_name_iteration_and_lp_size(monkeypatch):
     with pytest.raises(LpNumericalError, match="^master LP at iteration 2: simplex failed"):
         run_dwd(ga_problem(bins=8, items=6, seed=1))
 
-    # 6 item rows + 5 bin rows, and one fallback column per row
+    # 6 item rows + 5 bin rows, and one fallback column per item row: the
+    # all-zero master already meets every bin row
     monkeypatch.setattr(LpModel, "solve",
                         lambda model: LpSolution(LpStatus.INFEASIBLE, None, None, None, 0))
-    with pytest.raises(EngineError, match=r"infeasible at iteration 1 \(11 rows x 11 columns\)"):
+    with pytest.raises(EngineError, match=r"infeasible at iteration 1 \(11 rows x 6 columns\)"):
         run_dwd(ga_problem(bins=5, items=6))
 
 

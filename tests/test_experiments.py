@@ -195,6 +195,13 @@ def test_config_validation():
         ExperimentConfig(problem="lp")
     with pytest.raises(ValueError):
         ExperimentConfig(problem="ga", strategies=("exact-all", "nope"))
+    with pytest.raises(ValueError, match="^need at least one strategy$"):
+        ExperimentConfig(problem="ga", strategies=())
+    # each family's runs take only that family's instances
+    with pytest.raises(TypeError, match="^mc runs need an McInstance$"):
+        experiments.make_problem("mc", generate_ga_instance(3, 2, 0))
+    with pytest.raises(TypeError, match="^ga runs need a GaInstance$"):
+        experiments.make_problem("ga", generate_mc_instance(7, 16, 4, 0))
     for bad in ({"epsilon": 0.0}, {"epsilon": float("nan")}, {"epsilon": float("inf")},
                 {"epsilon": "0.1"}, {"max_iterations": 0}, {"retain_duals": 0},
                 {"max_iterations": 2.5}, {"retain_duals": 2.5}, {"retain_duals": True},
@@ -474,11 +481,13 @@ def test_cli_alpha_reads_every_dual_vector_or_a_count(text, want):
     (["--generate", "bins=x,items=3"], "bad generator key=value pair 'bins=x'"),
     (["--generate", "bins=3,items=2.5"], "bad generator key=value pair 'items=2.5'"),
     (["--generate", "bins=3=4,items=2"], "bad generator key=value pair 'bins=3=4'"),
+    (["--strategies", "exact-all,nope"],
+     f"--strategies: unknown strategies nope; choose from {', '.join(STRATEGIES)}"),
 ])
 def test_cli_bad_alpha_or_generator_pair_exits_2_before_any_solve(capsys, monkeypatch, argv,
                                                                   message):
     monkeypatch.setattr(experiments, "run_dwd", lambda *args: pytest.fail("solved"))
-    if argv[0] == "--alpha":
+    if argv[0] != "--generate":
         argv = [*argv, "--generate", "bins=5,items=4,count=2"]
     with pytest.raises(SystemExit) as info:
         main(["run", "--problem", "ga", *argv])

@@ -667,6 +667,44 @@ def test_numerical_error_names_phase_size_and_pivot(monkeypatch):
     assert "Bland retry: phase 1, pivot 32: singular basis" in msg
 
 
+def test_bland_retry_solves_after_a_failed_refactorization(monkeypatch):
+    # the model above, but only the first refactorization fails: the first
+    # attempt breaks down at pivot 128, and the retry, on Bland's rule and
+    # refactoring every 32 pivots, must reach the optimum
+    rows = [(RowSense.GE, 1.0 + i % 3) for i in range(150)]
+    model = RecordingLp(rows)
+    for i in range(150):
+        model.add_column(1.0, [(i, 1.0), ((i + 1) % 150, 0.5)])
+    real_refactor, refactors = lp_module._PanelInverse.refactor, []
+
+    def fail_first(inv, *args):
+        refactors.append(1)
+        if len(refactors) == 1:
+            raise np.linalg.LinAlgError("singular matrix")
+        return real_refactor(inv, *args)
+
+    real_simplex, runs = LpModel._simplex, []
+
+    def spy(model, *args, **kw):
+        try:
+            out = real_simplex(model, *args, **kw)
+        except lp_module._Breakdown as exc:
+            runs.append((args[5], str(exc)))
+            raise
+        runs.append((args[5], out[0]))
+        return out
+
+    monkeypatch.setattr(lp_module._PanelInverse, "refactor", fail_first)
+    monkeypatch.setattr(LpModel, "_simplex", spy)
+    sol = model.solve()
+    assert not runs[0][0] and runs[0][1].startswith("phase 1, pivot 128: singular basis")
+    assert all(bland for bland, _ in runs[1:]) and runs[-1][1] == "optimal"
+    assert sol.status is LpStatus.OPTIMAL
+    status, reference = oracles.linprog_min(model.costs, rows, model.dense_coeffs())
+    assert status == "optimal"
+    assert sol.objective == pytest.approx(reference, rel=1e-9)
+
+
 def test_long_warm_solve_refactors_twice_and_matches_cold_solve():
     # one re-solve runs past two refactorizations, each of which recomputes
     # the basic values and duals that the pivots carry in between

@@ -58,6 +58,20 @@ def test_parse_error_names_line():
         tiny("frobnicate 3\n")
     with pytest.raises(McParseError, match="line 2"):
         tiny("nodes 2\narc 0 1 1 1\n")  # one value short
+    arc = "arc 0 1 1 1 1\n"
+    for text, message in (
+            ("nodes 2\nnodes 2\n", "^line 2: duplicate nodes line$"),
+            ("nodes 2 3\n", "^line 1: nodes takes one value$"),
+            (f"nodes 2\n{arc}commodity 0 1 1\n", "^line 3: commodity takes 4 values$"),
+            (arc, "^missing nodes line$"),
+            ("nodes 0\n", "^instance needs at least one node$"),
+            (f"nodes 2\n{arc}commodity 0 5 1 1\n",
+             re.escape("line 3: commodity endpoint out of range: Commodity(source=0, target=5")),
+            (f"nodes 2\n{arc}commodity 1 1 1 1\n",
+             re.escape("line 3: commodity source and target must differ: Commodity(source=1, "
+                       "target=1"))):
+        with pytest.raises(McParseError, match=message):
+            tiny(text)
 
 
 def test_parse_rejects_negative_attributes():
@@ -198,6 +212,8 @@ def test_rcsp_no_feasible_path():
     weights = [a.cost for a in inst.arcs]
     delays = [a.delay for a in inst.arcs]
     assert rcsp(4, pairs(inst.arcs), weights, delays, 1.0, 0, 3) is None
+    # a source that is its target is reached at once, even on a zero budget
+    assert rcsp(4, pairs(inst.arcs), weights, delays, 0.0, 2, 2) == (0.0, ())
 
 
 def test_rcsp_infinite_budget_matches_networkx():
